@@ -69,8 +69,6 @@ from .shape_cost_model import (
     ShapeError,
     ShapeInfo,
     cost_report,
-    count_macs,
-    count_params,
     propagate_shapes,
 )
 from .transforms import (
@@ -100,7 +98,7 @@ __all__ = [
     "unproductive_closure", "unproductive_tail", "PRODUCTIVE", "UNPRODUCTIVE",
     # shape_cost_model
     "ShapeInfo", "LayerCost", "CostReport", "ShapeError",
-    "propagate_shapes", "cost_report", "count_params", "count_macs",
+    "propagate_shapes", "cost_report",
     # transforms
     "TransformDelta", "ComparisonReport", "TransformError",
     "truncate_at_border", "remove_stem_downsampling", "compare",

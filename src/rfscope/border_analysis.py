@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_ir import (
-    HEAD_KINDS,
-    ArchGraph,
-    Input,
-    conv_index,
-    topological_order,
-)
+from .graph_ir import HEAD_KINDS, ArchGraph, Input
 from .rf_analysis import RFAnnotation, propagate_dag
 
 PRODUCTIVE = "productive"
@@ -59,7 +53,7 @@ def classify(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = Non
     if annotations is None:
         annotations = propagate_dag(graph)
     resolution = graph.input.resolution
-    ordinals = conv_index(graph)
+    ordinals = graph.conv_ordinals
 
     rows: list[ConvClassification] = []
     border_min: int | None = None
@@ -108,7 +102,7 @@ def unproductive_closure(graph: ArchGraph, report: BorderReport | None = None) -
     if not unproductive:
         return frozenset()
     blocked: set[str] = set()
-    for nid in topological_order(graph):
+    for nid in graph.order:
         if isinstance(graph.node_map[nid].kind, Input):
             continue
         if nid in unproductive:

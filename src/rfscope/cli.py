@@ -93,26 +93,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_spec(input_size: Sequence[int], channels: int) -> InputSpec:
+    try:
+        return InputSpec(input_size[0], input_size[1], channels)
+    except ValueError as exc:
+        raise UsageError(f"--input-size: {exc}") from None
+
+
 def _load_graph(ref: str, input_size: Sequence[int] | None, classes: int) -> ArchGraph:
-    override = None
-    if input_size is not None:
-        h, w = input_size
-        override = (h, w)
     if ref.startswith("zoo:"):
-        name = ref[len("zoo:"):]
-        spec = None
-        if override is not None:
-            spec = InputSpec(override[0], override[1], 3)
+        spec = None if input_size is None else _input_spec(input_size, 3)
         try:
-            return build_named(name, input_spec=spec, num_classes=classes)
+            return build_named(ref[len("zoo:"):], input_spec=spec, num_classes=classes)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     with open(ref, "rb") as handle:
         graph = parse(handle.read())
-    if override is not None:
-        graph = dataclasses.replace(
-            graph, input=InputSpec(override[0], override[1], graph.input.channels)
-        )
+    if input_size is not None:
+        graph = dataclasses.replace(graph, input=_input_spec(input_size, graph.input.channels))
     return graph
 
 
@@ -337,17 +335,20 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     graph = _load_graph(args.arch, args.input_size, args.classes)
     pass_name, count = _parse_pass_spec(args.pass_spec)
     if pass_name == "truncate":
+        if args.classes < 2:
+            raise UsageError(f"--classes must be >= 2 for the truncate pass, got {args.classes}")
         rewritten, delta = truncate_at_border(graph, num_classes=args.classes)
     else:
         rewritten, delta = remove_stem_downsampling(graph, count)
+    # The document is written first, so a file error leaves stdout empty.
+    if args.emit:
+        with open(args.emit, "w", encoding="utf-8") as handle:
+            handle.write(serialize(rewritten))
     payload = _delta_payload(delta)
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         sys.stdout.write(_render_delta_text(payload))
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as handle:
-            handle.write(serialize(rewritten))
     if not delta.changed:
         sys.stderr.write("optimize: pass was a no-op (no border layer)\n")
         return EXIT_NOOP
@@ -387,9 +388,7 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
             sys.stdout.write(name + "\n")
         sys.stdout.write("# options: NAME-dilN (vgg), NAME-noskip, NAME-nostem (resnet)\n")
         return EXIT_OK
-    spec = None
-    if args.input_size is not None:
-        spec = InputSpec(args.input_size[0], args.input_size[1], 3)
+    spec = None if args.input_size is None else _input_spec(args.input_size, 3)
     try:
         graph = build_named(args.name, input_spec=spec, num_classes=args.classes)
     except ValueError as exc:

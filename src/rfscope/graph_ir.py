@@ -206,6 +206,22 @@ class ArchGraph:
             )
         return ids[0]
 
+    @cached_property
+    def order(self) -> tuple[str, ...]:
+        """The checked :func:`topological_order`, computed on first use.
+
+        Graphs are immutable, so one validation and one sort serve every
+        later pass over this instance. An invalid graph caches nothing and
+        raises :class:`GraphValidationError` on every access.
+        """
+        return tuple(topological_order(self))
+
+    @cached_property
+    def conv_ordinals(self) -> dict[str, int]:
+        """1-based ordinal of every Conv2d node in :attr:`order`; see :func:`conv_index`."""
+        convs = (nid for nid in self.order if isinstance(self.node_map[nid].kind, Conv2d))
+        return {nid: i for i, nid in enumerate(convs, start=1)}
+
 
 def make_graph(
     name: str,
@@ -340,15 +356,15 @@ def validate(graph: ArchGraph) -> list[Violation]:
     # Cycle detection via Kahn elimination; the residue is the cyclic core.
     pending = dict(indeg)
     queue = [nid for nid, d in pending.items() if d == 0]
-    removed = 0
+    eliminated: list[str] = []
     while queue:
         nid = queue.pop()
-        removed += 1
+        eliminated.append(nid)
         for succ in graph.successors[nid]:
             pending[succ] -= 1
             if pending[succ] == 0:
                 queue.append(succ)
-    if removed != len(graph.nodes):
+    if len(eliminated) != len(graph.nodes):
         cyclic = sorted(nid for nid, d in pending.items() if d > 0)
         violations.append(Violation("acyclic", "{" + ",".join(cyclic) + "}", "cycle through these nodes"))
         return violations
@@ -368,7 +384,7 @@ def validate(graph: ArchGraph) -> list[Violation]:
         return violations
 
     # Channel bookkeeping is meaningful only once the DAG shape is sound.
-    channels = _propagate_channels(graph)
+    channels = _propagate_channels(graph, eliminated)
     for node in graph.nodes:
         if isinstance(node.kind, Add):
             widths = sorted({channels[p] for p in graph.predecessors[node.id]})
@@ -401,10 +417,10 @@ def _backward_reachable(graph: ArchGraph, start: str) -> set[str]:
     return seen
 
 
-def _propagate_channels(graph: ArchGraph) -> dict[str, int]:
-    """Channel count carried out of each node; assumes a structurally valid DAG."""
+def _propagate_channels(graph: ArchGraph, order: list[str]) -> dict[str, int]:
+    """Channel count carried out of each node, visited in any topological `order`."""
     channels: dict[str, int] = {}
-    for nid in topological_order(graph, _checked=False):
+    for nid in order:
         kind = graph.node_map[nid].kind
         preds = graph.predecessors[nid]
         if isinstance(kind, Input):
@@ -427,15 +443,15 @@ def ensure_valid(graph: ArchGraph) -> None:
         raise GraphValidationError(violations)
 
 
-def topological_order(graph: ArchGraph, _checked: bool = True) -> list[str]:
+def topological_order(graph: ArchGraph) -> list[str]:
     """Node ids with every edge pointing forward.
 
     Ties between incomparable nodes are broken by ascending declaration
     index, so the order is identical across runs and across structurally
-    equal graphs.
+    equal graphs. Validates and sorts on every call; passes read the cached
+    :attr:`ArchGraph.order` instead.
     """
-    if _checked:
-        ensure_valid(graph)
+    ensure_valid(graph)
     indeg = {n.id: len(graph.predecessors[n.id]) for n in graph.nodes}
     index = {n.id: n.declaration_index for n in graph.nodes}
     heap = [(index[nid], nid) for nid, d in indeg.items() if d == 0]
@@ -459,10 +475,7 @@ def conv_index(graph: ArchGraph) -> dict[str, int]:
     Border layers are reported as these ordinals, so the numbering must be
     reproducible: it inherits the declaration-order tie-breaking of
     :func:`topological_order`. Every Conv2d counts, including 1x1
-    projection convolutions on skip branches.
+    projection convolutions on skip branches. The result is a copy of the
+    graph's cached :attr:`ArchGraph.conv_ordinals`.
     """
-    ordinals: dict[str, int] = {}
-    for nid in topological_order(graph):
-        if isinstance(graph.node_map[nid].kind, Conv2d):
-            ordinals[nid] = len(ordinals) + 1
-    return ordinals
+    return dict(graph.conv_ordinals)

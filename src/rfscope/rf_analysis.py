@@ -29,7 +29,6 @@ from .graph_ir import (
     LayerKind,
     Pool,
     ensure_valid,
-    topological_order,
 )
 
 DEFAULT_FRONTIER_CAP = 4096
@@ -186,10 +185,9 @@ def propagate_dag(graph: ArchGraph, frontier_cap: int = DEFAULT_FRONTIER_CAP) ->
     predecessor nodes inherit the predecessor's output frontier. Raises
     :class:`FrontierLimitError` if a frontier exceeds `frontier_cap`.
     """
-    ensure_valid(graph)
     annotations: dict[str, RFAnnotation] = {}
     out_frontiers: dict[str, tuple[RFState, ...]] = {}
-    for nid in topological_order(graph):
+    for nid in graph.order:
         node = graph.node_map[nid]
         preds = graph.predecessors[nid]
         if not preds:
@@ -204,7 +202,11 @@ def propagate_dag(graph: ArchGraph, frontier_cap: int = DEFAULT_FRONTIER_CAP) ->
         if len(in_frontier) > frontier_cap:
             raise FrontierLimitError(nid, len(in_frontier), frontier_cap)
 
-        out_frontier = prune_frontier({layer_rf_transfer(s, node.kind) for s in in_frontier})
+        if len(in_frontier) == 1:
+            # One state is its own Pareto frontier, global or not.
+            out_frontier = (layer_rf_transfer(in_frontier[0], node.kind),)
+        else:
+            out_frontier = prune_frontier({layer_rf_transfer(s, node.kind) for s in in_frontier})
         if len(out_frontier) > frontier_cap:
             raise FrontierLimitError(nid, len(out_frontier), frontier_cap)
         out_frontiers[nid] = out_frontier
@@ -225,9 +227,8 @@ def propagate_dag(graph: ArchGraph, frontier_cap: int = DEFAULT_FRONTIER_CAP) ->
 
 def count_paths(graph: ArchGraph, node_id: str) -> int:
     """Number of distinct paths from the input node to `node_id`."""
-    ensure_valid(graph)
     counts: dict[str, int] = {}
-    for nid in topological_order(graph):
+    for nid in graph.order:
         preds = graph.predecessors[nid]
         counts[nid] = 1 if not preds else sum(counts[p] for p in preds)
     return counts[node_id]

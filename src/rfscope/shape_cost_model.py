@@ -27,8 +27,6 @@ from .graph_ir import (
     GlobalAvgPool,
     Input,
     Pool,
-    ensure_valid,
-    topological_order,
 )
 from .rf_analysis import effective_kernel
 
@@ -98,9 +96,8 @@ def propagate_shapes(graph: ArchGraph) -> dict[str, ShapeInfo]:
     follow the usual floor rule. Element-wise adds require identical input
     shapes; concatenation requires matching spatial dims and sums channels.
     """
-    ensure_valid(graph)
     shapes: dict[str, ShapeInfo] = {}
-    for nid in topological_order(graph):
+    for nid in graph.order:
         kind = graph.node_map[nid].kind
         preds = [shapes[p] for p in graph.predecessors[nid]]
         if isinstance(kind, Input):
@@ -192,7 +189,7 @@ def cost_report(
     if shapes is None:
         shapes = propagate_shapes(graph)
     per_layer: list[LayerCost] = []
-    for nid in topological_order(graph):
+    for nid in graph.order:
         kind = graph.node_map[nid].kind
         out = shapes[nid]
         preds = graph.predecessors[nid]
@@ -233,13 +230,3 @@ def cost_report(
         total_params=sum(c.params for c in per_layer),
         total_macs=sum(c.macs for c in per_layer),
     )
-
-
-def count_params(graph: ArchGraph, se_ratio: int = DEFAULT_SE_RATIO) -> CostReport:
-    """Cost report when only the parameter side is of interest."""
-    return cost_report(graph, se_ratio=se_ratio)
-
-
-def count_macs(graph: ArchGraph, include_elementwise: bool = True, se_ratio: int = DEFAULT_SE_RATIO) -> CostReport:
-    """Cost report when only the MAC side is of interest."""
-    return cost_report(graph, include_elementwise=include_elementwise, se_ratio=se_ratio)

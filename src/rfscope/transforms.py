@@ -23,8 +23,6 @@ from .graph_ir import (
     LayerNode,
     Pool,
     Softmax,
-    ensure_valid,
-    topological_order,
     validate,
 )
 from .shape_cost_model import CostReport, cost_report
@@ -145,7 +143,6 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
     """
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    ensure_valid(graph)
     before_border, before_cost = _snapshot(graph)
     if before_border.border_min is None:
         return graph, TransformDelta(
@@ -181,7 +178,7 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
 
     # Pick the truncation point: the latest surviving dead end. Any other
     # dead-end branch no longer reaches the output and is pruned.
-    topo_pos = {nid: i for i, nid in enumerate(topological_order(graph))}
+    topo_pos = {nid: i for i, nid in enumerate(graph.order)}
     while True:
         out_count = {nid: 0 for nid in keep}
         for a, _ in edges:
@@ -227,7 +224,7 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
 def downsampling_layers(graph: ArchGraph) -> list[str]:
     """Stride-carrying layers (convs and pools with stride > 1) in topological order."""
     out = []
-    for nid in topological_order(graph):
+    for nid in graph.order:
         kind = graph.node_map[nid].kind
         if isinstance(kind, (Conv2d, Pool)) and kind.stride > 1:
             out.append(nid)
@@ -245,7 +242,6 @@ def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, T
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    ensure_valid(graph)
     targets = downsampling_layers(graph)
     if len(targets) < count:
         raise TransformError(
@@ -293,8 +289,8 @@ def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, T
 
 def compare(graph_a: ArchGraph, graph_b: ArchGraph) -> ComparisonReport:
     """Side-by-side analysis of two graphs; both must consume the same input."""
-    ensure_valid(graph_a)
-    ensure_valid(graph_b)
+    for graph in (graph_a, graph_b):
+        graph.order  # raises GraphValidationError unless the graph is valid
     if graph_a.input != graph_b.input:
         raise ValueError(
             f"input specs differ: {graph_a.input} vs {graph_b.input}; comparison would be meaningless"

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from rfscope import build_named, parse, serialize
 from rfscope.cli import EXIT_FILE, EXIT_INVALID, EXIT_NOOP, EXIT_OK, EXIT_USAGE, main
 
@@ -190,3 +192,29 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert "rfscope" in out
+
+
+def _vgg11_file(tmp_path):
+    path = tmp_path / "vgg11.json"
+    path.write_text(serialize(build_named("vgg11")))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["analyze", "zoo:vgg16", "--input-size", "0", "32"], EXIT_USAGE),
+        (["analyze", "FILE", "--input-size", "32", "0"], EXIT_USAGE),
+        (["zoo", "emit", "vgg16", "--input-size", "-1", "5"], EXIT_USAGE),
+        (["optimize", "FILE", "--pass", "truncate", "--classes", "1"], EXIT_USAGE),
+        (["optimize", "zoo:vgg16", "--pass", "truncate", "--emit", "MISSING_DIR"], EXIT_FILE),
+    ],
+    ids=["input-size-zoo", "input-size-file", "zoo-emit-input-size", "classes-file", "emit-missing-dir"],
+)
+def test_bad_request_fails_cleanly_with_empty_stdout(tmp_path, capsys, argv, expected):
+    subs = {"FILE": _vgg11_file(tmp_path), "MISSING_DIR": str(tmp_path / "missing" / "x.json")}
+    code, out, err = run(capsys, *[subs.get(a, a) for a in argv])
+    assert code == expected
+    assert "Traceback" not in err
+    assert err
+    assert out == ""

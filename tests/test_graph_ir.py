@@ -13,10 +13,24 @@ from rfscope import (
     Softmax,
     build_named,
     chain_graph,
+    classify,
     conv_index,
+    cost_report,
     make_graph,
+    propagate_dag,
+    propagate_shapes,
+    remove_stem_downsampling,
     topological_order,
+    truncate_at_border,
+    unproductive_closure,
     validate,
+)
+from rfscope import graph_ir
+
+ZOO_MODELS = (
+    "vgg11", "vgg13", "vgg16", "vgg19", "vgg19-dil3",
+    "resnet18", "resnet34", "resnet18-noskip", "resnet34-noskip", "resnet18-nostem", "resnet34-nostem",
+    "mpnet18", "mpnet36",
 )
 
 IN8 = InputSpec(8, 8, 3)
@@ -165,3 +179,57 @@ class TestConvIndex:
         ranked = sorted(ordinals, key=lambda nid: ordinals[nid])
         assert sorted(ordinals.values()) == list(range(1, len(ordinals) + 1))
         assert ranked == sorted(ranked, key=lambda nid: order[nid])
+
+
+class TestCachedOrder:
+    @pytest.mark.parametrize("name", ZOO_MODELS)
+    def test_order_is_the_topological_order(self, name):
+        g = build_named(name)
+        assert list(g.order) == topological_order(g)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            propagate_dag,
+            classify,
+            propagate_shapes,
+            cost_report,
+            unproductive_closure,
+            lambda g: truncate_at_border(g, 10),
+            lambda g: remove_stem_downsampling(g, 1),
+        ],
+        ids=["propagate_dag", "classify", "propagate_shapes", "cost_report",
+             "unproductive_closure", "truncate_at_border", "remove_stem_downsampling"],
+    )
+    def test_invalid_graph_raises_on_every_call(self, run):
+        # A strided conv feeding a one-input add: the merge-arity rule fails.
+        g = chain_graph("bad", IN8, [("c1", Conv2d(kernel=3, filters=4, stride=2)), ("add", Add())])
+        for _ in range(2):
+            with pytest.raises(GraphValidationError):
+                run(g)
+
+    def test_graph_is_validated_once(self, monkeypatch):
+        g = build_named("resnet34")
+        calls = []
+        real = graph_ir.validate
+
+        def counting(graph):
+            calls.append(graph.name)
+            return real(graph)
+
+        monkeypatch.setattr(graph_ir, "validate", counting)
+        classify(g)
+        cost_report(g)
+        assert len(calls) == 1
+        classify(g)
+        cost_report(g)
+        assert len(calls) == 1
+
+    def test_conv_index_returns_a_copy(self):
+        g = build_named("vgg16")
+        before = classify(g)
+        ordinals = conv_index(g)
+        ordinals["conv1"] = 99
+        del ordinals["conv13"]
+        assert classify(g) == before
+        assert conv_index(g)["conv1"] == 1

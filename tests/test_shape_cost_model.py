@@ -19,8 +19,6 @@ from rfscope import (
     build_named,
     chain_graph,
     cost_report,
-    count_macs,
-    count_params,
     make_graph,
     propagate_shapes,
 )
@@ -113,29 +111,29 @@ class TestPropagateShapes:
 
 
 def params_of(kind, input_spec=IN32):
-    report = count_params(single(kind, input_spec))
+    report = cost_report(single(kind, input_spec))
     return next(c.params for c in report.per_layer if c.node_id == "x")
 
 
 def macs_of(kind, input_spec=IN32, **kwargs):
-    report = count_macs(single(kind, input_spec), **kwargs)
+    report = cost_report(single(kind, input_spec), **kwargs)
     return next(c.macs for c in report.per_layer if c.node_id == "x")
 
 
 class TestParams:
     def test_conv_3x3_64_to_64_with_bias(self):
         g = chain_graph("two", IN32, [("c0", Conv2d(kernel=3, filters=64, bias=False)), ("x", Conv2d(kernel=3, filters=64))])
-        report = count_params(g)
+        report = cost_report(g)
         assert next(c.params for c in report.per_layer if c.node_id == "x") == 36_928
 
     def test_dense_512_to_10(self):
         g = chain_graph("d", IN32, [("c", Conv2d(kernel=3, filters=512)), ("gap", GlobalAvgPool()), ("x", Dense(units=10))])
-        report = count_params(g)
+        report = cost_report(g)
         assert next(c.params for c in report.per_layer if c.node_id == "x") == 5_130
 
     def test_batch_norm_two_per_channel(self):
         g = chain_graph("bn", IN32, [("c", Conv2d(kernel=3, filters=128, bias=False)), ("x", BatchNorm())])
-        report = count_params(g)
+        report = cost_report(g)
         assert next(c.params for c in report.per_layer if c.node_id == "x") == 256
 
     def test_dilation_adds_no_params(self):
@@ -146,42 +144,42 @@ class TestParams:
         g = chain_graph("free", IN32, [("c", Conv2d(kernel=3, filters=8)), ("x", kind), ("c2", Conv2d(kernel=3, filters=8))])
         if isinstance(kind, Add):
             return  # arity constraint; covered by zoo totals
-        report = count_params(g)
+        report = cost_report(g)
         assert next(c.params for c in report.per_layer if c.node_id == "x") == 0
 
     def test_se_attention_bottleneck(self):
         g = chain_graph("se", IN32, [("c", Conv2d(kernel=3, filters=64, bias=False)), ("x", Attention("se"))])
-        report = count_params(g)
+        report = cost_report(g)
         assert next(c.params for c in report.per_layer if c.node_id == "x") == 2 * 64 * 4
 
 
 class TestMacs:
     def test_conv_3x3_64_to_64_at_32(self):
         g = chain_graph("two", IN32, [("c0", Conv2d(kernel=3, filters=64, bias=False)), ("x", Conv2d(kernel=3, filters=64))])
-        report = count_macs(g)
+        report = cost_report(g)
         assert next(c.macs for c in report.per_layer if c.node_id == "x") == 37_748_736
 
     def test_dense_512_to_10(self):
         g = chain_graph("d", IN32, [("c", Conv2d(kernel=3, filters=512)), ("gap", GlobalAvgPool()), ("x", Dense(units=10))])
-        report = count_macs(g)
+        report = cost_report(g)
         assert next(c.macs for c in report.per_layer if c.node_id == "x") == 5_120
 
     def test_elementwise_toggle(self):
         for kind in (BatchNorm(), Activation(), Pool(mode="avg", kernel=2, stride=2), GlobalAvgPool()):
             g = chain_graph("e", IN32, [("c", Conv2d(kernel=3, filters=8, bias=False)), ("x", kind)])
-            on = count_macs(g, include_elementwise=True)
-            off = count_macs(g, include_elementwise=False)
+            on = cost_report(g, include_elementwise=True)
+            off = cost_report(g, include_elementwise=False)
             assert next(c.macs for c in on.per_layer if c.node_id == "x") > 0
             assert next(c.macs for c in off.per_layer if c.node_id == "x") == 0
 
     def test_softmax_never_counted(self):
         g = chain_graph("s", IN32, [("c", Conv2d(kernel=3, filters=8)), ("gap", GlobalAvgPool()), ("fc", Dense(units=10)), ("x", Softmax())])
-        assert next(c.macs for c in count_macs(g).per_layer if c.node_id == "x") == 0
+        assert next(c.macs for c in cost_report(g).per_layer if c.node_id == "x") == 0
 
     def test_pool_counts_window_elements(self):
         g = chain_graph("p", IN32, [("c", Conv2d(kernel=3, filters=8, bias=False)), ("x", Pool(mode="max", kernel=2, stride=2))])
         # 16x16x8 outputs, 4 window elements each.
-        assert next(c.macs for c in count_macs(g).per_layer if c.node_id == "x") == 4 * 16 * 16 * 8
+        assert next(c.macs for c in cost_report(g).per_layer if c.node_id == "x") == 4 * 16 * 16 * 8
 
 
 class TestReportTotals:
