@@ -54,14 +54,11 @@ from .graph_ir import (
 )
 from .rf_analysis import (
     FrontierLimitError,
-    PathLimitError,
     RFAnnotation,
     RFState,
     effective_kernel,
     layer_rf_transfer,
-    path_enumeration_oracle,
     propagate_dag,
-    propagate_sequential,
 )
 from .shape_cost_model import (
     CostReport,
@@ -91,8 +88,7 @@ __all__ = [
     "topological_order", "conv_index", "make_graph", "chain_graph",
     # rf_analysis
     "RFState", "RFAnnotation", "effective_kernel", "layer_rf_transfer",
-    "propagate_sequential", "propagate_dag", "path_enumeration_oracle",
-    "FrontierLimitError", "PathLimitError",
+    "propagate_dag", "FrontierLimitError",
     # border_analysis
     "BorderReport", "ConvClassification", "classify",
     "unproductive_closure", "unproductive_tail", "PRODUCTIVE", "UNPRODUCTIVE",

@@ -10,6 +10,7 @@ that parse(serialize(g)) reproduces g exactly.
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 from typing import Any
 
 from .graph_ir import (
@@ -65,50 +66,25 @@ _KIND_TAGS: dict[str, type] = {
 }
 _TAG_BY_TYPE = {cls: tag for tag, cls in _KIND_TAGS.items()}
 
-# Field plans per kind tag: {field: (required, checker, default)}.
-_INT = "integer"
-_STR = "string"
-_BOOL = "boolean"
-_PADDING = "padding"
-
-_FIELD_PLANS: dict[str, dict[str, tuple[bool, str, Any]]] = {
-    "input": {},
-    "conv2d": {
-        "kernel": (True, _INT, None),
-        "filters": (True, _INT, None),
-        "stride": (False, _INT, 1),
-        "dilation": (False, _INT, 1),
-        "padding": (False, _PADDING, "same"),
-        "bias": (False, _BOOL, True),
-    },
-    "pool": {
-        "mode": (True, _STR, None),
-        "kernel": (True, _INT, None),
-        "stride": (True, _INT, None),
-        "padding": (False, _INT, 0),
-    },
-    "global_avg_pool": {},
-    "dense": {"units": (True, _INT, None), "bias": (False, _BOOL, True)},
-    "add": {},
-    "concat": {},
-    "batch_norm": {},
-    "activation": {"name": (False, _STR, "relu")},
-    "attention": {"variant": (True, _STR, None)},
-    "softmax": {},
+# Field plans per kind tag, read off the layer dataclasses: {field: (required, annotation, default)}.
+_FIELD_PLANS = {
+    tag: {f.name: (f.default is MISSING, f.type, f.default) for f in fields(cls)}
+    for tag, cls in _KIND_TAGS.items()
 }
 
 
-def _check_value(path: str, value: Any, checker: str) -> Any:
-    if checker == _INT:
+def _check_value(path: str, value: Any, annotation: str) -> Any:
+    """`value` if its JSON type fits a field annotated `annotation`; padding is `Union[str, int]`."""
+    if annotation == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise DocumentError(path, f"expected an integer, got {value!r} (square scalars only)")
-    elif checker == _STR:
+    elif annotation == "str":
         if not isinstance(value, str):
             raise DocumentError(path, f"expected a string, got {value!r}")
-    elif checker == _BOOL:
+    elif annotation == "bool":
         if not isinstance(value, bool):
             raise DocumentError(path, f"expected a boolean, got {value!r}")
-    elif checker == _PADDING:
+    elif annotation == "Union[str, int]":
         if isinstance(value, bool) or not (isinstance(value, int) or value in ("same", "valid")):
             raise DocumentError(path, f"expected 'same', 'valid', or an integer, got {value!r}")
     return value
@@ -130,9 +106,9 @@ def _parse_layer(index: int, raw: Any) -> tuple[str, LayerKind]:
         if key not in plan and key not in ("id", "kind"):
             raise DocumentError(f"{where}.{key}", f"unknown key for kind {tag!r}")
     kwargs: dict[str, Any] = {}
-    for field_name, (required, checker, default) in plan.items():
+    for field_name, (required, annotation, default) in plan.items():
         if field_name in raw:
-            kwargs[field_name] = _check_value(f"{where}.{field_name}", raw[field_name], checker)
+            kwargs[field_name] = _check_value(f"{where}.{field_name}", raw[field_name], annotation)
         elif required:
             raise DocumentError(f"{where}.{field_name}", f"missing required key for kind {tag!r}")
         else:
@@ -163,7 +139,7 @@ def parse_document(doc: Any) -> ArchGraph:
     for key in ("height", "width", "channels"):
         if key not in raw_input:
             raise DocumentError(f"$.input.{key}", "missing required key")
-        dims[key] = _check_value(f"$.input.{key}", raw_input[key], _INT)
+        dims[key] = _check_value(f"$.input.{key}", raw_input[key], "int")
     try:
         input_spec = InputSpec(**dims)
     except ValueError as exc:
@@ -199,6 +175,8 @@ def parse(data: bytes | str) -> ArchGraph:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise DocumentError("$", f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise DocumentError("$", "document nests arrays or objects too deeply to decode") from None
     return parse_document(doc)
 
 

@@ -11,28 +11,15 @@ maximum receptive fields everywhere downstream.
 Folding a single (min r, min j) pair instead of a frontier would be wrong on
 general DAGs: the path minimizing r at a node need not minimize j, and a
 larger j can overtake later once kernels multiply against it.
-
-A brute-force path enumerator is provided as an independent test oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal
 
-from .graph_ir import (
-    ArchGraph,
-    Conv2d,
-    Dense,
-    GlobalAvgPool,
-    InputSpec,
-    LayerKind,
-    Pool,
-    ensure_valid,
-)
+from .graph_ir import ArchGraph, Conv2d, Dense, GlobalAvgPool, LayerKind, Pool
 
 DEFAULT_FRONTIER_CAP = 4096
-DEFAULT_PATH_LIMIT = 10**6
 
 
 class FrontierLimitError(RuntimeError):
@@ -46,10 +33,6 @@ class FrontierLimitError(RuntimeError):
             f"receptive-field frontier at node {node_id!r} holds {size} states, "
             f"exceeding the cap of {cap}; refusing to approximate"
         )
-
-
-class PathLimitError(RuntimeError):
-    """Path enumeration would exceed the guard limit."""
 
 
 @dataclass(frozen=True)
@@ -92,23 +75,6 @@ def layer_rf_transfer(state: RFState, kind: LayerKind) -> RFState:
     if isinstance(kind, (GlobalAvgPool, Dense)):
         return GLOBAL_STATE
     return state
-
-
-def propagate_sequential(layers: list[LayerKind], input_spec: InputSpec) -> list[RFState]:
-    """Fold the transfer over a plain layer sequence, starting from (r=1, j=1).
-
-    Element t is the state after layer t; the state entering layer t is
-    element t-1 (or the initial state for t=0).
-    """
-    if not layers:
-        raise ValueError("layer sequence must be nonempty")
-    del input_spec  # resolution plays no role in the recurrence itself
-    states: list[RFState] = []
-    state = INITIAL_STATE
-    for kind in layers:
-        state = layer_rf_transfer(state, kind)
-        states.append(state)
-    return states
 
 
 def _sort_key(state: RFState) -> tuple[float, float]:
@@ -223,68 +189,3 @@ def propagate_dag(graph: ArchGraph, frontier_cap: int = DEFAULT_FRONTIER_CAP) ->
             r_out_max=r_out_max,
         )
     return annotations
-
-
-def count_paths(graph: ArchGraph, node_id: str) -> int:
-    """Number of distinct paths from the input node to `node_id`."""
-    counts: dict[str, int] = {}
-    for nid in graph.order:
-        preds = graph.predecessors[nid]
-        counts[nid] = 1 if not preds else sum(counts[p] for p in preds)
-    return counts[node_id]
-
-
-def iter_path_states(
-    graph: ArchGraph, node_id: str, at: Literal["in", "out"] = "out"
-) -> Iterator[RFState]:
-    """Yield the folded state of every input-to-node path.
-
-    With at="out" the node's own transfer is applied; with at="in" the state
-    entering the node is yielded instead (for the input node itself, that is
-    the initial state).
-    """
-    ensure_valid(graph)
-    if node_id not in graph.node_map:
-        raise KeyError(f"unknown node {node_id!r}")
-
-    def fold(nid: str, state: RFState) -> Iterator[RFState]:
-        if nid == node_id:
-            yield state if at == "in" else layer_rf_transfer(state, graph.node_map[nid].kind)
-            return
-        state = layer_rf_transfer(state, graph.node_map[nid].kind)
-        for succ in graph.successors[nid]:
-            if succ in ancestors:
-                yield from fold(succ, state)
-
-    ancestors = {node_id}
-    stack = [node_id]
-    while stack:
-        for pred in graph.predecessors[stack.pop()]:
-            if pred not in ancestors:
-                ancestors.add(pred)
-                stack.append(pred)
-
-    yield from fold(graph.input_id, INITIAL_STATE)
-
-
-def path_enumeration_oracle(
-    graph: ArchGraph,
-    node_id: str,
-    at: Literal["in", "out"] = "out",
-    path_limit: int = DEFAULT_PATH_LIMIT,
-) -> tuple[int | float, int | float]:
-    """Exact (r_min, r_max) at a node by enumerating every path.
-
-    Reference implementation for testing; refuses graphs with more than
-    `path_limit` distinct paths to the node.
-    """
-    n_paths = count_paths(graph, node_id)
-    if n_paths > path_limit:
-        raise PathLimitError(f"{n_paths} paths to node {node_id!r} exceed the enumeration limit {path_limit}")
-    r_min: int | float = math.inf
-    r_max: int | float = -math.inf
-    for state in iter_path_states(graph, node_id, at=at):
-        value = state.r_value
-        r_min = min(r_min, value)
-        r_max = max(r_max, value)
-    return r_min, r_max

@@ -150,15 +150,15 @@ def propagate_shapes(graph: ArchGraph) -> dict[str, ShapeInfo]:
     return shapes
 
 
-def _se_squeeze(channels: int, se_ratio: int) -> int:
-    return max(1, channels // se_ratio)
+def _se_squeeze(channels: int) -> int:
+    return max(1, channels // DEFAULT_SE_RATIO)
 
 
-def _attention_params(variant: str, channels: int, se_ratio: int) -> int:
+def _attention_params(variant: str, channels: int) -> int:
     # Modeling defaults: a squeeze-excite bottleneck holds 2*C*(C/ratio)
     # weights; spatial attention is one 7x7 conv over stacked avg/max maps;
     # cbam combines both.
-    se = 2 * channels * _se_squeeze(channels, se_ratio)
+    se = 2 * channels * _se_squeeze(channels)
     spatial = SPATIAL_ATTENTION_KERNEL**2 * 2
     if variant == "se":
         return se
@@ -167,10 +167,10 @@ def _attention_params(variant: str, channels: int, se_ratio: int) -> int:
     return se + spatial
 
 
-def _attention_macs(variant: str, in_shape: ShapeInfo, se_ratio: int) -> int:
+def _attention_macs(variant: str, in_shape: ShapeInfo) -> int:
     area = in_shape.out_height * in_shape.out_width
     channels = in_shape.out_channels
-    se = 2 * channels * area + 2 * channels * _se_squeeze(channels, se_ratio)
+    se = 2 * channels * area + 2 * channels * _se_squeeze(channels)
     spatial = 2 * channels * area + SPATIAL_ATTENTION_KERNEL**2 * 2 * area + channels * area
     if variant == "se":
         return se
@@ -182,7 +182,6 @@ def _attention_macs(variant: str, in_shape: ShapeInfo, se_ratio: int) -> int:
 def cost_report(
     graph: ArchGraph,
     include_elementwise: bool = True,
-    se_ratio: int = DEFAULT_SE_RATIO,
     shapes: dict[str, ShapeInfo] | None = None,
 ) -> CostReport:
     """Per-layer and total trainable parameters and multiply-accumulates."""
@@ -220,9 +219,9 @@ def cost_report(
             if include_elementwise:
                 macs = in_shape.elements
         elif isinstance(kind, Attention):
-            params = _attention_params(kind.variant, in_shape.out_channels, se_ratio)
+            params = _attention_params(kind.variant, in_shape.out_channels)
             if include_elementwise:
-                macs = _attention_macs(kind.variant, in_shape, se_ratio)
+                macs = _attention_macs(kind.variant, in_shape)
         # Input, Concat, Softmax carry no parameters and no counted work.
         per_layer.append(LayerCost(node_id=nid, params=params, macs=macs, out_shape=out))
     return CostReport(

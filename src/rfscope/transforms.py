@@ -19,11 +19,11 @@ from .graph_ir import (
     Conv2d,
     Dense,
     GlobalAvgPool,
+    GraphValidationError,
     LayerKind,
     LayerNode,
     Pool,
     Softmax,
-    validate,
 )
 from .shape_cost_model import CostReport, cost_report
 
@@ -101,11 +101,12 @@ def _rebuild(
     for offset, (nid, kind) in enumerate(appended or []):
         nodes.append(LayerNode(nid, kind, len(kept_sorted) + offset))
     rebuilt = ArchGraph(name=name, input=graph.input, nodes=tuple(nodes), edges=tuple(edges))
-    violations = validate(rebuilt)
-    if violations:
+    try:
+        rebuilt.order  # the rebuilt graph's one validation, cached for the analyses that follow
+    except GraphValidationError as exc:
         raise TransformError(
-            "rewritten graph failed validation: " + "; ".join(str(v) for v in violations)
-        )
+            "rewritten graph failed validation: " + "; ".join(str(v) for v in exc.violations)
+        ) from None
     return rebuilt
 
 

@@ -1,9 +1,12 @@
-"""Seeded random architecture DAGs for oracle-equivalence and property tests.
+"""Seeded random architecture DAGs and the brute-force path oracle for tests.
 
 Graphs are guaranteed valid by construction: convolutions preserve the
 channel count of their predecessor, so element-wise merges always see equal
 widths; diamonds never nest and each closes with a single merge node, so the
 graph has one input, one sink, and at most two merge nodes.
+
+The oracle folds the receptive-field transfer along every input-to-node path
+one at a time, independently of the frontier pruning in `propagate_dag`.
 """
 from __future__ import annotations
 
@@ -22,6 +25,8 @@ from rfscope import (
     InputSpec,
     LayerKind,
     Pool,
+    RFState,
+    layer_rf_transfer,
     make_graph,
 )
 
@@ -93,3 +98,44 @@ def random_graph(seed: int, max_layer_nodes: int = 12, shape_safe: bool = False)
             endpoint = new_node(prefix, kind, endpoint)
             remaining -= 1
     return make_graph(f"random{seed}", InputSpec(32, 32, 3), layers, edges)
+
+
+def enumerate_paths(graph: ArchGraph, target: str) -> list[list[str]]:
+    """Every input-to-`target` path as a list of node ids, walked with an explicit stack."""
+    ancestors = {target}
+    stack = [target]
+    while stack:
+        for pred in graph.predecessors[stack.pop()]:
+            if pred not in ancestors:
+                ancestors.add(pred)
+                stack.append(pred)
+    paths = []
+    partial = [[graph.input_id]]
+    while partial:
+        path = partial.pop()
+        if path[-1] == target:
+            paths.append(path)
+            continue
+        for succ in reversed(graph.successors[path[-1]]):
+            if succ in ancestors:
+                partial.append(path + [succ])
+    return paths
+
+
+def fold_along(graph: ArchGraph, path: list[str]) -> list[RFState]:
+    """State after each node of `path`, folded from (r=1, j=1)."""
+    states = []
+    state = RFState(1, 1)
+    for nid in path:
+        state = layer_rf_transfer(state, graph.node_map[nid].kind)
+        states.append(state)
+    return states
+
+
+def path_enumeration_oracle(graph: ArchGraph, node_id: str, at: str = "out") -> tuple[float, float]:
+    """Exact (r_min, r_max) over every input-to-node path, entering the node (at="in") or leaving it."""
+    values = []
+    for path in enumerate_paths(graph, node_id):
+        states = [RFState(1, 1)] + fold_along(graph, path)
+        values.append((states[-2] if at == "in" else states[-1]).r_value)
+    return min(values), max(values)

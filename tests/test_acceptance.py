@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from dagtools import random_graph
+from dagtools import enumerate_paths, fold_along, path_enumeration_oracle, random_graph
 from rfscope import (
     build_named,
     classify,
@@ -24,8 +24,6 @@ from rfscope import (
     validate,
 )
 from rfscope.cli import main as cli_main
-from rfscope.rf_analysis import path_enumeration_oracle
-from test_properties import enumerate_paths, fold_along
 
 ALL_ZOO = (
     "vgg11",

@@ -1,18 +1,32 @@
+import dataclasses
 import json
 
 import pytest
 
 from rfscope import (
+    Activation,
+    Add,
+    Attention,
+    BatchNorm,
+    Concat,
     Conv2d,
+    Dense,
     DocumentError,
     DocumentSemanticError,
+    GlobalAvgPool,
+    Input,
+    InputSpec,
+    Pool,
+    Softmax,
     build_named,
     conv_index,
+    make_graph,
     parse,
     parse_document,
     serialize,
     serialize_document,
 )
+from rfscope.archjson import _KIND_TAGS, _parse_layer
 
 ZOO_NAMES = (
     "vgg11",
@@ -26,6 +40,22 @@ ZOO_NAMES = (
     "resnet18-noskip",
     "vgg19-dil3",
 )
+
+
+# One instance per kind tag with every field set away from its default.
+NON_DEFAULT_KINDS = {
+    "input": Input(),
+    "conv2d": Conv2d(kernel=5, filters=7, stride=2, dilation=3, padding=1, bias=False),
+    "pool": Pool(mode="avg", kernel=3, stride=2, padding=1),
+    "global_avg_pool": GlobalAvgPool(),
+    "dense": Dense(units=12, bias=False),
+    "add": Add(),
+    "concat": Concat(),
+    "batch_norm": BatchNorm(),
+    "activation": Activation("sigmoid"),
+    "attention": Attention("cbam"),
+    "softmax": Softmax(),
+}
 
 
 def minimal_doc():
@@ -62,6 +92,20 @@ def test_accepts_bytes_and_str():
 def test_defaults_fill_optional_conv_fields():
     g = parse(json.dumps(minimal_doc()))
     assert g.node_map["c1"].kind == Conv2d(kernel=3, filters=4, stride=1, dilation=1, padding="same", bias=True)
+
+
+def test_every_kind_tag_has_a_case():
+    assert set(NON_DEFAULT_KINDS) == set(_KIND_TAGS)
+    assert all(type(kind) is _KIND_TAGS[tag] for tag, kind in NON_DEFAULT_KINDS.items())
+
+
+@pytest.mark.parametrize("tag", sorted(NON_DEFAULT_KINDS))
+def test_defaults_fill_optional_fields(tag):
+    kind = NON_DEFAULT_KINDS[tag]
+    required = {
+        f.name: getattr(kind, f.name) for f in dataclasses.fields(kind) if f.default is dataclasses.MISSING
+    }
+    assert _parse_layer(0, {"id": "x", "kind": tag, **required}) == ("x", type(kind)(**required))
 
 
 def test_declaration_index_is_array_position():
@@ -145,10 +189,13 @@ def test_bad_input_spec():
     assert "height" in str(err.value)
 
 
-def test_serialize_document_lists_every_field():
-    doc = serialize_document(build_named("vgg11"))
-    conv = next(layer for layer in doc["layers"] if layer["kind"] == "conv2d")
-    assert set(conv) == {"id", "kind", "kernel", "filters", "stride", "dilation", "padding", "bias"}
+@pytest.mark.parametrize("tag", sorted(NON_DEFAULT_KINDS))
+def test_serialize_document_lists_every_field(tag):
+    kind = NON_DEFAULT_KINDS[tag]
+    (layer,) = serialize_document(make_graph("one", InputSpec(8, 8, 3), [("x", kind)], []))["layers"]
+    assert list(layer) == ["id", "kind"] + [f.name for f in dataclasses.fields(kind)]
+    assert layer == {"id": "x", "kind": tag, **dataclasses.asdict(kind)}
+    assert _parse_layer(0, layer) == ("x", kind)
 
 
 def test_parse_document_on_decoded_object():

@@ -218,3 +218,14 @@ def test_bad_request_fails_cleanly_with_empty_stdout(tmp_path, capsys, argv, exp
     assert "Traceback" not in err
     assert err
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_deeply_nested_document_is_invalid_not_a_crash(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(capsys, command, str(path))
+    assert code == EXIT_INVALID
+    assert "Traceback" not in err
+    assert err
+    assert out == ""

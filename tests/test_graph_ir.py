@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from rfscope import (
@@ -208,8 +210,9 @@ class TestCachedOrder:
             with pytest.raises(GraphValidationError):
                 run(g)
 
-    def test_graph_is_validated_once(self, monkeypatch):
-        g = build_named("resnet34")
+    @staticmethod
+    def count_validations(monkeypatch):
+        """Names of the graphs validated from now on, through any rfscope binding of `validate`."""
         calls = []
         real = graph_ir.validate
 
@@ -217,13 +220,31 @@ class TestCachedOrder:
             calls.append(graph.name)
             return real(graph)
 
-        monkeypatch.setattr(graph_ir, "validate", counting)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "rfscope" and getattr(module, "validate", None) is real:
+                monkeypatch.setattr(module, "validate", counting)
+        return calls
+
+    def test_graph_is_validated_once(self, monkeypatch):
+        g = build_named("resnet34")
+        calls = self.count_validations(monkeypatch)
         classify(g)
         cost_report(g)
         assert len(calls) == 1
         classify(g)
         cost_report(g)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [lambda g: truncate_at_border(g, 10), lambda g: remove_stem_downsampling(g, 2)],
+        ids=["truncate_at_border", "remove_stem_downsampling"],
+    )
+    def test_rewrite_validates_input_and_output_once(self, monkeypatch, rewrite):
+        g = build_named("resnet34")
+        calls = self.count_validations(monkeypatch)
+        after, _ = rewrite(g)
+        assert calls == [g.name, after.name]
 
     def test_conv_index_returns_a_copy(self):
         g = build_named("vgg16")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagtools import random_graph
+from dagtools import enumerate_paths, fold_along, path_enumeration_oracle, random_graph
 from rfscope import (
     Activation,
     Attention,
@@ -15,13 +15,12 @@ from rfscope import (
     Pool,
     RFState,
     build_named,
+    chain_graph,
     classify,
     effective_kernel,
     layer_rf_transfer,
     make_graph,
-    path_enumeration_oracle,
     propagate_dag,
-    propagate_sequential,
     propagate_shapes,
     validate,
 )
@@ -29,39 +28,6 @@ from rfscope.rf_analysis import prune_frontier
 
 ORACLE_SEEDS = range(25)
 PATH_SEEDS = range(30)
-
-
-def enumerate_paths(graph, target):
-    ancestors = {target}
-    stack = [target]
-    while stack:
-        for pred in graph.predecessors[stack.pop()]:
-            if pred not in ancestors:
-                ancestors.add(pred)
-                stack.append(pred)
-    paths = []
-
-    def dfs(nid, acc):
-        acc.append(nid)
-        if nid == target:
-            paths.append(list(acc))
-        else:
-            for succ in graph.successors[nid]:
-                if succ in ancestors:
-                    dfs(succ, acc)
-        acc.pop()
-
-    dfs(graph.input_id, [])
-    return paths
-
-
-def fold_along(graph, path):
-    states = []
-    state = RFState(1, 1)
-    for nid in path:
-        state = layer_rf_transfer(state, graph.node_map[nid].kind)
-        states.append(state)
-    return states
 
 
 @given(st.integers(1, 32), st.integers(1, 8))
@@ -88,12 +54,12 @@ def test_pool_transfer_identities(r, j, kernel, stride):
 
 @given(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 3)), min_size=1, max_size=16))
 def test_sequential_fold_matches_reference(pairs):
-    layers = [Conv2d(kernel=k, stride=s, filters=4) for k, s in pairs]
-    got = propagate_sequential(layers, InputSpec(32, 32, 3))
+    layers = [(f"c{i}", Conv2d(kernel=k, stride=s, filters=4)) for i, (k, s) in enumerate(pairs)]
+    annotations = propagate_dag(chain_graph("chain", InputSpec(32, 32, 3), layers))
     r, j = 1, 1
-    for (k, s), state in zip(pairs, got):
+    for (k, s), (nid, _) in zip(pairs, layers):
         r, j = r + (k - 1) * j, j * s
-        assert (state.r, state.j) == (r, j)
+        assert annotations[nid].out_frontier == (RFState(r, j),)
 
 
 @st.composite

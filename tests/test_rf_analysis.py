@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from dagtools import enumerate_paths, path_enumeration_oracle
 from rfscope import (
     Activation,
     Add,
@@ -13,16 +14,13 @@ from rfscope import (
     GlobalAvgPool,
     Input,
     InputSpec,
-    PathLimitError,
     Pool,
     RFState,
     chain_graph,
     effective_kernel,
     layer_rf_transfer,
     make_graph,
-    path_enumeration_oracle,
     propagate_dag,
-    propagate_sequential,
 )
 from rfscope.rf_analysis import GLOBAL_STATE, prune_frontier
 
@@ -51,6 +49,17 @@ def conv(k, s=1, d=1, f=8):
 
 def maxpool(k, s):
     return Pool(mode="max", kernel=k, stride=s)
+
+
+def chain_states(kinds):
+    """State leaving each layer of a plain chain over `kinds`, read from `propagate_dag`."""
+    layers = [(f"l{i}", kind) for i, kind in enumerate(kinds)]
+    annotations = propagate_dag(chain_graph("chain", IN32, layers))
+    states = []
+    for nid, _ in layers:
+        (state,) = annotations[nid].out_frontier
+        states.append(state)
+    return states
 
 
 class TestEffectiveKernel:
@@ -98,9 +107,11 @@ class TestLayerTransfer:
 
 
 class TestPropagateSequential:
+    """The recurrence folded along a plain chain, through `propagate_dag` on `chain_graph`."""
+
     def test_matches_reference_fold_on_vgg16_prefix(self):
         layers = [conv(k) if s == 1 else maxpool(k, s) for k, s in VGG16_PREFIX]
-        got = propagate_sequential(layers, IN32)
+        got = chain_states(layers)
         assert [(s.r, s.j) for s in got] == fold_ks(VGG16_PREFIX)
 
     def test_vgg16_prefix_landmarks(self):
@@ -115,20 +126,7 @@ class TestPropagateSequential:
         assert states[-2][0] == 46  # entering the 6th conv
 
     def test_single_pointwise_conv(self):
-        assert propagate_sequential([conv(1)], IN32) == [RFState(1, 1)]
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            propagate_sequential([], IN32)
-
-    def test_agrees_with_dag_on_chain(self):
-        layers = [("c1", conv(3)), ("p1", maxpool(2, 2)), ("c2", conv(5, s=2)), ("bn", BatchNorm())]
-        g = chain_graph("chain", IN32, layers)
-        seq = propagate_sequential([k for _, k in layers], IN32)
-        ann = propagate_dag(g)
-        for (nid, _), state in zip(layers, seq):
-            assert ann[nid].out_frontier == (state,)
-            assert ann[nid].r_out_min == ann[nid].r_out_max == state.r
+        assert chain_states([conv(1)]) == [RFState(1, 1)]
 
 
 def two_path_diamond():
@@ -217,8 +215,7 @@ class TestOracle:
     def test_chain_matches_sequential(self):
         layers = [("c1", conv(3)), ("p1", maxpool(2, 2)), ("c2", conv(5))]
         g = chain_graph("chain", IN32, layers)
-        seq = propagate_sequential([k for _, k in layers], IN32)
-        for (nid, _), state in zip(layers, seq):
+        for (nid, _), state in zip(layers, chain_states([k for _, k in layers])):
             assert path_enumeration_oracle(g, nid, at="out") == (state.r, state.r)
 
     def test_diamond_extremes(self):
@@ -229,7 +226,7 @@ class TestOracle:
         g = two_path_diamond()
         assert path_enumeration_oracle(g, "input", at="in") == (1, 1)
 
-    def test_path_limit_guard(self):
+    def test_stacked_diamonds_match_dag(self):
         layers = [("input", Input())]
         edges = []
         prev = "input"
@@ -239,6 +236,15 @@ class TestOracle:
             edges += [(prev, a), (prev, b), (a, m), (b, m)]
             prev = m
         g = make_graph("stack", IN32, layers, edges)
-        with pytest.raises(PathLimitError):
-            path_enumeration_oracle(g, "m3", path_limit=8)
-        assert path_enumeration_oracle(g, "m3", path_limit=16)
+        assert len(enumerate_paths(g, "m3")) == 16
+        ann = propagate_dag(g)["m3"]
+        assert path_enumeration_oracle(g, "m3", at="in") == (ann.r_in_min, ann.r_in_max) == (9, 17)
+        assert path_enumeration_oracle(g, "m3", at="out") == (ann.r_out_min, ann.r_out_max)
+
+    def test_deep_chain_matches_dag(self):
+        # 1,200 convs: a path far longer than Python's default recursion limit.
+        layers = [(f"c{i}", conv(3)) for i in range(1, 1201)]
+        g = chain_graph("deep", IN32, layers)
+        ann = propagate_dag(g)["c1200"]
+        assert path_enumeration_oracle(g, "c1200", at="in") == (ann.r_in_min, ann.r_in_max) == (2399, 2399)
+        assert path_enumeration_oracle(g, "c1200", at="out") == (ann.r_out_min, ann.r_out_max) == (2401, 2401)
