@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .graph_ir import ArchGraph, Conv2d, Dense, GlobalAvgPool, LayerKind, Pool
+from .graph_ir import RF_NEUTRAL_KINDS, ArchGraph, Conv2d, Dense, GlobalAvgPool, LayerKind, Pool
 
 DEFAULT_FRONTIER_CAP = 4096
 
@@ -55,6 +56,8 @@ class RFState:
 INITIAL_STATE = RFState(1, 1)
 GLOBAL_STATE = RFState(1, 1, global_rf=True)
 
+_finite_key = attrgetter("r", "j")
+
 
 def effective_kernel(kernel: int, dilation: int) -> int:
     """Span of a dilated kernel: dilation * (kernel - 1) + 1."""
@@ -77,12 +80,6 @@ def layer_rf_transfer(state: RFState, kind: LayerKind) -> RFState:
     return state
 
 
-def _sort_key(state: RFState) -> tuple[float, float]:
-    if state.global_rf:
-        return (math.inf, math.inf)
-    return (float(state.r), float(state.j))
-
-
 def prune_frontier(states: set[RFState] | frozenset[RFState]) -> tuple[RFState, ...]:
     """Drop states dominated on both the min and the max side.
 
@@ -91,33 +88,30 @@ def prune_frontier(states: set[RFState] | frozenset[RFState]) -> tuple[RFState, 
     frontier). Dominated states can never produce a smaller minimum or a
     larger maximum downstream, because every downstream transfer is monotone
     in both coordinates.
-    """
-    unique = set(states)
-    if not unique:
-        return ()
-    finite = [s for s in unique if not s.global_rf]
-    has_global = len(finite) < len(unique)
 
-    keep: set[RFState] = set()
-    by_min = sorted(finite, key=lambda s: (s.r, s.j))
+    The result is sorted by (r, j) with the global state, if any, last, so
+    its first state has the minimum r and its last the maximum.
+    """
+    finite = sorted((s for s in states if not s.global_rf), key=_finite_key)
+    has_global = len(finite) < len(states)
+
+    keep = [False] * len(finite)
     best_j = math.inf
-    for s in by_min:
+    for i, s in enumerate(finite):
         if s.j < best_j:
-            keep.add(s)
+            keep[i] = True
             best_j = s.j
     if has_global:
         # A global state dominates every finite state on the max side (and is
         # dominated by every finite state on the min side), so it replaces
         # the finite max frontier entirely.
-        keep.add(GLOBAL_STATE)
-    else:
-        by_max = sorted(finite, key=lambda s: (-s.r, -s.j))
-        best_j = -math.inf
-        for s in by_max:
-            if s.j > best_j:
-                keep.add(s)
-                best_j = s.j
-    return tuple(sorted(keep, key=_sort_key))
+        return (*(s for s, k in zip(finite, keep) if k), GLOBAL_STATE)
+    best_j = -math.inf
+    for i in range(len(finite) - 1, -1, -1):
+        if finite[i].j > best_j:
+            keep[i] = True
+            best_j = finite[i].j
+    return tuple(s for s, k in zip(finite, keep) if k)
 
 
 @dataclass(frozen=True)
@@ -139,23 +133,21 @@ class RFAnnotation:
     r_out_max: int | float
 
 
-def _extremes(frontier: tuple[RFState, ...]) -> tuple[int | float, int | float]:
-    values = [s.r_value for s in frontier]
-    return min(values), max(values)
-
-
 def propagate_dag(graph: ArchGraph, frontier_cap: int = DEFAULT_FRONTIER_CAP) -> dict[str, RFAnnotation]:
     """Exact per-node receptive-field frontiers over all input-to-node paths.
 
     At merge nodes the incoming frontiers are unioned and re-pruned; single
-    predecessor nodes inherit the predecessor's output frontier. Raises
+    predecessor nodes inherit the predecessor's output frontier, and
+    RF-neutral nodes pass it through as their own. Raises
     :class:`FrontierLimitError` if a frontier exceeds `frontier_cap`.
     """
     annotations: dict[str, RFAnnotation] = {}
     out_frontiers: dict[str, tuple[RFState, ...]] = {}
+    node_map = graph.node_map
+    predecessors = graph.predecessors
     for nid in graph.order:
-        node = graph.node_map[nid]
-        preds = graph.predecessors[nid]
+        kind = node_map[nid].kind
+        preds = predecessors[nid]
         if not preds:
             in_frontier: tuple[RFState, ...] = (INITIAL_STATE,)
         elif len(preds) == 1:
@@ -168,24 +160,27 @@ def propagate_dag(graph: ArchGraph, frontier_cap: int = DEFAULT_FRONTIER_CAP) ->
         if len(in_frontier) > frontier_cap:
             raise FrontierLimitError(nid, len(in_frontier), frontier_cap)
 
-        if len(in_frontier) == 1:
+        if isinstance(kind, RF_NEUTRAL_KINDS):
+            # The transfer is the identity and a pruned frontier is a fixed
+            # point of prune_frontier, so the frontier passes through.
+            out_frontier = in_frontier
+        elif len(in_frontier) == 1:
             # One state is its own Pareto frontier, global or not.
-            out_frontier = (layer_rf_transfer(in_frontier[0], node.kind),)
+            out_frontier = (layer_rf_transfer(in_frontier[0], kind),)
         else:
-            out_frontier = prune_frontier({layer_rf_transfer(s, node.kind) for s in in_frontier})
-        if len(out_frontier) > frontier_cap:
-            raise FrontierLimitError(nid, len(out_frontier), frontier_cap)
+            out_frontier = prune_frontier({layer_rf_transfer(s, kind) for s in in_frontier})
+            if len(out_frontier) > frontier_cap:
+                raise FrontierLimitError(nid, len(out_frontier), frontier_cap)
         out_frontiers[nid] = out_frontier
 
-        r_in_min, r_in_max = _extremes(in_frontier)
-        r_out_min, r_out_max = _extremes(out_frontier)
+        # Every frontier is sorted (see prune_frontier): min r first, max r last.
         annotations[nid] = RFAnnotation(
             node_id=nid,
             in_frontier=in_frontier,
             out_frontier=out_frontier,
-            r_in_min=r_in_min,
-            r_in_max=r_in_max,
-            r_out_min=r_out_min,
-            r_out_max=r_out_max,
+            r_in_min=in_frontier[0].r_value,
+            r_in_max=in_frontier[-1].r_value,
+            r_out_min=out_frontier[0].r_value,
+            r_out_max=out_frontier[-1].r_value,
         )
     return annotations

@@ -25,13 +25,16 @@ from .graph_ir import (
     Conv2d,
     Dense,
     GlobalAvgPool,
-    Input,
     Pool,
+    Softmax,
 )
 from .rf_analysis import effective_kernel
 
 DEFAULT_SE_RATIO = 16
 SPATIAL_ATTENTION_KERNEL = 7
+
+# One input, output shape equal to it: the common case, tested first.
+_UNARY_SHAPE_NEUTRAL_KINDS = (BatchNorm, Activation, Attention, Softmax)
 
 
 class ShapeError(ValueError):
@@ -97,13 +100,16 @@ def propagate_shapes(graph: ArchGraph) -> dict[str, ShapeInfo]:
     shapes; concatenation requires matching spatial dims and sums channels.
     """
     shapes: dict[str, ShapeInfo] = {}
+    node_map = graph.node_map
+    predecessors = graph.predecessors
     for nid in graph.order:
-        kind = graph.node_map[nid].kind
-        preds = [shapes[p] for p in graph.predecessors[nid]]
-        if isinstance(kind, Input):
-            info = ShapeInfo(nid, graph.input.height, graph.input.width, graph.input.channels)
+        kind = node_map[nid].kind
+        preds = predecessors[nid]
+        if isinstance(kind, _UNARY_SHAPE_NEUTRAL_KINDS):
+            src = shapes[preds[0]]
+            info = ShapeInfo(nid, src.out_height, src.out_width, src.out_channels)
         elif isinstance(kind, Conv2d):
-            src = preds[0]
+            src = shapes[preds[0]]
             k_eff = effective_kernel(kind.kernel, kind.dilation)
             if kind.padding == PADDING_SAME:
                 h = math.ceil(src.out_height / kind.stride)
@@ -114,17 +120,14 @@ def propagate_shapes(graph: ArchGraph) -> dict[str, ShapeInfo]:
                 w = _window_out(src.out_width, k_eff, kind.stride, pad, nid)
             info = ShapeInfo(nid, h, w, kind.filters)
         elif isinstance(kind, Pool):
-            src = preds[0]
+            src = shapes[preds[0]]
             h = _window_out(src.out_height, kind.kernel, kind.stride, kind.padding, nid)
             w = _window_out(src.out_width, kind.kernel, kind.stride, kind.padding, nid)
             info = ShapeInfo(nid, h, w, src.out_channels)
-        elif isinstance(kind, GlobalAvgPool):
-            info = ShapeInfo(nid, 1, 1, preds[0].out_channels)
-        elif isinstance(kind, Dense):
-            info = ShapeInfo(nid, 1, 1, kind.units)
         elif isinstance(kind, Add):
-            first = preds[0]
-            for other in preds[1:]:
+            inputs = [shapes[p] for p in preds]
+            first = inputs[0]
+            for other in inputs[1:]:
                 if (other.out_height, other.out_width, other.out_channels) != (
                     first.out_height,
                     first.out_width,
@@ -137,15 +140,19 @@ def propagate_shapes(graph: ArchGraph) -> dict[str, ShapeInfo]:
                         f"{(other.out_height, other.out_width, other.out_channels)}",
                     )
             info = ShapeInfo(nid, first.out_height, first.out_width, first.out_channels)
+        elif isinstance(kind, GlobalAvgPool):
+            info = ShapeInfo(nid, 1, 1, shapes[preds[0]].out_channels)
+        elif isinstance(kind, Dense):
+            info = ShapeInfo(nid, 1, 1, kind.units)
         elif isinstance(kind, Concat):
-            first = preds[0]
-            for other in preds[1:]:
+            inputs = [shapes[p] for p in preds]
+            first = inputs[0]
+            for other in inputs[1:]:
                 if other.spatial != first.spatial:
                     raise ShapeError(nid, f"concat over mismatched spatial dims {first.spatial} vs {other.spatial}")
-            info = ShapeInfo(nid, first.out_height, first.out_width, sum(p.out_channels for p in preds))
-        else:
-            src = preds[0]
-            info = ShapeInfo(nid, src.out_height, src.out_width, src.out_channels)
+            info = ShapeInfo(nid, first.out_height, first.out_width, sum(p.out_channels for p in inputs))
+        else:  # Input, the one kind left
+            info = ShapeInfo(nid, graph.input.height, graph.input.width, graph.input.channels)
         shapes[nid] = info
     return shapes
 
@@ -188,10 +195,12 @@ def cost_report(
     if shapes is None:
         shapes = propagate_shapes(graph)
     per_layer: list[LayerCost] = []
+    node_map = graph.node_map
+    predecessors = graph.predecessors
     for nid in graph.order:
-        kind = graph.node_map[nid].kind
+        kind = node_map[nid].kind
         out = shapes[nid]
-        preds = graph.predecessors[nid]
+        preds = predecessors[nid]
         in_shape = shapes[preds[0]] if preds else out
 
         params = 0

@@ -9,6 +9,7 @@ later borders.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from dataclasses import dataclass
 
 from .border_analysis import BorderReport, classify, unproductive_closure
@@ -161,40 +162,56 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
 
     keep = [n.id for n in graph.nodes if n.id not in removed]
     kinds: dict[str, LayerKind] = {nid: graph.node_map[nid].kind for nid in keep}
-    edges = [(a, b) for a, b in graph.edges if a not in removed and b not in removed]
+    # Surviving edges under increasing tokens: the dict keeps them in list
+    # order, and a rewired edge takes a fresh token, so it moves to the end.
+    live = dict(enumerate((a, b) for a, b in graph.edges if a not in removed and b not in removed))
+    incoming: dict[str, list[int]] = {nid: [] for nid in keep}
+    outgoing: dict[str, list[int]] = {nid: [] for nid in keep}
+    for token, (a, b) in live.items():
+        outgoing[a].append(token)
+        incoming[b].append(token)
 
     # Merges that lost all but one branch become identity pass-throughs.
-    def in_edges(nid: str) -> list[tuple[str, str]]:
-        return [e for e in edges if e[1] == nid]
-
-    for nid in list(keep):
-        if isinstance(kinds[nid], MERGE_KINDS) and len(in_edges(nid)) == 1:
-            ((src, _),) = in_edges(nid)
-            rewired = [(src, dst) for a, dst in edges if a == nid]
-            edges = [e for e in edges if nid not in e] + rewired
-            keep.remove(nid)
+    token = len(live)
+    for nid in keep:
+        if isinstance(kinds[nid], MERGE_KINDS) and len(incoming[nid]) == 1:
+            (in_token,) = incoming[nid]
+            src = live.pop(in_token)[0]
+            outgoing[src].remove(in_token)
+            for out_token in outgoing[nid]:
+                dst = live.pop(out_token)[1]
+                incoming[dst].remove(out_token)
+                live[token] = (src, dst)
+                outgoing[src].append(token)
+                incoming[dst].append(token)
+                token += 1
             removed.add(nid)
-            del kinds[nid]
-    edges = list(dict.fromkeys(edges))
+    keep = [nid for nid in keep if nid not in removed]
+    edges = list(dict.fromkeys(live.values()))
 
     # Pick the truncation point: the latest surviving dead end. Any other
-    # dead-end branch no longer reaches the output and is pruned.
+    # dead-end branch no longer reaches the output and is pruned, which can
+    # leave its predecessors dead ends in turn.
     topo_pos = {nid: i for i, nid in enumerate(graph.order)}
-    while True:
-        out_count = {nid: 0 for nid in keep}
-        for a, _ in edges:
-            out_count[a] += 1
-        dead_ends = sorted((nid for nid, c in out_count.items() if c == 0), key=lambda nid: topo_pos[nid])
-        if len(dead_ends) <= 1:
-            break
-        drop = dead_ends[0]
-        keep.remove(drop)
+    out_count = dict.fromkeys(keep, 0)
+    preds_of: dict[str, list[str]] = {nid: [] for nid in keep}
+    for a, b in edges:
+        out_count[a] += 1
+        preds_of[b].append(a)
+    dead_ends = [(topo_pos[nid], nid) for nid, count in out_count.items() if count == 0]
+    heapq.heapify(dead_ends)
+    while len(dead_ends) > 1:
+        _, drop = heapq.heappop(dead_ends)
         removed.add(drop)
-        del kinds[drop]
-        edges = [e for e in edges if drop not in e]
+        for pred in preds_of[drop]:
+            out_count[pred] -= 1
+            if out_count[pred] == 0:
+                heapq.heappush(dead_ends, (topo_pos[pred], pred))
     if not dead_ends:
         raise TransformError("tail removal left no attachment point for the new head")
-    tail_end = dead_ends[0]
+    tail_end = dead_ends[0][1]
+    keep = [nid for nid in keep if nid not in removed]
+    edges = [e for e in edges if e[1] not in removed]
 
     taken = set(keep)
     gap_id = _fresh_id("head_gap", taken)
@@ -205,8 +222,6 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
         (fc_id, Dense(units=num_classes, bias=True)),
         (softmax_id, Softmax()),
     ]
-    for nid, kind in appended:
-        kinds[nid] = kind
     edges += [(tail_end, gap_id), (gap_id, fc_id), (fc_id, softmax_id)]
 
     after = _rebuild(graph, f"{graph.name}-truncated", keep, edges, kinds, appended)

@@ -1,4 +1,5 @@
-"""Seeded random architecture DAGs and the brute-force path oracle for tests.
+"""Seeded random architecture DAGs, the brute-force path oracle, and the zoo
+variants and sweep sizes that tests iterate over.
 
 Graphs are guaranteed valid by construction: convolutions preserve the
 channel count of their predecessor, so element-wise merges always see equal
@@ -29,6 +30,14 @@ from rfscope import (
     layer_rf_transfer,
     make_graph,
 )
+
+# Every zoo variant, and the input sizes of a 16-step resolution sweep.
+ZOO_VARIANTS = (
+    "vgg11", "vgg13", "vgg16", "vgg19", "vgg19-dil3",
+    "resnet18", "resnet34", "resnet18-noskip", "resnet34-noskip", "resnet18-nostem", "resnet34-nostem",
+    "mpnet18", "mpnet36",
+)
+SWEEP_SIZES = tuple(range(32, 513, 32))
 
 KERNELS = (1, 3, 5, 7)
 STRIDES = (1, 1, 2)

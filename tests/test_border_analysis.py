@@ -1,5 +1,9 @@
 import dataclasses
+import math
 
+import pytest
+
+from dagtools import SWEEP_SIZES, ZOO_VARIANTS
 from rfscope import (
     PRODUCTIVE,
     UNPRODUCTIVE,
@@ -10,8 +14,10 @@ from rfscope import (
     build_named,
     chain_graph,
     classify,
+    propagate_dag,
     unproductive_closure,
     unproductive_tail,
+    validate,
 )
 
 
@@ -82,6 +88,37 @@ class TestClassify:
         a = classify(build_named("mpnet36"))
         b = classify(build_named("mpnet36"))
         assert a == b
+
+
+def with_filters(graph, scale, only=None):
+    """`graph` with the filters of conv `only` (or of every conv) multiplied by `scale`."""
+    nodes = tuple(
+        dataclasses.replace(n, kind=dataclasses.replace(n.kind, filters=n.kind.filters * scale))
+        if isinstance(n.kind, Conv2d) and only in (None, n.id)
+        else n
+        for n in graph.nodes
+    )
+    return dataclasses.replace(graph, nodes=nodes)
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("name", ZOO_VARIANTS)
+    def test_conv_filters_never_move_rf_or_border(self, name):
+        graph = build_named(name)
+        annotations, report = propagate_dag(graph), classify(graph)
+        # A conv feeding an add must keep its partner's width; widening it
+        # alone gives an invalid graph, which is no probe. (In mpnet18 every
+        # conv feeds an add, so only the scale of all convs applies.)
+        singles = [with_filters(graph, 2, only=n.id) for n in graph.nodes if isinstance(n.kind, Conv2d)]
+        for probe in [with_filters(graph, 3)] + [p for p in singles if not validate(p)]:
+            assert propagate_dag(probe) == annotations
+            assert classify(probe) == report
+
+    @pytest.mark.parametrize("name", ZOO_VARIANTS)
+    def test_border_min_never_decreases_as_resolution_grows(self, name):
+        borders = [classify(build_named(name, InputSpec(s, s, 3))).border_min for s in SWEEP_SIZES]
+        ranks = [math.inf if b is None else b for b in borders]
+        assert ranks == sorted(ranks), borders
 
 
 class TestUnproductiveTail:

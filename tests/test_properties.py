@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagtools import enumerate_paths, fold_along, path_enumeration_oracle, random_graph
+from dagtools import ZOO_VARIANTS, enumerate_paths, fold_along, path_enumeration_oracle, random_graph
 from rfscope import (
     Activation,
     Attention,
@@ -24,7 +24,8 @@ from rfscope import (
     propagate_shapes,
     validate,
 )
-from rfscope.rf_analysis import prune_frontier
+from rfscope.graph_ir import RF_NEUTRAL_KINDS
+from rfscope.rf_analysis import GLOBAL_STATE, prune_frontier
 
 ORACLE_SEEDS = range(25)
 PATH_SEEDS = range(30)
@@ -86,6 +87,38 @@ def test_prune_is_idempotent_and_preserves_extremes(states):
     assert prune_frontier(set(once)) == once
     assert min(s.r for s in once) == min(s.r for s in states)
     assert max(s.r for s in once) == max(s.r for s in states)
+
+
+@given(state_sets(), st.booleans())
+def test_prune_output_is_sorted_with_global_last(states, with_global):
+    if with_global:
+        states.add(GLOBAL_STATE)
+    pruned = prune_frontier(states)
+    keys = [(s.r, s.j) for s in pruned if not s.global_rf]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert pruned[len(keys):] == ((GLOBAL_STATE,) if with_global else ())
+
+
+def assert_frontier_invariants(graph):
+    """What propagate_dag relies on: sorted, pruned frontiers whose ends are the
+    extremes, passed through unchanged by RF-neutral layers."""
+    for nid, ann in propagate_dag(graph).items():
+        for frontier in (ann.in_frontier, ann.out_frontier):
+            assert prune_frontier(set(frontier)) == frontier, nid
+        assert (ann.r_in_min, ann.r_in_max) == (ann.in_frontier[0].r_value, ann.in_frontier[-1].r_value)
+        assert (ann.r_out_min, ann.r_out_max) == (ann.out_frontier[0].r_value, ann.out_frontier[-1].r_value)
+        if isinstance(graph.node_map[nid].kind, RF_NEUTRAL_KINDS):
+            assert ann.out_frontier == ann.in_frontier, nid
+
+
+def test_frontier_invariants_on_100_random_dags():
+    for seed in range(100):
+        assert_frontier_invariants(random_graph(seed))
+
+
+@pytest.mark.parametrize("name", ZOO_VARIANTS)
+def test_frontier_invariants_on_zoo(name):
+    assert_frontier_invariants(build_named(name))
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)

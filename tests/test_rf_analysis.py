@@ -16,12 +16,15 @@ from rfscope import (
     InputSpec,
     Pool,
     RFState,
+    build_named,
     chain_graph,
     effective_kernel,
     layer_rf_transfer,
     make_graph,
     propagate_dag,
 )
+from rfscope import rf_analysis
+from rfscope.graph_ir import MERGE_KINDS, RF_NEUTRAL_KINDS
 from rfscope.rf_analysis import GLOBAL_STATE, prune_frontier
 
 IN32 = InputSpec(32, 32, 3)
@@ -179,6 +182,25 @@ class TestPropagateDag:
         ann = propagate_dag(g)
         assert ann["c2"].r_in_min == math.inf
         assert ann["c2"].r_out_max == math.inf
+
+    def test_prune_runs_only_where_it_can_change_a_frontier(self, monkeypatch):
+        # Merges prune their union; convs, pools and head layers prune only a
+        # multi-state frontier; RF-neutral layers pass theirs through.
+        calls = []
+
+        def counted(states):
+            calls.append(len(states))
+            return prune_frontier(states)
+
+        monkeypatch.setattr(rf_analysis, "prune_frontier", counted)
+        graph = build_named("resnet34")
+        annotations = propagate_dag(graph)
+        merges = sum(isinstance(n.kind, MERGE_KINDS) for n in graph.nodes)
+        multi_state = sum(
+            not isinstance(n.kind, RF_NEUTRAL_KINDS) and len(annotations[n.id].in_frontier) > 1 for n in graph.nodes
+        )
+        assert (merges, multi_state) == (16, 34)
+        assert len(calls) == merges + multi_state
 
     def test_frontier_cap_enforced(self):
         with pytest.raises(FrontierLimitError) as err:
