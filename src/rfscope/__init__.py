@@ -46,7 +46,6 @@ from .graph_ir import (
     Softmax,
     Violation,
     chain_graph,
-    conv_index,
     ensure_valid,
     make_graph,
     topological_order,
@@ -85,7 +84,7 @@ __all__ = [
     "Conv2d", "Pool", "GlobalAvgPool", "Dense", "Add", "Concat",
     "BatchNorm", "Activation", "Attention", "Input", "Softmax",
     "GraphValidationError", "validate", "ensure_valid",
-    "topological_order", "conv_index", "make_graph", "chain_graph",
+    "topological_order", "make_graph", "chain_graph",
     # rf_analysis
     "RFState", "RFAnnotation", "effective_kernel", "layer_rf_transfer",
     "propagate_dag", "FrontierLimitError",

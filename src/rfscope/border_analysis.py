@@ -9,6 +9,7 @@ the maximum receptive field is reported for diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph_ir import HEAD_KINDS, ArchGraph, Input
 from .rf_analysis import RFAnnotation, propagate_dag
@@ -17,8 +18,7 @@ PRODUCTIVE = "productive"
 UNPRODUCTIVE = "unproductive"
 
 
-@dataclass(frozen=True)
-class ConvClassification:
+class ConvClassification(NamedTuple):
     ordinal: int
     node_id: str
     r_in_min: int | float
@@ -53,38 +53,20 @@ def classify(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = Non
     if annotations is None:
         annotations = propagate_dag(graph)
     resolution = graph.input.resolution
-    ordinals = graph.conv_ordinals
-
     rows: list[ConvClassification] = []
-    border_min: int | None = None
-    border_max: int | None = None
-    border_min_node: str | None = None
-    border_max_node: str | None = None
-    for node_id, ordinal in ordinals.items():
+    for node_id, ordinal in graph.conv_ordinals.items():
         ann = annotations[node_id]
-        unproductive = ann.r_in_min > resolution
-        rows.append(
-            ConvClassification(
-                ordinal=ordinal,
-                node_id=node_id,
-                r_in_min=ann.r_in_min,
-                r_in_max=ann.r_in_max,
-                classification=UNPRODUCTIVE if unproductive else PRODUCTIVE,
-            )
-        )
-        if unproductive and border_min is None:
-            border_min = ordinal
-            border_min_node = node_id
-        if ann.r_in_max > resolution and border_max is None:
-            border_max = ordinal
-            border_max_node = node_id
+        label = UNPRODUCTIVE if ann.r_in_min > resolution else PRODUCTIVE
+        rows.append(ConvClassification(ordinal, node_id, ann.r_in_min, ann.r_in_max, label))
+    first_min = next((c for c in rows if c.classification == UNPRODUCTIVE), None)
+    first_max = next((c for c in rows if c.r_in_max > resolution), None)
     return BorderReport(
         resolution=resolution,
         per_conv=tuple(rows),
-        border_min=border_min,
-        border_max=border_max,
-        border_min_node=border_min_node,
-        border_max_node=border_max_node,
+        border_min=first_min and first_min.ordinal,
+        border_max=first_max and first_max.ordinal,
+        border_min_node=first_min and first_min.node_id,
+        border_max_node=first_max and first_max.node_id,
     )
 
 

@@ -218,7 +218,13 @@ class ArchGraph:
 
     @cached_property
     def conv_ordinals(self) -> dict[str, int]:
-        """1-based ordinal of every Conv2d node in :attr:`order`; see :func:`conv_index`."""
+        """1-based ordinal of every Conv2d node in :attr:`order`.
+
+        Border layers are reported as these ordinals, so the numbering must be
+        reproducible: it inherits the declaration-index tie-breaking of
+        :func:`topological_order`. Every Conv2d counts, including 1x1
+        projection convolutions on skip branches.
+        """
         convs = (nid for nid in self.order if isinstance(self.node_map[nid].kind, Conv2d))
         return {nid: i for i, nid in enumerate(convs, start=1)}
 
@@ -468,14 +474,3 @@ def topological_order(graph: ArchGraph) -> list[str]:
         raise GraphValidationError([Violation("acyclic", graph.name, "graph contains a cycle")])
     return order
 
-
-def conv_index(graph: ArchGraph) -> dict[str, int]:
-    """1-based ordinal of every Conv2d node, in topological order.
-
-    Border layers are reported as these ordinals, so the numbering must be
-    reproducible: it inherits the declaration-order tie-breaking of
-    :func:`topological_order`. Every Conv2d counts, including 1x1
-    projection convolutions on skip branches. The result is a copy of the
-    graph's cached :attr:`ArchGraph.conv_ordinals`.
-    """
-    return dict(graph.conv_ordinals)

@@ -15,10 +15,9 @@ larger j can overtake later once kernels multiply against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import attrgetter
+from typing import Iterable, NamedTuple
 
-from .graph_ir import RF_NEUTRAL_KINDS, ArchGraph, Conv2d, Dense, GlobalAvgPool, LayerKind, Pool
+from .graph_ir import RF_NEUTRAL_KINDS, ArchGraph, Conv2d, LayerKind, Pool
 
 DEFAULT_FRONTIER_CAP = 4096
 
@@ -36,8 +35,7 @@ class FrontierLimitError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class RFState:
+class RFState(NamedTuple):
     """Receptive-field size r and jump j along one path.
 
     `global_rf` marks states past a global-pooling or dense layer: the
@@ -56,8 +54,6 @@ class RFState:
 INITIAL_STATE = RFState(1, 1)
 GLOBAL_STATE = RFState(1, 1, global_rf=True)
 
-_finite_key = attrgetter("r", "j")
-
 
 def effective_kernel(kernel: int, dilation: int) -> int:
     """Span of a dilated kernel: dilation * (kernel - 1) + 1."""
@@ -66,18 +62,27 @@ def effective_kernel(kernel: int, dilation: int) -> int:
     return dilation * (kernel - 1) + 1
 
 
+def _transfer(states: Iterable[RFState], kind: LayerKind) -> list[RFState]:
+    """Each state's image under one layer, with the layer's window derived once.
+
+    A conv or pool with effective kernel k and stride s maps (r, j) to
+    (r + (k - 1) * j, j * s), and RF-neutral kinds act as k = s = 1; global
+    pooling and dense layers map every state to the global state.
+    """
+    if isinstance(kind, Conv2d):
+        growth, stride = effective_kernel(kind.kernel, kind.dilation) - 1, kind.stride
+    elif isinstance(kind, Pool):
+        growth, stride = kind.kernel - 1, kind.stride
+    elif isinstance(kind, RF_NEUTRAL_KINDS):
+        growth, stride = 0, 1
+    else:  # GlobalAvgPool, Dense
+        return [GLOBAL_STATE]
+    return [GLOBAL_STATE if g else RFState(r + growth * j, j * stride) for r, j, g in states]
+
+
 def layer_rf_transfer(state: RFState, kind: LayerKind) -> RFState:
     """Apply one layer's receptive-field transfer to a path state."""
-    if state.global_rf:
-        return GLOBAL_STATE
-    if isinstance(kind, Conv2d):
-        k_eff = effective_kernel(kind.kernel, kind.dilation)
-        return RFState(state.r + (k_eff - 1) * state.j, state.j * kind.stride)
-    if isinstance(kind, Pool):
-        return RFState(state.r + (kind.kernel - 1) * state.j, state.j * kind.stride)
-    if isinstance(kind, (GlobalAvgPool, Dense)):
-        return GLOBAL_STATE
-    return state
+    return _transfer((state,), kind)[0]
 
 
 def prune_frontier(states: set[RFState] | frozenset[RFState]) -> tuple[RFState, ...]:
@@ -92,7 +97,7 @@ def prune_frontier(states: set[RFState] | frozenset[RFState]) -> tuple[RFState, 
     The result is sorted by (r, j) with the global state, if any, last, so
     its first state has the minimum r and its last the maximum.
     """
-    finite = sorted((s for s in states if not s.global_rf), key=_finite_key)
+    finite = sorted(s for s in states if not s.global_rf)
     has_global = len(finite) < len(states)
 
     keep = [False] * len(finite)
@@ -114,8 +119,7 @@ def prune_frontier(states: set[RFState] | frozenset[RFState]) -> tuple[RFState, 
     return tuple(s for s, k in zip(finite, keep) if k)
 
 
-@dataclass(frozen=True)
-class RFAnnotation:
+class RFAnnotation(NamedTuple):
     """Per-node receptive-field summary.
 
     Frontiers list the Pareto-optimal path states reaching the node's input
@@ -142,45 +146,41 @@ def propagate_dag(graph: ArchGraph, frontier_cap: int = DEFAULT_FRONTIER_CAP) ->
     :class:`FrontierLimitError` if a frontier exceeds `frontier_cap`.
     """
     annotations: dict[str, RFAnnotation] = {}
-    out_frontiers: dict[str, tuple[RFState, ...]] = {}
+    # Each node's out-frontier with its min and max r_value. Every frontier
+    # is sorted (see prune_frontier), so these are its first and last states.
+    outs: dict[str, tuple[tuple[RFState, ...], int | float, int | float]] = {}
     node_map = graph.node_map
     predecessors = graph.predecessors
     for nid in graph.order:
         kind = node_map[nid].kind
         preds = predecessors[nid]
         if not preds:
-            in_frontier: tuple[RFState, ...] = (INITIAL_STATE,)
+            in_frontier, in_min, in_max = (INITIAL_STATE,), 1, 1
         elif len(preds) == 1:
-            in_frontier = out_frontiers[preds[0]]
+            in_frontier, in_min, in_max = outs[preds[0]]
         else:
             merged: set[RFState] = set()
             for pred in preds:
-                merged.update(out_frontiers[pred])
+                merged.update(outs[pred][0])
             in_frontier = prune_frontier(merged)
+            in_min, in_max = in_frontier[0].r_value, in_frontier[-1].r_value
         if len(in_frontier) > frontier_cap:
             raise FrontierLimitError(nid, len(in_frontier), frontier_cap)
 
         if isinstance(kind, RF_NEUTRAL_KINDS):
             # The transfer is the identity and a pruned frontier is a fixed
             # point of prune_frontier, so the frontier passes through.
-            out_frontier = in_frontier
-        elif len(in_frontier) == 1:
-            # One state is its own Pareto frontier, global or not.
-            out_frontier = (layer_rf_transfer(in_frontier[0], kind),)
+            out_frontier, out_min, out_max = in_frontier, in_min, in_max
         else:
-            out_frontier = prune_frontier({layer_rf_transfer(s, kind) for s in in_frontier})
-            if len(out_frontier) > frontier_cap:
-                raise FrontierLimitError(nid, len(out_frontier), frontier_cap)
-        out_frontiers[nid] = out_frontier
-
-        # Every frontier is sorted (see prune_frontier): min r first, max r last.
-        annotations[nid] = RFAnnotation(
-            node_id=nid,
-            in_frontier=in_frontier,
-            out_frontier=out_frontier,
-            r_in_min=in_frontier[0].r_value,
-            r_in_max=in_frontier[-1].r_value,
-            r_out_min=out_frontier[0].r_value,
-            r_out_max=out_frontier[-1].r_value,
-        )
+            states = _transfer(in_frontier, kind)
+            if len(in_frontier) == 1:
+                # One state is its own Pareto frontier, global or not.
+                out_frontier = tuple(states)
+            else:
+                out_frontier = prune_frontier(set(states))
+                if len(out_frontier) > frontier_cap:
+                    raise FrontierLimitError(nid, len(out_frontier), frontier_cap)
+            out_min, out_max = out_frontier[0].r_value, out_frontier[-1].r_value
+        outs[nid] = out_frontier, out_min, out_max
+        annotations[nid] = RFAnnotation(nid, in_frontier, out_frontier, in_min, in_max, out_min, out_max)
     return annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph_ir import (
     PADDING_SAME,
@@ -45,8 +46,7 @@ class ShapeError(ValueError):
         super().__init__(f"node {node_id!r}: {message}")
 
 
-@dataclass(frozen=True)
-class ShapeInfo:
+class ShapeInfo(NamedTuple):
     node_id: str
     out_height: int
     out_width: int
@@ -61,8 +61,7 @@ class ShapeInfo:
         return self.out_height * self.out_width * self.out_channels
 
 
-@dataclass(frozen=True)
-class LayerCost:
+class LayerCost(NamedTuple):
     node_id: str
     params: int
     macs: int
@@ -128,18 +127,9 @@ def propagate_shapes(graph: ArchGraph) -> dict[str, ShapeInfo]:
             inputs = [shapes[p] for p in preds]
             first = inputs[0]
             for other in inputs[1:]:
-                if (other.out_height, other.out_width, other.out_channels) != (
-                    first.out_height,
-                    first.out_width,
-                    first.out_channels,
-                ):
-                    raise ShapeError(
-                        nid,
-                        f"element-wise add over mismatched shapes "
-                        f"{(first.out_height, first.out_width, first.out_channels)} vs "
-                        f"{(other.out_height, other.out_width, other.out_channels)}",
-                    )
-            info = ShapeInfo(nid, first.out_height, first.out_width, first.out_channels)
+                if other[1:] != first[1:]:  # (height, width, channels)
+                    raise ShapeError(nid, f"element-wise add over mismatched shapes {first[1:]} vs {other[1:]}")
+            info = ShapeInfo(nid, *first[1:])
         elif isinstance(kind, GlobalAvgPool):
             info = ShapeInfo(nid, 1, 1, shapes[preds[0]].out_channels)
         elif isinstance(kind, Dense):
@@ -232,7 +222,7 @@ def cost_report(
             if include_elementwise:
                 macs = _attention_macs(kind.variant, in_shape)
         # Input, Concat, Softmax carry no parameters and no counted work.
-        per_layer.append(LayerCost(node_id=nid, params=params, macs=macs, out_shape=out))
+        per_layer.append(LayerCost(nid, params, macs, out))
     return CostReport(
         per_layer=tuple(per_layer),
         total_params=sum(c.params for c in per_layer),

@@ -247,6 +247,28 @@ def downsampling_layers(graph: ArchGraph) -> list[str]:
     return out
 
 
+def _refuse_split_merge(graph: ArchGraph, chosen: list[str], kept: list[str]) -> None:
+    """Refuse to neutralize a strided layer while a parallel one into the same merge keeps its stride.
+
+    A residual block's strided conv and its strided projection shortcut, for
+    example, must lose their strides together, or their add would join
+    feature maps of different sizes.
+    """
+    strided_up: dict[str, frozenset[str]] = {}  # the downsampling layers on some path into each node
+    for nid in graph.order:
+        up = frozenset().union(*(strided_up[p] for p in graph.predecessors[nid]))
+        strided_up[nid] = up | {nid} if nid in chosen or nid in kept else up
+        if isinstance(graph.node_map[nid].kind, MERGE_KINDS):
+            # Targets are in topological order, so a kept layer is never
+            # upstream of a chosen one: it is parallel unless downstream.
+            split = next(((d, p) for d in chosen if d in up for p in kept if p in up and d not in strided_up[p]), None)
+            if split:
+                raise TransformError(
+                    f"neutralizing {split[0]!r} but not the parallel strided layer {split[1]!r} would leave "
+                    f"merge {nid!r} joining feature maps of different sizes; choose a count that covers both"
+                )
+
+
 def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, TransformDelta]:
     """Neutralize the first `count` downsampling layers in topological order.
 
@@ -254,7 +276,8 @@ def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, T
     pools are removed outright and their edges spliced through. Every jump
     downstream of all neutralized layers shrinks by the product of the
     neutralized strides, so receptive fields grow more slowly and feature
-    maps (hence MACs) grow larger.
+    maps (hence MACs) grow larger. Raises :class:`TransformError` when the
+    first `count` would split parallel strided layers that feed one merge.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -263,9 +286,10 @@ def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, T
         raise TransformError(
             f"graph has only {len(targets)} downsampling layers, cannot neutralize {count}"
         )
+    chosen = targets[:count]
+    _refuse_split_merge(graph, chosen, targets[count:])
     before_border, before_cost = _snapshot(graph)
 
-    chosen = targets[:count]
     modified: list[str] = []
     removed: list[str] = []
     kinds: dict[str, LayerKind] = {n.id: n.kind for n in graph.nodes}

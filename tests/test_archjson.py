@@ -19,7 +19,6 @@ from rfscope import (
     Pool,
     Softmax,
     build_named,
-    conv_index,
     make_graph,
     parse,
     parse_document,
@@ -116,7 +115,7 @@ def test_declaration_index_is_array_position():
     doc["layers"] = [doc["layers"][0], doc["layers"][2], doc["layers"][1]]
     g2 = parse(json.dumps(doc))
     assert g2.node_map["fc"].declaration_index == 1
-    assert conv_index(g2) == conv_index(g)  # topology unchanged, ordinals too
+    assert g2.conv_ordinals == g.conv_ordinals  # topology unchanged, ordinals too
 
 
 def test_missing_required_key_names_the_layer():

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -229,3 +233,23 @@ def test_deeply_nested_document_is_invalid_not_a_crash(tmp_path, capsys, command
     assert "Traceback" not in err
     assert err
     assert out == ""
+
+
+def test_half_stem_removal_is_refused_by_name(capsys):
+    code, out, err = run(capsys, "optimize", "zoo:resnet18-nostem", "--pass", "remove-stem-downsampling:1")
+    assert code == EXIT_INVALID
+    assert "'s2b1_proj'" in err and "'s2b1_add'" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("module", ["rfscope", "rfscope.cli"])
+def test_python_m_runs_the_cli(capsys, module):
+    _, expected, _ = run(capsys, "zoo", "list")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "zoo", "list"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == expected

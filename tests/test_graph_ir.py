@@ -16,7 +16,6 @@ from rfscope import (
     build_named,
     chain_graph,
     classify,
-    conv_index,
     cost_report,
     make_graph,
     propagate_dag,
@@ -155,18 +154,18 @@ class TestTopologicalOrder:
 
 class TestConvIndex:
     def test_vgg16_has_13_convs_in_order(self):
-        ordinals = conv_index(build_named("vgg16"))
+        ordinals = build_named("vgg16").conv_ordinals
         assert len(ordinals) == 13
         assert ordinals["conv1"] == 1 and ordinals["conv13"] == 13
         assert sorted(ordinals.values()) == list(range(1, 14))
 
     def test_conv_free_graph_is_empty(self):
         g = chain_graph("headonly", IN8, [("gap", GlobalAvgPool()), ("fc", Dense(units=2)), ("sm", Softmax())])
-        assert conv_index(g) == {}
+        assert g.conv_ordinals == {}
 
     def test_mpnet18_interleaves_paths_per_module(self):
         g = build_named("mpnet18")
-        ordinals = conv_index(g)
+        ordinals = g.conv_ordinals
         assert len(ordinals) == 16
         for stage in range(1, 5):
             for module in range(1, 3):
@@ -176,7 +175,7 @@ class TestConvIndex:
 
     def test_dense_and_respects_topological_order(self):
         g = build_named("resnet34")
-        ordinals = conv_index(g)
+        ordinals = g.conv_ordinals
         order = {nid: i for i, nid in enumerate(topological_order(g))}
         ranked = sorted(ordinals, key=lambda nid: ordinals[nid])
         assert sorted(ordinals.values()) == list(range(1, len(ordinals) + 1))
@@ -245,12 +244,3 @@ class TestCachedOrder:
         calls = self.count_validations(monkeypatch)
         after, _ = rewrite(g)
         assert calls == [g.name, after.name]
-
-    def test_conv_index_returns_a_copy(self):
-        g = build_named("vgg16")
-        before = classify(g)
-        ordinals = conv_index(g)
-        ordinals["conv1"] = 99
-        del ordinals["conv13"]
-        assert classify(g) == before
-        assert conv_index(g)["conv1"] == 1

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from dagtools import SWEEP_SIZES, ZOO_VARIANTS
 from rfscope import (
     Conv2d,
     Dense,
@@ -170,6 +171,30 @@ class TestRemoveStemDownsampling:
         g = build_named("vgg16")
         _, delta = remove_stem_downsampling(g, 2)
         assert delta.removed_node_ids == ("pool1", "pool2")
+
+    @pytest.mark.parametrize("name", ["resnet18-nostem", "resnet34-nostem"])
+    def test_refuses_to_split_parallel_strided_layers(self, name):
+        # The first block's strided conv and its strided projection shortcut
+        # feed one add: neutralizing only the conv would join 32x32 and 16x16 maps.
+        g = build_named(name)
+        with pytest.raises(TransformError, match="'s2b1_conv1' but not .* 's2b1_proj' .* merge 's2b1_add'"):
+            remove_stem_downsampling(g, 1)
+        after, delta = remove_stem_downsampling(g, 2)
+        assert delta.modified_node_ids == ("s2b1_conv1", "s2b1_proj")
+        assert after.node_map["s2b1_proj"].kind.stride == 1
+
+    @pytest.mark.parametrize("name", ZOO_VARIANTS)
+    def test_truncate_after_stem_removal_leaves_no_unproductive_conv(self, name):
+        for size in SWEEP_SIZES:
+            g = build_named(name, input_spec=InputSpec(size, size, 3))
+            for count in (0, 1, 2):
+                if name.endswith("-nostem") and count == 1:
+                    with pytest.raises(TransformError, match="parallel strided layer 's2b1_proj'"):
+                        remove_stem_downsampling(g, count)
+                    continue
+                rewritten = remove_stem_downsampling(g, count)[0] if count else g
+                truncated, _ = truncate_at_border(rewritten, num_classes=10)
+                assert classify(truncated).unproductive_conv_ids == (), (size, count)
 
 
 class TestCompare:

@@ -12,7 +12,6 @@ from rfscope import (
     ZooSpec,
     build,
     build_named,
-    conv_index,
     cost_report,
     parse_zoo_name,
     validate,
@@ -55,7 +54,7 @@ def test_builders_validate(name):
     ],
 )
 def test_conv_counts(name, n_convs):
-    assert len(conv_index(build_named(name))) == n_convs
+    assert len(build_named(name).conv_ordinals) == n_convs
 
 
 def test_vgg16_has_five_pools_and_single_dense_head():
