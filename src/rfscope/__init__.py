@@ -25,7 +25,6 @@ from .border_analysis import (
     ConvClassification,
     classify,
     unproductive_closure,
-    unproductive_tail,
 )
 from .graph_ir import (
     Activation,
@@ -46,7 +45,6 @@ from .graph_ir import (
     Softmax,
     Violation,
     chain_graph,
-    ensure_valid,
     make_graph,
     topological_order,
     validate,
@@ -83,14 +81,14 @@ __all__ = [
     "ArchGraph", "InputSpec", "LayerKind", "LayerNode", "Violation",
     "Conv2d", "Pool", "GlobalAvgPool", "Dense", "Add", "Concat",
     "BatchNorm", "Activation", "Attention", "Input", "Softmax",
-    "GraphValidationError", "validate", "ensure_valid",
+    "GraphValidationError", "validate",
     "topological_order", "make_graph", "chain_graph",
     # rf_analysis
     "RFState", "RFAnnotation", "effective_kernel", "layer_rf_transfer",
     "propagate_dag", "FrontierLimitError",
     # border_analysis
     "BorderReport", "ConvClassification", "classify",
-    "unproductive_closure", "unproductive_tail", "PRODUCTIVE", "UNPRODUCTIVE",
+    "unproductive_closure", "PRODUCTIVE", "UNPRODUCTIVE",
     # shape_cost_model
     "ShapeInfo", "LayerCost", "CostReport", "ShapeError",
     "propagate_shapes", "cost_report",

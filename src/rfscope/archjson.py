@@ -23,6 +23,7 @@ from .graph_ir import (
     Conv2d,
     Dense,
     GlobalAvgPool,
+    GraphValidationError,
     Input,
     InputSpec,
     LayerKind,
@@ -30,7 +31,6 @@ from .graph_ir import (
     Softmax,
     Violation,
     make_graph,
-    validate,
 )
 
 
@@ -158,9 +158,10 @@ def parse_document(doc: Any) -> ArchGraph:
         edges.append((raw[0], raw[1]))
 
     graph = make_graph(doc["name"], input_spec, layers, edges)
-    violations = validate(graph)
-    if violations:
-        raise DocumentSemanticError(violations)
+    try:
+        graph.order  # the graph's one validation, cached for the analyses that follow
+    except GraphValidationError as exc:
+        raise DocumentSemanticError(exc.violations) from None
     return graph
 
 

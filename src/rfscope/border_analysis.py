@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph_ir import HEAD_KINDS, ArchGraph, Input
+from .graph_ir import ArchGraph, Input
 from .rf_analysis import RFAnnotation, propagate_dag
 
 PRODUCTIVE = "productive"
@@ -95,8 +95,3 @@ def unproductive_closure(graph: ArchGraph, report: BorderReport | None = None) -
             blocked.add(nid)
     return frozenset(blocked)
 
-
-def unproductive_tail(graph: ArchGraph, report: BorderReport | None = None) -> frozenset[str]:
-    """The removal set for tail truncation: the closure minus head-exempt kinds."""
-    closure = unproductive_closure(graph, report)
-    return frozenset(nid for nid in closure if not isinstance(graph.node_map[nid].kind, HEAD_KINDS))

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 from . import __version__
 from .archjson import DocumentError, parse, serialize
 from .border_analysis import BorderReport, classify
-from .graph_ir import ArchGraph, GraphValidationError, InputSpec, validate
+from .graph_ir import ArchGraph, GraphValidationError, InputSpec
 from .rf_analysis import FrontierLimitError, propagate_dag
 from .shape_cost_model import CostReport, ShapeError, cost_report
 from .transforms import (
@@ -373,11 +373,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     graph = _load_graph(args.arch, args.input_size, args.classes)
-    violations = validate(graph)
-    if violations:
-        for v in violations:
-            sys.stderr.write(f"{v}\n")
-        return EXIT_INVALID
+    graph.order  # raises GraphValidationError, reported by main, unless the graph is valid
     sys.stdout.write(f"ok: {graph.name} ({len(graph.nodes)} nodes, {len(graph.edges)} edges)\n")
     return EXIT_OK
 

@@ -185,36 +185,47 @@ class ArchGraph:
                 succs[src].append(dst)
         return {k: tuple(v) for k, v in succs.items()}
 
-    def kind(self, node_id: str) -> LayerKind:
-        return self.node_map[node_id].kind
-
     @cached_property
-    def input_id(self) -> str:
-        ids = [n.id for n in self.nodes if isinstance(n.kind, Input)]
-        if len(ids) != 1:
-            raise GraphValidationError(
-                [Violation("single_input", self.name, f"expected exactly one input node, found {len(ids)}")]
-            )
-        return ids[0]
+    def _kahn_order(self) -> tuple[str, ...]:
+        """Kahn elimination order, ties broken by ascending declaration index.
 
-    @cached_property
-    def sink_id(self) -> str:
-        ids = [n.id for n in self.nodes if not self.successors[n.id]]
-        if len(ids) != 1:
-            raise GraphValidationError(
-                [Violation("single_sink", self.name, f"expected exactly one sink node, found {len(ids)}")]
-            )
-        return ids[0]
+        It holds every node exactly when the graph is acyclic. This is the
+        one sort of a graph: :func:`validate` reads it for its cycle check,
+        and :attr:`order` returns it once validation has passed.
+        """
+        pending = {n.id: len(self.predecessors[n.id]) for n in self.nodes}
+        heap = [(n.declaration_index, n.id) for n in self.nodes if not pending[n.id]]
+        heapq.heapify(heap)
+        eliminated: list[str] = []
+        while heap:
+            nid = heapq.heappop(heap)[1]
+            eliminated.append(nid)
+            for succ in self.successors[nid]:
+                pending[succ] -= 1
+                if not pending[succ]:
+                    heapq.heappush(heap, (self.node_map[succ].declaration_index, succ))
+        return tuple(eliminated)
 
     @cached_property
     def order(self) -> tuple[str, ...]:
-        """The checked :func:`topological_order`, computed on first use.
+        """Node ids with every edge pointing forward, checked and computed on first use.
 
-        Graphs are immutable, so one validation and one sort serve every
-        later pass over this instance. An invalid graph caches nothing and
-        raises :class:`GraphValidationError` on every access.
+        Ties between incomparable nodes are broken by ascending declaration
+        index, so the order is identical across runs and across structurally
+        equal graphs. Graphs are immutable, so one :func:`validate` and one
+        sort serve every later pass over this instance. An invalid graph
+        caches nothing and raises :class:`GraphValidationError` on every
+        access.
         """
-        return tuple(topological_order(self))
+        violations = validate(self)
+        if violations:
+            raise GraphValidationError(violations)
+        return self._kahn_order
+
+    @property
+    def sink_id(self) -> str:
+        """The one sink: every node reaches it, so it ends every topological order."""
+        return self.order[-1]
 
     @cached_property
     def conv_ordinals(self) -> dict[str, int]:
@@ -222,7 +233,7 @@ class ArchGraph:
 
         Border layers are reported as these ordinals, so the numbering must be
         reproducible: it inherits the declaration-index tie-breaking of
-        :func:`topological_order`. Every Conv2d counts, including 1x1
+        :attr:`order`. Every Conv2d counts, including 1x1
         projection convolutions on skip branches.
         """
         convs = (nid for nid in self.order if isinstance(self.node_map[nid].kind, Conv2d))
@@ -359,19 +370,10 @@ def validate(graph: ArchGraph) -> list[Violation]:
                 Violation("unary_arity", node.id, f"expected exactly one predecessor, got {indeg[node.id]}")
             )
 
-    # Cycle detection via Kahn elimination; the residue is the cyclic core.
-    pending = dict(indeg)
-    queue = [nid for nid, d in pending.items() if d == 0]
-    eliminated: list[str] = []
-    while queue:
-        nid = queue.pop()
-        eliminated.append(nid)
-        for succ in graph.successors[nid]:
-            pending[succ] -= 1
-            if pending[succ] == 0:
-                queue.append(succ)
+    eliminated = graph._kahn_order
     if len(eliminated) != len(graph.nodes):
-        cyclic = sorted(nid for nid, d in pending.items() if d > 0)
+        # Kahn elimination stops at the cyclic core.
+        cyclic = sorted(indeg.keys() - set(eliminated))
         violations.append(Violation("acyclic", "{" + ",".join(cyclic) + "}", "cycle through these nodes"))
         return violations
 
@@ -423,7 +425,7 @@ def _backward_reachable(graph: ArchGraph, start: str) -> set[str]:
     return seen
 
 
-def _propagate_channels(graph: ArchGraph, order: list[str]) -> dict[str, int]:
+def _propagate_channels(graph: ArchGraph, order: tuple[str, ...]) -> dict[str, int]:
     """Channel count carried out of each node, visited in any topological `order`."""
     channels: dict[str, int] = {}
     for nid in order:
@@ -442,35 +444,6 @@ def _propagate_channels(graph: ArchGraph, order: list[str]) -> dict[str, int]:
     return channels
 
 
-def ensure_valid(graph: ArchGraph) -> None:
-    """Raise :class:`GraphValidationError` unless `graph` is valid."""
-    violations = validate(graph)
-    if violations:
-        raise GraphValidationError(violations)
-
-
 def topological_order(graph: ArchGraph) -> list[str]:
-    """Node ids with every edge pointing forward.
-
-    Ties between incomparable nodes are broken by ascending declaration
-    index, so the order is identical across runs and across structurally
-    equal graphs. Validates and sorts on every call; passes read the cached
-    :attr:`ArchGraph.order` instead.
-    """
-    ensure_valid(graph)
-    indeg = {n.id: len(graph.predecessors[n.id]) for n in graph.nodes}
-    index = {n.id: n.declaration_index for n in graph.nodes}
-    heap = [(index[nid], nid) for nid, d in indeg.items() if d == 0]
-    heapq.heapify(heap)
-    order: list[str] = []
-    while heap:
-        _, nid = heapq.heappop(heap)
-        order.append(nid)
-        for succ in graph.successors[nid]:
-            indeg[succ] -= 1
-            if indeg[succ] == 0:
-                heapq.heappush(heap, (index[succ], succ))
-    if len(order) != len(graph.nodes):
-        raise GraphValidationError([Violation("acyclic", graph.name, "graph contains a cycle")])
-    return order
-
+    """The checked :attr:`ArchGraph.order` as a list; raises :class:`GraphValidationError` on an invalid graph."""
+    return list(graph.order)

@@ -19,11 +19,12 @@ from typing import Iterable, NamedTuple
 
 from .graph_ir import RF_NEUTRAL_KINDS, ArchGraph, Conv2d, LayerKind, Pool
 
-DEFAULT_FRONTIER_CAP = 4096
+# Largest frontier propagate_dag accepts before it refuses to go on.
+FRONTIER_CAP = 4096
 
 
 class FrontierLimitError(RuntimeError):
-    """Frontier grew past the configured cap; results would be unreliable to truncate."""
+    """Frontier grew past FRONTIER_CAP; results would be unreliable to truncate."""
 
     def __init__(self, node_id: str, size: int, cap: int):
         self.node_id = node_id
@@ -137,13 +138,13 @@ class RFAnnotation(NamedTuple):
     r_out_max: int | float
 
 
-def propagate_dag(graph: ArchGraph, frontier_cap: int = DEFAULT_FRONTIER_CAP) -> dict[str, RFAnnotation]:
+def propagate_dag(graph: ArchGraph) -> dict[str, RFAnnotation]:
     """Exact per-node receptive-field frontiers over all input-to-node paths.
 
     At merge nodes the incoming frontiers are unioned and re-pruned; single
     predecessor nodes inherit the predecessor's output frontier, and
     RF-neutral nodes pass it through as their own. Raises
-    :class:`FrontierLimitError` if a frontier exceeds `frontier_cap`.
+    :class:`FrontierLimitError` if a frontier exceeds :data:`FRONTIER_CAP`.
     """
     annotations: dict[str, RFAnnotation] = {}
     # Each node's out-frontier with its min and max r_value. Every frontier
@@ -151,6 +152,7 @@ def propagate_dag(graph: ArchGraph, frontier_cap: int = DEFAULT_FRONTIER_CAP) ->
     outs: dict[str, tuple[tuple[RFState, ...], int | float, int | float]] = {}
     node_map = graph.node_map
     predecessors = graph.predecessors
+    cap = FRONTIER_CAP
     for nid in graph.order:
         kind = node_map[nid].kind
         preds = predecessors[nid]
@@ -164,8 +166,8 @@ def propagate_dag(graph: ArchGraph, frontier_cap: int = DEFAULT_FRONTIER_CAP) ->
                 merged.update(outs[pred][0])
             in_frontier = prune_frontier(merged)
             in_min, in_max = in_frontier[0].r_value, in_frontier[-1].r_value
-        if len(in_frontier) > frontier_cap:
-            raise FrontierLimitError(nid, len(in_frontier), frontier_cap)
+        if len(in_frontier) > cap:
+            raise FrontierLimitError(nid, len(in_frontier), cap)
 
         if isinstance(kind, RF_NEUTRAL_KINDS):
             # The transfer is the identity and a pruned frontier is a fixed
@@ -178,8 +180,8 @@ def propagate_dag(graph: ArchGraph, frontier_cap: int = DEFAULT_FRONTIER_CAP) ->
                 out_frontier = tuple(states)
             else:
                 out_frontier = prune_frontier(set(states))
-                if len(out_frontier) > frontier_cap:
-                    raise FrontierLimitError(nid, len(out_frontier), frontier_cap)
+                if len(out_frontier) > cap:
+                    raise FrontierLimitError(nid, len(out_frontier), cap)
             out_min, out_max = out_frontier[0].r_value, out_frontier[-1].r_value
         outs[nid] = out_frontier, out_min, out_max
         annotations[nid] = RFAnnotation(nid, in_frontier, out_frontier, in_min, in_max, out_min, out_max)

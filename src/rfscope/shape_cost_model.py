@@ -5,8 +5,7 @@ inconsistent: `total_macs` (and `gflops_mac1`, which divides it by 1e9) treat
 one multiply-accumulate as one operation, while `total_flops` doubles it.
 
 Elementwise work (batch norm, activations, additions, pooling windows) is
-counted by default and can be switched off; convolutions and dense layers
-dominate either way.
+counted too; convolutions and dense layers dominate it.
 """
 from __future__ import annotations
 
@@ -176,11 +175,7 @@ def _attention_macs(variant: str, in_shape: ShapeInfo) -> int:
     return se + spatial
 
 
-def cost_report(
-    graph: ArchGraph,
-    include_elementwise: bool = True,
-    shapes: dict[str, ShapeInfo] | None = None,
-) -> CostReport:
+def cost_report(graph: ArchGraph, shapes: dict[str, ShapeInfo] | None = None) -> CostReport:
     """Per-layer and total trainable parameters and multiply-accumulates."""
     if shapes is None:
         shapes = propagate_shapes(graph)
@@ -206,21 +201,16 @@ def cost_report(
             macs = in_features * kind.units
         elif isinstance(kind, BatchNorm):
             params = 2 * out.out_channels
-            if include_elementwise:
-                macs = out.elements
+            macs = out.elements
         elif isinstance(kind, (Activation, Add)):
-            if include_elementwise:
-                macs = out.elements
+            macs = out.elements
         elif isinstance(kind, Pool):
-            if include_elementwise:
-                macs = kind.kernel**2 * out.elements
+            macs = kind.kernel**2 * out.elements
         elif isinstance(kind, GlobalAvgPool):
-            if include_elementwise:
-                macs = in_shape.elements
+            macs = in_shape.elements
         elif isinstance(kind, Attention):
             params = _attention_params(kind.variant, in_shape.out_channels)
-            if include_elementwise:
-                macs = _attention_macs(kind.variant, in_shape)
+            macs = _attention_macs(kind.variant, in_shape)
         # Input, Concat, Softmax carry no parameters and no counted work.
         per_layer.append(LayerCost(nid, params, macs, out))
     return CostReport(

@@ -1,10 +1,14 @@
-"""Seeded random architecture DAGs, the brute-force path oracle, and the zoo
-variants and sweep sizes that tests iterate over.
+"""Seeded random architecture DAGs, seeded mutations of zoo graphs, the
+brute-force path oracle, a validation counter, and the zoo variants and
+sweep sizes that tests iterate over.
 
 Graphs are guaranteed valid by construction: convolutions preserve the
 channel count of their predecessor, so element-wise merges always see equal
 widths; diamonds never nest and each closes with a single merge node, so the
 graph has one input, one sink, and at most two merge nodes.
+
+Mutated zoo graphs are the opposite: edits of the edge list and layer list
+that may or may not leave the graph valid.
 
 The oracle folds the receptive-field transfer along every input-to-node path
 one at a time, independently of the frontier pruning in `propagate_dag`.
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 from rfscope import (
     Activation,
@@ -27,9 +32,11 @@ from rfscope import (
     LayerKind,
     Pool,
     RFState,
+    build_named,
     layer_rf_transfer,
     make_graph,
 )
+from rfscope import graph_ir
 
 # Every zoo variant, and the input sizes of a 16-step resolution sweep.
 ZOO_VARIANTS = (
@@ -109,6 +116,53 @@ def random_graph(seed: int, max_layer_nodes: int = 12, shape_safe: bool = False)
     return make_graph(f"random{seed}", InputSpec(32, 32, 3), layers, edges)
 
 
+MUTATION_MODELS = ("vgg11", "resnet18", "mpnet18")
+
+
+def mutated_graph(seed: int) -> ArchGraph:
+    """A zoo graph after 0-3 seeded edits: an edge dropped, duplicated,
+    reversed or added, or a layer dropped (spliced out, or left with dangling
+    edges). The result is valid or not; nothing here checks which."""
+    rng = random.Random(seed)
+    graph = build_named(rng.choice(MUTATION_MODELS))
+    layers = [(n.id, n.kind) for n in graph.nodes]
+    edges = list(graph.edges)
+    for _ in range(rng.randint(0, 3)):
+        op = rng.choice(("drop_edge", "duplicate_edge", "reverse_edge", "add_edge", "drop_layer"))
+        if op == "drop_edge" and edges:
+            edges.pop(rng.randrange(len(edges)))
+        elif op == "duplicate_edge" and edges:
+            edges.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
+        elif op == "reverse_edge" and edges:
+            i = rng.randrange(len(edges))
+            edges[i] = edges[i][::-1]
+        elif op == "add_edge" and len(layers) > 1:
+            src, dst = rng.sample([nid for nid, _ in layers], 2)
+            edges.append((src, dst))
+        elif op == "drop_layer" and len(layers) > 1:
+            nid = layers.pop(rng.randrange(len(layers)))[0]
+            if rng.random() < 0.7:
+                preds = [a for a, b in edges if b == nid]
+                succs = [b for a, b in edges if a == nid]
+                edges = [e for e in edges if nid not in e] + [(a, b) for a in preds for b in succs]
+    return make_graph(f"{graph.name}-mut{seed}", graph.input, layers, edges)
+
+
+def count_validations(monkeypatch) -> list[str]:
+    """Names of the graphs validated from now on, through any rfscope binding of `validate`."""
+    calls = []
+    real = graph_ir.validate
+
+    def counting(graph):
+        calls.append(graph.name)
+        return real(graph)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rfscope" and getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate", counting)
+    return calls
+
+
 def enumerate_paths(graph: ArchGraph, target: str) -> list[list[str]]:
     """Every input-to-`target` path as a list of node ids, walked with an explicit stack."""
     ancestors = {target}
@@ -119,7 +173,7 @@ def enumerate_paths(graph: ArchGraph, target: str) -> list[list[str]]:
                 ancestors.add(pred)
                 stack.append(pred)
     paths = []
-    partial = [[graph.input_id]]
+    partial = [[graph.order[0]]]
     while partial:
         path = partial.pop()
         if path[-1] == target:

@@ -16,13 +16,19 @@ from rfscope import (
     classify,
     propagate_dag,
     unproductive_closure,
-    unproductive_tail,
     validate,
 )
+from rfscope.graph_ir import HEAD_KINDS
 
 
 def conv(k, s=1, f=8):
     return Conv2d(kernel=k, stride=s, filters=f, bias=False)
+
+
+def unproductive_tail(graph, report=None):
+    """The removal set for tail truncation: the closure minus head-exempt kinds."""
+    closure = unproductive_closure(graph, report)
+    return frozenset(nid for nid in closure if not isinstance(graph.node_map[nid].kind, HEAD_KINDS))
 
 
 def deep_chain(n_convs, input_spec=InputSpec(16, 16, 3)):

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from rfscope import build_named, parse, serialize
+from dagtools import count_validations, mutated_graph
+from rfscope import build_named, parse, serialize, validate
 from rfscope.cli import EXIT_FILE, EXIT_INVALID, EXIT_NOOP, EXIT_OK, EXIT_USAGE, main
 
 
@@ -253,3 +254,44 @@ def test_python_m_runs_the_cli(capsys, module):
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout == expected
+
+
+@pytest.mark.parametrize(
+    "argv, validations",
+    [
+        (["analyze", "FILE"], 1),
+        (["validate", "FILE"], 1),
+        (["optimize", "FILE", "--pass", "truncate"], 2),
+        (["compare", "FILE", "FILE"], 2),
+        (["analyze", "zoo:resnet18"], 1),
+        (["validate", "zoo:resnet18"], 1),
+    ],
+    ids=["analyze", "validate", "optimize-truncate", "compare", "analyze-zoo", "validate-zoo"],
+)
+def test_each_graph_is_validated_once(tmp_path, capsys, monkeypatch, argv, validations):
+    path = tmp_path / "resnet18.json"
+    path.write_text(serialize(build_named("resnet18")))
+    calls = count_validations(monkeypatch)
+    code, _, _ = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == EXIT_OK
+    assert len(calls) == validations
+
+
+def test_mutated_documents_cover_both_outcomes():
+    outcomes = {not validate(mutated_graph(seed)) for seed in range(100)}
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_validate_exit_matches_graph_validation_on_mutated_documents(tmp_path, capsys, seed):
+    graph = mutated_graph(seed)
+    path = tmp_path / "mutated.json"
+    path.write_text(serialize(graph))
+    violations = validate(graph)
+    code, out, err = run(capsys, "validate", str(path))
+    assert "Traceback" not in err
+    if violations:
+        detail = "; ".join(str(v) for v in violations)
+        assert (code, out, err) == (EXIT_INVALID, "", f"rfscope: invalid architecture document: graph validation failed: {detail}\n")
+    else:
+        assert (code, out, err) == (EXIT_OK, f"ok: {graph.name} ({len(graph.nodes)} nodes, {len(graph.edges)} edges)\n", "")

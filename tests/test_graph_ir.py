@@ -1,7 +1,6 @@
-import sys
-
 import pytest
 
+from dagtools import ZOO_VARIANTS, count_validations, random_graph
 from rfscope import (
     Activation,
     Add,
@@ -18,20 +17,15 @@ from rfscope import (
     classify,
     cost_report,
     make_graph,
+    parse,
     propagate_dag,
     propagate_shapes,
     remove_stem_downsampling,
+    serialize,
     topological_order,
     truncate_at_border,
     unproductive_closure,
     validate,
-)
-from rfscope import graph_ir
-
-ZOO_MODELS = (
-    "vgg11", "vgg13", "vgg16", "vgg19", "vgg19-dil3",
-    "resnet18", "resnet34", "resnet18-noskip", "resnet34-noskip", "resnet18-nostem", "resnet34-nostem",
-    "mpnet18", "mpnet36",
 )
 
 IN8 = InputSpec(8, 8, 3)
@@ -152,6 +146,28 @@ class TestTopologicalOrder:
             topological_order(g)
 
 
+class TestGraphEnds:
+    @staticmethod
+    def assert_ends(g):
+        inputs = [n.id for n in g.nodes if isinstance(n.kind, Input)]
+        sinks = [n.id for n in g.nodes if not g.successors[n.id]]
+        assert [g.order[0]] == inputs
+        assert [g.sink_id] == sinks
+
+    @pytest.mark.parametrize("name", ZOO_VARIANTS)
+    def test_zoo(self, name):
+        self.assert_ends(build_named(name))
+
+    def test_100_random_dags(self):
+        for seed in range(100):
+            self.assert_ends(random_graph(seed))
+
+    def test_invalid_graph_has_no_sink(self):
+        g = chain_graph("bad", IN8, [("c1", Conv2d(kernel=3, filters=4)), ("add", Add())])
+        with pytest.raises(GraphValidationError):
+            g.sink_id
+
+
 class TestConvIndex:
     def test_vgg16_has_13_convs_in_order(self):
         ordinals = build_named("vgg16").conv_ordinals
@@ -183,7 +199,7 @@ class TestConvIndex:
 
 
 class TestCachedOrder:
-    @pytest.mark.parametrize("name", ZOO_MODELS)
+    @pytest.mark.parametrize("name", ZOO_VARIANTS)
     def test_order_is_the_topological_order(self, name):
         g = build_named(name)
         assert list(g.order) == topological_order(g)
@@ -209,30 +225,31 @@ class TestCachedOrder:
             with pytest.raises(GraphValidationError):
                 run(g)
 
-    @staticmethod
-    def count_validations(monkeypatch):
-        """Names of the graphs validated from now on, through any rfscope binding of `validate`."""
-        calls = []
-        real = graph_ir.validate
-
-        def counting(graph):
-            calls.append(graph.name)
-            return real(graph)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "rfscope" and getattr(module, "validate", None) is real:
-                monkeypatch.setattr(module, "validate", counting)
-        return calls
-
     def test_graph_is_validated_once(self, monkeypatch):
         g = build_named("resnet34")
-        calls = self.count_validations(monkeypatch)
+        calls = count_validations(monkeypatch)
         classify(g)
         cost_report(g)
         assert len(calls) == 1
         classify(g)
         cost_report(g)
         assert len(calls) == 1
+
+    def test_parsed_graph_is_validated_once(self, monkeypatch):
+        text = serialize(build_named("resnet34"))
+        calls = count_validations(monkeypatch)
+        g = parse(text)
+        classify(g)
+        cost_report(g)
+        assert calls == [g.name]
+
+    def test_order_reports_the_violations_of_validate(self):
+        layers = [("input", Input()), ("a", Add()), ("b", Conv2d(kernel=3, filters=3)), ("c", Conv2d(kernel=3, filters=3))]
+        g = make_graph("cyclic", IN8, layers, [("input", "a"), ("a", "b"), ("b", "a"), ("b", "c")])
+        with pytest.raises(GraphValidationError) as err:
+            g.order
+        assert err.value.violations == validate(g)
+        assert [v.subject for v in err.value.violations if v.rule == "acyclic"] == ["{a,b,c}"]
 
     @pytest.mark.parametrize(
         "rewrite",
@@ -241,6 +258,6 @@ class TestCachedOrder:
     )
     def test_rewrite_validates_input_and_output_once(self, monkeypatch, rewrite):
         g = build_named("resnet34")
-        calls = self.count_validations(monkeypatch)
+        calls = count_validations(monkeypatch)
         after, _ = rewrite(g)
         assert calls == [g.name, after.name]

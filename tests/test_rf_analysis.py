@@ -202,9 +202,10 @@ class TestPropagateDag:
         assert (merges, multi_state) == (16, 34)
         assert len(calls) == merges + multi_state
 
-    def test_frontier_cap_enforced(self):
+    def test_frontier_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(rf_analysis, "FRONTIER_CAP", 1)
         with pytest.raises(FrontierLimitError) as err:
-            propagate_dag(two_path_diamond(), frontier_cap=1)
+            propagate_dag(two_path_diamond())
         assert "add" in str(err.value)
 
 

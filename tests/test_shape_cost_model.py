@@ -164,13 +164,10 @@ class TestMacs:
         report = cost_report(g)
         assert next(c.macs for c in report.per_layer if c.node_id == "x") == 5_120
 
-    def test_elementwise_toggle(self):
+    def test_elementwise_counted(self):
         for kind in (BatchNorm(), Activation(), Pool(mode="avg", kernel=2, stride=2), GlobalAvgPool()):
             g = chain_graph("e", IN32, [("c", Conv2d(kernel=3, filters=8, bias=False)), ("x", kind)])
-            on = cost_report(g, include_elementwise=True)
-            off = cost_report(g, include_elementwise=False)
-            assert next(c.macs for c in on.per_layer if c.node_id == "x") > 0
-            assert next(c.macs for c in off.per_layer if c.node_id == "x") == 0
+            assert next(c.macs for c in cost_report(g).per_layer if c.node_id == "x") > 0
 
     def test_softmax_never_counted(self):
         g = chain_graph("s", IN32, [("c", Conv2d(kernel=3, filters=8)), ("gap", GlobalAvgPool()), ("fc", Dense(units=10)), ("x", Softmax())])
