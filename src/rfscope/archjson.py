@@ -178,6 +178,8 @@ def parse(data: bytes | str) -> ArchGraph:
         raise DocumentError("$", f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise DocumentError("$", "document nests arrays or objects too deeply to decode") from None
+    except ValueError as exc:  # an integer longer than the interpreter converts
+        raise DocumentError("$", f"number cannot be decoded: {exc}") from None
     return parse_document(doc)
 
 

@@ -4,34 +4,28 @@ Subcommands: analyze, optimize, compare, validate, and zoo (list/emit).
 Architectures are given either as JSON files or as `zoo:NAME` shorthands.
 Reports go to stdout, diagnostics to stderr; exit codes are part of the
 contract: 0 success, 2 validation failure, 3 no-op optimization, 64 usage
-error, 66 file error.
+error, 66 file error. Each command imports only the modules it runs, so a
+short command does not pay for the rest of the package.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import io
-import json
 import math
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING
 
-from . import __version__
-from .archjson import DocumentError, parse, serialize
-from .border_analysis import BorderReport, classify
-from .graph_ir import ArchGraph, GraphValidationError, InputSpec
-from .rf_analysis import FrontierLimitError, propagate_dag
-from .shape_cost_model import CostReport, ShapeError, cost_report
-from .transforms import (
-    ComparisonReport,
-    TransformDelta,
-    TransformError,
-    compare,
-    remove_stem_downsampling,
-    truncate_at_border,
-)
-from .zoo import FAMILIES, build_named
+import rfscope
+
+from .graph_ir import GraphValidationError, InputSpec
+
+if TYPE_CHECKING:
+    from typing import IO, Any, Sequence
+
+    from .border_analysis import BorderReport
+    from .graph_ir import ArchGraph
+    from .shape_cost_model import CostReport
+    from .transforms import ComparisonReport, TransformDelta
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -53,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rfscope", description="Receptive-field border analysis for CNN architecture graphs.")
-    parser.add_argument("--version", action="version", version=f"rfscope {__version__}")
+    parser.add_argument("--version", action="version", version=f"rfscope {rfscope.__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_arch_args(p: argparse.ArgumentParser) -> None:
@@ -100,18 +94,39 @@ def _input_spec(input_size: Sequence[int], channels: int) -> InputSpec:
         raise UsageError(f"--input-size: {exc}") from None
 
 
+def _build_zoo(name: str, input_size: Sequence[int] | None, classes: int) -> ArchGraph:
+    from .zoo import build_named
+
+    spec = None if input_size is None else _input_spec(input_size, 3)
+    try:
+        return build_named(name, input_spec=spec, num_classes=classes)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _open(path: str, mode: str) -> IO[Any]:
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except ValueError as exc:  # a path no file can have, such as one with a NUL byte
+        raise OSError(f"{exc}: {path!r}") from None
+
+
 def _load_graph(ref: str, input_size: Sequence[int] | None, classes: int) -> ArchGraph:
     if ref.startswith("zoo:"):
-        spec = None if input_size is None else _input_spec(input_size, 3)
-        try:
-            return build_named(ref[len("zoo:"):], input_spec=spec, num_classes=classes)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    with open(ref, "rb") as handle:
+        return _build_zoo(ref[len("zoo:"):], input_size, classes)
+    from .archjson import parse
+
+    with _open(ref, "rb") as handle:
         graph = parse(handle.read())
     if input_size is not None:
-        graph = dataclasses.replace(graph, input=_input_spec(input_size, graph.input.channels))
+        graph = graph.with_input(_input_spec(input_size, graph.input.channels))
     return graph
+
+
+def _write_json(payload: dict[str, Any]) -> None:
+    import json
+
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _num(value: int | float) -> int | str:
@@ -119,6 +134,10 @@ def _num(value: int | float) -> int | str:
 
 
 def _analysis_payload(graph: ArchGraph) -> dict[str, Any]:
+    from .border_analysis import classify
+    from .rf_analysis import propagate_dag
+    from .shape_cost_model import cost_report
+
     annotations = propagate_dag(graph)
     border = classify(graph, annotations)
     cost = cost_report(graph)
@@ -177,7 +196,7 @@ _TABLE_COLUMNS = (
 def _render_analysis_text(payload: dict[str, Any]) -> str:
     out = io.StringIO()
     spec = payload["input"]
-    out.write(f"rfscope {__version__} analysis: {payload['name']}\n")
+    out.write(f"rfscope {rfscope.__version__} analysis: {payload['name']}\n")
     out.write(
         f"input: {spec['height']}x{spec['width']}x{spec['channels']} (resolution {payload['resolution']})\n"
     )
@@ -206,6 +225,8 @@ def _render_analysis_text(payload: dict[str, Any]) -> str:
 
 
 def _render_analysis_csv(payload: dict[str, Any]) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_TABLE_COLUMNS)
@@ -323,7 +344,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     graph = _load_graph(args.arch, args.input_size, args.classes)
     payload = _analysis_payload(graph)
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload)
     elif args.format == "csv":
         sys.stdout.write(_render_analysis_csv(payload))
     else:
@@ -332,6 +353,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from .transforms import remove_stem_downsampling, truncate_at_border
+
     graph = _load_graph(args.arch, args.input_size, args.classes)
     pass_name, count = _parse_pass_spec(args.pass_spec)
     if pass_name == "truncate":
@@ -342,11 +365,13 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         rewritten, delta = remove_stem_downsampling(graph, count)
     # The document is written first, so a file error leaves stdout empty.
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as handle:
+        from .archjson import serialize
+
+        with _open(args.emit, "w") as handle:
             handle.write(serialize(rewritten))
     payload = _delta_payload(delta)
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload)
     else:
         sys.stdout.write(_render_delta_text(payload))
     if not delta.changed:
@@ -356,6 +381,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .transforms import compare
+
     graph_a = _load_graph(args.arch_a, args.input_size, args.classes)
     graph_b = _load_graph(args.arch_b, args.input_size, args.classes)
     try:
@@ -365,7 +392,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     payload = _compare_payload(report)
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload)
     else:
         sys.stdout.write(_render_compare_text(payload))
     return EXIT_OK
@@ -380,18 +407,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_zoo(args: argparse.Namespace) -> int:
     if args.zoo_command == "list":
+        from .zoo import FAMILIES
+
         for name in FAMILIES:
             sys.stdout.write(name + "\n")
         sys.stdout.write("# options: NAME-dilN (vgg), NAME-noskip, NAME-nostem (resnet)\n")
         return EXIT_OK
-    spec = None if args.input_size is None else _input_spec(args.input_size, 3)
-    try:
-        graph = build_named(args.name, input_spec=spec, num_classes=args.classes)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    text = serialize(graph)
+    from .archjson import serialize
+
+    text = serialize(_build_zoo(args.name, args.input_size, args.classes))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _open(args.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -418,22 +444,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"rfscope: error: {exc}\n")
         return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except OSError as exc:
         sys.stderr.write(f"rfscope: file error: {exc}\n")
         return EXIT_FILE
-    except DocumentError as exc:
+    # The package loads each error class below on first access, so a clause
+    # loads its module only when an exception reaches it.
+    except rfscope.DocumentError as exc:
         sys.stderr.write(f"rfscope: invalid architecture document: {exc}\n")
         return EXIT_INVALID
     except GraphValidationError as exc:
         for violation in exc.violations:
             sys.stderr.write(f"{violation}\n")
         return EXIT_INVALID
-    except (TransformError, ShapeError, FrontierLimitError) as exc:
+    except (rfscope.TransformError, rfscope.ShapeError, rfscope.FrontierLimitError) as exc:
         sys.stderr.write(f"rfscope: {exc}\n")
         return EXIT_INVALID
-    except OSError as exc:
-        sys.stderr.write(f"rfscope: file error: {exc}\n")
-        return EXIT_FILE
+    except OverflowError as exc:  # a MAC count past the float range, from an absurd size or width
+        sys.stderr.write(f"rfscope: cost too large to report: {exc}\n")
+        return EXIT_INVALID
 
 
 def entrypoint() -> None:

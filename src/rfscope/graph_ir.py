@@ -10,7 +10,7 @@ supported, and non-square configurations are rejected by :func:`validate`.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Union
 
@@ -221,6 +221,14 @@ class ArchGraph:
         if violations:
             raise GraphValidationError(violations)
         return self._kahn_order
+
+    def with_input(self, spec: InputSpec) -> ArchGraph:
+        """This graph with another input. :func:`validate` reads the input only through its
+        channel count, so while that is kept, a check already made on this graph carries over."""
+        graph = replace(self, input=spec)
+        if "order" in self.__dict__ and spec.channels == self.input.channels:
+            graph.__dict__["order"] = self.order
+        return graph
 
     @property
     def sink_id(self) -> str:

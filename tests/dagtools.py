@@ -1,6 +1,6 @@
 """Seeded random architecture DAGs, seeded mutations of zoo graphs, the
-brute-force path oracle, a validation counter, and the zoo variants and
-sweep sizes that tests iterate over.
+brute-force path oracle, a validation counter, the zoo variants and sweep
+sizes that tests iterate over, and a runner for fresh interpreters.
 
 Graphs are guaranteed valid by construction: convolutions preserve the
 channel count of their predecessor, so element-wise merges always see equal
@@ -16,8 +16,11 @@ one at a time, independently of the frontier pruning in `propagate_dag`.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 from rfscope import (
     Activation,
@@ -202,3 +205,10 @@ def path_enumeration_oracle(graph: ArchGraph, node_id: str, at: str = "out") -> 
         states = [RFState(1, 1)] + fold_along(graph, path)
         values.append((states[-2] if at == "in" else states[-1]).r_value)
     return min(values), max(values)
+
+
+def run_fresh(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """`python *args` in a new interpreter that imports rfscope from this checkout's `src/`."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=60)

@@ -172,6 +172,11 @@ def test_syntax_error_reports_position():
     assert "line 2" in str(err.value)
 
 
+def test_overlong_integer_is_a_document_error():
+    with pytest.raises(DocumentError, match="number cannot be decoded"):
+        parse('{"name": ' + "1" * 5000 + "}")
+
+
 def test_unknown_top_level_key():
     doc = minimal_doc()
     doc["version"] = 2

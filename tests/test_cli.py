@@ -1,14 +1,12 @@
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dagtools import count_validations, mutated_graph
+from dagtools import count_validations, mutated_graph, run_fresh
 from rfscope import build_named, parse, serialize, validate
 from rfscope.cli import EXIT_FILE, EXIT_INVALID, EXIT_NOOP, EXIT_OK, EXIT_USAGE, main
 
@@ -178,6 +176,10 @@ def test_missing_file(capsys):
     assert "file error" in err
 
 
+def test_nul_byte_in_path_is_a_file_error(capsys):
+    assert run(capsys, "analyze", "a\x00b") == (EXIT_FILE, "", "rfscope: file error: embedded null byte: 'a\\x00b'\n")
+
+
 def test_malformed_document_is_validation_failure(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -213,11 +215,22 @@ def _vgg11_file(tmp_path):
         (["zoo", "emit", "vgg16", "--input-size", "-1", "5"], EXIT_USAGE),
         (["optimize", "FILE", "--pass", "truncate", "--classes", "1"], EXIT_USAGE),
         (["optimize", "zoo:vgg16", "--pass", "truncate", "--emit", "MISSING_DIR"], EXIT_FILE),
+        (["optimize", "zoo:vgg16", "--pass", "truncate", "--emit", "NUL_PATH"], EXIT_FILE),
+        (["zoo", "emit", "vgg11", "--out", "NUL_PATH"], EXIT_FILE),
+        (["analyze", "zoo:vgg11", "--classes", str(10**400)], EXIT_INVALID),
+        (["compare", "FILE", "zoo:vgg11", "--input-size", str(10**200), str(10**200)], EXIT_INVALID),
     ],
-    ids=["input-size-zoo", "input-size-file", "zoo-emit-input-size", "classes-file", "emit-missing-dir"],
+    ids=[
+        "input-size-zoo", "input-size-file", "zoo-emit-input-size", "classes-file", "emit-missing-dir",
+        "emit-nul-path", "zoo-emit-nul-path", "classes-overflow", "input-size-overflow",
+    ],
 )
 def test_bad_request_fails_cleanly_with_empty_stdout(tmp_path, capsys, argv, expected):
-    subs = {"FILE": _vgg11_file(tmp_path), "MISSING_DIR": str(tmp_path / "missing" / "x.json")}
+    subs = {
+        "FILE": _vgg11_file(tmp_path),
+        "MISSING_DIR": str(tmp_path / "missing" / "x.json"),
+        "NUL_PATH": str(tmp_path / "a\x00b.json"),
+    }
     code, out, err = run(capsys, *[subs.get(a, a) for a in argv])
     assert code == expected
     assert "Traceback" not in err
@@ -247,11 +260,7 @@ def test_half_stem_removal_is_refused_by_name(capsys):
 @pytest.mark.parametrize("module", ["rfscope", "rfscope.cli"])
 def test_python_m_runs_the_cli(capsys, module):
     _, expected, _ = run(capsys, "zoo", "list")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "zoo", "list"], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_fresh("-m", module, "zoo", "list")
     assert proc.returncode == EXIT_OK
     assert proc.stdout == expected
 
@@ -265,8 +274,15 @@ def test_python_m_runs_the_cli(capsys, module):
         (["compare", "FILE", "FILE"], 2),
         (["analyze", "zoo:resnet18"], 1),
         (["validate", "zoo:resnet18"], 1),
+        (["analyze", "FILE", "--input-size", "64", "64"], 1),
+        (["validate", "FILE", "--input-size", "64", "64"], 1),
+        (["optimize", "FILE", "--pass", "truncate", "--input-size", "64", "64"], 2),
+        (["compare", "FILE", "FILE", "--input-size", "64", "64"], 2),
     ],
-    ids=["analyze", "validate", "optimize-truncate", "compare", "analyze-zoo", "validate-zoo"],
+    ids=[
+        "analyze", "validate", "optimize-truncate", "compare", "analyze-zoo", "validate-zoo",
+        "analyze-resized", "validate-resized", "optimize-truncate-resized", "compare-resized",
+    ],
 )
 def test_each_graph_is_validated_once(tmp_path, capsys, monkeypatch, argv, validations):
     path = tmp_path / "resnet18.json"
@@ -295,3 +311,48 @@ def test_validate_exit_matches_graph_validation_on_mutated_documents(tmp_path, c
         assert (code, out, err) == (EXIT_INVALID, "", f"rfscope: invalid architecture document: graph validation failed: {detail}\n")
     else:
         assert (code, out, err) == (EXIT_OK, f"ok: {graph.name} ({len(graph.nodes)} nodes, {len(graph.edges)} edges)\n", "")
+
+
+# Argv fuzzing. Tokens hold no "/", and the test runs in tmp_path, so every
+# file a generated command can write lands in tmp_path.
+_ODD = st.one_of(
+    st.sampled_from(["", " ", "-", "--", "-h", "\x00", "a\x00b", "zoo:", "zoo:\x00", "zoo:vgg11\x00", "..", "@x"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/"), max_size=8),
+)
+_INT = st.one_of(
+    st.sampled_from([0, -1, 1, 2, 3, 2**31, 2**63, -(2**63), 10**400]),
+    st.integers(min_value=-(10**6), max_value=10**6),
+).map(str)
+_ARCH = st.one_of(
+    st.sampled_from(["zoo:vgg11", "zoo:resnet18-nostem", "zoo:nope", "FILE", "missing.json", ".", "a\x00b"]), _ODD
+)
+_HEAD = st.one_of(
+    st.tuples(st.sampled_from(["analyze", "optimize", "validate"]), _ARCH),
+    st.tuples(st.just("compare"), _ARCH, _ARCH),
+    st.tuples(st.just("zoo"), st.just("emit"), st.one_of(st.sampled_from(["vgg11", "resnet18-nostem"]), _ODD)),
+    st.just(("zoo", "list")),
+    st.lists(_ODD, max_size=2).map(tuple),
+)
+_FLAG = st.one_of(
+    st.tuples(st.just("--input-size"), _INT, _INT),
+    st.tuples(st.just("--classes"), _INT),
+    st.tuples(st.just("--format"), st.one_of(st.sampled_from(["text", "json", "csv"]), _ODD)),
+    st.tuples(
+        st.just("--pass"),
+        st.one_of(st.sampled_from(["truncate", "remove-stem-downsampling"]), _INT.map("remove-stem-downsampling:{}".format), _ODD),
+    ),
+    st.tuples(st.sampled_from(["--emit", "--out"]), st.one_of(st.sampled_from(["out.json", ".", "no/out.json", "o\x00.json"]), _ODD)),
+    st.tuples(_ODD),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(head=_HEAD, flags=st.lists(_FLAG, max_size=3))
+def test_any_argv_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, head, flags):
+    monkeypatch.chdir(tmp_path)
+    file = _vgg11_file(tmp_path)
+    argv = [file if a == "FILE" else a for a in (*head, *(token for flag in flags for token in flag))]
+    code, _, err = run(capsys, *argv)
+    assert code in {EXIT_OK, EXIT_INVALID, EXIT_NOOP, EXIT_USAGE, EXIT_FILE}, (argv, err)
+    assert "Traceback" not in err
+    assert code == EXIT_OK or err, argv

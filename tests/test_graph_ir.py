@@ -243,6 +243,22 @@ class TestCachedOrder:
         cost_report(g)
         assert calls == [g.name]
 
+    def test_with_input_keeps_the_check_only_while_the_channels_stay(self, monkeypatch):
+        # The add joins the input with a 3-filter conv: valid at 3 input channels, not at 4.
+        layers = [("input", Input()), ("c", Conv2d(kernel=3, filters=3)), ("add", Add())]
+        g = make_graph("skip", IN8, layers, [("input", "c"), ("input", "add"), ("c", "add")])
+        g.order
+        calls = count_validations(monkeypatch)
+        resized = g.with_input(InputSpec(64, 48, 3))
+        assert (resized.input, resized.order, calls) == (InputSpec(64, 48, 3), g.order, [])
+        with pytest.raises(GraphValidationError, match="merge_channels"):
+            g.with_input(InputSpec(8, 8, 4)).order
+        assert calls == ["skip"]
+        # A graph never checked is resized without a check, even an invalid one.
+        unchecked = make_graph("skip", IN8, layers, [("input", "c")])
+        assert unchecked.with_input(InputSpec(9, 9, 3)).input == InputSpec(9, 9, 3)
+        assert calls == ["skip"]
+
     def test_order_reports_the_violations_of_validate(self):
         layers = [("input", Input()), ("a", Add()), ("b", Conv2d(kernel=3, filters=3)), ("c", Conv2d(kernel=3, filters=3))]
         g = make_graph("cyclic", IN8, layers, [("input", "a"), ("a", "b"), ("b", "a"), ("b", "c")])
