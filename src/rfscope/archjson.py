@@ -99,7 +99,7 @@ def _parse_layer(index: int, raw: Any) -> tuple[str, LayerKind]:
         raise DocumentError(f"{path}.id", "every layer needs a nonempty string id")
     where = f"{path} (id {layer_id!r})"
     tag = raw.get("kind")
-    if tag not in _FIELD_PLANS:
+    if not isinstance(tag, str) or tag not in _FIELD_PLANS:  # an array or object is unhashable
         raise DocumentError(f"{where}.kind", f"unknown kind {tag!r}; known: {', '.join(sorted(_FIELD_PLANS))}")
     plan = _FIELD_PLANS[tag]
     for key in raw:

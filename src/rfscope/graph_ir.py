@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, Union, get_args
 
 PADDING_SAME = "same"
 PADDING_VALID = "valid"
@@ -118,6 +118,9 @@ LayerKind = Union[
     Input,
     Softmax,
 ]
+
+# A node's kind is an instance of exactly one of these classes; subclasses are not layer kinds.
+LAYER_KINDS = frozenset(get_args(LayerKind))
 
 # Kinds that never alter receptive-field state.
 RF_NEUTRAL_KINDS = (BatchNorm, Activation, Attention, Softmax, Add, Concat, Input)
@@ -273,11 +276,14 @@ def _positive_int(value: object) -> bool:
 def _kind_violations(node: LayerNode) -> list[Violation]:
     out: list[Violation] = []
     k = node.kind
+    if type(k) not in LAYER_KINDS:
+        known = ", ".join(sorted(cls.__name__ for cls in LAYER_KINDS))
+        return [Violation("layer_kind", node.id, f"{type(k).__name__} is not a layer kind; expected one of {known}")]
 
     def bad(field: str, why: str) -> None:
         out.append(Violation("layer_fields", node.id, f"{field} {why}"))
 
-    if isinstance(k, Conv2d):
+    if type(k) is Conv2d:
         if not _positive_int(k.kernel):
             bad("kernel", f"must be a positive square scalar, got {k.kernel!r}")
         if not _positive_int(k.stride):
@@ -291,7 +297,7 @@ def _kind_violations(node: LayerNode) -> list[Violation]:
         )
         if not pad_ok:
             bad("padding", f"must be 'same', 'valid', or an integer >= 0, got {k.padding!r}")
-    elif isinstance(k, Pool):
+    elif type(k) is Pool:
         if k.mode not in POOL_MODES:
             bad("mode", f"must be one of {POOL_MODES}, got {k.mode!r}")
         if not _positive_int(k.kernel):
@@ -300,10 +306,10 @@ def _kind_violations(node: LayerNode) -> list[Violation]:
             bad("stride", f"must be a positive square scalar, got {k.stride!r}")
         if not (isinstance(k.padding, int) and not isinstance(k.padding, bool) and k.padding >= 0):
             bad("padding", f"must be an integer >= 0, got {k.padding!r}")
-    elif isinstance(k, Dense):
+    elif type(k) is Dense:
         if not _positive_int(k.units):
             bad("units", f"must be a positive integer, got {k.units!r}")
-    elif isinstance(k, Attention):
+    elif type(k) is Attention:
         if k.variant not in ATTENTION_VARIANTS:
             bad("variant", f"must be one of {ATTENTION_VARIANTS}, got {k.variant!r}")
     return out

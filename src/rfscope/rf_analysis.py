@@ -15,12 +15,14 @@ larger j can overtake later once kernels multiply against it.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .graph_ir import RF_NEUTRAL_KINDS, ArchGraph, Conv2d, LayerKind, Pool
+from .graph_ir import LAYER_KINDS, RF_NEUTRAL_KINDS, ArchGraph, Conv2d, Dense, GlobalAvgPool, LayerKind, Pool
 
 # Largest frontier propagate_dag accepts before it refuses to go on.
 FRONTIER_CAP = 4096
+
+_RF_NEUTRAL = frozenset(RF_NEUTRAL_KINDS)
 
 
 class FrontierLimitError(RuntimeError):
@@ -63,27 +65,24 @@ def effective_kernel(kernel: int, dilation: int) -> int:
     return dilation * (kernel - 1) + 1
 
 
-def _transfer(states: Iterable[RFState], kind: LayerKind) -> list[RFState]:
-    """Each state's image under one layer, with the layer's window derived once.
-
-    A conv or pool with effective kernel k and stride s maps (r, j) to
-    (r + (k - 1) * j, j * s), and RF-neutral kinds act as k = s = 1; global
-    pooling and dense layers map every state to the global state.
-    """
-    if isinstance(kind, Conv2d):
-        growth, stride = effective_kernel(kind.kernel, kind.dilation) - 1, kind.stride
-    elif isinstance(kind, Pool):
-        growth, stride = kind.kernel - 1, kind.stride
-    elif isinstance(kind, RF_NEUTRAL_KINDS):
-        growth, stride = 0, 1
-    else:  # GlobalAvgPool, Dense
-        return [GLOBAL_STATE]
-    return [GLOBAL_STATE if g else RFState(r + growth * j, j * stride) for r, j, g in states]
+def _window(kind: Conv2d | Pool) -> tuple[int, int]:
+    """A conv's or pool's (k_eff - 1, stride): its transfer maps (r, j) to (r + (k_eff - 1) * j, j * stride)."""
+    if type(kind) is Pool:
+        return kind.kernel - 1, kind.stride
+    return effective_kernel(kind.kernel, kind.dilation) - 1, kind.stride
 
 
 def layer_rf_transfer(state: RFState, kind: LayerKind) -> RFState:
-    """Apply one layer's receptive-field transfer to a path state."""
-    return _transfer((state,), kind)[0]
+    """Apply one layer's receptive-field transfer to a path state; RF-neutral kinds act as k = s = 1."""
+    cls = type(kind)
+    if cls not in LAYER_KINDS:
+        raise TypeError(f"{cls.__name__} is not a layer kind")
+    if state.global_rf or cls is GlobalAvgPool or cls is Dense:
+        return GLOBAL_STATE
+    if cls in _RF_NEUTRAL:
+        return state
+    growth, stride = _window(kind)
+    return RFState(state.r + growth * state.j, state.j * stride)
 
 
 def prune_frontier(states: set[RFState] | frozenset[RFState]) -> tuple[RFState, ...]:
@@ -100,6 +99,10 @@ def prune_frontier(states: set[RFState] | frozenset[RFState]) -> tuple[RFState, 
     """
     finite = sorted(s for s in states if not s.global_rf)
     has_global = len(finite) < len(states)
+    if len(finite) <= 2 and not has_global:
+        # The first state in (r, j) order is never dominated on the min side
+        # and the last never on the max side.
+        return tuple(finite)
 
     keep = [False] * len(finite)
     best_j = math.inf
@@ -110,7 +113,7 @@ def prune_frontier(states: set[RFState] | frozenset[RFState]) -> tuple[RFState, 
     if has_global:
         # A global state dominates every finite state on the max side (and is
         # dominated by every finite state on the min side), so it replaces
-        # the finite max frontier entirely.
+        # the finite max frontier entirely and only the min side is scanned.
         return (*(s for s, k in zip(finite, keep) if k), GLOBAL_STATE)
     best_j = -math.inf
     for i in range(len(finite) - 1, -1, -1):
@@ -147,42 +150,54 @@ def propagate_dag(graph: ArchGraph) -> dict[str, RFAnnotation]:
     :class:`FrontierLimitError` if a frontier exceeds :data:`FRONTIER_CAP`.
     """
     annotations: dict[str, RFAnnotation] = {}
-    # Each node's out-frontier with its min and max r_value. Every frontier
-    # is sorted (see prune_frontier), so these are its first and last states.
-    outs: dict[str, tuple[tuple[RFState, ...], int | float, int | float]] = {}
     node_map = graph.node_map
     predecessors = graph.predecessors
     cap = FRONTIER_CAP
+    new = tuple.__new__  # builds a record from a tuple of its fields, skipping the keyword-argument shim
     for nid in graph.order:
-        kind = node_map[nid].kind
         preds = predecessors[nid]
-        if not preds:
-            in_frontier, in_min, in_max = (INITIAL_STATE,), 1, 1
-        elif len(preds) == 1:
-            in_frontier, in_min, in_max = outs[preds[0]]
-        else:
+        if len(preds) == 1:
+            # The predecessor's out-frontier, already within the cap, and its extremes.
+            _, _, in_frontier, _, _, in_min, in_max = annotations[preds[0]]
+        elif preds:
             merged: set[RFState] = set()
             for pred in preds:
-                merged.update(outs[pred][0])
+                merged.update(annotations[pred].out_frontier)
             in_frontier = prune_frontier(merged)
+            if len(in_frontier) > cap:
+                raise FrontierLimitError(nid, len(in_frontier), cap)
+            # Every frontier is sorted (see prune_frontier), so its extremes
+            # are its first and last states.
             in_min, in_max = in_frontier[0].r_value, in_frontier[-1].r_value
-        if len(in_frontier) > cap:
-            raise FrontierLimitError(nid, len(in_frontier), cap)
+        else:
+            in_frontier, in_min, in_max = (INITIAL_STATE,), 1, 1
 
-        if isinstance(kind, RF_NEUTRAL_KINDS):
+        kind = node_map[nid].kind
+        cls = type(kind)
+        if cls in _RF_NEUTRAL:
             # The transfer is the identity and a pruned frontier is a fixed
             # point of prune_frontier, so the frontier passes through.
             out_frontier, out_min, out_max = in_frontier, in_min, in_max
-        else:
-            states = _transfer(in_frontier, kind)
-            if len(in_frontier) == 1:
-                # One state is its own Pareto frontier, global or not.
-                out_frontier = tuple(states)
-            else:
-                out_frontier = prune_frontier(set(states))
-                if len(out_frontier) > cap:
-                    raise FrontierLimitError(nid, len(out_frontier), cap)
+        elif len(in_frontier) > 1:
+            if cls is Conv2d or cls is Pool:
+                growth, stride = _window(kind)
+                image = {
+                    GLOBAL_STATE if g else new(RFState, (r + growth * j, j * stride, False)) for r, j, g in in_frontier
+                }
+            else:  # GlobalAvgPool, Dense
+                image = {GLOBAL_STATE}
+            out_frontier = prune_frontier(image)
+            if len(out_frontier) > cap:
+                raise FrontierLimitError(nid, len(out_frontier), cap)
             out_min, out_max = out_frontier[0].r_value, out_frontier[-1].r_value
-        outs[nid] = out_frontier, out_min, out_max
-        annotations[nid] = RFAnnotation(nid, in_frontier, out_frontier, in_min, in_max, out_min, out_max)
+        elif in_frontier[0].global_rf or (cls is not Conv2d and cls is not Pool):
+            # A global state stays global; global pooling and dense layers make any state global.
+            out_frontier, out_min, out_max = (GLOBAL_STATE,), math.inf, math.inf
+        else:
+            # One state is its own Pareto frontier.
+            r, j, _ = in_frontier[0]
+            growth, stride = _window(kind)
+            out_min = out_max = r + growth * j
+            out_frontier = (new(RFState, (out_min, j * stride, False)),)
+        annotations[nid] = new(RFAnnotation, (nid, in_frontier, out_frontier, in_min, in_max, out_min, out_max))
     return annotations

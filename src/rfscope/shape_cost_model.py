@@ -9,7 +9,6 @@ counted too; convolutions and dense layers dominate it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,9 +31,6 @@ from .rf_analysis import effective_kernel
 
 DEFAULT_SE_RATIO = 16
 SPATIAL_ATTENTION_KERNEL = 7
-
-# One input, output shape equal to it: the common case, tested first.
-_UNARY_SHAPE_NEUTRAL_KINDS = (BatchNorm, Activation, Attention, Softmax)
 
 
 class ShapeError(ValueError):
@@ -90,60 +86,78 @@ def _window_out(extent: int, window: int, stride: int, padding: int, node_id: st
     return out
 
 
-def propagate_shapes(graph: ArchGraph) -> dict[str, ShapeInfo]:
-    """Output (height, width, channels) of every node.
+def _walk(graph: ArchGraph) -> tuple[dict[str, ShapeInfo], CostReport]:
+    """Every node's output shape, params and MACs, in one pass over the graph.
 
     Same padding means out = ceil(in / stride); valid and explicit padding
     follow the usual floor rule. Element-wise adds require identical input
     shapes; concatenation requires matching spatial dims and sums channels.
     """
     shapes: dict[str, ShapeInfo] = {}
+    per_layer: list[LayerCost] = []
+    total_params = total_macs = 0
     node_map = graph.node_map
     predecessors = graph.predecessors
+    source = (None, graph.input.height, graph.input.width, graph.input.channels)  # what the Input node reads
+    new = tuple.__new__  # builds a record from a tuple of its fields, skipping the keyword-argument shim
     for nid in graph.order:
         kind = node_map[nid].kind
         preds = predecessors[nid]
-        if isinstance(kind, _UNARY_SHAPE_NEUTRAL_KINDS):
-            src = shapes[preds[0]]
-            info = ShapeInfo(nid, src.out_height, src.out_width, src.out_channels)
-        elif isinstance(kind, Conv2d):
-            src = shapes[preds[0]]
-            k_eff = effective_kernel(kind.kernel, kind.dilation)
+        cls = type(kind)
+        _, h, w, c = shapes[preds[0]] if preds else source
+        out_h, out_w, out_c = h, w, c
+        params = macs = 0
+        if cls is Conv2d:
             if kind.padding == PADDING_SAME:
-                h = math.ceil(src.out_height / kind.stride)
-                w = math.ceil(src.out_width / kind.stride)
+                out_h, out_w = -(-h // kind.stride), -(-w // kind.stride)
             else:
+                k_eff = effective_kernel(kind.kernel, kind.dilation)
                 pad = 0 if kind.padding == PADDING_VALID else int(kind.padding)
-                h = _window_out(src.out_height, k_eff, kind.stride, pad, nid)
-                w = _window_out(src.out_width, k_eff, kind.stride, pad, nid)
-            info = ShapeInfo(nid, h, w, kind.filters)
-        elif isinstance(kind, Pool):
-            src = shapes[preds[0]]
-            h = _window_out(src.out_height, kind.kernel, kind.stride, kind.padding, nid)
-            w = _window_out(src.out_width, kind.kernel, kind.stride, kind.padding, nid)
-            info = ShapeInfo(nid, h, w, src.out_channels)
-        elif isinstance(kind, Add):
-            inputs = [shapes[p] for p in preds]
-            first = inputs[0]
-            for other in inputs[1:]:
-                if other[1:] != first[1:]:  # (height, width, channels)
-                    raise ShapeError(nid, f"element-wise add over mismatched shapes {first[1:]} vs {other[1:]}")
-            info = ShapeInfo(nid, *first[1:])
-        elif isinstance(kind, GlobalAvgPool):
-            info = ShapeInfo(nid, 1, 1, shapes[preds[0]].out_channels)
-        elif isinstance(kind, Dense):
-            info = ShapeInfo(nid, 1, 1, kind.units)
-        elif isinstance(kind, Concat):
-            inputs = [shapes[p] for p in preds]
-            first = inputs[0]
-            for other in inputs[1:]:
-                if other.spatial != first.spatial:
-                    raise ShapeError(nid, f"concat over mismatched spatial dims {first.spatial} vs {other.spatial}")
-            info = ShapeInfo(nid, first.out_height, first.out_width, sum(p.out_channels for p in inputs))
-        else:  # Input, the one kind left
-            info = ShapeInfo(nid, graph.input.height, graph.input.width, graph.input.channels)
-        shapes[nid] = info
-    return shapes
+                out_h = _window_out(h, k_eff, kind.stride, pad, nid)
+                out_w = _window_out(w, k_eff, kind.stride, pad, nid)
+            out_c = kind.filters
+            weights = kind.kernel**2 * c * out_c
+            params = weights + out_c if kind.bias else weights
+            macs = weights * out_h * out_w
+        elif cls is BatchNorm:
+            params, macs = 2 * c, h * w * c
+        elif cls is Activation:
+            macs = h * w * c
+        elif cls is Add:
+            for p in preds[1:]:
+                other = shapes[p][1:]
+                if other != (h, w, c):
+                    raise ShapeError(nid, f"element-wise add over mismatched shapes {(h, w, c)} vs {other}")
+            macs = h * w * c
+        elif cls is Pool:
+            out_h = _window_out(h, kind.kernel, kind.stride, kind.padding, nid)
+            out_w = _window_out(w, kind.kernel, kind.stride, kind.padding, nid)
+            macs = kind.kernel**2 * out_h * out_w * c
+        elif cls is Concat:
+            for p in preds[1:]:
+                if shapes[p].spatial != (h, w):
+                    raise ShapeError(nid, f"concat over mismatched spatial dims {(h, w)} vs {shapes[p].spatial}")
+            out_c = sum(shapes[p].out_channels for p in preds)
+        elif cls is Attention:
+            params, macs = _attention_params(kind.variant, c), _attention_macs(kind.variant, h * w, c)
+        elif cls is GlobalAvgPool:
+            out_h = out_w = 1
+            macs = h * w * c
+        elif cls is Dense:
+            out_h, out_w, out_c = 1, 1, kind.units
+            macs = h * w * c * out_c
+            params = macs + out_c if kind.bias else macs
+        # Input and Softmax keep their input's shape and carry no parameters and no counted work.
+        shapes[nid] = info = new(ShapeInfo, (nid, out_h, out_w, out_c))
+        per_layer.append(new(LayerCost, (nid, params, macs, info)))
+        total_params += params
+        total_macs += macs
+    return shapes, CostReport(tuple(per_layer), total_params, total_macs)
+
+
+def propagate_shapes(graph: ArchGraph) -> dict[str, ShapeInfo]:
+    """Output (height, width, channels) of every node, from the walk that :func:`cost_report` makes."""
+    return _walk(graph)[0]
 
 
 def _se_squeeze(channels: int) -> int:
@@ -163,9 +177,7 @@ def _attention_params(variant: str, channels: int) -> int:
     return se + spatial
 
 
-def _attention_macs(variant: str, in_shape: ShapeInfo) -> int:
-    area = in_shape.out_height * in_shape.out_width
-    channels = in_shape.out_channels
+def _attention_macs(variant: str, area: int, channels: int) -> int:
     se = 2 * channels * area + 2 * channels * _se_squeeze(channels)
     spatial = 2 * channels * area + SPATIAL_ATTENTION_KERNEL**2 * 2 * area + channels * area
     if variant == "se":
@@ -176,45 +188,10 @@ def _attention_macs(variant: str, in_shape: ShapeInfo) -> int:
 
 
 def cost_report(graph: ArchGraph, shapes: dict[str, ShapeInfo] | None = None) -> CostReport:
-    """Per-layer and total trainable parameters and multiply-accumulates."""
-    if shapes is None:
-        shapes = propagate_shapes(graph)
-    per_layer: list[LayerCost] = []
-    node_map = graph.node_map
-    predecessors = graph.predecessors
-    for nid in graph.order:
-        kind = node_map[nid].kind
-        out = shapes[nid]
-        preds = predecessors[nid]
-        in_shape = shapes[preds[0]] if preds else out
+    """Per-layer and total trainable parameters and multiply-accumulates.
 
-        params = 0
-        macs = 0
-        if isinstance(kind, Conv2d):
-            params = kind.kernel**2 * in_shape.out_channels * kind.filters
-            if kind.bias:
-                params += kind.filters
-            macs = kind.kernel**2 * in_shape.out_channels * kind.filters * out.out_height * out.out_width
-        elif isinstance(kind, Dense):
-            in_features = in_shape.elements
-            params = in_features * kind.units + (kind.units if kind.bias else 0)
-            macs = in_features * kind.units
-        elif isinstance(kind, BatchNorm):
-            params = 2 * out.out_channels
-            macs = out.elements
-        elif isinstance(kind, (Activation, Add)):
-            macs = out.elements
-        elif isinstance(kind, Pool):
-            macs = kind.kernel**2 * out.elements
-        elif isinstance(kind, GlobalAvgPool):
-            macs = in_shape.elements
-        elif isinstance(kind, Attention):
-            params = _attention_params(kind.variant, in_shape.out_channels)
-            macs = _attention_macs(kind.variant, in_shape)
-        # Input, Concat, Softmax carry no parameters and no counted work.
-        per_layer.append(LayerCost(nid, params, macs, out))
-    return CostReport(
-        per_layer=tuple(per_layer),
-        total_params=sum(c.params for c in per_layer),
-        total_macs=sum(c.macs for c in per_layer),
-    )
+    Shapes and costs come from one walk over the graph. `shapes` is accepted
+    and not read: a graph's shapes are a function of the graph, so the walk
+    derives them with the costs.
+    """
+    return _walk(graph)[1]

@@ -142,6 +142,16 @@ def test_unknown_kind_rejected():
     assert "conv3d" in str(err.value)
 
 
+@pytest.mark.parametrize("kind", [["conv2d"], {"conv2d": 1}, None, 3])
+def test_kind_that_is_not_a_string_is_a_document_error(kind):
+    doc = minimal_doc()
+    doc["layers"][1]["kind"] = kind
+    with pytest.raises(DocumentError) as err:
+        parse(json.dumps(doc))
+    assert err.value.path.endswith(".kind")
+    assert "unknown kind" in str(err.value)
+
+
 def test_non_square_kernel_rejected_at_schema():
     doc = minimal_doc()
     doc["layers"][1]["kernel"] = [3, 5]

@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dagtools import count_validations, mutated_graph, run_fresh
-from rfscope import build_named, parse, serialize, validate
+from rfscope import build_named, parse, serialize, serialize_document, validate
 from rfscope.cli import EXIT_FILE, EXIT_INVALID, EXIT_NOOP, EXIT_OK, EXIT_USAGE, main
 
 
@@ -238,6 +239,16 @@ def test_bad_request_fails_cleanly_with_empty_stdout(tmp_path, capsys, argv, exp
     assert out == ""
 
 
+def test_kind_array_is_invalid_not_a_crash(tmp_path, capsys):
+    path = tmp_path / "kind.json"
+    doc = {"name": "x", "input": {"height": 8, "width": 8, "channels": 3}, "edges": []}
+    doc["layers"] = [{"id": "c", "kind": ["conv2d"]}]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("rfscope: invalid architecture document: layers[0] (id 'c').kind: unknown kind ['conv2d']")
+
+
 @pytest.mark.parametrize("command", ["analyze", "validate"])
 def test_deeply_nested_document_is_invalid_not_a_crash(tmp_path, capsys, command):
     path = tmp_path / "deep.json"
@@ -356,3 +367,59 @@ def test_any_argv_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, he
     assert code in {EXIT_OK, EXIT_INVALID, EXIT_NOOP, EXIT_USAGE, EXIT_FILE}, (argv, err)
     assert "Traceback" not in err
     assert code == EXIT_OK or err, argv
+
+
+# Document fuzzing: zoo documents with values retyped, or keys and elements
+# dropped, at random paths, run through every command that reads a file.
+_FUZZ_DOCS = {name: serialize_document(build_named(name)) for name in ("vgg11", "resnet18-nostem", "mpnet18")}
+_DROP = object()
+_RETYPED = st.sampled_from(
+    [None, True, False, 0, -1, 1.5, float("nan"), 1e308, 2**63, 10**400, "", "x", "conv2d", "same", [], {}, _DROP]
+)
+
+
+def _paths(node, prefix=()):
+    """The path of every value in a decoded JSON document, the document itself first."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*prefix, key))
+
+
+@st.composite
+def _mutated_document(draw):
+    doc = copy.deepcopy(_FUZZ_DOCS[draw(st.sampled_from(sorted(_FUZZ_DOCS)))])
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(_RETYPED)
+        if not path:
+            doc = {} if value is _DROP else value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_mutated_document())
+def test_any_document_keeps_the_exit_code_contract(tmp_path, capsys, doc):
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    file = str(path)
+    for argv in (
+        ("analyze", file, "--format", "text"),
+        ("analyze", file, "--format", "json"),
+        ("validate", file),
+        ("optimize", file, "--pass", "truncate"),
+        ("optimize", file, "--pass", "remove-stem-downsampling"),
+        ("compare", file, "zoo:vgg11"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code in {EXIT_OK, EXIT_INVALID, EXIT_NOOP, EXIT_USAGE, EXIT_FILE}, (argv, err)
+        assert "Traceback" not in err
+        assert code == EXIT_OK or err, argv

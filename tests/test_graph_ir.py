@@ -31,6 +31,10 @@ from rfscope import (
 IN8 = InputSpec(8, 8, 3)
 
 
+class WideConv(Conv2d):
+    """A subclass is not a layer kind: the analyses dispatch on the exact class."""
+
+
 def diamond(merge_first="a"):
     """Input fans out to convs a and b, merged by an Add; `merge_first` is declared earlier."""
     a = ("a", Conv2d(kernel=3, filters=4, bias=False))
@@ -113,6 +117,16 @@ class TestValidate:
         g = make_graph("island", IN8, layers, [("input", "c1"), ("loose", "c1")])
         rules = {v.rule for v in validate(g)}
         assert "reachable_from_input" in rules or "unary_arity" in rules
+
+    @pytest.mark.parametrize("kind", [object(), WideConv(kernel=3, filters=4)], ids=["object", "conv-subclass"])
+    def test_only_the_layer_kind_classes_are_kinds(self, kind):
+        layers = [("c1", Conv2d(kernel=3, filters=4)), ("odd", kind), ("c2", Conv2d(kernel=3, filters=4))]
+        g = chain_graph("odd", InputSpec(32, 32, 3), layers)
+        violations = validate(g)
+        assert [(v.rule, v.subject) for v in violations] == [("layer_kind", "odd")]
+        assert f"{type(kind).__name__} is not a layer kind" in violations[0].message
+        with pytest.raises(GraphValidationError):
+            classify(g)
 
     def test_every_zoo_builder_validates(self):
         for name in ("vgg11", "vgg16", "resnet18", "resnet34", "resnet18-noskip", "mpnet18", "mpnet36", "vgg19-dil3"):

@@ -1,6 +1,10 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
+
+from dagtools import SWEEP_SIZES, ZOO_VARIANTS
 
 from rfscope import (
     Activation,
@@ -205,3 +209,31 @@ class TestReportTotals:
         base, more = cost_report(g), cost_report(relaxed)
         assert more.total_macs >= base.total_macs
         assert more.total_params == base.total_params
+
+
+# Totals per "model@size", recorded from the code that walked shapes and costs
+# separately; read only.
+SWEEP_COSTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "digests.json").read_text("utf-8")
+)["sweep_costs"]
+
+
+class TestOneWalk:
+    def test_sweep_totals_match_the_recorded_values(self):
+        seen = {}
+        for name in ZOO_VARIANTS:
+            for size in SWEEP_SIZES:
+                report = cost_report(build_named(name, InputSpec(size, size, 3)))
+                seen[f"{name}@{size}"] = [report.total_params, report.total_macs]
+        assert len(seen) == 208
+        assert seen == SWEEP_COSTS
+
+    @pytest.mark.parametrize("name", ZOO_VARIANTS)
+    def test_shapes_are_the_report_shapes(self, name):
+        for size in (32, 224):
+            g = build_named(name, InputSpec(size, size, 3))
+            shapes = propagate_shapes(g)
+            report = cost_report(g)
+            assert list(shapes) == list(g.order) == [c.node_id for c in report.per_layer]
+            assert list(shapes.values()) == [c.out_shape for c in report.per_layer]
+            assert cost_report(g, shapes=shapes) == report
