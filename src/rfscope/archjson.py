@@ -10,7 +10,6 @@ that parse(serialize(g)) reproduces g exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields
 from typing import Any
 
 from .graph_ir import (
@@ -66,11 +65,15 @@ _KIND_TAGS: dict[str, type] = {
 }
 _TAG_BY_TYPE = {cls: tag for tag, cls in _KIND_TAGS.items()}
 
-# Field plans per kind tag, read off the layer dataclasses: {field: (required, annotation, default)}.
-_FIELD_PLANS = {
-    tag: {f.name: (f.default is MISSING, f.type, f.default) for f in fields(cls)}
-    for tag, cls in _KIND_TAGS.items()
-}
+
+def _field_plan(cls: type) -> dict[str, tuple[bool, str, Any]]:
+    """{field: (required, annotation, default)} in field order, read off the kind's `__init__`."""
+    init = cls.__init__
+    defaults = dict(zip(reversed(cls._fields), reversed(getattr(init, "__defaults__", None) or ())))
+    return {name: (name not in defaults, init.__annotations__[name], defaults.get(name)) for name in cls._fields}
+
+
+_FIELD_PLANS = {tag: _field_plan(cls) for tag, cls in _KIND_TAGS.items()}
 
 
 def _check_value(path: str, value: Any, annotation: str) -> Any:
@@ -184,11 +187,7 @@ def parse(data: bytes | str) -> ArchGraph:
 
 
 def _layer_to_dict(kind: LayerKind, layer_id: str) -> dict[str, Any]:
-    tag = _TAG_BY_TYPE[type(kind)]
-    out: dict[str, Any] = {"id": layer_id, "kind": tag}
-    for field_name in _FIELD_PLANS[tag]:
-        out[field_name] = getattr(kind, field_name)
-    return out
+    return {"id": layer_id, "kind": _TAG_BY_TYPE[type(kind)], **kind._asdict()}
 
 
 def serialize_document(graph: ArchGraph) -> dict[str, Any]:
@@ -196,11 +195,7 @@ def serialize_document(graph: ArchGraph) -> dict[str, Any]:
     nodes = sorted(graph.nodes, key=lambda n: n.declaration_index)
     return {
         "name": graph.name,
-        "input": {
-            "height": graph.input.height,
-            "width": graph.input.width,
-            "channels": graph.input.channels,
-        },
+        "input": graph.input._asdict(),
         "layers": [_layer_to_dict(n.kind, n.id) for n in nodes],
         "edges": [[a, b] for a, b in graph.edges],
     }

@@ -8,10 +8,9 @@ the maximum receptive field is reported for diagnostics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph_ir import ArchGraph, Input
+from .graph_ir import ArchGraph, Input, _Record, _set
 from .rf_analysis import RFAnnotation, propagate_dag
 
 PRODUCTIVE = "productive"
@@ -26,16 +25,21 @@ class ConvClassification(NamedTuple):
     classification: str
 
 
-@dataclass(frozen=True)
-class BorderReport:
+class BorderReport(_Record):
     """Border location and per-conv classification for one graph at one resolution."""
 
-    resolution: int
-    per_conv: tuple[ConvClassification, ...]
-    border_min: int | None
-    border_max: int | None
-    border_min_node: str | None
-    border_max_node: str | None
+    __slots__ = ("resolution", "per_conv", "border_min", "border_max", "border_min_node", "border_max_node")
+
+    def __init__(
+        self, resolution: int, per_conv: tuple[ConvClassification, ...], border_min: int | None,
+        border_max: int | None, border_min_node: str | None, border_max_node: str | None,
+    ) -> None:
+        _set(self, "resolution", resolution)
+        _set(self, "per_conv", per_conv)
+        _set(self, "border_min", border_min)
+        _set(self, "border_max", border_max)
+        _set(self, "border_min_node", border_min_node)
+        _set(self, "border_max_node", border_max_node)
 
     @property
     def unproductive_conv_ids(self) -> tuple[str, ...]:

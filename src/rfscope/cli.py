@@ -160,11 +160,7 @@ def _analysis_payload(graph: ArchGraph) -> dict[str, Any]:
         )
     return {
         "name": graph.name,
-        "input": {
-            "height": graph.input.height,
-            "width": graph.input.width,
-            "channels": graph.input.channels,
-        },
+        "input": graph.input._asdict(),
         "resolution": graph.input.resolution,
         "border_min": border.border_min,
         "border_max": border.border_max,

@@ -10,9 +10,8 @@ supported, and non-square configurations are rejected by :func:`validate`.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Union, get_args
+from typing import Any, Iterable, Union, get_args
 
 PADDING_SAME = "same"
 PADDING_VALID = "valid"
@@ -20,20 +19,60 @@ PADDING_VALID = "valid"
 POOL_MODES = ("max", "avg")
 ATTENTION_VARIANTS = ("se", "spatial", "cbam")
 
+_set = object.__setattr__  # how each record's __init__ writes its fields past the frozen __setattr__
 
-@dataclass(frozen=True)
-class InputSpec:
+
+class _Record:
+    """An immutable value whose fields are its ``__slots__``, in ``__init__`` order.
+
+    It gives every record a field-by-field repr, equality within the exact
+    class, a hash over the field values, ``_asdict``, ``_replace`` (back
+    through ``__init__``, so validation reruns) and ``copy``/``pickle`` support.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _asdict(self) -> dict[str, Any]:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def _replace(self, **changes: Any) -> Any:
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        return type(self), self._values()
+
+
+class InputSpec(_Record):
     """Spatial size and channel count of the image a graph consumes."""
 
-    height: int
-    width: int
-    channels: int
+    __slots__ = ("height", "width", "channels")
 
-    def __post_init__(self) -> None:
-        for name in ("height", "width", "channels"):
-            value = getattr(self, name)
+    def __init__(self, height: int, width: int, channels: int) -> None:
+        for name, value in (("height", height), ("width", width), ("channels", channels)):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"input {name} must be a positive integer, got {value!r}")
+            _set(self, name, value)
 
     @property
     def resolution(self) -> int:
@@ -41,68 +80,75 @@ class InputSpec:
         return max(self.height, self.width)
 
 
-@dataclass(frozen=True)
-class Conv2d:
-    kernel: int
-    filters: int
-    stride: int = 1
-    dilation: int = 1
-    padding: Union[str, int] = PADDING_SAME
-    bias: bool = True
+class Conv2d(_Record):
+    __slots__ = ("kernel", "filters", "stride", "dilation", "padding", "bias")
+
+    def __init__(
+        self, kernel: int, filters: int, stride: int = 1, dilation: int = 1,
+        padding: Union[str, int] = PADDING_SAME, bias: bool = True,
+    ) -> None:
+        _set(self, "kernel", kernel)
+        _set(self, "filters", filters)
+        _set(self, "stride", stride)
+        _set(self, "dilation", dilation)
+        _set(self, "padding", padding)
+        _set(self, "bias", bias)
 
 
-@dataclass(frozen=True)
-class Pool:
-    mode: str
-    kernel: int
-    stride: int
-    padding: int = 0
+class Pool(_Record):
+    __slots__ = ("mode", "kernel", "stride", "padding")
+
+    def __init__(self, mode: str, kernel: int, stride: int, padding: int = 0) -> None:
+        _set(self, "mode", mode)
+        _set(self, "kernel", kernel)
+        _set(self, "stride", stride)
+        _set(self, "padding", padding)
 
 
-@dataclass(frozen=True)
-class GlobalAvgPool:
-    pass
+class GlobalAvgPool(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Dense:
-    units: int
-    bias: bool = True
+class Dense(_Record):
+    __slots__ = ("units", "bias")
+
+    def __init__(self, units: int, bias: bool = True) -> None:
+        _set(self, "units", units)
+        _set(self, "bias", bias)
 
 
-@dataclass(frozen=True)
-class Add:
-    pass
+class Add(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Concat:
-    pass
+class Concat(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BatchNorm:
-    pass
+class BatchNorm(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Activation:
-    name: str = "relu"
+class Activation(_Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str = "relu") -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Attention:
-    variant: str
+class Attention(_Record):
+    __slots__ = ("variant",)
+
+    def __init__(self, variant: str) -> None:
+        _set(self, "variant", variant)
 
 
-@dataclass(frozen=True)
-class Input:
-    pass
+class Input(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Softmax:
-    pass
+class Softmax(_Record):
+    __slots__ = ()
 
 
 LayerKind = Union[
@@ -131,20 +177,24 @@ HEAD_KINDS = (GlobalAvgPool, Dense, Softmax)
 MERGE_KINDS = (Add, Concat)
 
 
-@dataclass(frozen=True)
-class LayerNode:
-    id: str
-    kind: LayerKind
-    declaration_index: int
+class LayerNode(_Record):
+    __slots__ = ("id", "kind", "declaration_index")
+
+    def __init__(self, id: str, kind: LayerKind, declaration_index: int) -> None:
+        _set(self, "id", id)
+        _set(self, "kind", kind)
+        _set(self, "declaration_index", declaration_index)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One broken graph invariant; validation reports these as data."""
 
-    rule: str
-    subject: str
-    message: str
+    __slots__ = ("rule", "subject", "message")
+
+    def __init__(self, rule: str, subject: str, message: str) -> None:
+        _set(self, "rule", rule)
+        _set(self, "subject", subject)
+        _set(self, "message", message)
 
     def __str__(self) -> str:
         return f"[{self.rule}] {self.subject}: {self.message}"
@@ -159,14 +209,21 @@ class GraphValidationError(ValueError):
         super().__init__(f"invalid architecture graph: {lines}")
 
 
-@dataclass(frozen=True)
-class ArchGraph:
-    """Immutable layer DAG: nodes in declaration order plus an ordered edge list."""
+class ArchGraph(_Record):
+    """Immutable layer DAG: nodes in declaration order plus an ordered edge list.
 
-    name: str
-    input: InputSpec
-    nodes: tuple[LayerNode, ...]
-    edges: tuple[tuple[str, str], ...]
+    Its ``__dict__`` holds only the caches of the ``cached_property`` members.
+    """
+
+    __slots__ = ("name", "input", "nodes", "edges", "__dict__")
+
+    def __init__(
+        self, name: str, input: InputSpec, nodes: tuple[LayerNode, ...], edges: tuple[tuple[str, str], ...]
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "input", input)
+        _set(self, "nodes", nodes)
+        _set(self, "edges", edges)
 
     @cached_property
     def node_map(self) -> dict[str, LayerNode]:
@@ -228,7 +285,7 @@ class ArchGraph:
     def with_input(self, spec: InputSpec) -> ArchGraph:
         """This graph with another input. :func:`validate` reads the input only through its
         channel count, so while that is kept, a check already made on this graph carries over."""
-        graph = replace(self, input=spec)
+        graph = ArchGraph(self.name, spec, self.nodes, self.edges)
         if "order" in self.__dict__ and spec.channels == self.input.channels:
             graph.__dict__["order"] = self.order
         return graph

@@ -9,7 +9,6 @@ counted too; convolutions and dense layers dominate it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph_ir import (
@@ -26,6 +25,8 @@ from .graph_ir import (
     GlobalAvgPool,
     Pool,
     Softmax,
+    _Record,
+    _set,
 )
 from .rf_analysis import effective_kernel
 
@@ -63,11 +64,13 @@ class LayerCost(NamedTuple):
     out_shape: ShapeInfo
 
 
-@dataclass(frozen=True)
-class CostReport:
-    per_layer: tuple[LayerCost, ...]
-    total_params: int
-    total_macs: int
+class CostReport(_Record):
+    __slots__ = ("per_layer", "total_params", "total_macs")
+
+    def __init__(self, per_layer: tuple[LayerCost, ...], total_params: int, total_macs: int) -> None:
+        _set(self, "per_layer", per_layer)
+        _set(self, "total_params", total_params)
+        _set(self, "total_macs", total_macs)
 
     @property
     def total_flops(self) -> int:

@@ -8,9 +8,7 @@ later borders.
 """
 from __future__ import annotations
 
-import dataclasses
 import heapq
-from dataclasses import dataclass
 
 from .border_analysis import BorderReport, classify, unproductive_closure
 from .graph_ir import (
@@ -25,6 +23,8 @@ from .graph_ir import (
     LayerNode,
     Pool,
     Softmax,
+    _Record,
+    _set,
 )
 from .shape_cost_model import CostReport, cost_report
 
@@ -33,15 +33,23 @@ class TransformError(RuntimeError):
     """A rewrite cannot be applied to this graph."""
 
 
-@dataclass(frozen=True)
-class TransformDelta:
-    pass_name: str
-    before_border: BorderReport
-    before_cost: CostReport
-    after_border: BorderReport
-    after_cost: CostReport
-    removed_node_ids: tuple[str, ...]
-    modified_node_ids: tuple[str, ...]
+class TransformDelta(_Record):
+    __slots__ = (
+        "pass_name", "before_border", "before_cost", "after_border", "after_cost", "removed_node_ids",
+        "modified_node_ids",
+    )
+
+    def __init__(
+        self, pass_name: str, before_border: BorderReport, before_cost: CostReport, after_border: BorderReport,
+        after_cost: CostReport, removed_node_ids: tuple[str, ...], modified_node_ids: tuple[str, ...],
+    ) -> None:
+        _set(self, "pass_name", pass_name)
+        _set(self, "before_border", before_border)
+        _set(self, "before_cost", before_cost)
+        _set(self, "after_border", after_border)
+        _set(self, "after_cost", after_cost)
+        _set(self, "removed_node_ids", removed_node_ids)
+        _set(self, "modified_node_ids", modified_node_ids)
 
     @property
     def changed(self) -> bool:
@@ -56,16 +64,21 @@ class TransformDelta:
         return self.after_cost.total_macs - self.before_cost.total_macs
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Record):
     """Side-by-side border and cost analysis of two graphs over the same input."""
 
-    name_a: str
-    name_b: str
-    border_a: BorderReport
-    border_b: BorderReport
-    cost_a: CostReport
-    cost_b: CostReport
+    __slots__ = ("name_a", "name_b", "border_a", "border_b", "cost_a", "cost_b")
+
+    def __init__(
+        self, name_a: str, name_b: str, border_a: BorderReport, border_b: BorderReport, cost_a: CostReport,
+        cost_b: CostReport,
+    ) -> None:
+        _set(self, "name_a", name_a)
+        _set(self, "name_b", name_b)
+        _set(self, "border_a", border_a)
+        _set(self, "border_b", border_b)
+        _set(self, "cost_a", cost_a)
+        _set(self, "cost_b", cost_b)
 
     @property
     def params_delta(self) -> int:
@@ -296,7 +309,7 @@ def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, T
     for nid in chosen:
         kind = kinds[nid]
         if isinstance(kind, Conv2d):
-            kinds[nid] = dataclasses.replace(kind, stride=1)
+            kinds[nid] = kind._replace(stride=1)
             modified.append(nid)
         else:
             removed.append(nid)

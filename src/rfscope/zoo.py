@@ -10,7 +10,6 @@ pooling into a single dense layer into softmax.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .graph_ir import (
     Activation,
@@ -25,6 +24,8 @@ from .graph_ir import (
     LayerKind,
     Pool,
     Softmax,
+    _Record,
+    _set,
     make_graph,
 )
 
@@ -45,18 +46,24 @@ _MPNET_BLOCKS = {"mpnet18": 2, "mpnet36": 4}
 _MPNET_FILTERS = (64, 128, 256, 512)
 
 
-@dataclass(frozen=True)
-class ZooSpec:
+_DEFAULT_INPUT = InputSpec(32, 32, 3)
+
+
+class ZooSpec(_Record):
     """A zoo model request: family plus the options that family supports."""
 
-    family: str
-    input: InputSpec = field(default_factory=lambda: InputSpec(32, 32, 3))
-    num_classes: int = 10
-    dilation: int = 1
-    skips_enabled: bool = True
-    stem_downsampling: bool = True
+    __slots__ = ("family", "input", "num_classes", "dilation", "skips_enabled", "stem_downsampling")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, family: str, input: InputSpec = _DEFAULT_INPUT, num_classes: int = 10, dilation: int = 1,
+        skips_enabled: bool = True, stem_downsampling: bool = True,
+    ) -> None:
+        _set(self, "family", family)
+        _set(self, "input", input)
+        _set(self, "num_classes", num_classes)
+        _set(self, "dilation", dilation)
+        _set(self, "skips_enabled", skips_enabled)
+        _set(self, "stem_downsampling", stem_downsampling)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; known: {', '.join(FAMILIES)}")
         if self.num_classes < 2:

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import json
 
 import pytest
@@ -101,9 +101,8 @@ def test_every_kind_tag_has_a_case():
 @pytest.mark.parametrize("tag", sorted(NON_DEFAULT_KINDS))
 def test_defaults_fill_optional_fields(tag):
     kind = NON_DEFAULT_KINDS[tag]
-    required = {
-        f.name: getattr(kind, f.name) for f in dataclasses.fields(kind) if f.default is dataclasses.MISSING
-    }
+    parameters = inspect.signature(type(kind)).parameters.values()
+    required = {p.name: getattr(kind, p.name) for p in parameters if p.default is p.empty}
     assert _parse_layer(0, {"id": "x", "kind": tag, **required}) == ("x", type(kind)(**required))
 
 
@@ -207,8 +206,8 @@ def test_bad_input_spec():
 def test_serialize_document_lists_every_field(tag):
     kind = NON_DEFAULT_KINDS[tag]
     (layer,) = serialize_document(make_graph("one", InputSpec(8, 8, 3), [("x", kind)], []))["layers"]
-    assert list(layer) == ["id", "kind"] + [f.name for f in dataclasses.fields(kind)]
-    assert layer == {"id": "x", "kind": tag, **dataclasses.asdict(kind)}
+    assert list(layer) == ["id", "kind"] + list(kind._fields)
+    assert layer == {"id": "x", "kind": tag, **{name: getattr(kind, name) for name in kind._fields}}
     assert _parse_layer(0, layer) == ("x", kind)
 
 

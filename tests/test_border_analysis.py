@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -73,7 +72,7 @@ class TestClassify:
 
     def test_resolution_monotonicity(self):
         g32 = build_named("vgg16")
-        g64 = dataclasses.replace(g32, input=InputSpec(64, 64, 3))
+        g64 = g32.with_input(InputSpec(64, 64, 3))
         r32, r64 = classify(g32), classify(g64)
         assert r64.border_min is None or r64.border_min >= r32.border_min
         assert set(r64.unproductive_conv_ids) <= set(r32.unproductive_conv_ids)
@@ -99,12 +98,12 @@ class TestClassify:
 def with_filters(graph, scale, only=None):
     """`graph` with the filters of conv `only` (or of every conv) multiplied by `scale`."""
     nodes = tuple(
-        dataclasses.replace(n, kind=dataclasses.replace(n.kind, filters=n.kind.filters * scale))
+        n._replace(kind=n.kind._replace(filters=n.kind.filters * scale))
         if isinstance(n.kind, Conv2d) and only in (None, n.id)
         else n
         for n in graph.nodes
     )
-    return dataclasses.replace(graph, nodes=nodes)
+    return graph._replace(nodes=nodes)
 
 
 class TestMetamorphic:
@@ -146,7 +145,7 @@ class TestUnproductiveTail:
         )
         # c2 input r = 5 <= 8? conv inputs: c1 -> 1, c2 -> 5; no border at i=8.
         assert unproductive_tail(g) == frozenset()
-        small = dataclasses.replace(g, input=InputSpec(4, 4, 3))
+        small = g.with_input(InputSpec(4, 4, 3))
         assert unproductive_tail(small) == {"c2", "r2", "p2"}
 
     def test_closure_includes_head_tail_excludes_it(self):
@@ -167,7 +166,7 @@ class TestUnproductiveTail:
 
     def test_tail_shrinks_with_resolution(self):
         g32 = build_named("mpnet18")
-        g48 = dataclasses.replace(g32, input=InputSpec(48, 48, 3))
+        g48 = g32.with_input(InputSpec(48, 48, 3))
         assert unproductive_tail(g48) <= unproductive_tail(g32)
 
 

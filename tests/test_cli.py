@@ -2,6 +2,7 @@ import copy
 import csv
 import io
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -369,13 +370,12 @@ def test_any_argv_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, he
     assert code == EXIT_OK or err, argv
 
 
-# Document fuzzing: zoo documents with values retyped, or keys and elements
-# dropped, at random paths, run through every command that reads a file.
+# Document fuzzing: zoo documents with values retyped, keys and elements
+# dropped, or keys repeated, at random paths, run through every command that
+# reads a file.
 _FUZZ_DOCS = {name: serialize_document(build_named(name)) for name in ("vgg11", "resnet18-nostem", "mpnet18")}
 _DROP = object()
-_RETYPED = st.sampled_from(
-    [None, True, False, 0, -1, 1.5, float("nan"), 1e308, 2**63, 10**400, "", "x", "conv2d", "same", [], {}, _DROP]
-)
+_VALUES = [None, True, False, 0, -1, 1.5, float("nan"), 1e308, 2**63, 10**400, "", "x", "conv2d", "same", [], {}, _DROP]
 
 
 def _paths(node, prefix=()):
@@ -386,40 +386,86 @@ def _paths(node, prefix=()):
         yield from _paths(child, (*prefix, key))
 
 
-@st.composite
-def _mutated_document(draw):
-    doc = copy.deepcopy(_FUZZ_DOCS[draw(st.sampled_from(sorted(_FUZZ_DOCS)))])
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        path = draw(st.sampled_from(list(_paths(doc))))
-        value = draw(_RETYPED)
-        if not path:
-            doc = {} if value is _DROP else value
-            continue
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        if value is _DROP:
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = value
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
     return doc
 
 
+def _render(node, repeats):
+    """`node` as JSON text, each object followed by its repeated keys from `repeats` (by object id)."""
+    if isinstance(node, dict):
+        pairs = [*node.items(), *repeats.get(id(node), ())]
+        return "{" + ", ".join(f"{json.dumps(key)}: {_render(value, repeats)}" for key, value in pairs) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(_render(value, repeats) for value in node) + "]"
+    return json.dumps(node)
+
+
+def _mutated_document(choose):
+    """A zoo document as JSON text with 1-3 values retyped or dropped, then 0-2 keys repeated.
+
+    `choose` picks one element of a sequence: a Hypothesis draw or a seeded
+    `random.Random.choice`. A repeated key carries a retyped value or its
+    own value again; `json` keeps the last one.
+    """
+    doc = copy.deepcopy(_FUZZ_DOCS[choose(sorted(_FUZZ_DOCS))])
+    for _ in range(choose(range(1, 4))):
+        path = choose(list(_paths(doc)))
+        value = choose(_VALUES)
+        if not path:
+            doc = {} if value is _DROP else value
+        elif value is _DROP:
+            del _at(doc, path[:-1])[path[-1]]
+        else:
+            _at(doc, path[:-1])[path[-1]] = value
+    repeats = {}
+    for _ in range(choose(range(3))):
+        nodes = [_at(doc, path) for path in _paths(doc)]
+        objects = [node for node in nodes if isinstance(node, dict) and node]
+        if not objects:
+            break
+        node = choose(objects)
+        key = choose(list(node))
+        value = choose(_VALUES)
+        repeats.setdefault(id(node), []).append((key, node[key] if value is _DROP else value))
+    return _render(doc, repeats)
+
+
+_DOCUMENT_COMMANDS = (
+    ("analyze", "FILE", "--format", "text"),
+    ("analyze", "FILE", "--format", "json"),
+    ("validate", "FILE"),
+    ("optimize", "FILE", "--pass", "truncate"),
+    ("optimize", "FILE", "--pass", "remove-stem-downsampling"),
+    ("compare", "FILE", "zoo:vgg11"),
+)
+
+
+@st.composite
+def _drawn_document(draw):
+    return _mutated_document(lambda seq: draw(st.sampled_from(seq)))
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=_mutated_document())
-def test_any_document_keeps_the_exit_code_contract(tmp_path, capsys, doc):
+@given(text=_drawn_document())
+def test_any_document_keeps_the_exit_code_contract(tmp_path, capsys, text):
     path = tmp_path / "mutated.json"
-    path.write_text(json.dumps(doc))
-    file = str(path)
-    for argv in (
-        ("analyze", file, "--format", "text"),
-        ("analyze", file, "--format", "json"),
-        ("validate", file),
-        ("optimize", file, "--pass", "truncate"),
-        ("optimize", file, "--pass", "remove-stem-downsampling"),
-        ("compare", file, "zoo:vgg11"),
-    ):
+    path.write_text(text)
+    for command in _DOCUMENT_COMMANDS:
+        argv = [str(path) if a == "FILE" else a for a in command]
         code, _, err = run(capsys, *argv)
         assert code in {EXIT_OK, EXIT_INVALID, EXIT_NOOP, EXIT_USAGE, EXIT_FILE}, (argv, err)
         assert "Traceback" not in err
         assert code == EXIT_OK or err, argv
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mutated_documents_keep_the_exit_code_contract_in_a_fresh_process(tmp_path, seed):
+    path = tmp_path / "mutated.json"
+    path.write_text(_mutated_document(random.Random(seed).choice))
+    command = _DOCUMENT_COMMANDS[seed % len(_DOCUMENT_COMMANDS)]
+    proc = run_fresh("-m", "rfscope", *[str(path) if a == "FILE" else a for a in command], cwd=tmp_path)
+    assert proc.returncode in {EXIT_OK, EXIT_INVALID, EXIT_NOOP, EXIT_USAGE, EXIT_FILE}, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == EXIT_OK or proc.stderr

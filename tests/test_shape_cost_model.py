@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -203,7 +202,7 @@ class TestReportTotals:
         for node in g.nodes:
             kind = node.kind
             if isinstance(kind, Conv2d) and kind.stride > 1:
-                kind = dataclasses.replace(kind, stride=1)
+                kind = kind._replace(stride=1)
             relaxed_nodes.append((node.id, kind))
         relaxed = make_graph("relaxed", g.input, relaxed_nodes, g.edges)
         base, more = cost_report(g), cost_report(relaxed)

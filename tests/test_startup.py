@@ -40,6 +40,10 @@ def rfscope_modules(modules):
     return {m for m in modules if m.startswith("rfscope.")}
 
 
+# The records are plain slots classes, so no command pays for these standard modules at start-up.
+UNNEEDED = {"dataclasses", "inspect"}
+
+
 @pytest.fixture(scope="module")
 def bare(tmp_path_factory):
     """Modules a bare interpreter already holds here; they say nothing about rfscope."""
@@ -57,8 +61,10 @@ def test_import_rfscope_loads_no_submodule(tmp_path):
     assert rfscope_modules(probe(tmp_path, "import rfscope")[3]) == set()
 
 
-def test_import_cli_loads_only_graph_ir(tmp_path):
-    assert rfscope_modules(probe(tmp_path, "import rfscope.cli")[3]) == {"rfscope.graph_ir", "rfscope.cli"}
+def test_import_cli_loads_only_graph_ir(tmp_path, bare):
+    loaded = probe(tmp_path, "import rfscope.cli")[3]
+    assert rfscope_modules(loaded) == {"rfscope.graph_ir", "rfscope.cli"}
+    assert UNNEEDED & loaded <= bare
 
 
 ANALYSIS = {"rfscope.rf_analysis", "rfscope.border_analysis", "rfscope.shape_cost_model"}
@@ -78,10 +84,11 @@ ANALYSIS = {"rfscope.rf_analysis", "rfscope.border_analysis", "rfscope.shape_cos
     ],
     ids=["validate-file", "validate-zoo", "analyze-zoo", "analyze-file", "optimize-zoo", "compare", "zoo-emit", "zoo-list"],
 )
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, doc, argv, modules):
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, bare, doc, argv, modules):
     code, _, err, loaded = probe(tmp_path, CLI, *[doc if a == "FILE" else a for a in argv])
     assert (code, err) == (0, "")
     assert rfscope_modules(loaded) == {"rfscope.graph_ir", "rfscope.cli", *modules}
+    assert UNNEEDED & loaded <= bare
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])

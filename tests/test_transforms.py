@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from dagtools import SWEEP_SIZES, ZOO_VARIANTS
@@ -221,6 +219,6 @@ class TestCompare:
 
     def test_mismatched_inputs_rejected(self):
         g32 = build_named("vgg11")
-        g64 = dataclasses.replace(g32, input=InputSpec(64, 64, 3))
+        g64 = g32.with_input(InputSpec(64, 64, 3))
         with pytest.raises(ValueError):
             compare(g32, g64)
