@@ -4,13 +4,16 @@ The per-layer transfer is the classic recurrence: a layer with effective
 kernel k and stride s maps (r, j) to (r + (k - 1) * j, j * s), where r is the
 receptive-field size in input pixels and j is the jump, the cumulative
 product of strides along the path. On a DAG a node is reached by many paths,
-each carrying its own (r, j); the analysis keeps, per node, the exact Pareto
-frontier of those states, which is sufficient to derive exact minimum and
-maximum receptive fields everywhere downstream.
+each carrying its own (r, j); the analysis keeps, per node and per distinct
+jump, the smallest and largest r over those paths (Araujo, Norris and Sim,
+"Computing Receptive Fields of Convolutional Neural Networks", Distill 2019,
+applied per jump). That is exact: at a fixed j the transfer is increasing in
+r, and j -> j * s is injective, so per-jump extremes fold through every layer
+and a merge takes the per-jump min and max of its inputs.
 
-Folding a single (min r, min j) pair instead of a frontier would be wrong on
-general DAGs: the path minimizing r at a node need not minimize j, and a
-larger j can overtake later once kernels multiply against it.
+Folding a single (min r, min j) pair instead would be wrong on general DAGs:
+the path minimizing r at a node need not minimize j, and a larger j can
+overtake later once kernels multiply against it.
 """
 from __future__ import annotations
 
@@ -85,51 +88,40 @@ def layer_rf_transfer(state: RFState, kind: LayerKind) -> RFState:
     return RFState(state.r + growth * state.j, state.j * stride)
 
 
-def prune_frontier(states: set[RFState] | frozenset[RFState]) -> tuple[RFState, ...]:
-    """Drop states dominated on both the min and the max side.
-
-    A state survives if no other state is <= in both (r, j) (it sits on the
-    minimizing frontier) or if no other state is >= in both (the maximizing
-    frontier). Dominated states can never produce a smaller minimum or a
-    larger maximum downstream, because every downstream transfer is monotone
-    in both coordinates.
-
-    The result is sorted by (r, j) with the global state, if any, last, so
-    its first state has the minimum r and its last the maximum.
-    """
-    finite = sorted(s for s in states if not s.global_rf)
-    has_global = len(finite) < len(states)
-    if len(finite) <= 2 and not has_global:
-        # The first state in (r, j) order is never dominated on the min side
-        # and the last never on the max side.
-        return tuple(finite)
-
-    keep = [False] * len(finite)
-    best_j = math.inf
-    for i, s in enumerate(finite):
-        if s.j < best_j:
-            keep[i] = True
-            best_j = s.j
+def _merge(frontiers: list[tuple[RFState, ...]]) -> tuple[RFState, ...]:
+    """Per-jump min and max r over the union of `frontiers`, ordered (j, r), the global state last."""
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    has_global = False
+    for frontier in frontiers:
+        for r, j, global_rf in frontier:
+            if global_rf:
+                has_global = True
+            elif j not in lo:
+                lo[j] = hi[j] = r
+            elif r < lo[j]:
+                lo[j] = r
+            elif r > hi[j]:
+                hi[j] = r
+    merged = []
+    for j in sorted(lo):
+        merged.append(RFState(lo[j], j))
+        if hi[j] != lo[j]:
+            merged.append(RFState(hi[j], j))
     if has_global:
-        # A global state dominates every finite state on the max side (and is
-        # dominated by every finite state on the min side), so it replaces
-        # the finite max frontier entirely and only the min side is scanned.
-        return (*(s for s, k in zip(finite, keep) if k), GLOBAL_STATE)
-    best_j = -math.inf
-    for i in range(len(finite) - 1, -1, -1):
-        if finite[i].j > best_j:
-            keep[i] = True
-            best_j = finite[i].j
-    return tuple(s for s, k in zip(finite, keep) if k)
+        merged.append(GLOBAL_STATE)
+    return tuple(merged)
 
 
 class RFAnnotation(NamedTuple):
     """Per-node receptive-field summary.
 
-    Frontiers list the Pareto-optimal path states reaching the node's input
-    and leaving its output; the derived extremes are exact over all paths.
-    Extremes are `math.inf` when every contributing path crosses a
-    global-receptive-field layer.
+    Frontiers hold, for each distinct jump of the paths reaching the node's
+    input and leaving its output, the state with the smallest r and, if it
+    differs, the state with the largest r. They are ordered by (j, r), with
+    the global state last when any path has crossed a global layer. The
+    derived extremes are exact over all paths. Extremes are `math.inf` when
+    every contributing path crosses a global-receptive-field layer.
     """
 
     node_id: str
@@ -141,13 +133,21 @@ class RFAnnotation(NamedTuple):
     r_out_max: int | float
 
 
+def _extremes(frontier: tuple[RFState, ...]) -> tuple[int | float, int | float]:
+    """Smallest and largest r_value of a frontier, whose global state, if any, is last."""
+    finite = [r for r, _, global_rf in frontier if not global_rf]
+    return min(finite, default=math.inf), math.inf if frontier[-1].global_rf else max(finite)
+
+
 def propagate_dag(graph: ArchGraph) -> dict[str, RFAnnotation]:
     """Exact per-node receptive-field frontiers over all input-to-node paths.
 
-    At merge nodes the incoming frontiers are unioned and re-pruned; single
-    predecessor nodes inherit the predecessor's output frontier, and
-    RF-neutral nodes pass it through as their own. Raises
-    :class:`FrontierLimitError` if a frontier exceeds :data:`FRONTIER_CAP`.
+    Merge nodes take the per-jump min and max of their inputs' frontiers;
+    single-predecessor nodes inherit the predecessor's output frontier, and
+    RF-neutral nodes pass it through as their own. Convs and pools map each
+    state, which keeps the frontier's length and order. Raises
+    :class:`FrontierLimitError` if a merged frontier exceeds
+    :data:`FRONTIER_CAP`; no other node can grow one.
     """
     annotations: dict[str, RFAnnotation] = {}
     node_map = graph.node_map
@@ -160,44 +160,33 @@ def propagate_dag(graph: ArchGraph) -> dict[str, RFAnnotation]:
             # The predecessor's out-frontier, already within the cap, and its extremes.
             _, _, in_frontier, _, _, in_min, in_max = annotations[preds[0]]
         elif preds:
-            merged: set[RFState] = set()
-            for pred in preds:
-                merged.update(annotations[pred].out_frontier)
-            in_frontier = prune_frontier(merged)
+            in_frontier = _merge([annotations[pred].out_frontier for pred in preds])
             if len(in_frontier) > cap:
                 raise FrontierLimitError(nid, len(in_frontier), cap)
-            # Every frontier is sorted (see prune_frontier), so its extremes
-            # are its first and last states.
-            in_min, in_max = in_frontier[0].r_value, in_frontier[-1].r_value
+            in_min, in_max = _extremes(in_frontier)
         else:
             in_frontier, in_min, in_max = (INITIAL_STATE,), 1, 1
 
         kind = node_map[nid].kind
         cls = type(kind)
         if cls in _RF_NEUTRAL:
-            # The transfer is the identity and a pruned frontier is a fixed
-            # point of prune_frontier, so the frontier passes through.
             out_frontier, out_min, out_max = in_frontier, in_min, in_max
-        elif len(in_frontier) > 1:
-            if cls is Conv2d or cls is Pool:
-                growth, stride = _window(kind)
-                image = {
-                    GLOBAL_STATE if g else new(RFState, (r + growth * j, j * stride, False)) for r, j, g in in_frontier
-                }
-            else:  # GlobalAvgPool, Dense
-                image = {GLOBAL_STATE}
-            out_frontier = prune_frontier(image)
-            if len(out_frontier) > cap:
-                raise FrontierLimitError(nid, len(out_frontier), cap)
-            out_min, out_max = out_frontier[0].r_value, out_frontier[-1].r_value
-        elif in_frontier[0].global_rf or (cls is not Conv2d and cls is not Pool):
-            # A global state stays global; global pooling and dense layers make any state global.
+        elif cls is not Conv2d and cls is not Pool:
+            # Global pooling and dense layers make any state global.
             out_frontier, out_min, out_max = (GLOBAL_STATE,), math.inf, math.inf
-        else:
-            # One state is its own Pareto frontier.
+        elif len(in_frontier) == 1 and not in_frontier[0].global_rf:
+            # The one finite state of every chain, mapped without the general loop.
             r, j, _ = in_frontier[0]
             growth, stride = _window(kind)
             out_min = out_max = r + growth * j
             out_frontier = (new(RFState, (out_min, j * stride, False)),)
+        else:
+            # At a fixed j the map is increasing in r, and j -> j * stride is
+            # injective, so the image keeps the per-jump extremes and their order.
+            growth, stride = _window(kind)
+            out_frontier = tuple(
+                GLOBAL_STATE if g else new(RFState, (r + growth * j, j * stride, False)) for r, j, g in in_frontier
+            )
+            out_min, out_max = _extremes(out_frontier)
         annotations[nid] = new(RFAnnotation, (nid, in_frontier, out_frontier, in_min, in_max, out_min, out_max))
     return annotations

@@ -11,7 +11,7 @@ Mutated zoo graphs are the opposite: edits of the edge list and layer list
 that may or may not leave the graph valid.
 
 The oracle folds the receptive-field transfer along every input-to-node path
-one at a time, independently of the frontier pruning in `propagate_dag`.
+one at a time, independently of the per-jump frontiers of `propagate_dag`.
 """
 from __future__ import annotations
 

@@ -9,7 +9,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dagtools import count_validations, mutated_graph, run_fresh
-from rfscope import build_named, parse, serialize, serialize_document, validate
+from rfscope import (
+    Add,
+    Conv2d,
+    Dense,
+    GlobalAvgPool,
+    Input,
+    InputSpec,
+    Pool,
+    build_named,
+    make_graph,
+    parse,
+    serialize,
+    serialize_document,
+    validate,
+)
 from rfscope.cli import EXIT_FILE, EXIT_INVALID, EXIT_NOOP, EXIT_OK, EXIT_USAGE, main
 
 
@@ -58,6 +72,33 @@ def test_analyze_file_document(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["border_min"] == 6
+
+
+def test_analyze_jump_range_spans_finite_paths_past_a_global_branch(tmp_path, capsys):
+    # c1 is reached through b1 (jump 1), through the stride-2 pool b2
+    # (jump 2) and through the global branch g; j_max is the largest
+    # finite jump, whatever the global path does.
+    layers = [
+        ("input", Input()),
+        ("c0", Conv2d(kernel=3, filters=4)),
+        ("b1", Conv2d(kernel=2, filters=4, padding="valid")),
+        ("b2", Pool(mode="max", kernel=2, stride=2)),
+        ("g", GlobalAvgPool()),
+        ("add", Add()),
+        ("c1", Conv2d(kernel=1, filters=4)),
+        ("gap", GlobalAvgPool()),
+        ("fc", Dense(units=10)),
+    ]
+    edges = [
+        ("input", "c0"), ("c0", "b1"), ("c0", "b2"), ("c0", "g"),
+        ("b1", "add"), ("b2", "add"), ("g", "add"), ("add", "c1"), ("c1", "gap"), ("gap", "fc"),
+    ]
+    path = tmp_path / "global-branch.json"
+    path.write_text(serialize(make_graph("global-branch", InputSpec(2, 2, 3), layers, edges)))
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+    assert code == EXIT_OK
+    c1 = json.loads(out)["per_conv"][-1]
+    assert (c1["id"], c1["r_in_min"], c1["r_in_max"], c1["j_min"], c1["j_max"]) == ("c1", 4, "global", 1, 2)
 
 
 def test_analyze_input_size_override(capsys):

@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dagtools import ZOO_VARIANTS, enumerate_paths, fold_along, path_enumeration_oracle, random_graph
@@ -11,6 +11,7 @@ from rfscope import (
     Attention,
     BatchNorm,
     Conv2d,
+    GlobalAvgPool,
     InputSpec,
     Pool,
     RFState,
@@ -25,7 +26,7 @@ from rfscope import (
     validate,
 )
 from rfscope.graph_ir import RF_NEUTRAL_KINDS
-from rfscope.rf_analysis import GLOBAL_STATE, prune_frontier
+from rfscope.rf_analysis import GLOBAL_STATE
 
 ORACLE_SEEDS = range(25)
 PATH_SEEDS = range(30)
@@ -63,52 +64,30 @@ def test_sequential_fold_matches_reference(pairs):
         assert annotations[nid].out_frontier == (RFState(r, j),)
 
 
-@st.composite
-def state_sets(draw):
-    pairs = draw(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 16)), min_size=1, max_size=24))
-    return {RFState(r, j) for r, j in pairs}
-
-
-@given(state_sets())
-def test_prune_matches_brute_force_dominance(states):
-    def dominated_min(s):
-        return any(t != s and t.r <= s.r and t.j <= s.j for t in states)
-
-    def dominated_max(s):
-        return any(t != s and t.r >= s.r and t.j >= s.j for t in states)
-
-    expected = {s for s in states if not dominated_min(s) or not dominated_max(s)}
-    assert set(prune_frontier(states)) == expected
-
-
-@given(state_sets())
-def test_prune_is_idempotent_and_preserves_extremes(states):
-    once = prune_frontier(states)
-    assert prune_frontier(set(once)) == once
-    assert min(s.r for s in once) == min(s.r for s in states)
-    assert max(s.r for s in once) == max(s.r for s in states)
-
-
-@given(state_sets(), st.booleans())
-def test_prune_output_is_sorted_with_global_last(states, with_global):
-    if with_global:
-        states.add(GLOBAL_STATE)
-    pruned = prune_frontier(states)
-    keys = [(s.r, s.j) for s in pruned if not s.global_rf]
-    assert all(a < b for a, b in zip(keys, keys[1:]))
-    assert pruned[len(keys):] == ((GLOBAL_STATE,) if with_global else ())
+def r_range(states):
+    return min(s.r_value for s in states), max(s.r_value for s in states)
 
 
 def assert_frontier_invariants(graph):
-    """What propagate_dag relies on: sorted, pruned frontiers whose ends are the
-    extremes, passed through unchanged by RF-neutral layers."""
+    """What propagate_dag relies on: at most two states per jump, ordered
+    (j, r), the global state last and only once, the extremes those of the
+    frontier; RF-neutral layers pass it through, and convs and pools keep
+    its length."""
     for nid, ann in propagate_dag(graph).items():
         for frontier in (ann.in_frontier, ann.out_frontier):
-            assert prune_frontier(set(frontier)) == frontier, nid
-        assert (ann.r_in_min, ann.r_in_max) == (ann.in_frontier[0].r_value, ann.in_frontier[-1].r_value)
-        assert (ann.r_out_min, ann.r_out_max) == (ann.out_frontier[0].r_value, ann.out_frontier[-1].r_value)
-        if isinstance(graph.node_map[nid].kind, RF_NEUTRAL_KINDS):
+            finite = [s for s in frontier if not s.global_rf]
+            assert frontier[len(finite):] in ((), (GLOBAL_STATE,)), nid
+            keys = [(s.j, s.r) for s in finite]
+            assert keys == sorted(set(keys)), nid
+            jumps = [s.j for s in finite]
+            assert all(jumps.count(j) <= 2 for j in jumps), nid
+        assert (ann.r_in_min, ann.r_in_max) == r_range(ann.in_frontier), nid
+        assert (ann.r_out_min, ann.r_out_max) == r_range(ann.out_frontier), nid
+        kind = graph.node_map[nid].kind
+        if isinstance(kind, RF_NEUTRAL_KINDS):
             assert ann.out_frontier == ann.in_frontier, nid
+        elif isinstance(kind, (Conv2d, Pool)):
+            assert len(ann.out_frontier) == len(ann.in_frontier), nid
 
 
 def test_frontier_invariants_on_100_random_dags():
@@ -164,6 +143,43 @@ def test_frontier_members_are_path_witnessed(seed):
         assert set(ann.out_frontier) <= out_states
 
 
+def per_jump_extremes(states):
+    """The frontier that `states` should fold to: per jump, the smallest and
+    the largest r, ordered (j, r), then the global state if any state is global."""
+    by_jump = {}
+    for s in states:
+        if not s.global_rf:
+            by_jump.setdefault(s.j, set()).add(s.r)
+    frontier = []
+    for j, rs in sorted(by_jump.items()):
+        frontier += [RFState(r, j) for r in sorted({min(rs), max(rs)})]
+    return tuple(frontier) + ((GLOBAL_STATE,) if any(s.global_rf for s in states) else ())
+
+
+def assert_frontiers_match_paths(graph):
+    """Each node's frontiers are the per-jump extremes of its path states,
+    and its extremes the smallest and largest r over those paths."""
+    annotations = propagate_dag(graph)
+    for nid, ann in annotations.items():
+        in_states = []
+        out_states = []
+        for path in enumerate_paths(graph, nid):
+            states = [RFState(1, 1)] + fold_along(graph, path)
+            in_states.append(states[-2])
+            out_states.append(states[-1])
+        assert ann.in_frontier == per_jump_extremes(in_states), nid
+        assert ann.out_frontier == per_jump_extremes(out_states), nid
+        assert (ann.r_in_min, ann.r_in_max) == r_range(in_states), nid
+        assert (ann.r_out_min, ann.r_out_max) == r_range(out_states), nid
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10_000))
+@example(9)  # a Pareto frontier of merge8 drops both states at jump 2
+def test_frontiers_are_per_jump_path_extremes(seed):
+    assert_frontiers_match_paths(random_graph(seed))
+
+
 def insert_on_edge(graph, edge, node_id, kind):
     layers = [(n.id, n.kind) for n in sorted(graph.nodes, key=lambda n: n.declaration_index)]
     layers.append((node_id, kind))
@@ -210,3 +226,14 @@ def test_global_rf_extremes_are_infinite_past_head():
 def test_random_graphs_always_validate(seed):
     assert validate(random_graph(seed)) == []
     assert validate(random_graph(seed, shape_safe=True)) == []
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_global_branch_meets_finite_ones_at_a_merge(seed):
+    # A global path into a merge must not hide the finite paths' jumps: the
+    # finite j range of each frontier is what the CLI prints as j_min/j_max.
+    # A graph without a merge gets the probe on its last edge.
+    graph = random_graph(seed)
+    merges = [nid for nid in graph.order if len(graph.predecessors[nid]) > 1]
+    edge = (graph.predecessors[merges[0]][0], merges[0]) if merges else graph.edges[-1]
+    assert_frontiers_match_paths(insert_on_edge(graph, edge, "gap_probe", GlobalAvgPool()))

@@ -24,8 +24,7 @@ from rfscope import (
     propagate_dag,
 )
 from rfscope import rf_analysis
-from rfscope.graph_ir import MERGE_KINDS, RF_NEUTRAL_KINDS
-from rfscope.rf_analysis import GLOBAL_STATE, prune_frontier
+from rfscope.rf_analysis import GLOBAL_STATE
 
 IN32 = InputSpec(32, 32, 3)
 
@@ -183,55 +182,11 @@ class TestPropagateDag:
         assert ann["c2"].r_in_min == math.inf
         assert ann["c2"].r_out_max == math.inf
 
-    def test_prune_runs_only_where_it_can_change_a_frontier(self, monkeypatch):
-        # Merges prune their union; convs, pools and head layers prune only a
-        # multi-state frontier; RF-neutral layers pass theirs through.
-        calls = []
-
-        def counted(states):
-            calls.append(len(states))
-            return prune_frontier(states)
-
-        monkeypatch.setattr(rf_analysis, "prune_frontier", counted)
-        graph = build_named("resnet34")
-        annotations = propagate_dag(graph)
-        merges = sum(isinstance(n.kind, MERGE_KINDS) for n in graph.nodes)
-        multi_state = sum(
-            not isinstance(n.kind, RF_NEUTRAL_KINDS) and len(annotations[n.id].in_frontier) > 1 for n in graph.nodes
-        )
-        assert (merges, multi_state) == (16, 34)
-        assert len(calls) == merges + multi_state
-
     def test_frontier_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(rf_analysis, "FRONTIER_CAP", 1)
         with pytest.raises(FrontierLimitError) as err:
             propagate_dag(two_path_diamond())
         assert "add" in str(err.value)
-
-
-class TestPruneFrontier:
-    def test_keeps_min_and_max_representatives(self):
-        states = {RFState(3, 2), RFState(5, 1), RFState(4, 3)}
-        kept = set(prune_frontier(states))
-        # (3,2) and (5,1) sit on the min frontier; (5,1) and (4,3) on the max frontier.
-        assert kept == {RFState(3, 2), RFState(5, 1), RFState(4, 3)}
-
-    def test_drops_doubly_dominated(self):
-        states = {RFState(3, 1), RFState(4, 2), RFState(5, 3)}
-        kept = set(prune_frontier(states))
-        assert kept == {RFState(3, 1), RFState(5, 3)}
-
-    def test_global_state_owns_the_max_side(self):
-        kept = set(prune_frontier({RFState(3, 1), GLOBAL_STATE, RFState(9, 4)}))
-        assert GLOBAL_STATE in kept
-        assert RFState(3, 1) in kept
-        assert RFState(9, 4) not in kept
-
-    def test_all_global_collapses_to_one(self):
-        assert prune_frontier({GLOBAL_STATE}) == (GLOBAL_STATE,)
-
-    def test_empty(self):
-        assert prune_frontier(set()) == ()
 
 
 class TestOracle:
