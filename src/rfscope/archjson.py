@@ -29,6 +29,7 @@ from .graph_ir import (
     Pool,
     Softmax,
     Violation,
+    _KIND_FIELDS,
     make_graph,
 )
 
@@ -66,30 +67,26 @@ _KIND_TAGS: dict[str, type] = {
 _TAG_BY_TYPE = {cls: tag for tag, cls in _KIND_TAGS.items()}
 
 
-def _field_plan(cls: type) -> dict[str, tuple[bool, str, Any]]:
-    """{field: (required, annotation, default)} in field order, read off the kind's `__init__`."""
-    init = cls.__init__
-    defaults = dict(zip(reversed(cls._fields), reversed(getattr(init, "__defaults__", None) or ())))
-    return {name: (name not in defaults, init.__annotations__[name], defaults.get(name)) for name in cls._fields}
+# JSON type of a field (see `graph_ir._KIND_FIELDS`) -> (does a decoded value have it, error text).
+_JSON_TYPES = {
+    "int": (
+        lambda v: isinstance(v, int) and not isinstance(v, bool),
+        "expected an integer, got {!r} (square scalars only)",
+    ),
+    "str": (lambda v: isinstance(v, str), "expected a string, got {!r}"),
+    "bool": (lambda v: isinstance(v, bool), "expected a boolean, got {!r}"),
+    "padding": (
+        lambda v: not isinstance(v, bool) and (isinstance(v, int) or v in ("same", "valid")),
+        "expected 'same', 'valid', or an integer, got {!r}",
+    ),
+}
 
 
-_FIELD_PLANS = {tag: _field_plan(cls) for tag, cls in _KIND_TAGS.items()}
-
-
-def _check_value(path: str, value: Any, annotation: str) -> Any:
-    """`value` if its JSON type fits a field annotated `annotation`; padding is `Union[str, int]`."""
-    if annotation == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise DocumentError(path, f"expected an integer, got {value!r} (square scalars only)")
-    elif annotation == "str":
-        if not isinstance(value, str):
-            raise DocumentError(path, f"expected a string, got {value!r}")
-    elif annotation == "bool":
-        if not isinstance(value, bool):
-            raise DocumentError(path, f"expected a boolean, got {value!r}")
-    elif annotation == "Union[str, int]":
-        if isinstance(value, bool) or not (isinstance(value, int) or value in ("same", "valid")):
-            raise DocumentError(path, f"expected 'same', 'valid', or an integer, got {value!r}")
+def _check_value(path: str, value: Any, json_type: str) -> Any:
+    """`value` if it has the JSON type `json_type`."""
+    fits, expected = _JSON_TYPES[json_type]
+    if not fits(value):
+        raise DocumentError(path, expected.format(value))
     return value
 
 
@@ -102,21 +99,20 @@ def _parse_layer(index: int, raw: Any) -> tuple[str, LayerKind]:
         raise DocumentError(f"{path}.id", "every layer needs a nonempty string id")
     where = f"{path} (id {layer_id!r})"
     tag = raw.get("kind")
-    if not isinstance(tag, str) or tag not in _FIELD_PLANS:  # an array or object is unhashable
-        raise DocumentError(f"{where}.kind", f"unknown kind {tag!r}; known: {', '.join(sorted(_FIELD_PLANS))}")
-    plan = _FIELD_PLANS[tag]
+    if not isinstance(tag, str) or tag not in _KIND_TAGS:  # an array or object is unhashable
+        raise DocumentError(f"{where}.kind", f"unknown kind {tag!r}; known: {', '.join(sorted(_KIND_TAGS))}")
+    cls = _KIND_TAGS[tag]
+    fields = _KIND_FIELDS[cls]
     for key in raw:
-        if key not in plan and key not in ("id", "kind"):
+        if key not in fields and key not in ("id", "kind"):
             raise DocumentError(f"{where}.{key}", f"unknown key for kind {tag!r}")
     kwargs: dict[str, Any] = {}
-    for field_name, (required, annotation, default) in plan.items():
+    for position, (field_name, (json_type, _, _)) in enumerate(fields.items()):
         if field_name in raw:
-            kwargs[field_name] = _check_value(f"{where}.{field_name}", raw[field_name], annotation)
-        elif required:
+            kwargs[field_name] = _check_value(f"{where}.{field_name}", raw[field_name], json_type)
+        elif position < len(fields) - len(cls.__init__.__defaults__ or ()):  # no constructor default
             raise DocumentError(f"{where}.{field_name}", f"missing required key for kind {tag!r}")
-        else:
-            kwargs[field_name] = default
-    return layer_id, _KIND_TAGS[tag](**kwargs)
+    return layer_id, cls(**kwargs)
 
 
 def parse_document(doc: Any) -> ArchGraph:

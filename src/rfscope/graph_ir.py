@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from typing import Any, Iterable, Union, get_args
+from typing import Any, Callable, Iterable, Union, get_args
 
 PADDING_SAME = "same"
 PADDING_VALID = "valid"
@@ -20,6 +20,14 @@ POOL_MODES = ("max", "avg")
 ATTENTION_VARIANTS = ("se", "spatial", "cbam")
 
 _set = object.__setattr__  # how each record's __init__ writes its fields past the frozen __setattr__
+
+
+def _positive_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _nonnegative_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 class _Record:
@@ -70,7 +78,7 @@ class InputSpec(_Record):
 
     def __init__(self, height: int, width: int, channels: int) -> None:
         for name, value in (("height", height), ("width", width), ("channels", channels)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            if not _positive_int(value):
                 raise ValueError(f"input {name} must be a positive integer, got {value!r}")
             _set(self, name, value)
 
@@ -150,6 +158,40 @@ class Input(_Record):
 class Softmax(_Record):
     __slots__ = ()
 
+
+_SQUARE = ("int", _positive_int, "must be a positive square scalar")
+_COUNT = ("int", _positive_int, "must be a positive integer")
+_BIAS = ("bool", lambda value: isinstance(value, bool), "must be a boolean")
+
+# Every field of every layer kind, declared once, in `_fields` order: name -> (JSON type, range
+# check, range message). `validate` reports each value its range check rejects, and `archjson`
+# checks each document value against the JSON type ("int", "str", "bool" or "padding").
+_KIND_FIELDS: dict[type, dict[str, tuple[str, Callable[[Any], bool], str]]] = {
+    Conv2d: {
+        "kernel": _SQUARE,
+        "filters": _COUNT,
+        "stride": _SQUARE,
+        "dilation": ("int", _positive_int, "must be an integer >= 1"),
+        "padding": (
+            "padding",
+            lambda value: value in (PADDING_SAME, PADDING_VALID) or _nonnegative_int(value),
+            "must be 'same', 'valid', or an integer >= 0",
+        ),
+        "bias": _BIAS,
+    },
+    Pool: {
+        "mode": ("str", lambda value: value in POOL_MODES, f"must be one of {POOL_MODES}"),
+        "kernel": _SQUARE,
+        "stride": _SQUARE,
+        "padding": ("int", _nonnegative_int, "must be an integer >= 0"),
+    },
+    Dense: {"units": _COUNT, "bias": _BIAS},
+    Activation: {"name": ("str", lambda value: isinstance(value, str), "must be a string")},
+    Attention: {
+        "variant": ("str", lambda value: value in ATTENTION_VARIANTS, f"must be one of {ATTENTION_VARIANTS}")
+    },
+    **{cls: {} for cls in (GlobalAvgPool, Add, Concat, BatchNorm, Input, Softmax)},
+}
 
 LayerKind = Union[
     Conv2d,
@@ -326,49 +368,17 @@ def chain_graph(name: str, input_spec: InputSpec, layers: Iterable[tuple[str, La
     return make_graph(name, input_spec, pairs, edges)
 
 
-def _positive_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 def _kind_violations(node: LayerNode) -> list[Violation]:
-    out: list[Violation] = []
-    k = node.kind
-    if type(k) not in LAYER_KINDS:
+    kind = node.kind
+    fields = _KIND_FIELDS.get(type(kind))
+    if fields is None:
         known = ", ".join(sorted(cls.__name__ for cls in LAYER_KINDS))
-        return [Violation("layer_kind", node.id, f"{type(k).__name__} is not a layer kind; expected one of {known}")]
-
-    def bad(field: str, why: str) -> None:
-        out.append(Violation("layer_fields", node.id, f"{field} {why}"))
-
-    if type(k) is Conv2d:
-        if not _positive_int(k.kernel):
-            bad("kernel", f"must be a positive square scalar, got {k.kernel!r}")
-        if not _positive_int(k.stride):
-            bad("stride", f"must be a positive square scalar, got {k.stride!r}")
-        if not _positive_int(k.dilation):
-            bad("dilation", f"must be an integer >= 1, got {k.dilation!r}")
-        if not _positive_int(k.filters):
-            bad("filters", f"must be a positive integer, got {k.filters!r}")
-        pad_ok = k.padding in (PADDING_SAME, PADDING_VALID) or (
-            isinstance(k.padding, int) and not isinstance(k.padding, bool) and k.padding >= 0
-        )
-        if not pad_ok:
-            bad("padding", f"must be 'same', 'valid', or an integer >= 0, got {k.padding!r}")
-    elif type(k) is Pool:
-        if k.mode not in POOL_MODES:
-            bad("mode", f"must be one of {POOL_MODES}, got {k.mode!r}")
-        if not _positive_int(k.kernel):
-            bad("kernel", f"must be a positive square scalar, got {k.kernel!r}")
-        if not _positive_int(k.stride):
-            bad("stride", f"must be a positive square scalar, got {k.stride!r}")
-        if not (isinstance(k.padding, int) and not isinstance(k.padding, bool) and k.padding >= 0):
-            bad("padding", f"must be an integer >= 0, got {k.padding!r}")
-    elif type(k) is Dense:
-        if not _positive_int(k.units):
-            bad("units", f"must be a positive integer, got {k.units!r}")
-    elif type(k) is Attention:
-        if k.variant not in ATTENTION_VARIANTS:
-            bad("variant", f"must be one of {ATTENTION_VARIANTS}, got {k.variant!r}")
+        return [Violation("layer_kind", node.id, f"{type(kind).__name__} is not a layer kind; expected one of {known}")]
+    out: list[Violation] = []
+    for name, (_, in_range, expect) in fields.items():
+        value = getattr(kind, name)
+        if not in_range(value):
+            out.append(Violation("layer_fields", node.id, f"{name} {expect}, got {value!r}"))
     return out
 
 
@@ -394,37 +404,37 @@ def validate(graph: ArchGraph) -> list[Violation]:
             Violation("declaration_order", graph.name, "declaration indices must be unique and contiguous from 0")
         )
 
-    known = {n.id for n in graph.nodes}
     seen_edges: set[tuple[str, str]] = set()
     for src, dst in graph.edges:
+        duplicate = (src, dst) in seen_edges
+        seen_edges.add((src, dst))
+        if src in seen_ids and dst in seen_ids and src != dst and not duplicate:
+            continue  # a good edge: no label to format
         label = f"{src}->{dst}"
-        if src not in known:
+        if src not in seen_ids:
             violations.append(Violation("edge_endpoints", label, f"unknown source node {src!r}"))
-        if dst not in known:
+        if dst not in seen_ids:
             violations.append(Violation("edge_endpoints", label, f"unknown target node {dst!r}"))
         if src == dst:
             violations.append(Violation("acyclic", label, "self-edge"))
-        if (src, dst) in seen_edges:
+        if duplicate:
             violations.append(Violation("edge_endpoints", label, "duplicate edge"))
-        seen_edges.add((src, dst))
 
     if violations:
         # Degree/reachability checks below assume well-formed ids and edges.
         return violations
 
-    indeg = {n.id: len(graph.predecessors[n.id]) for n in graph.nodes}
-    outdeg = {n.id: len(graph.successors[n.id]) for n in graph.nodes}
-
+    preds, succs = graph.predecessors, graph.successors
     input_ids = [n.id for n in graph.nodes if isinstance(n.kind, Input)]
     if len(input_ids) != 1:
         violations.append(
             Violation("single_input", graph.name, f"expected exactly one Input node, found {len(input_ids)}")
         )
     for nid in input_ids:
-        if indeg[nid] != 0:
+        if preds[nid]:
             violations.append(Violation("input_degree", nid, "Input node must have in-degree 0"))
 
-    sinks = [n.id for n in graph.nodes if outdeg[n.id] == 0]
+    sinks = [n.id for n in graph.nodes if not succs[n.id]]
     if len(sinks) != 1:
         violations.append(
             Violation("single_sink", graph.name, f"expected exactly one sink node, found {len(sinks)}: {sorted(sinks)}")
@@ -433,29 +443,28 @@ def validate(graph: ArchGraph) -> list[Violation]:
     for node in graph.nodes:
         if isinstance(node.kind, Input):
             continue
+        indeg = len(preds[node.id])
         if isinstance(node.kind, MERGE_KINDS):
-            if indeg[node.id] < 2:
-                violations.append(Violation("merge_arity", node.id, f"merge arity < 2 (got {indeg[node.id]})"))
-        elif indeg[node.id] != 1:
-            violations.append(
-                Violation("unary_arity", node.id, f"expected exactly one predecessor, got {indeg[node.id]}")
-            )
+            if indeg < 2:
+                violations.append(Violation("merge_arity", node.id, f"merge arity < 2 (got {indeg})"))
+        elif indeg != 1:
+            violations.append(Violation("unary_arity", node.id, f"expected exactly one predecessor, got {indeg}"))
 
     eliminated = graph._kahn_order
     if len(eliminated) != len(graph.nodes):
         # Kahn elimination stops at the cyclic core.
-        cyclic = sorted(indeg.keys() - set(eliminated))
+        cyclic = sorted(seen_ids - set(eliminated))
         violations.append(Violation("acyclic", "{" + ",".join(cyclic) + "}", "cycle through these nodes"))
         return violations
 
     if not input_ids or len(sinks) != 1:
         return violations
 
-    reachable = _forward_reachable(graph, input_ids[0])
+    reachable = _reachable(input_ids[0], succs)
     for node in graph.nodes:
         if node.id not in reachable:
             violations.append(Violation("reachable_from_input", node.id, "not reachable from the input node"))
-    co_reachable = _backward_reachable(graph, sinks[0])
+    co_reachable = _reachable(sinks[0], preds)
     for node in graph.nodes:
         if node.id not in co_reachable:
             violations.append(Violation("reaches_sink", node.id, "sink not reachable from this node"))
@@ -466,7 +475,7 @@ def validate(graph: ArchGraph) -> list[Violation]:
     channels = _propagate_channels(graph, eliminated)
     for node in graph.nodes:
         if isinstance(node.kind, Add):
-            widths = sorted({channels[p] for p in graph.predecessors[node.id]})
+            widths = sorted({channels[p] for p in preds[node.id]})
             if len(widths) > 1:
                 violations.append(
                     Violation("merge_channels", node.id, f"element-wise add over unequal channel counts {widths}")
@@ -474,25 +483,15 @@ def validate(graph: ArchGraph) -> list[Violation]:
     return violations
 
 
-def _forward_reachable(graph: ArchGraph, start: str) -> set[str]:
+def _reachable(start: str, neighbours: dict[str, tuple[str, ...]]) -> set[str]:
+    """Every node reached from `start` by following `neighbours` (successors or predecessors)."""
     seen = {start}
     stack = [start]
     while stack:
-        for succ in graph.successors[stack.pop()]:
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-    return seen
-
-
-def _backward_reachable(graph: ArchGraph, start: str) -> set[str]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for pred in graph.predecessors[stack.pop()]:
-            if pred not in seen:
-                seen.add(pred)
-                stack.append(pred)
+        for nid in neighbours[stack.pop()]:
+            if nid not in seen:
+                seen.add(nid)
+                stack.append(nid)
     return seen
 
 

@@ -24,8 +24,10 @@ from rfscope import (
     parse_document,
     serialize,
     serialize_document,
+    validate,
 )
 from rfscope.archjson import _KIND_TAGS, _parse_layer
+from rfscope.graph_ir import _KIND_FIELDS, LAYER_KINDS
 
 ZOO_NAMES = (
     "vgg11",
@@ -209,6 +211,31 @@ def test_serialize_document_lists_every_field(tag):
     assert list(layer) == ["id", "kind"] + list(kind._fields)
     assert layer == {"id": "x", "kind": tag, **{name: getattr(kind, name) for name in kind._fields}}
     assert _parse_layer(0, layer) == ("x", kind)
+    assert list(_KIND_FIELDS[type(kind)]) == list(kind._fields)
+    assert len(_KIND_TAGS) == len(LAYER_KINDS) and set(_KIND_TAGS.values()) == LAYER_KINDS
+
+
+# JSON values to put in each field: wrong types, out-of-range values and valid ones.
+FIELD_VALUES = [None, True, False, 0, -1, 3, 1.5, float("nan"), 1e308, 2**63, 10**400]
+FIELD_VALUES += ["", "x", "yes", "conv2d", "same", "valid", "avg", "cbam", [], {}]
+
+
+@pytest.mark.parametrize(
+    "tag,field", [(tag, field) for tag, kind in sorted(NON_DEFAULT_KINDS.items()) for field in kind._fields]
+)
+def test_validate_accepts_exactly_the_fields_parse_accepts(tag, field):
+    disagreements = []
+    for value in FIELD_VALUES:
+        kind = NON_DEFAULT_KINDS[tag]._replace(**{field: value})
+        graph = make_graph("one", InputSpec(8, 8, 3), [("input", Input()), ("x", kind)], [("input", "x")])
+        try:
+            parsed = parse(serialize(graph))
+        except DocumentError:
+            parsed = None
+        if (validate(graph) == []) != (parsed is not None):
+            disagreements.append(value)
+        assert parsed is None or parsed == graph
+    assert disagreements == []
 
 
 def test_parse_document_on_decoded_object():

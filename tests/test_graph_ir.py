@@ -112,6 +112,19 @@ class TestValidate:
         bad = [v for v in validate(g) if v.rule == "layer_fields"]
         assert bad and "square" in bad[0].message
 
+    def test_field_violations_follow_field_order(self):
+        conv = Conv2d(kernel=0, filters=0, stride=0, dilation=0, padding=-1, bias="yes")
+        g = chain_graph("bad", IN8, [("c1", conv), ("act", Activation(3))])
+        assert [(v.rule, v.subject, v.message) for v in validate(g)] == [
+            ("layer_fields", "c1", "kernel must be a positive square scalar, got 0"),
+            ("layer_fields", "c1", "filters must be a positive integer, got 0"),
+            ("layer_fields", "c1", "stride must be a positive square scalar, got 0"),
+            ("layer_fields", "c1", "dilation must be an integer >= 1, got 0"),
+            ("layer_fields", "c1", "padding must be 'same', 'valid', or an integer >= 0, got -1"),
+            ("layer_fields", "c1", "bias must be a boolean, got 'yes'"),
+            ("layer_fields", "act", "name must be a string, got 3"),
+        ]
+
     def test_unreachable_node_rejected(self):
         layers = [("input", Input()), ("c1", Conv2d(kernel=3, filters=4)), ("loose", Activation())]
         g = make_graph("island", IN8, layers, [("input", "c1"), ("loose", "c1")])
