@@ -67,18 +67,17 @@ _KIND_TAGS: dict[str, type] = {
 _TAG_BY_TYPE = {cls: tag for tag, cls in _KIND_TAGS.items()}
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # JSON type of a field (see `graph_ir._KIND_FIELDS`) -> (does a decoded value have it, error text).
 _JSON_TYPES = {
-    "int": (
-        lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "expected an integer, got {!r} (square scalars only)",
-    ),
+    "int": (_is_int, "expected an integer, got {!r}"),
+    "square": (_is_int, "expected an integer, got {!r} (square scalars only)"),
     "str": (lambda v: isinstance(v, str), "expected a string, got {!r}"),
     "bool": (lambda v: isinstance(v, bool), "expected a boolean, got {!r}"),
-    "padding": (
-        lambda v: not isinstance(v, bool) and (isinstance(v, int) or v in ("same", "valid")),
-        "expected 'same', 'valid', or an integer, got {!r}",
-    ),
+    "padding": (lambda v: _is_int(v) or v in ("same", "valid"), "expected 'same', 'valid', or an integer, got {!r}"),
 }
 
 

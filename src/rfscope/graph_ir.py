@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from typing import Any, Callable, Iterable, Union, get_args
+from typing import Any, Callable, Iterable, Mapping, Union, get_args
 
 PADDING_SAME = "same"
 PADDING_VALID = "valid"
@@ -159,13 +159,13 @@ class Softmax(_Record):
     __slots__ = ()
 
 
-_SQUARE = ("int", _positive_int, "must be a positive square scalar")
+_SQUARE = ("square", _positive_int, "must be a positive square scalar")
 _COUNT = ("int", _positive_int, "must be a positive integer")
 _BIAS = ("bool", lambda value: isinstance(value, bool), "must be a boolean")
 
 # Every field of every layer kind, declared once, in `_fields` order: name -> (JSON type, range
 # check, range message). `validate` reports each value its range check rejects, and `archjson`
-# checks each document value against the JSON type ("int", "str", "bool" or "padding").
+# checks each document value against the JSON type ("int", "square", "str", "bool" or "padding").
 _KIND_FIELDS: dict[type, dict[str, tuple[str, Callable[[Any], bool], str]]] = {
     Conv2d: {
         "kernel": _SQUARE,
@@ -421,7 +421,7 @@ def validate(graph: ArchGraph) -> list[Violation]:
             violations.append(Violation("edge_endpoints", label, "duplicate edge"))
 
     if violations:
-        # Degree/reachability checks below assume well-formed ids and edges.
+        # Degree and cycle checks below assume well-formed ids and edges.
         return violations
 
     preds, succs = graph.predecessors, graph.successors
@@ -455,23 +455,13 @@ def validate(graph: ArchGraph) -> list[Violation]:
         # Kahn elimination stops at the cyclic core.
         cyclic = sorted(seen_ids - set(eliminated))
         violations.append(Violation("acyclic", "{" + ",".join(cyclic) + "}", "cycle through these nodes"))
-        return violations
-
-    if not input_ids or len(sinks) != 1:
-        return violations
-
-    reachable = _reachable(input_ids[0], succs)
-    for node in graph.nodes:
-        if node.id not in reachable:
-            violations.append(Violation("reachable_from_input", node.id, "not reachable from the input node"))
-    co_reachable = _reachable(sinks[0], preds)
-    for node in graph.nodes:
-        if node.id not in co_reachable:
-            violations.append(Violation("reaches_sink", node.id, "sink not reachable from this node"))
     if violations:
+        # Channel bookkeeping needs a sound DAG. Its rules also put every node on
+        # an input-to-sink path, so no reachability rule is checked: walking
+        # predecessors back from a node ends at a source, which can only be the
+        # one Input, and walking successors on ends at the one sink.
         return violations
 
-    # Channel bookkeeping is meaningful only once the DAG shape is sound.
     channels = _propagate_channels(graph, eliminated)
     for node in graph.nodes:
         if isinstance(node.kind, Add):
@@ -483,7 +473,7 @@ def validate(graph: ArchGraph) -> list[Violation]:
     return violations
 
 
-def _reachable(start: str, neighbours: dict[str, tuple[str, ...]]) -> set[str]:
+def _reachable(start: str, neighbours: Mapping[str, Iterable[str]]) -> set[str]:
     """Every node reached from `start` by following `neighbours` (successors or predecessors)."""
     seen = {start}
     stack = [start]

@@ -8,8 +8,6 @@ later borders.
 """
 from __future__ import annotations
 
-import heapq
-
 from .border_analysis import BorderReport, classify, unproductive_closure
 from .graph_ir import (
     HEAD_KINDS,
@@ -24,6 +22,7 @@ from .graph_ir import (
     Pool,
     Softmax,
     _Record,
+    _reachable,
     _set,
 )
 from .shape_cost_model import CostReport, cost_report
@@ -101,6 +100,17 @@ def _snapshot(graph: ArchGraph) -> tuple[BorderReport, CostReport]:
     return classify(graph), cost_report(graph)
 
 
+def _delta(
+    pass_name: str,
+    before: tuple[BorderReport, CostReport],
+    after: tuple[BorderReport, CostReport],
+    removed_node_ids: tuple[str, ...] = (),
+    modified_node_ids: tuple[str, ...] = (),
+) -> TransformDelta:
+    """The delta between the :func:`_snapshot` of a pass's input and of its output."""
+    return TransformDelta(pass_name, *before, *after, removed_node_ids, modified_node_ids)
+
+
 def _rebuild(
     graph: ArchGraph,
     name: str,
@@ -158,19 +168,11 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
     """
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    before_border, before_cost = _snapshot(graph)
-    if before_border.border_min is None:
-        return graph, TransformDelta(
-            pass_name="truncate",
-            before_border=before_border,
-            before_cost=before_cost,
-            after_border=before_border,
-            after_cost=before_cost,
-            removed_node_ids=(),
-            modified_node_ids=(),
-        )
+    before = _snapshot(graph)
+    if before[0].border_min is None:
+        return graph, _delta("truncate", before, before)
 
-    removed = set(unproductive_closure(graph, before_border))
+    removed = set(unproductive_closure(graph, before[0]))
     removed.update(_old_head_chain(graph))
 
     keep = [n.id for n in graph.nodes if n.id not in removed]
@@ -202,29 +204,19 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
     keep = [nid for nid in keep if nid not in removed]
     edges = list(dict.fromkeys(live.values()))
 
-    # Pick the truncation point: the latest surviving dead end. Any other
-    # dead-end branch no longer reaches the output and is pruned, which can
-    # leave its predecessors dead ends in turn.
-    topo_pos = {nid: i for i, nid in enumerate(graph.order)}
-    out_count = dict.fromkeys(keep, 0)
+    # Attach the head to the latest surviving dead end. Every node with no
+    # path to it, such as a side branch left without a consumer, is pruned.
     preds_of: dict[str, list[str]] = {nid: [] for nid in keep}
     for a, b in edges:
-        out_count[a] += 1
         preds_of[b].append(a)
-    dead_ends = [(topo_pos[nid], nid) for nid, count in out_count.items() if count == 0]
-    heapq.heapify(dead_ends)
-    while len(dead_ends) > 1:
-        _, drop = heapq.heappop(dead_ends)
-        removed.add(drop)
-        for pred in preds_of[drop]:
-            out_count[pred] -= 1
-            if out_count[pred] == 0:
-                heapq.heappush(dead_ends, (topo_pos[pred], pred))
-    if not dead_ends:
+    has_out = {a for a, _ in edges}
+    tail_end = next((nid for nid in reversed(graph.order) if nid in preds_of and nid not in has_out), None)
+    if tail_end is None:
         raise TransformError("tail removal left no attachment point for the new head")
-    tail_end = dead_ends[0][1]
-    keep = [nid for nid in keep if nid not in removed]
-    edges = [e for e in edges if e[1] not in removed]
+    ancestors = _reachable(tail_end, preds_of)
+    removed.update(nid for nid in keep if nid not in ancestors)
+    keep = [nid for nid in keep if nid in ancestors]
+    edges = [e for e in edges if e[1] in ancestors]
 
     taken = set(keep)
     gap_id = _fresh_id("head_gap", taken)
@@ -238,16 +230,7 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
     edges += [(tail_end, gap_id), (gap_id, fc_id), (fc_id, softmax_id)]
 
     after = _rebuild(graph, f"{graph.name}-truncated", keep, edges, kinds, appended)
-    after_border, after_cost = _snapshot(after)
-    return after, TransformDelta(
-        pass_name="truncate",
-        before_border=before_border,
-        before_cost=before_cost,
-        after_border=after_border,
-        after_cost=after_cost,
-        removed_node_ids=tuple(sorted(removed)),
-        modified_node_ids=(),
-    )
+    return after, _delta("truncate", before, _snapshot(after), tuple(sorted(removed)))
 
 
 def downsampling_layers(graph: ArchGraph) -> list[str]:
@@ -301,7 +284,7 @@ def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, T
         )
     chosen = targets[:count]
     _refuse_split_merge(graph, chosen, targets[count:])
-    before_border, before_cost = _snapshot(graph)
+    before = _snapshot(graph)
 
     modified: list[str] = []
     removed: list[str] = []
@@ -328,15 +311,8 @@ def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, T
         del kinds[nid]
 
     after = _rebuild(graph, f"{graph.name}-nostem", keep, edges, kinds)
-    after_border, after_cost = _snapshot(after)
-    return after, TransformDelta(
-        pass_name=f"remove-stem-downsampling:{count}",
-        before_border=before_border,
-        before_cost=before_cost,
-        after_border=after_border,
-        after_cost=after_cost,
-        removed_node_ids=tuple(removed),
-        modified_node_ids=tuple(modified),
+    return after, _delta(
+        f"remove-stem-downsampling:{count}", before, _snapshot(after), tuple(removed), tuple(modified)
     )
 
 

@@ -12,9 +12,15 @@ that may or may not leave the graph valid.
 
 The oracle folds the receptive-field transfer along every input-to-node path
 one at a time, independently of the per-jump frontiers of `propagate_dag`.
+
+Two more oracles keep graph walks that rfscope dropped because its DAG rules
+imply their results: the reachability checks `validate` once ran after its
+cycle check, and the dead-end heap with which `truncate_at_border` once chose
+its attachment point and pruned side branches.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 import random
@@ -35,11 +41,16 @@ from rfscope import (
     LayerKind,
     Pool,
     RFState,
+    Violation,
     build_named,
+    classify,
     layer_rf_transfer,
     make_graph,
+    unproductive_closure,
 )
 from rfscope import graph_ir
+from rfscope.graph_ir import MERGE_KINDS
+from rfscope.transforms import _fresh_id, _old_head_chain
 
 # Every zoo variant, and the input sizes of a 16-step resolution sweep.
 ZOO_VARIANTS = (
@@ -212,3 +223,109 @@ def run_fresh(*args: str, cwd: Path | None = None) -> subprocess.CompletedProces
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=60)
+
+
+def _reachable(start: str, neighbours: dict[str, tuple[str, ...]]) -> set[str]:
+    """Every node reached from `start` by following `neighbours` (successors or predecessors)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nid in neighbours[stack.pop()]:
+            if nid not in seen:
+                seen.add(nid)
+                stack.append(nid)
+    return seen
+
+
+# Rules whose violations made `validate` return before its reachability checks.
+_BEFORE_REACHABILITY = {"unique_ids", "layer_kind", "layer_fields", "declaration_order", "edge_endpoints", "acyclic"}
+
+
+def reachability_walks(graph: ArchGraph) -> list[Violation] | None:
+    """The violations of the reachability checks that `validate` once ran after its
+    cycle check: nodes not reachable from the Input, then nodes that do not reach
+    the sink. None for a graph on which those checks never ran: malformed ids or
+    edges, a cycle, no Input, or not exactly one sink."""
+    if any(v.rule in _BEFORE_REACHABILITY for v in graph_ir.validate(graph)):
+        return None
+    preds, succs = graph.predecessors, graph.successors
+    input_ids = [n.id for n in graph.nodes if isinstance(n.kind, Input)]
+    sinks = [n.id for n in graph.nodes if not succs[n.id]]
+    if not input_ids or len(sinks) != 1:
+        return None
+    violations: list[Violation] = []
+    reachable = _reachable(input_ids[0], succs)
+    for node in graph.nodes:
+        if node.id not in reachable:
+            violations.append(Violation("reachable_from_input", node.id, "not reachable from the input node"))
+    co_reachable = _reachable(sinks[0], preds)
+    for node in graph.nodes:
+        if node.id not in co_reachable:
+            violations.append(Violation("reaches_sink", node.id, "sink not reachable from this node"))
+    return violations
+
+
+def truncate_by_heap_drain(
+    graph: ArchGraph, num_classes: int
+) -> tuple[list[str], list[tuple[str, str]], tuple[str, ...]] | None:
+    """Node ids, edges and removed ids of `truncate_at_border(graph, num_classes)`
+    as the pass once built them: dead ends popped from a heap in topological
+    order until one is left to take the new head. None when there is no border."""
+    before_border = classify(graph)
+    if before_border.border_min is None:
+        return None
+    removed = set(unproductive_closure(graph, before_border))
+    removed.update(_old_head_chain(graph))
+
+    keep = [n.id for n in graph.nodes if n.id not in removed]
+    kinds = {nid: graph.node_map[nid].kind for nid in keep}
+    live = dict(enumerate((a, b) for a, b in graph.edges if a not in removed and b not in removed))
+    incoming: dict[str, list[int]] = {nid: [] for nid in keep}
+    outgoing: dict[str, list[int]] = {nid: [] for nid in keep}
+    for token, (a, b) in live.items():
+        outgoing[a].append(token)
+        incoming[b].append(token)
+
+    token = len(live)
+    for nid in keep:
+        if isinstance(kinds[nid], MERGE_KINDS) and len(incoming[nid]) == 1:
+            (in_token,) = incoming[nid]
+            src = live.pop(in_token)[0]
+            outgoing[src].remove(in_token)
+            for out_token in outgoing[nid]:
+                dst = live.pop(out_token)[1]
+                incoming[dst].remove(out_token)
+                live[token] = (src, dst)
+                outgoing[src].append(token)
+                incoming[dst].append(token)
+                token += 1
+            removed.add(nid)
+    keep = [nid for nid in keep if nid not in removed]
+    edges = list(dict.fromkeys(live.values()))
+
+    # Pick the truncation point: the latest surviving dead end. Any other
+    # dead-end branch no longer reaches the output and is pruned, which can
+    # leave its predecessors dead ends in turn.
+    topo_pos = {nid: i for i, nid in enumerate(graph.order)}
+    out_count = dict.fromkeys(keep, 0)
+    preds_of: dict[str, list[str]] = {nid: [] for nid in keep}
+    for a, b in edges:
+        out_count[a] += 1
+        preds_of[b].append(a)
+    dead_ends = [(topo_pos[nid], nid) for nid, count in out_count.items() if count == 0]
+    heapq.heapify(dead_ends)
+    while len(dead_ends) > 1:
+        _, drop = heapq.heappop(dead_ends)
+        removed.add(drop)
+        for pred in preds_of[drop]:
+            out_count[pred] -= 1
+            if out_count[pred] == 0:
+                heapq.heappush(dead_ends, (topo_pos[pred], pred))
+    tail_end = dead_ends[0][1]
+    keep = [nid for nid in keep if nid not in removed]
+    edges = [e for e in edges if e[1] not in removed]
+
+    taken = set(keep)
+    head = [_fresh_id(base, taken) for base in ("head_gap", "head_fc", "head_softmax")]
+    edges += [(tail_end, head[0]), (head[0], head[1]), (head[1], head[2])]
+    return keep + head, edges, tuple(sorted(removed))

@@ -161,6 +161,38 @@ def test_non_square_kernel_rejected_at_schema():
     assert "square" in str(err.value)
 
 
+def _pool_layer(**fields):
+    return {"id": "p1", "kind": "pool", "mode": "max", "kernel": 2, "stride": 2, **fields}
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (
+            lambda doc: doc["layers"][1].update(kernel=1.5),
+            "layers[1] (id 'c1').kernel: expected an integer, got 1.5 (square scalars only)",
+        ),
+        (
+            lambda doc: doc["layers"].insert(2, _pool_layer(stride=1.5)),
+            "layers[2] (id 'p1').stride: expected an integer, got 1.5 (square scalars only)",
+        ),
+        (lambda doc: doc["input"].update(height=1.5), "$.input.height: expected an integer, got 1.5"),
+        (
+            lambda doc: doc["layers"].insert(2, _pool_layer(padding=1.5)),
+            "layers[2] (id 'p1').padding: expected an integer, got 1.5",
+        ),
+        (lambda doc: doc["layers"][2].update(units=1.5), "layers[2] (id 'fc').units: expected an integer, got 1.5"),
+    ],
+    ids=["conv-kernel", "pool-stride", "input-height", "pool-padding", "dense-units"],
+)
+def test_only_square_fields_mention_squareness(edit, message):
+    doc = minimal_doc()
+    edit(doc)
+    with pytest.raises(DocumentError) as err:
+        parse_document(doc)
+    assert str(err.value) == message
+
+
 def test_unknown_edge_target_is_semantic_error():
     doc = minimal_doc()
     doc["edges"].append(["fc", "nowhere"])

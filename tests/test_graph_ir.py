@@ -1,6 +1,6 @@
 import pytest
 
-from dagtools import ZOO_VARIANTS, count_validations, random_graph
+from dagtools import ZOO_VARIANTS, count_validations, mutated_graph, random_graph, reachability_walks
 from rfscope import (
     Activation,
     Add,
@@ -128,8 +128,26 @@ class TestValidate:
     def test_unreachable_node_rejected(self):
         layers = [("input", Input()), ("c1", Conv2d(kernel=3, filters=4)), ("loose", Activation())]
         g = make_graph("island", IN8, layers, [("input", "c1"), ("loose", "c1")])
-        rules = {v.rule for v in validate(g)}
-        assert "reachable_from_input" in rules or "unary_arity" in rules
+        assert [(v.rule, v.subject, v.message) for v in validate(g)] == [
+            ("unary_arity", "c1", "expected exactly one predecessor, got 2"),
+            ("unary_arity", "loose", "expected exactly one predecessor, got 0"),
+        ]
+
+    def test_arity_rules_imply_reachability(self):
+        # Every node a reachability walk misses breaks an Input or arity rule,
+        # and on an accepted graph the walks miss nothing.
+        missed, accepted = 0, 0
+        for seed in range(2000):
+            graph = mutated_graph(seed)
+            walks = reachability_walks(graph)
+            rules = {v.rule for v in validate(graph)}
+            if walks:
+                missed += 1
+                assert rules & {"single_input", "unary_arity", "merge_arity"}, graph.name
+            if not rules:
+                accepted += 1
+                assert walks == [], graph.name
+        assert missed and accepted
 
     @pytest.mark.parametrize("kind", [object(), WideConv(kernel=3, filters=4)], ids=["object", "conv-subclass"])
     def test_only_the_layer_kind_classes_are_kinds(self, kind):

@@ -1,6 +1,6 @@
 import pytest
 
-from dagtools import SWEEP_SIZES, ZOO_VARIANTS
+from dagtools import SWEEP_SIZES, ZOO_VARIANTS, random_graph, truncate_by_heap_drain
 from rfscope import (
     Conv2d,
     Dense,
@@ -82,6 +82,27 @@ class TestTruncateAtBorder:
     def test_rejects_bad_class_count(self):
         with pytest.raises(ValueError):
             truncate_at_border(build_named("vgg16"), num_classes=1)
+
+    @pytest.mark.parametrize("family", ["zoo", "random"])
+    def test_matches_the_heap_drain_oracle(self, family):
+        if family == "zoo":
+            graphs = [build_named(name, input_spec=InputSpec(s, s, 3)) for name in ZOO_VARIANTS for s in SWEEP_SIZES]
+        else:
+            graphs = [
+                random_graph(seed, shape_safe=True).with_input(InputSpec(s, s, 3))
+                for seed in range(100) for s in (8, 16, 32, 64, 128)
+            ]
+        truncated = 0
+        for g in graphs:
+            after, delta = truncate_at_border(g, num_classes=10)
+            expected = truncate_by_heap_drain(g, num_classes=10)
+            if expected is None:
+                assert after is g and not delta.changed
+                continue
+            truncated += 1
+            got = ([n.id for n in after.nodes], list(after.edges), delta.removed_node_ids)
+            assert got == expected, (g.name, g.input)
+        assert truncated
 
     def test_border_at_last_conv_keeps_prefix(self):
         g = chain_graph(
