@@ -186,12 +186,11 @@ def _layer_to_dict(kind: LayerKind, layer_id: str) -> dict[str, Any]:
 
 
 def serialize_document(graph: ArchGraph) -> dict[str, Any]:
-    """Graph as a plain JSON-ready dict; layers appear in declaration order."""
-    nodes = sorted(graph.nodes, key=lambda n: n.declaration_index)
+    """Graph as a plain JSON-ready dict; layers appear in node order, which is declaration order."""
     return {
         "name": graph.name,
         "input": graph.input._asdict(),
-        "layers": [_layer_to_dict(n.kind, n.id) for n in nodes],
+        "layers": [_layer_to_dict(n.kind, n.id) for n in graph.nodes],
         "edges": [[a, b] for a, b in graph.edges],
     }
 

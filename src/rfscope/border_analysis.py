@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph_ir import ArchGraph, Input, _Record, _set
+from .graph_ir import ArchGraph, _Record, _set
 from .rf_analysis import RFAnnotation, propagate_dag
 
 PRODUCTIVE = "productive"
@@ -89,8 +89,6 @@ def unproductive_closure(graph: ArchGraph, report: BorderReport | None = None) -
         return frozenset()
     blocked: set[str] = set()
     for nid in graph.order:
-        if isinstance(graph.node_map[nid].kind, Input):
-            continue
         if nid in unproductive:
             blocked.add(nid)
             continue

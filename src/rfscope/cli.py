@@ -20,7 +20,7 @@ import rfscope
 from .graph_ir import GraphValidationError, InputSpec
 
 if TYPE_CHECKING:
-    from typing import IO, Any, Sequence
+    from typing import IO, Any, Callable, Sequence
 
     from .border_analysis import BorderReport
     from .graph_ir import ArchGraph
@@ -123,10 +123,14 @@ def _load_graph(ref: str, input_size: Sequence[int] | None, classes: int) -> Arc
     return graph
 
 
-def _write_json(payload: dict[str, Any]) -> None:
-    import json
+def _write_report(payload: dict[str, Any], fmt: str, render: Callable[[dict[str, Any]], str]) -> None:
+    """Write `payload` to stdout as indented JSON when `fmt` is "json", else as `render(payload)`."""
+    if fmt == "json":
+        import json
 
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    else:
+        sys.stdout.write(render(payload))
 
 
 def _num(value: int | float) -> int | str:
@@ -339,12 +343,7 @@ def _parse_pass_spec(spec: str) -> tuple[str, int]:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     graph = _load_graph(args.arch, args.input_size, args.classes)
     payload = _analysis_payload(graph)
-    if args.format == "json":
-        _write_json(payload)
-    elif args.format == "csv":
-        sys.stdout.write(_render_analysis_csv(payload))
-    else:
-        sys.stdout.write(_render_analysis_text(payload))
+    _write_report(payload, args.format, _render_analysis_csv if args.format == "csv" else _render_analysis_text)
     return EXIT_OK
 
 
@@ -366,10 +365,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         with _open(args.emit, "w") as handle:
             handle.write(serialize(rewritten))
     payload = _delta_payload(delta)
-    if args.format == "json":
-        _write_json(payload)
-    else:
-        sys.stdout.write(_render_delta_text(payload))
+    _write_report(payload, args.format, _render_delta_text)
     if not delta.changed:
         sys.stderr.write("optimize: pass was a no-op (no border layer)\n")
         return EXIT_NOOP
@@ -387,10 +383,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         sys.stderr.write(f"compare: {exc}\n")
         return EXIT_INVALID
     payload = _compare_payload(report)
-    if args.format == "json":
-        _write_json(payload)
-    else:
-        sys.stdout.write(_render_compare_text(payload))
+    _write_report(payload, args.format, _render_compare_text)
     return EXIT_OK
 
 

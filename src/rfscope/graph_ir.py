@@ -398,11 +398,11 @@ def validate(graph: ArchGraph) -> list[Violation]:
         seen_ids.add(node.id)
         violations.extend(_kind_violations(node))
 
-    indices = sorted(n.declaration_index for n in graph.nodes)
-    if indices != list(range(len(graph.nodes))):
-        violations.append(
-            Violation("declaration_order", graph.name, "declaration indices must be unique and contiguous from 0")
-        )
+    for i, node in enumerate(graph.nodes):
+        if node.declaration_index != i:
+            message = f"node {node.id!r} is at position {i} but has declaration index {node.declaration_index!r}"
+            violations.append(Violation("declaration_order", graph.name, message))
+            break
 
     seen_edges: set[tuple[str, str]] = set()
     for src, dst in graph.edges:
@@ -430,9 +430,6 @@ def validate(graph: ArchGraph) -> list[Violation]:
         violations.append(
             Violation("single_input", graph.name, f"expected exactly one Input node, found {len(input_ids)}")
         )
-    for nid in input_ids:
-        if preds[nid]:
-            violations.append(Violation("input_degree", nid, "Input node must have in-degree 0"))
 
     sinks = [n.id for n in graph.nodes if not succs[n.id]]
     if len(sinks) != 1:

@@ -142,7 +142,7 @@ def _walk(graph: ArchGraph) -> tuple[dict[str, ShapeInfo], CostReport]:
                     raise ShapeError(nid, f"concat over mismatched spatial dims {(h, w)} vs {shapes[p].spatial}")
             out_c = sum(shapes[p].out_channels for p in preds)
         elif cls is Attention:
-            params, macs = _attention_params(kind.variant, c), _attention_macs(kind.variant, h * w, c)
+            params, macs = _attention_cost(kind.variant, h * w, c)
         elif cls is GlobalAvgPool:
             out_h = out_w = 1
             macs = h * w * c
@@ -163,31 +163,23 @@ def propagate_shapes(graph: ArchGraph) -> dict[str, ShapeInfo]:
     return _walk(graph)[0]
 
 
-def _se_squeeze(channels: int) -> int:
-    return max(1, channels // DEFAULT_SE_RATIO)
+def _attention_cost(variant: str, area: int, channels: int) -> tuple[int, int]:
+    """(params, MACs) of an attention layer over `area` positions of `channels` channels.
 
-
-def _attention_params(variant: str, channels: int) -> int:
-    # Modeling defaults: a squeeze-excite bottleneck holds 2*C*(C/ratio)
-    # weights; spatial attention is one 7x7 conv over stacked avg/max maps;
-    # cbam combines both.
-    se = 2 * channels * _se_squeeze(channels)
-    spatial = SPATIAL_ATTENTION_KERNEL**2 * 2
-    if variant == "se":
-        return se
-    if variant == "spatial":
-        return spatial
-    return se + spatial
-
-
-def _attention_macs(variant: str, area: int, channels: int) -> int:
-    se = 2 * channels * area + 2 * channels * _se_squeeze(channels)
-    spatial = 2 * channels * area + SPATIAL_ATTENTION_KERNEL**2 * 2 * area + channels * area
-    if variant == "se":
-        return se
-    if variant == "spatial":
-        return spatial
-    return se + spatial
+    Modeling defaults: a squeeze-excite bottleneck holds 2*C*(C/ratio)
+    weights; spatial attention is one 7x7 conv over stacked avg/max maps;
+    cbam combines both.
+    """
+    params = macs = 0
+    if variant != "spatial":  # the squeeze-excite half
+        bottleneck = 2 * channels * max(1, channels // DEFAULT_SE_RATIO)
+        params += bottleneck
+        macs += 2 * channels * area + bottleneck
+    if variant != "se":  # the spatial half
+        weights = SPATIAL_ATTENTION_KERNEL**2 * 2
+        params += weights
+        macs += (3 * channels + weights) * area
+    return params, macs
 
 
 def cost_report(graph: ArchGraph, shapes: dict[str, ShapeInfo] | None = None) -> CostReport:

@@ -117,14 +117,10 @@ def _rebuild(
     keep: list[str],
     edges: list[tuple[str, str]],
     kinds: dict[str, LayerKind],
-    appended: list[tuple[str, LayerKind]] | None = None,
 ) -> ArchGraph:
-    order = {node.id: node.declaration_index for node in graph.nodes}
-    kept_sorted = sorted(keep, key=lambda nid: order[nid])
-    nodes = [LayerNode(nid, kinds[nid], idx) for idx, nid in enumerate(kept_sorted)]
-    for offset, (nid, kind) in enumerate(appended or []):
-        nodes.append(LayerNode(nid, kind, len(kept_sorted) + offset))
-    rebuilt = ArchGraph(name=name, input=graph.input, nodes=tuple(nodes), edges=tuple(edges))
+    """The graph of nodes `keep`, declared in that order, with `kinds` and `edges`."""
+    nodes = tuple(LayerNode(nid, kinds[nid], idx) for idx, nid in enumerate(keep))
+    rebuilt = ArchGraph(name=name, input=graph.input, nodes=nodes, edges=tuple(edges))
     try:
         rebuilt.order  # the rebuilt graph's one validation, cached for the analyses that follow
     except GraphValidationError as exc:
@@ -149,10 +145,7 @@ def _old_head_chain(graph: ArchGraph) -> list[str]:
     nid = graph.sink_id
     while isinstance(graph.node_map[nid].kind, HEAD_KINDS):
         chain.append(nid)
-        preds = graph.predecessors[nid]
-        if len(preds) != 1:
-            break
-        nid = preds[0]
+        nid = graph.predecessors[nid][0]  # head kinds are unary
     return chain
 
 
@@ -209,10 +202,10 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
     preds_of: dict[str, list[str]] = {nid: [] for nid in keep}
     for a, b in edges:
         preds_of[b].append(a)
+    # The Input always survives (it is no conv, head kind or merge) and kept edges point
+    # forward in `graph.order`, so the last kept node in that order has no outgoing edge.
     has_out = {a for a, _ in edges}
-    tail_end = next((nid for nid in reversed(graph.order) if nid in preds_of and nid not in has_out), None)
-    if tail_end is None:
-        raise TransformError("tail removal left no attachment point for the new head")
+    tail_end = next(nid for nid in reversed(graph.order) if nid in preds_of and nid not in has_out)
     ancestors = _reachable(tail_end, preds_of)
     removed.update(nid for nid in keep if nid not in ancestors)
     keep = [nid for nid in keep if nid in ancestors]
@@ -222,14 +215,10 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
     gap_id = _fresh_id("head_gap", taken)
     fc_id = _fresh_id("head_fc", taken)
     softmax_id = _fresh_id("head_softmax", taken)
-    appended = [
-        (gap_id, GlobalAvgPool()),
-        (fc_id, Dense(units=num_classes, bias=True)),
-        (softmax_id, Softmax()),
-    ]
+    kinds.update({gap_id: GlobalAvgPool(), fc_id: Dense(units=num_classes, bias=True), softmax_id: Softmax()})
     edges += [(tail_end, gap_id), (gap_id, fc_id), (fc_id, softmax_id)]
 
-    after = _rebuild(graph, f"{graph.name}-truncated", keep, edges, kinds, appended)
+    after = _rebuild(graph, f"{graph.name}-truncated", keep + [gap_id, fc_id, softmax_id], edges, kinds)
     return after, _delta("truncate", before, _snapshot(after), tuple(sorted(removed)))
 
 

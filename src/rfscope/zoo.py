@@ -139,10 +139,7 @@ def _conv_bn_relu(
 def _build_resnet(spec: ZooSpec) -> ArchGraph:
     b = _GraphBuilder()
     prev = b.add("input", Input())
-    stem_stride = 2 if spec.stem_downsampling else 1
-    prev = b.chain(prev, "stem_conv", Conv2d(kernel=7, filters=64, stride=stem_stride, padding="same", bias=False))
-    prev = b.chain(prev, "stem_bn", BatchNorm())
-    prev = b.chain(prev, "stem_relu", Activation("relu"))
+    prev = _conv_bn_relu(b, prev, "stem", kernel=7, filters=64, stride=2 if spec.stem_downsampling else 1)
     if spec.stem_downsampling:
         prev = b.chain(prev, "stem_pool", Pool(mode="max", kernel=3, stride=2, padding=1))
 

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from dagtools import random_graph
+
 from rfscope import (
     Activation,
     Add,
@@ -76,6 +78,12 @@ def minimal_doc():
 def test_round_trip_zoo(name):
     g = build_named(name)
     assert parse(serialize(g)) == g
+
+
+def test_round_trip_random_graphs():
+    for seed in range(100):
+        g = random_graph(seed)
+        assert parse(serialize(g)) == g, g.name
 
 
 def test_serialize_is_stable_text():

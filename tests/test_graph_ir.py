@@ -4,12 +4,14 @@ from dagtools import ZOO_VARIANTS, count_validations, mutated_graph, random_grap
 from rfscope import (
     Activation,
     Add,
+    ArchGraph,
     Conv2d,
     Dense,
     GlobalAvgPool,
     GraphValidationError,
     Input,
     InputSpec,
+    LayerNode,
     Pool,
     Softmax,
     build_named,
@@ -132,6 +134,32 @@ class TestValidate:
             ("unary_arity", "c1", "expected exactly one predecessor, got 2"),
             ("unary_arity", "loose", "expected exactly one predecessor, got 0"),
         ]
+
+    def test_nodes_out_of_declaration_order_rejected(self):
+        nodes = (LayerNode("c1", Conv2d(3, 4), 1), LayerNode("input", Input(), 0))
+        g = ArchGraph("perm", IN8, nodes, (("input", "c1"),))
+        assert [str(v) for v in validate(g)] == [
+            "[declaration_order] perm: node 'c1' is at position 0 but has declaration index 1"
+        ]
+
+    def test_input_with_a_predecessor_breaks_an_arity_rule(self):
+        layers = [("c0", Conv2d(3, 4)), ("input", Input()), ("c1", Conv2d(3, 4))]
+        g = make_graph("fed-input", IN8, layers, [("c0", "input"), ("input", "c1")])
+        assert [str(v) for v in validate(g)] == ["[unary_arity] c0: expected exactly one predecessor, got 0"]
+
+    def test_other_rules_reject_an_input_with_a_predecessor(self):
+        # No in-degree rule is checked for the Input: walking predecessors back
+        # from it ends in a cycle, at a second Input or at a layer with none.
+        fed = 0
+        for seed in range(2000):
+            graph = mutated_graph(seed)
+            rules = {v.rule for v in validate(graph)}
+            if "edge_endpoints" in rules:  # validate stops before its degree rules
+                continue
+            if any(graph.predecessors[n.id] for n in graph.nodes if isinstance(n.kind, Input)):
+                fed += 1
+                assert rules & {"single_input", "unary_arity", "merge_arity", "acyclic"}, graph.name
+        assert fed
 
     def test_arity_rules_imply_reachability(self):
         # Every node a reachability walk misses breaks an Input or arity rule,
