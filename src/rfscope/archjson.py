@@ -2,10 +2,11 @@
 
 A document holds the graph name, the input spec, a `layers` array (whose
 order defines declaration order), and an `edges` array of [source, target]
-pairs. Parsing is strict: unknown keys, wrong types, and non-square numeric
-shapes are rejected with path-qualified diagnostics, and the resulting graph
-must pass full validation. Serialization writes every field explicitly so
-that parse(serialize(g)) reproduces g exactly.
+pairs. Each layer must come after its predecessors: every edge runs from an
+earlier layer to a later one. Parsing is strict: unknown keys, wrong types,
+and non-square numeric shapes are rejected with path-qualified diagnostics,
+and the resulting graph must pass full validation. Serialization writes
+every field explicitly so that parse(serialize(g)) reproduces g exactly.
 """
 from __future__ import annotations
 

@@ -380,7 +380,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     try:
         report = compare(graph_a, graph_b)
     except ValueError as exc:
-        sys.stderr.write(f"compare: {exc}\n")
+        if type(exc) is not ValueError:  # a ShapeError, say, which main reports as analyze does
+            raise
+        sys.stderr.write(f"compare: {exc}\n")  # the two inputs differ
         return EXIT_INVALID
     payload = _compare_payload(report)
     _write_report(payload, args.format, _render_compare_text)

@@ -1,15 +1,16 @@
 """Typed DAG representation of CNN architectures.
 
-An :class:`ArchGraph` is an immutable directed acyclic graph of layer nodes
-with exactly one input and one sink. All analysis and rewrite passes in this
-package consume and produce these graphs; none of them mutate their input.
+An :class:`ArchGraph` is an immutable graph of layer nodes with exactly one
+input and one sink. Every edge runs from an earlier-declared node to a later
+one, so the graph has no cycle and its declaration order is the topological
+order every pass walks. All analysis and rewrite passes in this package
+consume and produce these graphs; none of them mutate their input.
 
 Kernel sizes, strides, and dilations are scalars: only square layers are
 supported, and non-square configurations are rejected by :func:`validate`.
 """
 from __future__ import annotations
 
-import heapq
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Union, get_args
 
@@ -288,41 +289,17 @@ class ArchGraph(_Record):
         return {k: tuple(v) for k, v in succs.items()}
 
     @cached_property
-    def _kahn_order(self) -> tuple[str, ...]:
-        """Kahn elimination order, ties broken by ascending declaration index.
-
-        It holds every node exactly when the graph is acyclic. This is the
-        one sort of a graph: :func:`validate` reads it for its cycle check,
-        and :attr:`order` returns it once validation has passed.
-        """
-        pending = {n.id: len(self.predecessors[n.id]) for n in self.nodes}
-        heap = [(n.declaration_index, n.id) for n in self.nodes if not pending[n.id]]
-        heapq.heapify(heap)
-        eliminated: list[str] = []
-        while heap:
-            nid = heapq.heappop(heap)[1]
-            eliminated.append(nid)
-            for succ in self.successors[nid]:
-                pending[succ] -= 1
-                if not pending[succ]:
-                    heapq.heappush(heap, (self.node_map[succ].declaration_index, succ))
-        return tuple(eliminated)
-
-    @cached_property
     def order(self) -> tuple[str, ...]:
-        """Node ids with every edge pointing forward, checked and computed on first use.
+        """Node ids in declaration order, which :func:`validate` checks is topological.
 
-        Ties between incomparable nodes are broken by ascending declaration
-        index, so the order is identical across runs and across structurally
-        equal graphs. Graphs are immutable, so one :func:`validate` and one
-        sort serve every later pass over this instance. An invalid graph
-        caches nothing and raises :class:`GraphValidationError` on every
-        access.
+        Graphs are immutable, so one :func:`validate` on first use serves
+        every later pass over this instance. An invalid graph caches nothing
+        and raises :class:`GraphValidationError` on every access.
         """
         violations = validate(self)
         if violations:
             raise GraphValidationError(violations)
-        return self._kahn_order
+        return tuple(n.id for n in self.nodes)
 
     def with_input(self, spec: InputSpec) -> ArchGraph:
         """This graph with another input. :func:`validate` reads the input only through its
@@ -334,17 +311,16 @@ class ArchGraph(_Record):
 
     @property
     def sink_id(self) -> str:
-        """The one sink: every node reaches it, so it ends every topological order."""
+        """The one sink, the last declared node: every node reaches it, and edges point forward."""
         return self.order[-1]
 
     @cached_property
     def conv_ordinals(self) -> dict[str, int]:
-        """1-based ordinal of every Conv2d node in :attr:`order`.
+        """1-based ordinal of every Conv2d node, numbered in declaration order.
 
-        Border layers are reported as these ordinals, so the numbering must be
-        reproducible: it inherits the declaration-index tie-breaking of
-        :attr:`order`. Every Conv2d counts, including 1x1
-        projection convolutions on skip branches.
+        Border layers are reported as these ordinals, so they follow the order
+        in which the architecture lists its layers. Every Conv2d counts,
+        including 1x1 projection convolutions on skip branches.
         """
         convs = (nid for nid in self.order if isinstance(self.node_map[nid].kind, Conv2d))
         return {nid: i for i, nid in enumerate(convs, start=1)}
@@ -391,11 +367,11 @@ def validate(graph: ArchGraph) -> list[Violation]:
     """
     violations: list[Violation] = []
 
-    seen_ids: set[str] = set()
-    for node in graph.nodes:
-        if node.id in seen_ids:
+    position: dict[str, int] = {}
+    for i, node in enumerate(graph.nodes):
+        if node.id in position:
             violations.append(Violation("unique_ids", node.id, "duplicate node id"))
-        seen_ids.add(node.id)
+        position[node.id] = i
         violations.extend(_kind_violations(node))
 
     for i, node in enumerate(graph.nodes):
@@ -408,20 +384,21 @@ def validate(graph: ArchGraph) -> list[Violation]:
     for src, dst in graph.edges:
         duplicate = (src, dst) in seen_edges
         seen_edges.add((src, dst))
-        if src in seen_ids and dst in seen_ids and src != dst and not duplicate:
+        src_at, dst_at = position.get(src), position.get(dst)
+        if src_at is not None and dst_at is not None and src_at < dst_at and not duplicate:
             continue  # a good edge: no label to format
         label = f"{src}->{dst}"
-        if src not in seen_ids:
+        if src_at is None:
             violations.append(Violation("edge_endpoints", label, f"unknown source node {src!r}"))
-        if dst not in seen_ids:
+        if dst_at is None:
             violations.append(Violation("edge_endpoints", label, f"unknown target node {dst!r}"))
-        if src == dst:
-            violations.append(Violation("acyclic", label, "self-edge"))
+        elif src_at is not None and src_at >= dst_at:
+            violations.append(Violation("declaration_order", label, f"{src!r} is not declared before {dst!r}"))
         if duplicate:
             violations.append(Violation("edge_endpoints", label, "duplicate edge"))
 
     if violations:
-        # Degree and cycle checks below assume well-formed ids and edges.
+        # The rules below assume well-formed ids and edges that point forward, hence no cycle.
         return violations
 
     preds, succs = graph.predecessors, graph.successors
@@ -447,11 +424,6 @@ def validate(graph: ArchGraph) -> list[Violation]:
         elif indeg != 1:
             violations.append(Violation("unary_arity", node.id, f"expected exactly one predecessor, got {indeg}"))
 
-    eliminated = graph._kahn_order
-    if len(eliminated) != len(graph.nodes):
-        # Kahn elimination stops at the cyclic core.
-        cyclic = sorted(seen_ids - set(eliminated))
-        violations.append(Violation("acyclic", "{" + ",".join(cyclic) + "}", "cycle through these nodes"))
     if violations:
         # Channel bookkeeping needs a sound DAG. Its rules also put every node on
         # an input-to-sink path, so no reachability rule is checked: walking
@@ -459,7 +431,7 @@ def validate(graph: ArchGraph) -> list[Violation]:
         # one Input, and walking successors on ends at the one sink.
         return violations
 
-    channels = _propagate_channels(graph, eliminated)
+    channels = _propagate_channels(graph)
     for node in graph.nodes:
         if isinstance(node.kind, Add):
             widths = sorted({channels[p] for p in preds[node.id]})
@@ -482,11 +454,11 @@ def _reachable(start: str, neighbours: Mapping[str, Iterable[str]]) -> set[str]:
     return seen
 
 
-def _propagate_channels(graph: ArchGraph, order: tuple[str, ...]) -> dict[str, int]:
-    """Channel count carried out of each node, visited in any topological `order`."""
+def _propagate_channels(graph: ArchGraph) -> dict[str, int]:
+    """Channel count carried out of each node of a graph whose edges point forward."""
     channels: dict[str, int] = {}
-    for nid in order:
-        kind = graph.node_map[nid].kind
+    for node in graph.nodes:
+        nid, kind = node.id, node.kind
         preds = graph.predecessors[nid]
         if isinstance(kind, Input):
             channels[nid] = graph.input.channels

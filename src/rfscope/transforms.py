@@ -203,9 +203,9 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
     for a, b in edges:
         preds_of[b].append(a)
     # The Input always survives (it is no conv, head kind or merge) and kept edges point
-    # forward in `graph.order`, so the last kept node in that order has no outgoing edge.
+    # forward in declaration order, so the last kept node has no outgoing edge.
     has_out = {a for a, _ in edges}
-    tail_end = next(nid for nid in reversed(graph.order) if nid in preds_of and nid not in has_out)
+    tail_end = next(nid for nid in reversed(keep) if nid not in has_out)
     ancestors = _reachable(tail_end, preds_of)
     removed.update(nid for nid in keep if nid not in ancestors)
     keep = [nid for nid in keep if nid in ancestors]

@@ -238,7 +238,7 @@ def _reachable(start: str, neighbours: dict[str, tuple[str, ...]]) -> set[str]:
 
 
 # Rules whose violations made `validate` return before its reachability checks.
-_BEFORE_REACHABILITY = {"unique_ids", "layer_kind", "layer_fields", "declaration_order", "edge_endpoints", "acyclic"}
+_BEFORE_REACHABILITY = {"unique_ids", "layer_kind", "layer_fields", "declaration_order", "edge_endpoints"}
 
 
 def reachability_walks(graph: ArchGraph) -> list[Violation] | None:

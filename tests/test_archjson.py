@@ -119,12 +119,12 @@ def test_defaults_fill_optional_fields(tag):
 def test_declaration_index_is_array_position():
     doc = minimal_doc()
     g = parse(json.dumps(doc))
-    assert [n.id for n in sorted(g.nodes, key=lambda n: n.declaration_index)] == ["input", "c1", "fc"]
-    # Reordering the array (same edges) permutes declaration indices.
+    assert [(n.id, n.declaration_index) for n in g.nodes] == [("input", 0), ("c1", 1), ("fc", 2)]
+    # Array order must be topological: listing fc before c1 (same edges) is rejected.
     doc["layers"] = [doc["layers"][0], doc["layers"][2], doc["layers"][1]]
-    g2 = parse(json.dumps(doc))
-    assert g2.node_map["fc"].declaration_index == 1
-    assert g2.conv_ordinals == g.conv_ordinals  # topology unchanged, ordinals too
+    with pytest.raises(DocumentSemanticError) as err:
+        parse(json.dumps(doc))
+    assert [str(v) for v in err.value.violations] == ["[declaration_order] c1->fc: 'c1' is not declared before 'fc'"]
 
 
 def test_missing_required_key_names_the_layer():
@@ -214,7 +214,7 @@ def test_cycle_is_semantic_error():
     doc["edges"].append(["fc", "c1"])
     with pytest.raises(DocumentSemanticError) as err:
         parse(json.dumps(doc))
-    assert any(v.rule in ("acyclic", "unary_arity") for v in err.value.violations)
+    assert [str(v) for v in err.value.violations] == ["[declaration_order] fc->c1: 'fc' is not declared before 'c1'"]
 
 
 def test_syntax_error_reports_position():

@@ -129,7 +129,7 @@ def test_validate_rejects_cyclic_document(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "validate", str(path))
     assert code == EXIT_INVALID
-    assert "cycle" in err
+    assert "[declaration_order] b->a: 'b' is not declared before 'a'\n" in err
 
 
 def test_optimize_stem_removal_macs_delta(capsys):
@@ -179,6 +179,22 @@ def test_compare_reports_direction(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["deltas"]["macs"] > 0
+
+
+def test_compare_reports_a_shape_error_as_analyze_does(capsys):
+    code, out, err = run(capsys, "compare", "zoo:vgg11", "zoo:vgg13", "--input-size", "1", "1")
+    assert (code, out, err) == (EXIT_INVALID, "", "rfscope: node 'pool1': window 2 exceeds padded input extent 1\n")
+
+
+def test_compare_refuses_graphs_with_different_inputs(tmp_path, capsys):
+    path = tmp_path / "vgg11-64.json"
+    path.write_text(serialize(build_named("vgg11", input_spec=InputSpec(64, 64, 3))))
+    code, out, err = run(capsys, "compare", str(path), "zoo:vgg11")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == (
+        "compare: input specs differ: InputSpec(height=64, width=64, channels=3) vs "
+        "InputSpec(height=32, width=32, channels=3); comparison would be meaningless\n"
+    )
 
 
 def test_zoo_list_names(capsys):

@@ -67,10 +67,12 @@ class TestValidate:
         layers = [("input", Input()), ("a", Add()), ("b", Conv2d(kernel=3, filters=3)), ("c", Conv2d(kernel=3, filters=3))]
         edges = [("input", "a"), ("a", "b"), ("b", "a"), ("b", "c")]
         g = make_graph("cyclic", IN8, layers, edges)
-        rules = {v.rule for v in validate(g)}
-        assert "acyclic" in rules
-        cycle = next(v for v in validate(g) if v.rule == "acyclic")
-        assert "a" in cycle.subject and "b" in cycle.subject
+        assert [str(v) for v in validate(g)] == ["[declaration_order] b->a: 'b' is not declared before 'a'"]
+
+    def test_self_edge_is_not_declared_before_itself(self):
+        layers = [("input", Input()), ("c1", Conv2d(kernel=3, filters=3))]
+        g = make_graph("loop", IN8, layers, [("input", "c1"), ("c1", "c1")])
+        assert [str(v) for v in validate(g)] == ["[declaration_order] c1->c1: 'c1' is not declared before 'c1'"]
 
     def test_merge_with_single_predecessor(self):
         g = chain_graph("bad-merge", IN8, [("c1", Conv2d(kernel=3, filters=4)), ("add", Add())])
@@ -131,15 +133,15 @@ class TestValidate:
         layers = [("input", Input()), ("c1", Conv2d(kernel=3, filters=4)), ("loose", Activation())]
         g = make_graph("island", IN8, layers, [("input", "c1"), ("loose", "c1")])
         assert [(v.rule, v.subject, v.message) for v in validate(g)] == [
-            ("unary_arity", "c1", "expected exactly one predecessor, got 2"),
-            ("unary_arity", "loose", "expected exactly one predecessor, got 0"),
+            ("declaration_order", "loose->c1", "'loose' is not declared before 'c1'"),
         ]
 
     def test_nodes_out_of_declaration_order_rejected(self):
         nodes = (LayerNode("c1", Conv2d(3, 4), 1), LayerNode("input", Input(), 0))
         g = ArchGraph("perm", IN8, nodes, (("input", "c1"),))
         assert [str(v) for v in validate(g)] == [
-            "[declaration_order] perm: node 'c1' is at position 0 but has declaration index 1"
+            "[declaration_order] perm: node 'c1' is at position 0 but has declaration index 1",
+            "[declaration_order] input->c1: 'input' is not declared before 'c1'",
         ]
 
     def test_input_with_a_predecessor_breaks_an_arity_rule(self):
@@ -149,7 +151,7 @@ class TestValidate:
 
     def test_other_rules_reject_an_input_with_a_predecessor(self):
         # No in-degree rule is checked for the Input: walking predecessors back
-        # from it ends in a cycle, at a second Input or at a layer with none.
+        # from it meets a backward edge, a second Input or a layer with none.
         fed = 0
         for seed in range(2000):
             graph = mutated_graph(seed)
@@ -158,7 +160,7 @@ class TestValidate:
                 continue
             if any(graph.predecessors[n.id] for n in graph.nodes if isinstance(n.kind, Input)):
                 fed += 1
-                assert rules & {"single_input", "unary_arity", "merge_arity", "acyclic"}, graph.name
+                assert rules & {"single_input", "unary_arity", "merge_arity", "declaration_order"}, graph.name
         assert fed
 
     def test_arity_rules_imply_reachability(self):
@@ -338,7 +340,7 @@ class TestCachedOrder:
         with pytest.raises(GraphValidationError) as err:
             g.order
         assert err.value.violations == validate(g)
-        assert [v.subject for v in err.value.violations if v.rule == "acyclic"] == ["{a,b,c}"]
+        assert [v.subject for v in err.value.violations if v.rule == "declaration_order"] == ["b->a"]
 
     @pytest.mark.parametrize(
         "rewrite",

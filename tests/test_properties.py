@@ -181,8 +181,8 @@ def test_frontiers_are_per_jump_path_extremes(seed):
 
 
 def insert_on_edge(graph, edge, node_id, kind):
-    layers = [(n.id, n.kind) for n in sorted(graph.nodes, key=lambda n: n.declaration_index)]
-    layers.append((node_id, kind))
+    layers = [(n.id, n.kind) for n in graph.nodes]
+    layers.insert(graph.order.index(edge[0]) + 1, (node_id, kind))
     edges = [e for e in graph.edges if e != edge] + [(edge[0], node_id), (node_id, edge[1])]
     return make_graph(graph.name, graph.input, layers, edges)
 

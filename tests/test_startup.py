@@ -113,8 +113,7 @@ def test_only_the_chosen_output_format_is_loaded(tmp_path, bare, fmt):
             json.dumps(CYCLIC_DOCUMENT),
             ["validate", "FILE"],
             "rfscope: invalid architecture document: graph validation failed: "
-            "[single_sink] cyclic: expected exactly one sink node, found 0: []; "
-            "[unary_arity] a: expected exactly one predecessor, got 2; [acyclic] {a,b}: cycle through these nodes\n",
+            "[declaration_order] b->a: 'b' is not declared before 'a'\n",
         ),
         (
             None,
