@@ -3,10 +3,11 @@
 A document holds the graph name, the input spec, a `layers` array (whose
 order defines declaration order), and an `edges` array of [source, target]
 pairs. Each layer must come after its predecessors: every edge runs from an
-earlier layer to a later one. Parsing is strict: unknown keys, wrong types,
-and non-square numeric shapes are rejected with path-qualified diagnostics,
-and the resulting graph must pass full validation. Serialization writes
-every field explicitly so that parse(serialize(g)) reproduces g exactly.
+earlier layer to a later one. Parsing checks the document's shape: a shape
+error, such as an unknown or missing key, carries its JSON path. The graph
+must then pass full validation, which judges every field value and reports a
+bad one as a `layer_fields` violation. Serialization writes every field
+explicitly so that parse(serialize(g)) reproduces g exactly.
 """
 from __future__ import annotations
 
@@ -68,28 +69,6 @@ _KIND_TAGS: dict[str, type] = {
 _TAG_BY_TYPE = {cls: tag for tag, cls in _KIND_TAGS.items()}
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# JSON type of a field (see `graph_ir._KIND_FIELDS`) -> (does a decoded value have it, error text).
-_JSON_TYPES = {
-    "int": (_is_int, "expected an integer, got {!r}"),
-    "square": (_is_int, "expected an integer, got {!r} (square scalars only)"),
-    "str": (lambda v: isinstance(v, str), "expected a string, got {!r}"),
-    "bool": (lambda v: isinstance(v, bool), "expected a boolean, got {!r}"),
-    "padding": (lambda v: _is_int(v) or v in ("same", "valid"), "expected 'same', 'valid', or an integer, got {!r}"),
-}
-
-
-def _check_value(path: str, value: Any, json_type: str) -> Any:
-    """`value` if it has the JSON type `json_type`."""
-    fits, expected = _JSON_TYPES[json_type]
-    if not fits(value):
-        raise DocumentError(path, expected.format(value))
-    return value
-
-
 def _parse_layer(index: int, raw: Any) -> tuple[str, LayerKind]:
     path = f"layers[{index}]"
     if not isinstance(raw, dict):
@@ -106,13 +85,11 @@ def _parse_layer(index: int, raw: Any) -> tuple[str, LayerKind]:
     for key in raw:
         if key not in fields and key not in ("id", "kind"):
             raise DocumentError(f"{where}.{key}", f"unknown key for kind {tag!r}")
-    kwargs: dict[str, Any] = {}
-    for position, (field_name, (json_type, _, _)) in enumerate(fields.items()):
-        if field_name in raw:
-            kwargs[field_name] = _check_value(f"{where}.{field_name}", raw[field_name], json_type)
-        elif position < len(fields) - len(cls.__init__.__defaults__ or ()):  # no constructor default
+    for position, field_name in enumerate(fields):
+        if field_name not in raw and position < len(fields) - len(cls.__init__.__defaults__ or ()):  # no default
             raise DocumentError(f"{where}.{field_name}", f"missing required key for kind {tag!r}")
-    return layer_id, cls(**kwargs)
+    # The values go in unchecked: `validate`, which `parse_document` runs on the graph, judges each one.
+    return layer_id, cls(**{name: raw[name] for name in fields if name in raw})
 
 
 def parse_document(doc: Any) -> ArchGraph:
@@ -134,13 +111,11 @@ def parse_document(doc: Any) -> ArchGraph:
     for key in raw_input:
         if key not in ("height", "width", "channels"):
             raise DocumentError(f"$.input.{key}", "unknown key")
-    dims = {}
     for key in ("height", "width", "channels"):
         if key not in raw_input:
             raise DocumentError(f"$.input.{key}", "missing required key")
-        dims[key] = _check_value(f"$.input.{key}", raw_input[key], "int")
     try:
-        input_spec = InputSpec(**dims)
+        input_spec = InputSpec(**raw_input)
     except ValueError as exc:
         raise DocumentError("$.input", str(exc)) from None
 

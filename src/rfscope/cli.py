@@ -123,14 +123,21 @@ def _load_graph(ref: str, input_size: Sequence[int] | None, classes: int) -> Arc
     return graph
 
 
+def _write_stdout(text: str) -> None:
+    """Write `text` to stdout; a process started with stdout closed (`>&-`) has `sys.stdout` None."""
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
+    sys.stdout.write(text)
+
+
 def _write_report(payload: dict[str, Any], fmt: str, render: Callable[[dict[str, Any]], str]) -> None:
     """Write `payload` to stdout as indented JSON when `fmt` is "json", else as `render(payload)`."""
     if fmt == "json":
         import json
 
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _write_stdout(json.dumps(payload, indent=2) + "\n")
     else:
-        sys.stdout.write(render(payload))
+        _write_stdout(render(payload))
 
 
 def _num(value: int | float) -> int | str:
@@ -392,7 +399,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     graph = _load_graph(args.arch, args.input_size, args.classes)
     graph.order  # raises GraphValidationError, reported by main, unless the graph is valid
-    sys.stdout.write(f"ok: {graph.name} ({len(graph.nodes)} nodes, {len(graph.edges)} edges)\n")
+    _write_stdout(f"ok: {graph.name} ({len(graph.nodes)} nodes, {len(graph.edges)} edges)\n")
     return EXIT_OK
 
 
@@ -401,8 +408,8 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
         from .zoo import FAMILIES
 
         for name in FAMILIES:
-            sys.stdout.write(name + "\n")
-        sys.stdout.write("# options: NAME-dilN (vgg), NAME-noskip, NAME-nostem (resnet)\n")
+            _write_stdout(name + "\n")
+        _write_stdout("# options: NAME-dilN (vgg), NAME-noskip, NAME-nostem (resnet)\n")
         return EXIT_OK
     from .archjson import serialize
 
@@ -411,7 +418,7 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
         with _open(args.out, "w") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return EXIT_OK
 
 

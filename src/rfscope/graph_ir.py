@@ -12,7 +12,7 @@ supported, and non-square configurations are rejected by :func:`validate`.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping, Union, get_args
+from typing import Any, Callable, Iterable, Union, get_args
 
 PADDING_SAME = "same"
 PADDING_VALID = "valid"
@@ -160,37 +160,34 @@ class Softmax(_Record):
     __slots__ = ()
 
 
-_SQUARE = ("square", _positive_int, "must be a positive square scalar")
-_COUNT = ("int", _positive_int, "must be a positive integer")
-_BIAS = ("bool", lambda value: isinstance(value, bool), "must be a boolean")
+_SQUARE = (_positive_int, "must be a positive square scalar")
+_COUNT = (_positive_int, "must be a positive integer")
+_BIAS = (lambda value: isinstance(value, bool), "must be a boolean")
 
-# Every field of every layer kind, declared once, in `_fields` order: name -> (JSON type, range
-# check, range message). `validate` reports each value its range check rejects, and `archjson`
-# checks each document value against the JSON type ("int", "square", "str", "bool" or "padding").
-_KIND_FIELDS: dict[type, dict[str, tuple[str, Callable[[Any], bool], str]]] = {
+# Every field of every layer kind, declared once, in `_fields` order: name -> (check, message).
+# `archjson` reads the names; `validate` reports each value its check rejects, the one check a
+# field value gets, so a check must reject every wrong type without hashing the value.
+_KIND_FIELDS: dict[type, dict[str, tuple[Callable[[Any], bool], str]]] = {
     Conv2d: {
         "kernel": _SQUARE,
         "filters": _COUNT,
         "stride": _SQUARE,
-        "dilation": ("int", _positive_int, "must be an integer >= 1"),
+        "dilation": (_positive_int, "must be an integer >= 1"),
         "padding": (
-            "padding",
             lambda value: value in (PADDING_SAME, PADDING_VALID) or _nonnegative_int(value),
             "must be 'same', 'valid', or an integer >= 0",
         ),
         "bias": _BIAS,
     },
     Pool: {
-        "mode": ("str", lambda value: value in POOL_MODES, f"must be one of {POOL_MODES}"),
+        "mode": (lambda value: value in POOL_MODES, f"must be one of {POOL_MODES}"),
         "kernel": _SQUARE,
         "stride": _SQUARE,
-        "padding": ("int", _nonnegative_int, "must be an integer >= 0"),
+        "padding": (_nonnegative_int, "must be an integer >= 0"),
     },
     Dense: {"units": _COUNT, "bias": _BIAS},
-    Activation: {"name": ("str", lambda value: isinstance(value, str), "must be a string")},
-    Attention: {
-        "variant": ("str", lambda value: value in ATTENTION_VARIANTS, f"must be one of {ATTENTION_VARIANTS}")
-    },
+    Activation: {"name": (lambda value: isinstance(value, str), "must be a string")},
+    Attention: {"variant": (lambda value: value in ATTENTION_VARIANTS, f"must be one of {ATTENTION_VARIANTS}")},
     **{cls: {} for cls in (GlobalAvgPool, Add, Concat, BatchNorm, Input, Softmax)},
 }
 
@@ -351,9 +348,9 @@ def _kind_violations(node: LayerNode) -> list[Violation]:
         known = ", ".join(sorted(cls.__name__ for cls in LAYER_KINDS))
         return [Violation("layer_kind", node.id, f"{type(kind).__name__} is not a layer kind; expected one of {known}")]
     out: list[Violation] = []
-    for name, (_, in_range, expect) in fields.items():
+    for name, (check, expect) in fields.items():
         value = getattr(kind, name)
-        if not in_range(value):
+        if not check(value):
             out.append(Violation("layer_fields", node.id, f"{name} {expect}, got {value!r}"))
     return out
 
@@ -440,18 +437,6 @@ def validate(graph: ArchGraph) -> list[Violation]:
                     Violation("merge_channels", node.id, f"element-wise add over unequal channel counts {widths}")
                 )
     return violations
-
-
-def _reachable(start: str, neighbours: Mapping[str, Iterable[str]]) -> set[str]:
-    """Every node reached from `start` by following `neighbours` (successors or predecessors)."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nid in neighbours[stack.pop()]:
-            if nid not in seen:
-                seen.add(nid)
-                stack.append(nid)
-    return seen
 
 
 def _propagate_channels(graph: ArchGraph) -> dict[str, int]:

@@ -22,7 +22,6 @@ from .graph_ir import (
     Pool,
     Softmax,
     _Record,
-    _reachable,
     _set,
 )
 from .shape_cost_model import CostReport, cost_report
@@ -147,6 +146,18 @@ def _old_head_chain(graph: ArchGraph) -> list[str]:
         chain.append(nid)
         nid = graph.predecessors[nid][0]  # head kinds are unary
     return chain
+
+
+def _reachable(start: str, neighbours: dict[str, list[str]]) -> set[str]:
+    """Every node reached from `start` by following `neighbours`."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nid in neighbours[stack.pop()]:
+            if nid not in seen:
+                seen.add(nid)
+                stack.append(nid)
+    return seen
 
 
 def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, TransformDelta]:

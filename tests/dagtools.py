@@ -218,11 +218,15 @@ def path_enumeration_oracle(graph: ArchGraph, node_id: str, at: str = "out") -> 
     return min(values), max(values)
 
 
-def run_fresh(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
-    """`python *args` in a new interpreter that imports rfscope from this checkout's `src/`."""
+def run_fresh(*args: str, cwd: Path | None = None, stdout_closed: bool = False) -> subprocess.CompletedProcess:
+    """`python *args` in a new interpreter that imports rfscope from this checkout's `src/`,
+    started by `sh` with its standard output closed (`>&-`) when `stdout_closed` is set."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=60)
+    argv = [sys.executable, *args]
+    if stdout_closed:
+        argv = ["sh", "-c", '"$@" >&-', "sh", *argv]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=cwd, timeout=60)
 
 
 def _reachable(start: str, neighbours: dict[str, tuple[str, ...]]) -> set[str]:

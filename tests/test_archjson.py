@@ -161,12 +161,23 @@ def test_kind_that_is_not_a_string_is_a_document_error(kind):
     assert "unknown kind" in str(err.value)
 
 
-def test_non_square_kernel_rejected_at_schema():
+def test_non_square_kernel_is_a_layer_fields_violation():
     doc = minimal_doc()
     doc["layers"][1]["kernel"] = [3, 5]
-    with pytest.raises(DocumentError) as err:
+    with pytest.raises(DocumentSemanticError) as err:
         parse(json.dumps(doc))
-    assert "square" in str(err.value)
+    assert [str(v) for v in err.value.violations] == ["[layer_fields] c1: kernel must be a positive square scalar, got [3, 5]"]
+
+
+def test_every_bad_field_of_a_layer_is_reported():
+    doc = minimal_doc()
+    doc["layers"][1].update(kernel=None, bias="yes")
+    with pytest.raises(DocumentSemanticError) as err:
+        parse(json.dumps(doc))
+    assert [str(v) for v in err.value.violations] == [
+        "[layer_fields] c1: kernel must be a positive square scalar, got None",
+        "[layer_fields] c1: bias must be a boolean, got 'yes'",
+    ]
 
 
 def _pool_layer(**fields):
@@ -178,18 +189,21 @@ def _pool_layer(**fields):
     [
         (
             lambda doc: doc["layers"][1].update(kernel=1.5),
-            "layers[1] (id 'c1').kernel: expected an integer, got 1.5 (square scalars only)",
+            "graph validation failed: [layer_fields] c1: kernel must be a positive square scalar, got 1.5",
         ),
         (
             lambda doc: doc["layers"].insert(2, _pool_layer(stride=1.5)),
-            "layers[2] (id 'p1').stride: expected an integer, got 1.5 (square scalars only)",
+            "graph validation failed: [layer_fields] p1: stride must be a positive square scalar, got 1.5",
         ),
-        (lambda doc: doc["input"].update(height=1.5), "$.input.height: expected an integer, got 1.5"),
+        (lambda doc: doc["input"].update(height=1.5), "$.input: input height must be a positive integer, got 1.5"),
         (
             lambda doc: doc["layers"].insert(2, _pool_layer(padding=1.5)),
-            "layers[2] (id 'p1').padding: expected an integer, got 1.5",
+            "graph validation failed: [layer_fields] p1: padding must be an integer >= 0, got 1.5",
         ),
-        (lambda doc: doc["layers"][2].update(units=1.5), "layers[2] (id 'fc').units: expected an integer, got 1.5"),
+        (
+            lambda doc: doc["layers"][2].update(units=1.5),
+            "graph validation failed: [layer_fields] fc: units must be a positive integer, got 1.5",
+        ),
     ],
     ids=["conv-kernel", "pool-stride", "input-height", "pool-padding", "dense-units"],
 )

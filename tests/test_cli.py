@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from dagtools import count_validations, mutated_graph, run_fresh
 from rfscope import (
+    Activation,
     Add,
+    Attention,
     Conv2d,
     Dense,
     GlobalAvgPool,
@@ -25,6 +27,7 @@ from rfscope import (
     validate,
 )
 from rfscope.cli import EXIT_FILE, EXIT_INVALID, EXIT_NOOP, EXIT_OK, EXIT_USAGE, main
+from rfscope.graph_ir import _KIND_FIELDS
 
 
 def run(capsys, *argv):
@@ -239,6 +242,20 @@ def test_nul_byte_in_path_is_a_file_error(capsys):
     assert run(capsys, "analyze", "a\x00b") == (EXIT_FILE, "", "rfscope: file error: embedded null byte: 'a\\x00b'\n")
 
 
+@pytest.mark.parametrize("argv", [["analyze", "zoo:vgg11"], ["zoo", "list"], ["validate", "zoo:vgg11"]])
+def test_closed_stdout_is_a_file_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdout", None)  # what a process started with `>&-` sees
+    assert run(capsys, *argv) == (EXIT_FILE, "", "rfscope: file error: standard output is closed\n")
+
+
+def test_closed_stdout_is_a_file_error_in_a_fresh_process(tmp_path):
+    proc = run_fresh("-m", "rfscope", "analyze", "zoo:vgg11", stdout_closed=True)
+    assert (proc.returncode, proc.stderr) == (EXIT_FILE, "rfscope: file error: standard output is closed\n")
+    proc = run_fresh("-m", "rfscope", "zoo", "emit", "vgg11", "--out", str(tmp_path / "v.json"), stdout_closed=True)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert parse((tmp_path / "v.json").read_bytes()) == build_named("vgg11")
+
+
 def test_malformed_document_is_validation_failure(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -305,6 +322,25 @@ def test_kind_array_is_invalid_not_a_crash(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(path))
     assert (code, out) == (EXIT_INVALID, "")
     assert err.startswith("rfscope: invalid architecture document: layers[0] (id 'c').kind: unknown kind ['conv2d']")
+
+
+# A valid instance of every layer kind that has fields.
+FIELDED_KINDS = {type(kind): kind for kind in (Conv2d(3, 4), Pool("max", 2, 2), Dense(2), Activation(), Attention("se"))}
+
+
+@pytest.mark.parametrize("cls,field", [(cls, field) for cls, fields in _KIND_FIELDS.items() for field in fields])
+def test_wrongly_typed_field_is_a_layer_fields_violation(tmp_path, capsys, cls, field):
+    graph = make_graph("x", InputSpec(8, 8, 3), [("input", Input()), ("x", FIELDED_KINDS[cls])], [("input", "x")])
+    doc = serialize_document(graph)
+    path = tmp_path / "bad.json"
+    _, message = _KIND_FIELDS[cls][field]
+    for value in ([3], {"kernel": 3}, 1.5, True, None):
+        if field == "bias" and value is True:
+            continue  # the one value here that a field accepts
+        doc["layers"][1][field] = value
+        path.write_text(json.dumps(doc))
+        line = f"graph validation failed: [layer_fields] x: {field} {message}, got {value!r}"
+        assert run(capsys, "validate", str(path)) == (EXIT_INVALID, "", f"rfscope: invalid architecture document: {line}\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate"])
