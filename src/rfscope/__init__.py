@@ -24,8 +24,8 @@ _EXPORTS = {
         "topological_order", "make_graph", "chain_graph",
     ),
     "rf_analysis": (
-        "RFState", "RFAnnotation", "effective_kernel", "layer_rf_transfer",
-        "propagate_dag", "FrontierLimitError",
+        "RFState", "RFAnnotation", "effective_kernel", "propagate_dag",
+        "FrontierLimitError",
     ),
     "border_analysis": (
         "BorderReport", "ConvClassification", "classify",

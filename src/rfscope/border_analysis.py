@@ -58,10 +58,11 @@ def classify(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = Non
         annotations = propagate_dag(graph)
     resolution = graph.input.resolution
     rows: list[ConvClassification] = []
+    new = tuple.__new__  # builds a record from a tuple of its fields, skipping the keyword-argument shim
     for node_id, ordinal in graph.conv_ordinals.items():
-        ann = annotations[node_id]
-        label = UNPRODUCTIVE if ann.r_in_min > resolution else PRODUCTIVE
-        rows.append(ConvClassification(ordinal, node_id, ann.r_in_min, ann.r_in_max, label))
+        _, _, _, r_in_min, r_in_max, _, _ = annotations[node_id]
+        label = UNPRODUCTIVE if r_in_min > resolution else PRODUCTIVE
+        rows.append(new(ConvClassification, (ordinal, node_id, r_in_min, r_in_max, label)))
     first_min = next((c for c in rows if c.classification == UNPRODUCTIVE), None)
     first_max = next((c for c in rows if c.r_in_max > resolution), None)
     return BorderReport(

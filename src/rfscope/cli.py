@@ -130,6 +130,15 @@ def _write_stdout(text: str) -> None:
     sys.stdout.write(text)
 
 
+def _write_stderr(text: str) -> None:
+    """Write a diagnostic to stderr, or drop it when stderr is closed (`2>&-`), as argparse does:
+    `sys.stderr` is then None, or a stream whose writes fail."""
+    try:
+        sys.stderr.write(text)
+    except (AttributeError, OSError):
+        pass
+
+
 def _write_report(payload: dict[str, Any], fmt: str, render: Callable[[dict[str, Any]], str]) -> None:
     """Write `payload` to stdout as indented JSON when `fmt` is "json", else as `render(payload)`."""
     if fmt == "json":
@@ -374,7 +383,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     payload = _delta_payload(delta)
     _write_report(payload, args.format, _render_delta_text)
     if not delta.changed:
-        sys.stderr.write("optimize: pass was a no-op (no border layer)\n")
+        _write_stderr("optimize: pass was a no-op (no border layer)\n")
         return EXIT_NOOP
     return EXIT_OK
 
@@ -389,7 +398,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     except ValueError as exc:
         if type(exc) is not ValueError:  # a ShapeError, say, which main reports as analyze does
             raise
-        sys.stderr.write(f"compare: {exc}\n")  # the two inputs differ
+        _write_stderr(f"compare: {exc}\n")  # the two inputs differ
         return EXIT_INVALID
     payload = _compare_payload(report)
     _write_report(payload, args.format, _render_compare_text)
@@ -440,25 +449,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:
-        sys.stderr.write(f"rfscope: error: {exc}\n")
+        _write_stderr(f"rfscope: error: {exc}\n")
         return EXIT_USAGE
     except OSError as exc:
-        sys.stderr.write(f"rfscope: file error: {exc}\n")
+        _write_stderr(f"rfscope: file error: {exc}\n")
         return EXIT_FILE
     # The package loads each error class below on first access, so a clause
     # loads its module only when an exception reaches it.
     except rfscope.DocumentError as exc:
-        sys.stderr.write(f"rfscope: invalid architecture document: {exc}\n")
+        _write_stderr(f"rfscope: invalid architecture document: {exc}\n")
         return EXIT_INVALID
     except GraphValidationError as exc:
         for violation in exc.violations:
-            sys.stderr.write(f"{violation}\n")
+            _write_stderr(f"{violation}\n")
         return EXIT_INVALID
     except (rfscope.TransformError, rfscope.ShapeError, rfscope.FrontierLimitError) as exc:
-        sys.stderr.write(f"rfscope: {exc}\n")
+        _write_stderr(f"rfscope: {exc}\n")
         return EXIT_INVALID
     except OverflowError as exc:  # a MAC count past the float range, from an absurd size or width
-        sys.stderr.write(f"rfscope: cost too large to report: {exc}\n")
+        _write_stderr(f"rfscope: cost too large to report: {exc}\n")
         return EXIT_INVALID
 
 

@@ -278,14 +278,6 @@ class ArchGraph(_Record):
         return {k: tuple(v) for k, v in preds.items()}
 
     @cached_property
-    def successors(self) -> dict[str, tuple[str, ...]]:
-        succs: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for src, dst in self.edges:
-            if src in succs:
-                succs[src].append(dst)
-        return {k: tuple(v) for k, v in succs.items()}
-
-    @cached_property
     def order(self) -> tuple[str, ...]:
         """Node ids in declaration order, which :func:`validate` checks is topological.
 
@@ -319,7 +311,7 @@ class ArchGraph(_Record):
         in which the architecture lists its layers. Every Conv2d counts,
         including 1x1 projection convolutions on skip branches.
         """
-        convs = (nid for nid in self.order if isinstance(self.node_map[nid].kind, Conv2d))
+        convs = (nid for nid, node in zip(self.order, self.nodes) if type(node.kind) is Conv2d)
         return {nid: i for i, nid in enumerate(convs, start=1)}
 
 
@@ -398,14 +390,15 @@ def validate(graph: ArchGraph) -> list[Violation]:
         # The rules below assume well-formed ids and edges that point forward, hence no cycle.
         return violations
 
-    preds, succs = graph.predecessors, graph.successors
+    preds = graph.predecessors
     input_ids = [n.id for n in graph.nodes if isinstance(n.kind, Input)]
     if len(input_ids) != 1:
         violations.append(
             Violation("single_input", graph.name, f"expected exactly one Input node, found {len(input_ids)}")
         )
 
-    sinks = [n.id for n in graph.nodes if not succs[n.id]]
+    sources = {src for src, _ in graph.edges}
+    sinks = [n.id for n in graph.nodes if n.id not in sources]
     if len(sinks) != 1:
         violations.append(
             Violation("single_sink", graph.name, f"expected exactly one sink node, found {len(sinks)}: {sorted(sinks)}")

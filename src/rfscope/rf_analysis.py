@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .graph_ir import LAYER_KINDS, RF_NEUTRAL_KINDS, ArchGraph, Conv2d, Dense, GlobalAvgPool, LayerKind, Pool
+from .graph_ir import RF_NEUTRAL_KINDS, ArchGraph, Conv2d, Pool
 
 # Largest frontier propagate_dag accepts before it refuses to go on.
 FRONTIER_CAP = 4096
@@ -68,28 +68,9 @@ def effective_kernel(kernel: int, dilation: int) -> int:
     return dilation * (kernel - 1) + 1
 
 
-def _window(kind: Conv2d | Pool) -> tuple[int, int]:
-    """A conv's or pool's (k_eff - 1, stride): its transfer maps (r, j) to (r + (k_eff - 1) * j, j * stride)."""
-    if type(kind) is Pool:
-        return kind.kernel - 1, kind.stride
-    return effective_kernel(kind.kernel, kind.dilation) - 1, kind.stride
-
-
-def layer_rf_transfer(state: RFState, kind: LayerKind) -> RFState:
-    """Apply one layer's receptive-field transfer to a path state; RF-neutral kinds act as k = s = 1."""
-    cls = type(kind)
-    if cls not in LAYER_KINDS:
-        raise TypeError(f"{cls.__name__} is not a layer kind")
-    if state.global_rf or cls is GlobalAvgPool or cls is Dense:
-        return GLOBAL_STATE
-    if cls in _RF_NEUTRAL:
-        return state
-    growth, stride = _window(kind)
-    return RFState(state.r + growth * state.j, state.j * stride)
-
-
-def _merge(frontiers: list[tuple[RFState, ...]]) -> tuple[RFState, ...]:
-    """Per-jump min and max r over the union of `frontiers`, ordered (j, r), the global state last."""
+def _merge(frontiers: list[tuple[RFState, ...]]) -> tuple[tuple[RFState, ...], int | float, int | float]:
+    """Per-jump min and max r over the union of `frontiers`, ordered (j, r), the global state last,
+    with the merged frontier's smallest and largest r_value."""
     lo: dict[int, int] = {}
     hi: dict[int, int] = {}
     has_global = False
@@ -104,13 +85,14 @@ def _merge(frontiers: list[tuple[RFState, ...]]) -> tuple[RFState, ...]:
             elif r > hi[j]:
                 hi[j] = r
     merged = []
+    new = tuple.__new__
     for j in sorted(lo):
-        merged.append(RFState(lo[j], j))
+        merged.append(new(RFState, (lo[j], j, False)))
         if hi[j] != lo[j]:
-            merged.append(RFState(hi[j], j))
+            merged.append(new(RFState, (hi[j], j, False)))
     if has_global:
         merged.append(GLOBAL_STATE)
-    return tuple(merged)
+    return tuple(merged), min(lo.values(), default=math.inf), math.inf if has_global else max(hi.values())
 
 
 class RFAnnotation(NamedTuple):
@@ -150,43 +132,49 @@ def propagate_dag(graph: ArchGraph) -> dict[str, RFAnnotation]:
     :data:`FRONTIER_CAP`; no other node can grow one.
     """
     annotations: dict[str, RFAnnotation] = {}
-    node_map = graph.node_map
     predecessors = graph.predecessors
     cap = FRONTIER_CAP
     new = tuple.__new__  # builds a record from a tuple of its fields, skipping the keyword-argument shim
-    for nid in graph.order:
+    for nid, node in zip(graph.order, graph.nodes):
         preds = predecessors[nid]
         if len(preds) == 1:
             # The predecessor's out-frontier, already within the cap, and its extremes.
             _, _, in_frontier, _, _, in_min, in_max = annotations[preds[0]]
         elif preds:
-            in_frontier = _merge([annotations[pred].out_frontier for pred in preds])
+            in_frontier, in_min, in_max = _merge([annotations[pred].out_frontier for pred in preds])
             if len(in_frontier) > cap:
                 raise FrontierLimitError(nid, len(in_frontier), cap)
-            in_min, in_max = _extremes(in_frontier)
         else:
             in_frontier, in_min, in_max = (INITIAL_STATE,), 1, 1
 
-        kind = node_map[nid].kind
+        kind = node.kind
         cls = type(kind)
         if cls in _RF_NEUTRAL:
             out_frontier, out_min, out_max = in_frontier, in_min, in_max
         elif cls is not Conv2d and cls is not Pool:
             # Global pooling and dense layers make any state global.
             out_frontier, out_min, out_max = (GLOBAL_STATE,), math.inf, math.inf
-        elif len(in_frontier) == 1 and not in_frontier[0].global_rf:
-            # The one finite state of every chain, mapped without the general loop.
-            r, j, _ = in_frontier[0]
-            growth, stride = _window(kind)
-            out_min = out_max = r + growth * j
-            out_frontier = (new(RFState, (out_min, j * stride, False)),)
         else:
-            # At a fixed j the map is increasing in r, and j -> j * stride is
-            # injective, so the image keeps the per-jump extremes and their order.
-            growth, stride = _window(kind)
-            out_frontier = tuple(
-                GLOBAL_STATE if g else new(RFState, (r + growth * j, j * stride, False)) for r, j, g in in_frontier
-            )
-            out_min, out_max = _extremes(out_frontier)
+            # k_eff - 1, with k_eff = dilation * (kernel - 1) + 1; validation checked both are >= 1.
+            growth = (kind.kernel - 1) * (kind.dilation if cls is Conv2d else 1)
+            stride = kind.stride
+            _, j, _ = in_frontier[0]
+            _, last_j, last_global = in_frontier[-1]
+            if j == last_j and not last_global:
+                # One jump, as on every chain and residual stage: the frontier is
+                # its extremes, and the map shifts both by growth * j.
+                out_min, out_max = in_min + growth * j, in_max + growth * j
+                j *= stride
+                if out_min == out_max:
+                    out_frontier = (new(RFState, (out_min, j, False)),)
+                else:
+                    out_frontier = (new(RFState, (out_min, j, False)), new(RFState, (out_max, j, False)))
+            else:
+                # At a fixed j the map is increasing in r, and j -> j * stride is
+                # injective, so the image keeps the per-jump extremes and their order.
+                out_frontier = tuple(
+                    GLOBAL_STATE if g else new(RFState, (r + growth * j, j * stride, False)) for r, j, g in in_frontier
+                )
+                out_min, out_max = _extremes(out_frontier)
         annotations[nid] = new(RFAnnotation, (nid, in_frontier, out_frontier, in_min, in_max, out_min, out_max))
     return annotations

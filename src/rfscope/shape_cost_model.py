@@ -99,12 +99,11 @@ def _walk(graph: ArchGraph) -> tuple[dict[str, ShapeInfo], CostReport]:
     shapes: dict[str, ShapeInfo] = {}
     per_layer: list[LayerCost] = []
     total_params = total_macs = 0
-    node_map = graph.node_map
     predecessors = graph.predecessors
     source = (None, graph.input.height, graph.input.width, graph.input.channels)  # what the Input node reads
     new = tuple.__new__  # builds a record from a tuple of its fields, skipping the keyword-argument shim
-    for nid in graph.order:
-        kind = node_map[nid].kind
+    for nid, node in zip(graph.order, graph.nodes):
+        kind = node.kind
         preds = predecessors[nid]
         cls = type(kind)
         _, h, w, c = shapes[preds[0]] if preds else source

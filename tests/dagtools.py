@@ -10,8 +10,9 @@ graph has one input, one sink, and at most two merge nodes.
 Mutated zoo graphs are the opposite: edits of the edge list and layer list
 that may or may not leave the graph valid.
 
-The oracle folds the receptive-field transfer along every input-to-node path
-one at a time, independently of the per-jump frontiers of `propagate_dag`.
+The oracle folds its own receptive-field transfer, `layer_rf_transfer`, along
+every input-to-node path one at a time, independently of the per-jump
+frontiers of `propagate_dag`.
 
 Two more oracles keep graph walks that rfscope dropped because its DAG rules
 imply their results: the reachability checks `validate` once ran after its
@@ -36,6 +37,8 @@ from rfscope import (
     BatchNorm,
     Concat,
     Conv2d,
+    Dense,
+    GlobalAvgPool,
     Input,
     InputSpec,
     LayerKind,
@@ -44,12 +47,12 @@ from rfscope import (
     Violation,
     build_named,
     classify,
-    layer_rf_transfer,
     make_graph,
     unproductive_closure,
 )
 from rfscope import graph_ir
-from rfscope.graph_ir import MERGE_KINDS
+from rfscope.graph_ir import LAYER_KINDS, MERGE_KINDS, RF_NEUTRAL_KINDS
+from rfscope.rf_analysis import GLOBAL_STATE
 from rfscope.transforms import _fresh_id, _old_head_chain
 
 # Every zoo variant, and the input sizes of a 16-step resolution sweep.
@@ -177,6 +180,35 @@ def count_validations(monkeypatch) -> list[str]:
     return calls
 
 
+def successors(graph: ArchGraph) -> dict[str, tuple[str, ...]]:
+    """Each node's successors, in edge order."""
+    succs: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
+    for src, dst in graph.edges:
+        if src in succs:
+            succs[src].append(dst)
+    return {k: tuple(v) for k, v in succs.items()}
+
+
+def _window(kind: Conv2d | Pool) -> tuple[int, int]:
+    """A conv's or pool's (k_eff - 1, stride): its transfer maps (r, j) to (r + (k_eff - 1) * j, j * stride)."""
+    if type(kind) is Pool:
+        return kind.kernel - 1, kind.stride
+    return kind.dilation * (kind.kernel - 1), kind.stride
+
+
+def layer_rf_transfer(state: RFState, kind: LayerKind) -> RFState:
+    """One layer's receptive-field transfer of a path state; RF-neutral kinds act as k = s = 1."""
+    cls = type(kind)
+    if cls not in LAYER_KINDS:
+        raise TypeError(f"{cls.__name__} is not a layer kind")
+    if state.global_rf or cls is GlobalAvgPool or cls is Dense:
+        return GLOBAL_STATE
+    if cls in RF_NEUTRAL_KINDS:
+        return state
+    growth, stride = _window(kind)
+    return RFState(state.r + growth * state.j, state.j * stride)
+
+
 def enumerate_paths(graph: ArchGraph, target: str) -> list[list[str]]:
     """Every input-to-`target` path as a list of node ids, walked with an explicit stack."""
     ancestors = {target}
@@ -187,13 +219,14 @@ def enumerate_paths(graph: ArchGraph, target: str) -> list[list[str]]:
                 ancestors.add(pred)
                 stack.append(pred)
     paths = []
+    succs = successors(graph)
     partial = [[graph.order[0]]]
     while partial:
         path = partial.pop()
         if path[-1] == target:
             paths.append(path)
             continue
-        for succ in reversed(graph.successors[path[-1]]):
+        for succ in reversed(succs[path[-1]]):
             if succ in ancestors:
                 partial.append(path + [succ])
     return paths
@@ -218,14 +251,18 @@ def path_enumeration_oracle(graph: ArchGraph, node_id: str, at: str = "out") -> 
     return min(values), max(values)
 
 
-def run_fresh(*args: str, cwd: Path | None = None, stdout_closed: bool = False) -> subprocess.CompletedProcess:
+def run_fresh(
+    *args: str, cwd: Path | None = None, stdout_closed: bool = False, stderr_closed: bool = False
+) -> subprocess.CompletedProcess:
     """`python *args` in a new interpreter that imports rfscope from this checkout's `src/`,
-    started by `sh` with its standard output closed (`>&-`) when `stdout_closed` is set."""
+    started by `sh` with its standard output closed (`>&-`) when `stdout_closed` is set and its
+    standard error closed (`2>&-`) when `stderr_closed` is set."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     argv = [sys.executable, *args]
-    if stdout_closed:
-        argv = ["sh", "-c", '"$@" >&-', "sh", *argv]
+    closes = " ".join(close for close, closed in ((">&-", stdout_closed), ("2>&-", stderr_closed)) if closed)
+    if closes:
+        argv = ["sh", "-c", f'"$@" {closes}', "sh", *argv]
     return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=cwd, timeout=60)
 
 
@@ -252,7 +289,7 @@ def reachability_walks(graph: ArchGraph) -> list[Violation] | None:
     edges, a cycle, no Input, or not exactly one sink."""
     if any(v.rule in _BEFORE_REACHABILITY for v in graph_ir.validate(graph)):
         return None
-    preds, succs = graph.predecessors, graph.successors
+    preds, succs = graph.predecessors, successors(graph)
     input_ids = [n.id for n in graph.nodes if isinstance(n.kind, Input)]
     sinks = [n.id for n in graph.nodes if not succs[n.id]]
     if not input_ids or len(sinks) != 1:

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from dagtools import enumerate_paths, fold_along, path_enumeration_oracle, random_graph
+from dagtools import enumerate_paths, fold_along, path_enumeration_oracle, random_graph, successors
 from rfscope import (
     build_named,
     classify,
@@ -214,9 +214,9 @@ def test_property_stem_removal_jump_and_rf():
         graph = build_named(name)
         after, _ = remove_stem_downsampling(graph, 2)
         before_ann, after_ann = propagate_dag(graph), propagate_dag(after)
-        stack, seen = ["stem_pool"], set()
+        succs, stack, seen = successors(graph), ["stem_pool"], set()
         while stack:
-            for succ in graph.successors[stack.pop()]:
+            for succ in succs[stack.pop()]:
                 if succ not in seen:
                     seen.add(succ)
                     stack.append(succ)

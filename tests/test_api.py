@@ -53,3 +53,21 @@ def test_all_lists_exactly_the_public_names():
         "                        if not n.startswith('_') and not isinstance(v, ModuleType))))"
     )
     assert set(rfscope.__all__) - {"__version__"} == set(public)
+
+
+# Every public name, pinned, so that none leaves or arrives by accident. The receptive-field
+# transfer of one path state, `layer_rf_transfer`, left with the path oracle for tests/dagtools.py.
+PUBLIC_NAMES = """
+    __version__ ArchGraph InputSpec LayerKind LayerNode Violation Conv2d Pool GlobalAvgPool Dense Add
+    Concat BatchNorm Activation Attention Input Softmax GraphValidationError validate topological_order
+    make_graph chain_graph RFState RFAnnotation effective_kernel propagate_dag FrontierLimitError
+    BorderReport ConvClassification classify unproductive_closure PRODUCTIVE UNPRODUCTIVE ShapeInfo
+    LayerCost CostReport ShapeError propagate_shapes cost_report TransformDelta ComparisonReport
+    TransformError truncate_at_border remove_stem_downsampling compare ZooSpec FAMILIES build build_named
+    parse_zoo_name parse parse_document serialize serialize_document DocumentError DocumentSemanticError
+""".split()
+
+
+def test_all_is_the_pinned_list():
+    assert rfscope.__all__ == PUBLIC_NAMES
+    assert not hasattr(rfscope, "layer_rf_transfer")

@@ -256,6 +256,23 @@ def test_closed_stdout_is_a_file_error_in_a_fresh_process(tmp_path):
     assert parse((tmp_path / "v.json").read_bytes()) == build_named("vgg11")
 
 
+@pytest.mark.parametrize(
+    "argv, stdout_closed, code",
+    [
+        (["analyze", "/no/such.json"], False, EXIT_FILE),
+        (["analyze", "zoo:vgg11"], True, EXIT_FILE),
+        (["analyze", "zoo:nosuch"], False, EXIT_USAGE),
+        (["analyze", "zoo:vgg11", "--bogus"], False, EXIT_USAGE),
+        (["optimize", "zoo:vgg11", "--input-size", "512", "512", "--pass", "truncate"], False, EXIT_NOOP),
+        (["analyze", "zoo:vgg11"], False, EXIT_OK),
+    ],
+    ids=["missing-file", "stdout-closed-too", "unknown-zoo-name", "unknown-flag", "no-op", "ok"],
+)
+def test_closed_stderr_keeps_the_exit_code_in_a_fresh_process(argv, stdout_closed, code):
+    proc = run_fresh("-m", "rfscope", *argv, stdout_closed=stdout_closed, stderr_closed=True)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
 def test_malformed_document_is_validation_failure(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -1,6 +1,6 @@
 import pytest
 
-from dagtools import ZOO_VARIANTS, count_validations, mutated_graph, random_graph, reachability_walks
+from dagtools import ZOO_VARIANTS, count_validations, mutated_graph, random_graph, reachability_walks, successors
 from rfscope import (
     Activation,
     Add,
@@ -225,7 +225,8 @@ class TestGraphEnds:
     @staticmethod
     def assert_ends(g):
         inputs = [n.id for n in g.nodes if isinstance(n.kind, Input)]
-        sinks = [n.id for n in g.nodes if not g.successors[n.id]]
+        succs = successors(g)
+        sinks = [n.id for n in g.nodes if not succs[n.id]]
         assert [g.order[0]] == inputs
         assert [g.sink_id] == sinks
 
@@ -309,6 +310,14 @@ class TestCachedOrder:
         classify(g)
         cost_report(g)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["vgg16", "resnet34", "mpnet18"])
+    def test_analysis_builds_no_node_map(self, name):
+        # The analyses walk graph.nodes beside graph.order, so no id-to-node map is built for them.
+        g = build_named(name)
+        classify(g)
+        cost_report(g)
+        assert "node_map" not in g.__dict__
 
     def test_parsed_graph_is_validated_once(self, monkeypatch):
         text = serialize(build_named("resnet34"))

@@ -17,6 +17,7 @@ from rfscope import (
     Conv2d,
     Dense,
     GlobalAvgPool,
+    GraphValidationError,
     Input,
     InputSpec,
     LayerKind,
@@ -25,7 +26,6 @@ from rfscope import (
     Softmax,
     chain_graph,
     cost_report,
-    layer_rf_transfer,
     make_graph,
     propagate_dag,
     propagate_shapes,
@@ -84,7 +84,6 @@ def test_one_layer_graph(cls):
     graph, node, state, shape, params, macs = CASES[cls]
     kind = graph.node_map[node].kind
     assert type(kind) is cls
-    assert layer_rf_transfer(INITIAL_STATE, kind) == state
     assert propagate_dag(graph)[node].out_frontier == (state,)
     info = propagate_shapes(graph)[node]
     assert (info.out_height, info.out_width, info.out_channels) == shape
@@ -96,5 +95,5 @@ def test_one_layer_graph(cls):
     "kind", [object(), type("WideConv", (Conv2d,), {})(kernel=3, filters=4)], ids=["object", "conv-subclass"]
 )
 def test_transfer_refuses_what_is_not_a_layer_kind(kind):
-    with pytest.raises(TypeError, match="is not a layer kind"):
-        layer_rf_transfer(INITIAL_STATE, kind)
+    with pytest.raises(GraphValidationError, match="is not a layer kind"):
+        propagate_dag(chain_graph("one", IN, [("x", kind)]))

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dagtools import ZOO_VARIANTS, enumerate_paths, fold_along, path_enumeration_oracle, random_graph
+from dagtools import (
+    ZOO_VARIANTS,
+    enumerate_paths,
+    fold_along,
+    layer_rf_transfer,
+    path_enumeration_oracle,
+    random_graph,
+)
 from rfscope import (
     Activation,
     Attention,
@@ -19,7 +26,6 @@ from rfscope import (
     chain_graph,
     classify,
     effective_kernel,
-    layer_rf_transfer,
     make_graph,
     propagate_dag,
     propagate_shapes,
@@ -71,8 +77,8 @@ def r_range(states):
 def assert_frontier_invariants(graph):
     """What propagate_dag relies on: at most two states per jump, ordered
     (j, r), the global state last and only once, the extremes those of the
-    frontier; RF-neutral layers pass it through, and convs and pools keep
-    its length."""
+    frontier; RF-neutral layers pass it through, and convs and pools map it
+    state by state, as the path oracle's transfer does."""
     for nid, ann in propagate_dag(graph).items():
         for frontier in (ann.in_frontier, ann.out_frontier):
             finite = [s for s in frontier if not s.global_rf]
@@ -87,7 +93,7 @@ def assert_frontier_invariants(graph):
         if isinstance(kind, RF_NEUTRAL_KINDS):
             assert ann.out_frontier == ann.in_frontier, nid
         elif isinstance(kind, (Conv2d, Pool)):
-            assert len(ann.out_frontier) == len(ann.in_frontier), nid
+            assert ann.out_frontier == tuple(layer_rf_transfer(s, kind) for s in ann.in_frontier), nid
 
 
 def test_frontier_invariants_on_100_random_dags():

@@ -8,6 +8,7 @@ from rfscope import (
     Add,
     Attention,
     BatchNorm,
+    Concat,
     Conv2d,
     Dense,
     FrontierLimitError,
@@ -19,12 +20,11 @@ from rfscope import (
     build_named,
     chain_graph,
     effective_kernel,
-    layer_rf_transfer,
     make_graph,
     propagate_dag,
 )
 from rfscope import rf_analysis
-from rfscope.rf_analysis import GLOBAL_STATE
+from rfscope.rf_analysis import GLOBAL_STATE, INITIAL_STATE
 
 IN32 = InputSpec(32, 32, 3)
 
@@ -81,31 +81,46 @@ class TestEffectiveKernel:
             effective_kernel(3, 0)
 
 
+def transfer(state, *kinds):
+    """State leaving the last of `kinds` in a chain that hands the first one `state`, read from
+    `propagate_dag`: a leading conv of kernel r and stride j maps the input's (1, 1) to (r, j)."""
+    return chain_states([conv(state.r, s=state.j), *kinds])[-1]
+
+
 class TestLayerTransfer:
     def test_first_3x3_conv(self):
-        assert layer_rf_transfer(RFState(1, 1), conv(3)) == RFState(3, 1)
+        assert transfer(RFState(1, 1), conv(3)) == RFState(3, 1)
 
     def test_pool_grows_and_doubles_jump(self):
-        assert layer_rf_transfer(RFState(5, 1), maxpool(2, 2)) == RFState(6, 2)
+        assert transfer(RFState(5, 1), maxpool(2, 2)) == RFState(6, 2)
 
     def test_attention_is_neutral(self):
-        assert layer_rf_transfer(RFState(11, 4), Attention("se")) == RFState(11, 4)
+        assert transfer(RFState(11, 4), Attention("se")) == RFState(11, 4)
 
     @pytest.mark.parametrize("kind", [BatchNorm(), Activation("relu"), Add(), Input()])
     def test_identity_kinds(self, kind):
-        assert layer_rf_transfer(RFState(9, 2), kind) == RFState(9, 2)
+        if isinstance(kind, Input):
+            # A graph's one Input node starts every path at (1, 1).
+            assert propagate_dag(chain_graph("one", IN32, []))["input"].out_frontier == (INITIAL_STATE,)
+        elif isinstance(kind, Add):
+            # A merge of two neutral branches off the seed.
+            layers = [("input", Input()), ("seed", conv(9, s=2)), ("a", BatchNorm()), ("b", BatchNorm()), ("x", kind)]
+            edges = [("input", "seed"), ("seed", "a"), ("seed", "b"), ("a", "x"), ("b", "x")]
+            assert propagate_dag(make_graph("merge", IN32, layers, edges))["x"].out_frontier == (RFState(9, 2),)
+        else:
+            assert transfer(RFState(9, 2), kind) == RFState(9, 2)
 
     def test_pointwise_conv_grows_nothing_but_strides(self):
-        assert layer_rf_transfer(RFState(9, 2), conv(1, s=2)) == RFState(9, 4)
+        assert transfer(RFState(9, 2), conv(1, s=2)) == RFState(9, 4)
 
     def test_dilated_conv_uses_effective_kernel(self):
-        assert layer_rf_transfer(RFState(1, 1), conv(3, d=3)) == RFState(7, 1)
+        assert transfer(RFState(1, 1), conv(3, d=3)) == RFState(7, 1)
 
     def test_global_marks_and_absorbs(self):
-        g = layer_rf_transfer(RFState(9, 2), GlobalAvgPool())
+        g = transfer(RFState(9, 2), GlobalAvgPool())
         assert g.global_rf and g.r_value == math.inf
-        assert layer_rf_transfer(g, conv(3)) == GLOBAL_STATE
-        assert layer_rf_transfer(RFState(9, 2), Dense(units=10)).global_rf
+        assert transfer(RFState(9, 2), GlobalAvgPool(), conv(3)) == GLOBAL_STATE
+        assert transfer(RFState(9, 2), Dense(units=10)).global_rf
 
 
 class TestPropagateSequential:
@@ -156,7 +171,58 @@ def residual_block_graph():
     return make_graph("resblock", IN32, layers, edges)
 
 
+def with_tail(graph, kind):
+    """`graph` with `kind` appended after its sink as node "x"."""
+    layers = [(n.id, n.kind) for n in graph.nodes] + [("x", kind)]
+    return make_graph(graph.name, graph.input, layers, [*graph.edges, (graph.sink_id, "x")])
+
+
+def three_way_merge():
+    """Branches at jumps 1, 1 and 2 into one add: its frontier holds two jumps."""
+    layers = [("input", Input()), ("a", conv(3)), ("b", conv(7)), ("c", conv(3, s=2)), ("add", Add())]
+    edges = [("input", "a"), ("input", "b"), ("input", "c"), ("a", "add"), ("b", "add"), ("c", "add")]
+    return make_graph("three-way", IN32, layers, edges)
+
+
+def global_and_finite_merge():
+    """A global-pooling branch and a conv branch concatenated."""
+    layers = [("input", Input()), ("a", conv(3, f=3)), ("gap", GlobalAvgPool()), ("cat", Concat())]
+    edges = [("input", "a"), ("input", "gap"), ("a", "cat"), ("gap", "cat")]
+    return make_graph("global-and-finite", IN32, layers, edges)
+
+
+# name -> (graph, in-frontier of "x", out-frontier of "x"), worked by hand with r += (k_eff - 1) * j, j *= s.
+MERGE_TAILS = {
+    # The add holds r 11 (skip) and 27 (two 3x3 convs at j = 4); k_eff = 5 adds 4 * 4 = 16.
+    "strided-dilated-conv-after-residual": (
+        with_tail(residual_block_graph(), conv(3, s=2, d=2)),
+        (RFState(11, 4), RFState(27, 4)), (RFState(27, 8), RFState(43, 8)),
+    ),
+    "pool-after-residual": (
+        with_tail(residual_block_graph(), Pool(mode="max", kernel=3, stride=2, padding=1)),
+        (RFState(11, 4), RFState(27, 4)), (RFState(19, 8), RFState(35, 8)),
+    ),
+    # Each jump shifts by its own 2 * j.
+    "conv-after-two-jump-merge": (
+        with_tail(three_way_merge(), conv(3, s=2)),
+        (RFState(3, 1), RFState(7, 1), RFState(3, 2)), (RFState(5, 2), RFState(9, 2), RFState(7, 4)),
+    ),
+    "conv-after-global-and-finite-merge": (
+        with_tail(global_and_finite_merge(), conv(3, f=3)),
+        (RFState(3, 1), GLOBAL_STATE), (RFState(5, 1), GLOBAL_STATE),
+    ),
+}
+
+
 class TestPropagateDag:
+    @pytest.mark.parametrize("name", MERGE_TAILS)
+    def test_exact_frontiers_after_a_merge(self, name):
+        graph, in_frontier, out_frontier = MERGE_TAILS[name]
+        ann = propagate_dag(graph)["x"]
+        assert (ann.in_frontier, ann.out_frontier) == (in_frontier, out_frontier)
+        assert (ann.r_out_min, ann.r_out_max) == path_enumeration_oracle(graph, "x", at="out")
+
+
     def test_chain_frontiers_are_singletons(self):
         g = chain_graph("chain", IN32, [("c1", conv(3)), ("c2", conv(3, s=2)), ("p", maxpool(2, 2))])
         for ann in propagate_dag(g).values():
