@@ -374,13 +374,14 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         rewritten, delta = truncate_at_border(graph, num_classes=args.classes)
     else:
         rewritten, delta = remove_stem_downsampling(graph, count)
-    # The document is written first, so a file error leaves stdout empty.
+    # The payload is built first, so a cost too large to report leaves no
+    # document, and the document is written next, so a file error leaves stdout empty.
+    payload = _delta_payload(delta)
     if args.emit:
         from .archjson import serialize
 
         with _open(args.emit, "w") as handle:
             handle.write(serialize(rewritten))
-    payload = _delta_payload(delta)
     _write_report(payload, args.format, _render_delta_text)
     if not delta.changed:
         _write_stderr("optimize: pass was a no-op (no border layer)\n")

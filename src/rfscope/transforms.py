@@ -8,6 +8,8 @@ later borders.
 """
 from __future__ import annotations
 
+from collections.abc import Container, Mapping, Sequence
+
 from .border_analysis import BorderReport, classify, unproductive_closure
 from .graph_ir import (
     HEAD_KINDS,
@@ -99,17 +101,6 @@ def _snapshot(graph: ArchGraph) -> tuple[BorderReport, CostReport]:
     return classify(graph), cost_report(graph)
 
 
-def _delta(
-    pass_name: str,
-    before: tuple[BorderReport, CostReport],
-    after: tuple[BorderReport, CostReport],
-    removed_node_ids: tuple[str, ...] = (),
-    modified_node_ids: tuple[str, ...] = (),
-) -> TransformDelta:
-    """The delta between the :func:`_snapshot` of a pass's input and of its output."""
-    return TransformDelta(pass_name, *before, *after, removed_node_ids, modified_node_ids)
-
-
 def _rebuild(
     graph: ArchGraph,
     name: str,
@@ -148,16 +139,11 @@ def _old_head_chain(graph: ArchGraph) -> list[str]:
     return chain
 
 
-def _reachable(start: str, neighbours: dict[str, list[str]]) -> set[str]:
-    """Every node reached from `start` by following `neighbours`."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nid in neighbours[stack.pop()]:
-            if nid not in seen:
-                seen.add(nid)
-                stack.append(nid)
-    return seen
+def _upstream(nid: str, dropped: Container[str], preds: Mapping[str, Sequence[str]]) -> str:
+    """The first node not in `dropped` on the chain of first predecessors from `nid`."""
+    while nid in dropped:
+        nid = preds[nid][0]
+    return nid
 
 
 def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, TransformDelta]:
@@ -174,52 +160,51 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
     before = _snapshot(graph)
     if before[0].border_min is None:
-        return graph, _delta("truncate", before, before)
+        return graph, TransformDelta("truncate", *before, *before, (), ())
 
     removed = set(unproductive_closure(graph, before[0]))
     removed.update(_old_head_chain(graph))
 
     keep = [n.id for n in graph.nodes if n.id not in removed]
     kinds: dict[str, LayerKind] = {nid: graph.node_map[nid].kind for nid in keep}
-    # Surviving edges under increasing tokens: the dict keeps them in list
-    # order, and a rewired edge takes a fresh token, so it moves to the end.
-    live = dict(enumerate((a, b) for a, b in graph.edges if a not in removed and b not in removed))
-    incoming: dict[str, list[int]] = {nid: [] for nid in keep}
-    outgoing: dict[str, list[int]] = {nid: [] for nid in keep}
-    for token, (a, b) in live.items():
-        outgoing[a].append(token)
-        incoming[b].append(token)
-
-    # Merges that lost all but one branch become identity pass-throughs.
-    token = len(live)
-    for nid in keep:
-        if isinstance(kinds[nid], MERGE_KINDS) and len(incoming[nid]) == 1:
-            (in_token,) = incoming[nid]
-            src = live.pop(in_token)[0]
-            outgoing[src].remove(in_token)
-            for out_token in outgoing[nid]:
-                dst = live.pop(out_token)[1]
-                incoming[dst].remove(out_token)
-                live[token] = (src, dst)
-                outgoing[src].append(token)
-                incoming[dst].append(token)
-                token += 1
-            removed.add(nid)
-    keep = [nid for nid in keep if nid not in removed]
-    edges = list(dict.fromkeys(live.values()))
-
-    # Attach the head to the latest surviving dead end. Every node with no
-    # path to it, such as a side branch left without a consumer, is pruned.
+    live = [(a, b) for a, b in graph.edges if a not in removed and b not in removed]
     preds_of: dict[str, list[str]] = {nid: [] for nid in keep}
-    for a, b in edges:
+    for a, b in live:
         preds_of[b].append(a)
-    # The Input always survives (it is no conv, head kind or merge) and kept edges point
-    # forward in declaration order, so the last kept node has no outgoing edge.
-    has_out = {a for a, _ in edges}
-    tail_end = next(nid for nid in reversed(keep) if nid not in has_out)
-    ancestors = _reachable(tail_end, preds_of)
-    removed.update(nid for nid in keep if nid not in ancestors)
-    keep = [nid for nid in keep if nid in ancestors]
+
+    # Merges that lost all but one branch become identity pass-throughs. Each
+    # collapsed merge lists the targets of its surviving out-edges. Those edges
+    # are re-sourced at the merge's nearest upstream node that is not collapsed,
+    # and follow the other surviving edges, grouped by merge in declaration order.
+    collapsed: dict[str, list[str]] = {
+        nid: [] for nid in keep if isinstance(kinds[nid], MERGE_KINDS) and len(preds_of[nid]) == 1
+    }
+    edges: list[tuple[str, str]] = []
+    for a, b in live:
+        if b in collapsed:
+            continue
+        if a in collapsed:
+            collapsed[a].append(b)
+        else:
+            edges.append((a, b))
+    for nid, targets in collapsed.items():
+        source = _upstream(nid, collapsed, preds_of)
+        edges += [(source, b) for b in targets]
+    edges = list(dict.fromkeys(edges))
+
+    # Attach the head to the last node that survives the collapse. The Input always
+    # survives (it is no conv, head kind or merge) and kept edges point forward in
+    # declaration order, so that node is a dead end. Every node with no path to it,
+    # such as a side branch left without a consumer, is pruned. A backward sweep
+    # over `keep` meets each node after all of its successors, and a path through
+    # a collapsed merge is a path of the rewired graph.
+    tail_end = next(nid for nid in reversed(keep) if nid not in collapsed)
+    ancestors = {tail_end}
+    for nid in reversed(keep):
+        if nid in ancestors:
+            ancestors.update(preds_of[nid])
+    removed.update(nid for nid in keep if nid in collapsed or nid not in ancestors)
+    keep = [nid for nid in keep if nid not in removed]
     edges = [e for e in edges if e[1] in ancestors]
 
     taken = set(keep)
@@ -230,7 +215,7 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
     edges += [(tail_end, gap_id), (gap_id, fc_id), (fc_id, softmax_id)]
 
     after = _rebuild(graph, f"{graph.name}-truncated", keep + [gap_id, fc_id, softmax_id], edges, kinds)
-    return after, _delta("truncate", before, _snapshot(after), tuple(sorted(removed)))
+    return after, TransformDelta("truncate", *before, *_snapshot(after), tuple(sorted(removed)), ())
 
 
 def downsampling_layers(graph: ArchGraph) -> list[str]:
@@ -298,21 +283,11 @@ def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, T
             removed.append(nid)
 
     removed_set = set(removed)
-    pred_of = {nid: graph.predecessors[nid] for nid in removed_set}
-
-    def resolve(src: str) -> str:
-        while src in removed_set:
-            src = pred_of[src][0]
-        return src
-
     keep = [n.id for n in graph.nodes if n.id not in removed_set]
-    edges = [(resolve(a), b) for a, b in graph.edges if b not in removed_set]
-    for nid in removed_set:
-        del kinds[nid]
-
+    edges = [(_upstream(a, removed_set, graph.predecessors), b) for a, b in graph.edges if b not in removed_set]
     after = _rebuild(graph, f"{graph.name}-nostem", keep, edges, kinds)
-    return after, _delta(
-        f"remove-stem-downsampling:{count}", before, _snapshot(after), tuple(removed), tuple(modified)
+    return after, TransformDelta(
+        f"remove-stem-downsampling:{count}", *before, *_snapshot(after), tuple(removed), tuple(modified)
     )
 
 

@@ -17,7 +17,10 @@ frontiers of `propagate_dag`.
 Two more oracles keep graph walks that rfscope dropped because its DAG rules
 imply their results: the reachability checks `validate` once ran after its
 cycle check, and the dead-end heap with which `truncate_at_border` once chose
-its attachment point and pruned side branches.
+its attachment point and pruned side branches. The heap-drain oracle also
+keeps the merge collapse that `truncate_at_border` once ran on edge tokens:
+each surviving edge under an increasing token, and each rewired edge under a
+fresh one, so it moves to the end of the edge list.
 """
 from __future__ import annotations
 

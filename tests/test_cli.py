@@ -157,6 +157,16 @@ def test_optimize_truncate_emits_document(tmp_path, capsys):
     assert "conv13" not in emitted.node_map
 
 
+def test_optimize_cost_overflow_writes_no_document(tmp_path, capsys):
+    path = tmp_path / "vgg11-huge.json"
+    path.write_text(serialize(build_named("vgg11", input_spec=InputSpec(10**300, 10**300, 3))))
+    out_path = tmp_path / "out.json"
+    code, out, err = run(capsys, "optimize", str(path), "--pass", "remove-stem-downsampling:1", "--emit", str(out_path))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("rfscope: cost too large to report: ")
+    assert not out_path.exists()
+
+
 def test_optimize_noop_exit_code(capsys):
     code, out, err = run(capsys, "optimize", "zoo:vgg16", "--input-size", "512", "512", "--pass", "truncate", "--format", "json")
     assert code == EXIT_NOOP

@@ -1,25 +1,66 @@
 import pytest
 
-from dagtools import SWEEP_SIZES, ZOO_VARIANTS, random_graph, truncate_by_heap_drain
+from dagtools import SWEEP_SIZES, ZOO_VARIANTS, mutated_graph, random_graph, truncate_by_heap_drain
 from rfscope import (
+    Activation,
+    Add,
     Conv2d,
     Dense,
     GlobalAvgPool,
+    Input,
     InputSpec,
     Pool,
+    ShapeError,
     Softmax,
     TransformError,
     build_named,
     chain_graph,
     classify,
     compare,
+    make_graph,
     propagate_dag,
+    propagate_shapes,
     remove_stem_downsampling,
     truncate_at_border,
     validate,
 )
 
 IN32 = InputSpec(32, 32, 3)
+
+
+def _shapes_propagate(graph):
+    if validate(graph):
+        return False
+    try:
+        propagate_shapes(graph)
+    except ShapeError:
+        return False
+    return True
+
+
+def _interleaved_collapse():
+    """At 8x8, u1-u3 are unproductive, so merges m1, m2 and m3 each keep one input.
+
+    The out-edges of m1 and m2 interleave in the edge list, m1 feeds m3, and
+    m3's edge into `join` re-sources to a copy of the kept edge (b, join).
+    """
+
+    def conv(kernel):
+        return Conv2d(kernel=kernel, filters=4, bias=False)
+
+    layers = [("input", Input()), ("a", conv(1)), ("b", conv(1)), ("big", conv(9))]
+    layers += [(f"u{i}", conv(1)) for i in (1, 2, 3)]
+    layers += [("m1", Add()), ("m2", Add()), ("m3", Add())]
+    layers += [(nid, Activation("relu")) for nid in "pqrst"]
+    layers += [("join", Add()), ("gap", GlobalAvgPool()), ("fc", Dense(units=10)), ("softmax", Softmax())]
+    edges = [
+        ("input", "a"), ("a", "b"), ("b", "big"), ("big", "u1"), ("big", "u2"), ("big", "u3"),
+        ("b", "m1"), ("u1", "m1"), ("b", "m2"), ("u2", "m2"), ("m1", "m3"), ("u3", "m3"),
+        ("m2", "p"), ("m1", "q"), ("m2", "r"), ("m1", "s"), ("m3", "t"),
+        ("b", "join"), ("p", "join"), ("q", "join"), ("r", "join"), ("s", "join"), ("t", "join"), ("m3", "join"),
+        ("join", "gap"), ("gap", "fc"), ("fc", "softmax"),
+    ]
+    return make_graph("interleaved-collapse", InputSpec(8, 8, 3), layers, edges)
 
 
 class TestTruncateAtBorder:
@@ -83,15 +124,19 @@ class TestTruncateAtBorder:
         with pytest.raises(ValueError):
             truncate_at_border(build_named("vgg16"), num_classes=1)
 
-    @pytest.mark.parametrize("family", ["zoo", "random"])
+    @pytest.mark.parametrize("family", ["zoo", "random", "mutated", "interleaved"])
     def test_matches_the_heap_drain_oracle(self, family):
         if family == "zoo":
             graphs = [build_named(name, input_spec=InputSpec(s, s, 3)) for name in ZOO_VARIANTS for s in SWEEP_SIZES]
-        else:
+        elif family == "random":
             graphs = [
                 random_graph(seed, shape_safe=True).with_input(InputSpec(s, s, 3))
                 for seed in range(100) for s in (8, 16, 32, 64, 128)
             ]
+        elif family == "mutated":
+            graphs = [g for g in map(mutated_graph, range(2000)) if _shapes_propagate(g)]
+        else:
+            graphs = [_interleaved_collapse()]
         truncated = 0
         for g in graphs:
             after, delta = truncate_at_border(g, num_classes=10)
