@@ -58,13 +58,17 @@ def classify(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = Non
         annotations = propagate_dag(graph)
     resolution = graph.input.resolution
     rows: list[ConvClassification] = []
+    first_min = first_max = None  # the first unproductive row, and the first whose r_in_max crosses
     new = tuple.__new__  # builds a record from a tuple of its fields, skipping the keyword-argument shim
     for node_id, ordinal in graph.conv_ordinals.items():
         _, _, _, r_in_min, r_in_max, _, _ = annotations[node_id]
         label = UNPRODUCTIVE if r_in_min > resolution else PRODUCTIVE
-        rows.append(new(ConvClassification, (ordinal, node_id, r_in_min, r_in_max, label)))
-    first_min = next((c for c in rows if c.classification == UNPRODUCTIVE), None)
-    first_max = next((c for c in rows if c.r_in_max > resolution), None)
+        row = new(ConvClassification, (ordinal, node_id, r_in_min, r_in_max, label))
+        rows.append(row)
+        if first_min is None and r_in_min > resolution:
+            first_min = row
+        if first_max is None and r_in_max > resolution:
+            first_max = row
     return BorderReport(
         resolution=resolution,
         per_conv=tuple(rows),

@@ -8,8 +8,9 @@ each carrying its own (r, j); the analysis keeps, per node and per distinct
 jump, the smallest and largest r over those paths (Araujo, Norris and Sim,
 "Computing Receptive Fields of Convolutional Neural Networks", Distill 2019,
 applied per jump). That is exact: at a fixed j the transfer is increasing in
-r, and j -> j * s is injective, so per-jump extremes fold through every layer
-and a merge takes the per-jump min and max of its inputs.
+r, and j -> j * s is injective, so per-jump extremes fold through every layer.
+A merge whose inputs all carry one jump keeps the min of their smallest r and
+the max of their largest; any other merge takes the per-jump min and max.
 
 Folding a single (min r, min j) pair instead would be wrong on general DAGs:
 the path minimizing r at a node need not minimize j, and a larger j can
@@ -71,6 +72,19 @@ def effective_kernel(kernel: int, dilation: int) -> int:
 def _merge(frontiers: list[tuple[RFState, ...]]) -> tuple[tuple[RFState, ...], int | float, int | float]:
     """Per-jump min and max r over the union of `frontiers`, ordered (j, r), the global state last,
     with the merged frontier's smallest and largest r_value."""
+    new = tuple.__new__
+    r_lo, j, _ = frontiers[0][0]
+    r_hi = r_lo
+    for frontier in frontiers:
+        r_min, first_j, _ = frontier[0]
+        r_max, last_j, last_global = frontier[-1]
+        if first_j != j or last_j != j or last_global:
+            break
+        r_lo = r_min if r_min < r_lo else r_lo
+        r_hi = r_max if r_max > r_hi else r_hi
+    else:  # one jump, as at every residual and multipath merge: the union's extremes are the parts'
+        low = new(RFState, (r_lo, j, False))
+        return ((low,) if r_lo == r_hi else (low, new(RFState, (r_hi, j, False)))), r_lo, r_hi
     lo: dict[int, int] = {}
     hi: dict[int, int] = {}
     has_global = False
@@ -85,7 +99,6 @@ def _merge(frontiers: list[tuple[RFState, ...]]) -> tuple[tuple[RFState, ...], i
             elif r > hi[j]:
                 hi[j] = r
     merged = []
-    new = tuple.__new__
     for j in sorted(lo):
         merged.append(new(RFState, (lo[j], j, False)))
         if hi[j] != lo[j]:
@@ -124,12 +137,13 @@ def _extremes(frontier: tuple[RFState, ...]) -> tuple[int | float, int | float]:
 def propagate_dag(graph: ArchGraph) -> dict[str, RFAnnotation]:
     """Exact per-node receptive-field frontiers over all input-to-node paths.
 
-    Merge nodes take the per-jump min and max of their inputs' frontiers;
-    single-predecessor nodes inherit the predecessor's output frontier, and
-    RF-neutral nodes pass it through as their own. Convs and pools map each
-    state, which keeps the frontier's length and order. Raises
-    :class:`FrontierLimitError` if a merged frontier exceeds
-    :data:`FRONTIER_CAP`; no other node can grow one.
+    A merge whose inputs all carry one jump keeps the min of their smallest r
+    and the max of their largest; any other merge takes the per-jump min and
+    max of its inputs' frontiers. Single-predecessor nodes inherit the
+    predecessor's output frontier, and RF-neutral nodes pass it through as
+    their own. Convs and pools map each state, which keeps the frontier's
+    length and order. Raises :class:`FrontierLimitError` if a merged
+    frontier exceeds :data:`FRONTIER_CAP`; no other node can grow one.
     """
     annotations: dict[str, RFAnnotation] = {}
     predecessors = graph.predecessors

@@ -12,7 +12,10 @@ that may or may not leave the graph valid.
 
 The oracle folds its own receptive-field transfer, `layer_rf_transfer`, along
 every input-to-node path one at a time, independently of the per-jump
-frontiers of `propagate_dag`.
+frontiers of `propagate_dag`. `per_jump_extremes` folds a set of states into
+the frontier they should make, per jump from sets and `min`/`max`, without
+`propagate_dag`'s merge; `classify_by_two_scans` finds both borders as
+`classify` once did, with two scans over finished rows.
 
 Two more oracles keep graph walks that rfscope dropped because its DAG rules
 imply their results: the reachability checks `validate` once ran after its
@@ -55,7 +58,8 @@ from rfscope import (
 )
 from rfscope import graph_ir
 from rfscope.graph_ir import LAYER_KINDS, MERGE_KINDS, RF_NEUTRAL_KINDS
-from rfscope.rf_analysis import GLOBAL_STATE
+from rfscope.border_analysis import PRODUCTIVE, UNPRODUCTIVE, BorderReport, ConvClassification
+from rfscope.rf_analysis import GLOBAL_STATE, RFAnnotation, propagate_dag
 from rfscope.transforms import _fresh_id, _old_head_chain
 
 # Every zoo variant, and the input sizes of a 16-step resolution sweep.
@@ -252,6 +256,43 @@ def path_enumeration_oracle(graph: ArchGraph, node_id: str, at: str = "out") -> 
         states = [RFState(1, 1)] + fold_along(graph, path)
         values.append((states[-2] if at == "in" else states[-1]).r_value)
     return min(values), max(values)
+
+
+def per_jump_extremes(states: list[RFState]) -> tuple[RFState, ...]:
+    """The frontier that `states` should fold to: per jump, the smallest and
+    the largest r, ordered (j, r), then the global state if any state is global."""
+    by_jump: dict[int, set[int]] = {}
+    for s in states:
+        if not s.global_rf:
+            by_jump.setdefault(s.j, set()).add(s.r)
+    frontier = []
+    for j, rs in sorted(by_jump.items()):
+        frontier += [RFState(r, j) for r in sorted({min(rs), max(rs)})]
+    return tuple(frontier) + ((GLOBAL_STATE,) if any(s.global_rf for s in states) else ())
+
+
+def classify_by_two_scans(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = None) -> BorderReport:
+    """`classify`'s report as the rule reads: build every conv's row, then scan the
+    rows once for the first unproductive conv and once for the first whose
+    r_in_max exceeds the resolution."""
+    if annotations is None:
+        annotations = propagate_dag(graph)
+    resolution = graph.input.resolution
+    rows = []
+    for node_id, ordinal in graph.conv_ordinals.items():
+        ann = annotations[node_id]
+        label = UNPRODUCTIVE if ann.r_in_min > resolution else PRODUCTIVE
+        rows.append(ConvClassification(ordinal, node_id, ann.r_in_min, ann.r_in_max, label))
+    first_min = next((c for c in rows if c.classification == UNPRODUCTIVE), None)
+    first_max = next((c for c in rows if c.r_in_max > resolution), None)
+    return BorderReport(
+        resolution=resolution,
+        per_conv=tuple(rows),
+        border_min=None if first_min is None else first_min.ordinal,
+        border_max=None if first_max is None else first_max.ordinal,
+        border_min_node=None if first_min is None else first_min.node_id,
+        border_max_node=None if first_max is None else first_max.node_id,
+    )
 
 
 def run_fresh(

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from dagtools import (
     ZOO_VARIANTS,
+    classify_by_two_scans,
     enumerate_paths,
     fold_along,
     layer_rf_transfer,
     path_enumeration_oracle,
+    per_jump_extremes,
     random_graph,
 )
 from rfscope import (
@@ -31,7 +33,8 @@ from rfscope import (
     propagate_shapes,
     validate,
 )
-from rfscope.graph_ir import RF_NEUTRAL_KINDS
+from rfscope.border_analysis import UNPRODUCTIVE
+from rfscope.graph_ir import MERGE_KINDS, RF_NEUTRAL_KINDS
 from rfscope.rf_analysis import GLOBAL_STATE
 
 ORACLE_SEEDS = range(25)
@@ -77,9 +80,13 @@ def r_range(states):
 def assert_frontier_invariants(graph):
     """What propagate_dag relies on: at most two states per jump, ordered
     (j, r), the global state last and only once, the extremes those of the
-    frontier; RF-neutral layers pass it through, and convs and pools map it
-    state by state, as the path oracle's transfer does."""
-    for nid, ann in propagate_dag(graph).items():
+    frontier; merges fold their inputs' out-frontiers as `per_jump_extremes`
+    does, RF-neutral layers pass the frontier through, and convs and pools map
+    it state by state, as the path oracle's transfer does. Returns how many
+    merges had inputs all at one jump with no global state, and how many not."""
+    annotations = propagate_dag(graph)
+    one_jump = per_jump = 0
+    for nid, ann in annotations.items():
         for frontier in (ann.in_frontier, ann.out_frontier):
             finite = [s for s in frontier if not s.global_rf]
             assert frontier[len(finite):] in ((), (GLOBAL_STATE,)), nid
@@ -90,15 +97,24 @@ def assert_frontier_invariants(graph):
         assert (ann.r_in_min, ann.r_in_max) == r_range(ann.in_frontier), nid
         assert (ann.r_out_min, ann.r_out_max) == r_range(ann.out_frontier), nid
         kind = graph.node_map[nid].kind
+        if isinstance(kind, MERGE_KINDS):
+            states = [s for pred in graph.predecessors[nid] for s in annotations[pred].out_frontier]
+            assert ann.in_frontier == per_jump_extremes(states), nid
+            if len({s.j for s in states}) == 1 and not any(s.global_rf for s in states):
+                one_jump += 1
+            else:
+                per_jump += 1
         if isinstance(kind, RF_NEUTRAL_KINDS):
             assert ann.out_frontier == ann.in_frontier, nid
         elif isinstance(kind, (Conv2d, Pool)):
             assert ann.out_frontier == tuple(layer_rf_transfer(s, kind) for s in ann.in_frontier), nid
+    return one_jump, per_jump
 
 
 def test_frontier_invariants_on_100_random_dags():
-    for seed in range(100):
-        assert_frontier_invariants(random_graph(seed))
+    counts = [assert_frontier_invariants(random_graph(seed)) for seed in range(100)]
+    one_jump, per_jump = map(sum, zip(*counts))
+    assert one_jump and per_jump  # merges of one jump, and of several jumps or a global state
 
 
 @pytest.mark.parametrize("name", ZOO_VARIANTS)
@@ -147,19 +163,6 @@ def test_frontier_members_are_path_witnessed(seed):
         out_states = {fold_along(graph, path)[-1] for path in enumerate_paths(graph, nid)}
         assert set(ann.in_frontier) <= in_states
         assert set(ann.out_frontier) <= out_states
-
-
-def per_jump_extremes(states):
-    """The frontier that `states` should fold to: per jump, the smallest and
-    the largest r, ordered (j, r), then the global state if any state is global."""
-    by_jump = {}
-    for s in states:
-        if not s.global_rf:
-            by_jump.setdefault(s.j, set()).add(s.r)
-    frontier = []
-    for j, rs in sorted(by_jump.items()):
-        frontier += [RFState(r, j) for r in sorted({min(rs), max(rs)})]
-    return tuple(frontier) + ((GLOBAL_STATE,) if any(s.global_rf for s in states) else ())
 
 
 def assert_frontiers_match_paths(graph):
@@ -243,3 +246,24 @@ def test_global_branch_meets_finite_ones_at_a_merge(seed):
     merges = [nid for nid in graph.order if len(graph.predecessors[nid]) > 1]
     edge = (graph.predecessors[merges[0]][0], merges[0]) if merges else graph.edges[-1]
     assert_frontiers_match_paths(insert_on_edge(graph, edge, "gap_probe", GlobalAvgPool()))
+
+
+def test_classify_borders_match_two_scans():
+    """`classify` against the two-scan reference on 100 random DAGs at resolutions 1, 8, 32
+    and one more size per seed, covering each way the two borders can fall."""
+    cases = {"border_max first": 0, "no border": 0, "every conv unproductive": 0}
+    for seed in range(100):
+        graph = random_graph(seed)
+        annotations = propagate_dag(graph)
+        layers = [(n.id, n.kind) for n in graph.nodes]
+        for resolution in (1, 8, 32, 5 * seed + 1):
+            at = make_graph(graph.name, InputSpec(resolution, resolution, 3), layers, graph.edges)
+            report = classify(at, annotations)
+            assert report == classify_by_two_scans(at, annotations), (seed, resolution)
+            if report.border_max is not None and (report.border_min is None or report.border_max < report.border_min):
+                cases["border_max first"] += 1
+            if report.border_min is None and report.border_max is None:
+                cases["no border"] += 1
+            if report.per_conv and all(c.classification == UNPRODUCTIVE for c in report.per_conv):
+                cases["every conv unproductive"] += 1
+    assert all(cases.values()), cases

@@ -191,6 +191,45 @@ def global_and_finite_merge():
     return make_graph("global-and-finite", IN32, layers, edges)
 
 
+def merge_of(branches):
+    """Each branch a chain of convs off the input, all merged by one Add named "add"."""
+    layers, edges = [("input", Input())], []
+    ends = []
+    for b, convs in enumerate(branches):
+        prev = "input"
+        for i, layer in enumerate(convs):
+            nid = f"b{b}c{i}"
+            layers.append((nid, layer))
+            edges.append((prev, nid))
+            prev = nid
+        ends.append(prev)
+    layers.append(("add", Add()))
+    edges += [(end, "add") for end in ends]
+    return make_graph("merge", IN32, layers, edges)
+
+
+def three_input_one_jump_add():
+    """Inputs (5, 1), (1, 1) and a residual add holding (3, 1) and (9, 1): the min
+    comes from the second input, the max from the last state of the third."""
+    layers = [
+        ("input", Input()), ("p", conv(3)), ("q", conv(9)), ("m", Add()),
+        ("a", conv(5)), ("b", conv(1)), ("add", Add()),
+    ]
+    edges = [
+        ("input", "p"), ("input", "q"), ("p", "m"), ("q", "m"),
+        ("input", "a"), ("input", "b"), ("a", "add"), ("b", "add"), ("m", "add"),
+    ]
+    return make_graph("three-input-one-jump", IN32, layers, edges)
+
+
+def one_jump_concat():
+    """The residual block's add, (11, 4) and (27, 4), concatenated with a 7x7 conv off the pool at (35, 4)."""
+    graph = residual_block_graph()
+    layers = [(n.id, n.kind) for n in graph.nodes] + [("c3", conv(7)), ("cat", Concat())]
+    edges = [*graph.edges, ("pool", "c3"), ("add", "cat"), ("c3", "cat")]
+    return make_graph("one-jump-concat", IN32, layers, edges)
+
+
 # name -> (graph, in-frontier of "x", out-frontier of "x"), worked by hand with r += (k_eff - 1) * j, j *= s.
 MERGE_TAILS = {
     # The add holds r 11 (skip) and 27 (two 3x3 convs at j = 4); k_eff = 5 adds 4 * 4 = 16.
@@ -210,6 +249,25 @@ MERGE_TAILS = {
     "conv-after-global-and-finite-merge": (
         with_tail(global_and_finite_merge(), conv(3, f=3)),
         (RFState(3, 1), GLOBAL_STATE), (RFState(5, 1), GLOBAL_STATE),
+    ),
+    # One jump: the smallest r of all inputs and the largest, wherever each sits.
+    "conv-after-three-input-one-jump-add": (
+        with_tail(three_input_one_jump_add(), conv(3, s=2)),
+        (RFState(1, 1), RFState(9, 1)), (RFState(3, 2), RFState(11, 2)),
+    ),
+    # A 5x5 conv and two 3x3 convs both reach (5, 1): one state.
+    "conv-after-one-jump-add-of-equal-extremes": (
+        with_tail(merge_of([[conv(5)], [conv(3), conv(3)]]), conv(3)),
+        (RFState(5, 1),), (RFState(7, 1),),
+    ),
+    "pool-after-one-jump-concat": (
+        with_tail(one_jump_concat(), maxpool(2, 2)),
+        (RFState(11, 4), RFState(35, 4)), (RFState(15, 8), RFState(39, 8)),
+    ),
+    # The first input at jump 2, the second at jump 1: the per-jump fold keeps both jumps.
+    "conv-after-merge-of-two-jumps": (
+        with_tail(merge_of([[conv(3, s=2)], [conv(5)]]), conv(3)),
+        (RFState(5, 1), RFState(3, 2)), (RFState(7, 1), RFState(7, 2)),
     ),
 }
 
