@@ -352,7 +352,10 @@ def validate(graph: ArchGraph) -> list[Violation]:
 
     Violations are data, not exceptions: arbitrary candidate graphs are
     accepted and each problem is reported against the node or edge that
-    breaks the rule.
+    breaks the rule. Ids and kinds come first in node order, then the
+    node-position rule, then the edge rules in edge order; any of these ends
+    the check. Then come the single-input and single-sink rules and the arity
+    rules in node order. The channel rule is reported only when all of those hold.
     """
     violations: list[Violation] = []
 
@@ -390,65 +393,50 @@ def validate(graph: ArchGraph) -> list[Violation]:
         # The rules below assume well-formed ids and edges that point forward, hence no cycle.
         return violations
 
-    preds = graph.predecessors
-    input_ids = [n.id for n in graph.nodes if isinstance(n.kind, Input)]
-    if len(input_ids) != 1:
-        violations.append(
-            Violation("single_input", graph.name, f"expected exactly one Input node, found {len(input_ids)}")
-        )
+    preds, sources = graph.predecessors, {src for src, _ in graph.edges}
+    inputs, sinks, arity, widths = 0, [], [], []
+    channels: dict[str, int] = {}  # each node's out-channels
+    for node in graph.nodes:
+        nid, kind = node.id, node.kind
+        cls = type(kind)
+        if nid not in sources:
+            sinks.append(nid)
+        if cls is Input:
+            inputs += 1
+            channels[nid] = graph.input.channels
+            continue
+        node_preds = preds[nid]
+        if cls is Add or cls is Concat:
+            if len(node_preds) < 2:
+                arity.append(Violation("merge_arity", nid, f"merge arity < 2 (got {len(node_preds)})"))
+        elif len(node_preds) != 1:
+            arity.append(Violation("unary_arity", nid, f"expected exactly one predecessor, got {len(node_preds)}"))
+        if arity:  # counts are carried while no arity rule breaks; each predecessor, declared earlier, has one
+            continue
+        if cls is Conv2d:
+            channels[nid] = kind.filters
+        elif cls is Dense:
+            channels[nid] = kind.units
+        elif cls is Concat:
+            channels[nid] = sum(channels[p] for p in node_preds)
+        else:
+            channels[nid] = channels[node_preds[0]]
+            if cls is Add:
+                counts = sorted({channels[p] for p in node_preds})
+                if len(counts) > 1:
+                    message = f"element-wise add over unequal channel counts {counts}"
+                    widths.append(Violation("merge_channels", nid, message))
 
-    sources = {src for src, _ in graph.edges}
-    sinks = [n.id for n in graph.nodes if n.id not in sources]
+    if inputs != 1:
+        violations.append(Violation("single_input", graph.name, f"expected exactly one Input node, found {inputs}"))
     if len(sinks) != 1:
         violations.append(
             Violation("single_sink", graph.name, f"expected exactly one sink node, found {len(sinks)}: {sorted(sinks)}")
         )
-
-    for node in graph.nodes:
-        if isinstance(node.kind, Input):
-            continue
-        indeg = len(preds[node.id])
-        if isinstance(node.kind, MERGE_KINDS):
-            if indeg < 2:
-                violations.append(Violation("merge_arity", node.id, f"merge arity < 2 (got {indeg})"))
-        elif indeg != 1:
-            violations.append(Violation("unary_arity", node.id, f"expected exactly one predecessor, got {indeg}"))
-
-    if violations:
-        # Channel bookkeeping needs a sound DAG. Its rules also put every node on
-        # an input-to-sink path, so no reachability rule is checked: walking
-        # predecessors back from a node ends at a source, which can only be the
-        # one Input, and walking successors on ends at the one sink.
-        return violations
-
-    channels = _propagate_channels(graph)
-    for node in graph.nodes:
-        if isinstance(node.kind, Add):
-            widths = sorted({channels[p] for p in preds[node.id]})
-            if len(widths) > 1:
-                violations.append(
-                    Violation("merge_channels", node.id, f"element-wise add over unequal channel counts {widths}")
-                )
-    return violations
-
-
-def _propagate_channels(graph: ArchGraph) -> dict[str, int]:
-    """Channel count carried out of each node of a graph whose edges point forward."""
-    channels: dict[str, int] = {}
-    for node in graph.nodes:
-        nid, kind = node.id, node.kind
-        preds = graph.predecessors[nid]
-        if isinstance(kind, Input):
-            channels[nid] = graph.input.channels
-        elif isinstance(kind, Conv2d):
-            channels[nid] = kind.filters
-        elif isinstance(kind, Dense):
-            channels[nid] = kind.units
-        elif isinstance(kind, Concat):
-            channels[nid] = sum(channels[p] for p in preds)
-        else:
-            channels[nid] = channels[preds[0]]
-    return channels
+    # These rules put every node on an input-to-sink path, so no reachability rule is checked:
+    # walking predecessors back from a node ends at a source, which can only be the one Input,
+    # and walking successors on ends at the one sink.
+    return violations + arity or widths
 
 
 def topological_order(graph: ArchGraph) -> list[str]:

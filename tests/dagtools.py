@@ -17,10 +17,12 @@ the frontier they should make, per jump from sets and `min`/`max`, without
 `propagate_dag`'s merge; `classify_by_two_scans` finds both borders as
 `classify` once did, with two scans over finished rows.
 
-Two more oracles keep graph walks that rfscope dropped because its DAG rules
-imply their results: the reachability checks `validate` once ran after its
-cycle check, and the dead-end heap with which `truncate_at_border` once chose
-its attachment point and pruned side branches. The heap-drain oracle also
+Three more oracles keep graph walks that rfscope dropped: the reachability
+checks `validate` once ran after its cycle check, and the dead-end heap with
+which `truncate_at_border` once chose its attachment point and pruned side
+branches, both dropped because the DAG rules imply their results; and
+`validate_by_passes`, the separate input, sink, arity and channel passes that
+`validate` now makes in one walk. The heap-drain oracle also
 keeps the merge collapse that `truncate_at_border` once ran on edge tokens:
 each surviving edge under an increasing token, and each rewired edge under a
 fresh one, so it moves to the end of the edge list.
@@ -348,6 +350,101 @@ def reachability_walks(graph: ArchGraph) -> list[Violation] | None:
         if node.id not in co_reachable:
             violations.append(Violation("reaches_sink", node.id, "sink not reachable from this node"))
     return violations
+
+
+def validate_by_passes(graph: ArchGraph) -> list[Violation]:
+    """`validate` as it was before its input, sink, arity and channel rules shared one walk:
+    the id and edge passes, then one pass per rule and a separate channel propagation."""
+    violations: list[Violation] = []
+
+    position: dict[str, int] = {}
+    for i, node in enumerate(graph.nodes):
+        if node.id in position:
+            violations.append(Violation("unique_ids", node.id, "duplicate node id"))
+        position[node.id] = i
+        violations.extend(graph_ir._kind_violations(node))
+
+    for i, node in enumerate(graph.nodes):
+        if node.declaration_index != i:
+            message = f"node {node.id!r} is at position {i} but has declaration index {node.declaration_index!r}"
+            violations.append(Violation("declaration_order", graph.name, message))
+            break
+
+    seen_edges: set[tuple[str, str]] = set()
+    for src, dst in graph.edges:
+        duplicate = (src, dst) in seen_edges
+        seen_edges.add((src, dst))
+        src_at, dst_at = position.get(src), position.get(dst)
+        if src_at is not None and dst_at is not None and src_at < dst_at and not duplicate:
+            continue
+        label = f"{src}->{dst}"
+        if src_at is None:
+            violations.append(Violation("edge_endpoints", label, f"unknown source node {src!r}"))
+        if dst_at is None:
+            violations.append(Violation("edge_endpoints", label, f"unknown target node {dst!r}"))
+        elif src_at is not None and src_at >= dst_at:
+            violations.append(Violation("declaration_order", label, f"{src!r} is not declared before {dst!r}"))
+        if duplicate:
+            violations.append(Violation("edge_endpoints", label, "duplicate edge"))
+
+    if violations:
+        return violations
+
+    preds = graph.predecessors
+    input_ids = [n.id for n in graph.nodes if isinstance(n.kind, Input)]
+    if len(input_ids) != 1:
+        violations.append(
+            Violation("single_input", graph.name, f"expected exactly one Input node, found {len(input_ids)}")
+        )
+
+    sources = {src for src, _ in graph.edges}
+    sinks = [n.id for n in graph.nodes if n.id not in sources]
+    if len(sinks) != 1:
+        violations.append(
+            Violation("single_sink", graph.name, f"expected exactly one sink node, found {len(sinks)}: {sorted(sinks)}")
+        )
+
+    for node in graph.nodes:
+        if isinstance(node.kind, Input):
+            continue
+        indeg = len(preds[node.id])
+        if isinstance(node.kind, MERGE_KINDS):
+            if indeg < 2:
+                violations.append(Violation("merge_arity", node.id, f"merge arity < 2 (got {indeg})"))
+        elif indeg != 1:
+            violations.append(Violation("unary_arity", node.id, f"expected exactly one predecessor, got {indeg}"))
+
+    if violations:
+        return violations
+
+    channels = _propagate_channels(graph)
+    for node in graph.nodes:
+        if isinstance(node.kind, Add):
+            widths = sorted({channels[p] for p in preds[node.id]})
+            if len(widths) > 1:
+                violations.append(
+                    Violation("merge_channels", node.id, f"element-wise add over unequal channel counts {widths}")
+                )
+    return violations
+
+
+def _propagate_channels(graph: ArchGraph) -> dict[str, int]:
+    """Channel count carried out of each node of a graph whose edges point forward."""
+    channels: dict[str, int] = {}
+    for node in graph.nodes:
+        nid, kind = node.id, node.kind
+        preds = graph.predecessors[nid]
+        if isinstance(kind, Input):
+            channels[nid] = graph.input.channels
+        elif isinstance(kind, Conv2d):
+            channels[nid] = kind.filters
+        elif isinstance(kind, Dense):
+            channels[nid] = kind.units
+        elif isinstance(kind, Concat):
+            channels[nid] = sum(channels[p] for p in preds)
+        else:
+            channels[nid] = channels[preds[0]]
+    return channels
 
 
 def truncate_by_heap_drain(

@@ -1,6 +1,14 @@
 import pytest
 
-from dagtools import ZOO_VARIANTS, count_validations, mutated_graph, random_graph, reachability_walks, successors
+from dagtools import (
+    ZOO_VARIANTS,
+    count_validations,
+    mutated_graph,
+    random_graph,
+    reachability_walks,
+    successors,
+    validate_by_passes,
+)
 from rfscope import (
     Activation,
     Add,
@@ -93,23 +101,31 @@ class TestValidate:
     def test_two_inputs_rejected(self):
         layers = [("in1", Input()), ("in2", Input()), ("add", Add())]
         g = make_graph("twin", IN8, layers, [("in1", "add"), ("in2", "add")])
-        assert any(v.rule == "single_input" for v in validate(g))
+        assert [str(v) for v in validate(g)] == ["[single_input] twin: expected exactly one Input node, found 2"]
 
     def test_two_sinks_rejected(self):
         layers = [("input", Input()), ("a", Conv2d(kernel=3, filters=4)), ("b", Conv2d(kernel=3, filters=4))]
         g = make_graph("fork", IN8, layers, [("input", "a"), ("input", "b")])
-        assert any(v.rule == "single_sink" for v in validate(g))
+        assert [str(v) for v in validate(g)] == ["[single_sink] fork: expected exactly one sink node, found 2: ['a', 'b']"]
+
+    WIDTHS = [
+        ("input", Input()),
+        ("a", Conv2d(kernel=3, filters=16, bias=False)),
+        ("b", Conv2d(kernel=3, filters=8, bias=False)),
+        ("add", Add()),
+    ]
+    WIDTHS_EDGES = [("input", "a"), ("input", "b"), ("a", "add"), ("b", "add")]
 
     def test_add_channel_mismatch(self):
-        layers = [
-            ("input", Input()),
-            ("a", Conv2d(kernel=3, filters=16, bias=False)),
-            ("b", Conv2d(kernel=3, filters=8, bias=False)),
-            ("add", Add()),
+        g = make_graph("widths", IN8, self.WIDTHS, self.WIDTHS_EDGES)
+        assert [str(v) for v in validate(g)] == [
+            "[merge_channels] add: element-wise add over unequal channel counts [8, 16]"
         ]
-        edges = [("input", "a"), ("input", "b"), ("a", "add"), ("b", "add")]
-        g = make_graph("widths", IN8, layers, edges)
-        assert any(v.rule == "merge_channels" and v.subject == "add" for v in validate(g))
+
+    def test_channel_rule_waits_for_a_later_arity_break(self):
+        # The channel mismatch at `add` comes first in node order, but an arity rule broken later holds it back.
+        g = make_graph("widths", IN8, self.WIDTHS + [("tail", Add())], self.WIDTHS_EDGES + [("add", "tail")])
+        assert [str(v) for v in validate(g)] == ["[merge_arity] tail: merge arity < 2 (got 1)"]
 
     def test_non_square_kernel_rejected(self):
         g = chain_graph("rect", IN8, [("c1", Conv2d(kernel=(3, 5), filters=4))])
@@ -178,6 +194,18 @@ class TestValidate:
                 accepted += 1
                 assert walks == [], graph.name
         assert missed and accepted
+
+    def test_one_walk_matches_the_passes(self):
+        # Rule, subject, message and order all match the separate passes `validate` once made.
+        graphs = [mutated_graph(seed) for seed in range(2000)]
+        graphs += [random_graph(seed, shape_safe=safe) for seed in range(500) for safe in (False, True)]
+        graphs += [build_named(name) for name in ZOO_VARIANTS]
+        rules = set()
+        for g in graphs:
+            violations = validate(g)
+            assert violations == validate_by_passes(g), g.name
+            rules.update(v.rule for v in violations)
+        assert {"single_input", "single_sink", "unary_arity", "merge_arity", "merge_channels"} <= rules
 
     @pytest.mark.parametrize("kind", [object(), WideConv(kernel=3, filters=4)], ids=["object", "conv-subclass"])
     def test_only_the_layer_kind_classes_are_kinds(self, kind):
