@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "border_analysis": (
         "BorderReport", "ConvClassification", "classify",
-        "unproductive_closure", "PRODUCTIVE", "UNPRODUCTIVE",
+        "unproductive_closure", "PRODUCTIVE", "UNPRODUCTIVE", "Analysis", "analyze",
     ),
     "shape_cost_model": (
         "ShapeInfo", "LayerCost", "CostReport", "ShapeError",

@@ -4,7 +4,8 @@ A convolution whose input receptive field already exceeds the input
 resolution i = max(height, width) cannot integrate novel information into a
 single feature-map position. The first conv ordinal where the minimum input
 receptive field crosses i is the operative border; the analogous ordinal for
-the maximum receptive field is reported for diagnostics.
+the maximum receptive field is reported for diagnostics. `analyze` returns the
+border with the graph's RF annotations and cost report.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from typing import NamedTuple
 
 from .graph_ir import ArchGraph, _Record, _set
 from .rf_analysis import RFAnnotation, propagate_dag
+from .shape_cost_model import CostReport, cost_report
 
 PRODUCTIVE = "productive"
 UNPRODUCTIVE = "unproductive"
@@ -79,16 +81,14 @@ def classify(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = Non
     )
 
 
-def unproductive_closure(graph: ArchGraph, report: BorderReport | None = None) -> frozenset[str]:
+def unproductive_closure(graph: ArchGraph, report: BorderReport) -> frozenset[str]:
     """Nodes of any kind all of whose input-to-node paths cross unproductive territory.
 
     A node belongs to the closure when it is an unproductive convolution
     itself or when every path from the input reaches it through one; a node
     fed by any productive path stays out, so removing the closure can never
-    sever productive dataflow.
+    sever productive dataflow. `report` is `classify(graph)`.
     """
-    if report is None:
-        report = classify(graph)
     unproductive = set(report.unproductive_conv_ids)
     if not unproductive:
         return frozenset()
@@ -102,3 +102,16 @@ def unproductive_closure(graph: ArchGraph, report: BorderReport | None = None) -
             blocked.add(nid)
     return frozenset(blocked)
 
+
+class Analysis(NamedTuple):
+    """One graph's receptive-field annotations, border report and cost report."""
+
+    annotations: dict[str, RFAnnotation]
+    border: BorderReport
+    cost: CostReport
+
+
+def analyze(graph: ArchGraph) -> Analysis:
+    """Annotate, classify and cost `graph` in that order, one walk each: an RF error precedes a ShapeError."""
+    annotations = propagate_dag(graph)
+    return Analysis(annotations, classify(graph, annotations), cost_report(graph))

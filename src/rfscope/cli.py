@@ -154,13 +154,9 @@ def _num(value: int | float) -> int | str:
 
 
 def _analysis_payload(graph: ArchGraph) -> dict[str, Any]:
-    from .border_analysis import classify
-    from .rf_analysis import propagate_dag
-    from .shape_cost_model import cost_report
+    from .border_analysis import analyze
 
-    annotations = propagate_dag(graph)
-    border = classify(graph, annotations)
-    cost = cost_report(graph)
+    annotations, border, cost = analyze(graph)
     cost_by_id = {c.node_id: c for c in cost.per_layer}
     rows = []
     for conv in border.per_conv:

@@ -53,10 +53,6 @@ class RFState(NamedTuple):
     j: int
     global_rf: bool = False
 
-    @property
-    def r_value(self) -> int | float:
-        return math.inf if self.global_rf else self.r
-
 
 INITIAL_STATE = RFState(1, 1)
 GLOBAL_STATE = RFState(1, 1, global_rf=True)
@@ -71,7 +67,7 @@ def effective_kernel(kernel: int, dilation: int) -> int:
 
 def _merge(frontiers: list[tuple[RFState, ...]]) -> tuple[tuple[RFState, ...], int | float, int | float]:
     """Per-jump min and max r over the union of `frontiers`, ordered (j, r), the global state last,
-    with the merged frontier's smallest and largest r_value."""
+    with the merged frontier's smallest and largest r, a global state's r taken as inf."""
     new = tuple.__new__
     r_lo, j, _ = frontiers[0][0]
     r_hi = r_lo
@@ -129,7 +125,7 @@ class RFAnnotation(NamedTuple):
 
 
 def _extremes(frontier: tuple[RFState, ...]) -> tuple[int | float, int | float]:
-    """Smallest and largest r_value of a frontier, whose global state, if any, is last."""
+    """Smallest and largest r of a frontier (inf for a global state), whose global state, if any, is last."""
     finite = [r for r, _, global_rf in frontier if not global_rf]
     return min(finite, default=math.inf), math.inf if frontier[-1].global_rf else max(finite)
 

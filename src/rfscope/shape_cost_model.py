@@ -52,10 +52,6 @@ class ShapeInfo(NamedTuple):
     def spatial(self) -> tuple[int, int]:
         return (self.out_height, self.out_width)
 
-    @property
-    def elements(self) -> int:
-        return self.out_height * self.out_width * self.out_channels
-
 
 class LayerCost(NamedTuple):
     node_id: str

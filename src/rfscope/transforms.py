@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Container, Mapping, Sequence
 
-from .border_analysis import BorderReport, classify, unproductive_closure
+from .border_analysis import BorderReport, analyze, unproductive_closure
 from .graph_ir import (
     HEAD_KINDS,
     MERGE_KINDS,
@@ -26,7 +26,7 @@ from .graph_ir import (
     _Record,
     _set,
 )
-from .shape_cost_model import CostReport, cost_report
+from .shape_cost_model import CostReport
 
 
 class TransformError(RuntimeError):
@@ -97,16 +97,8 @@ class ComparisonReport(_Record):
         return self.macs_delta / self.cost_a.total_macs if self.cost_a.total_macs else 0.0
 
 
-def _snapshot(graph: ArchGraph) -> tuple[BorderReport, CostReport]:
-    return classify(graph), cost_report(graph)
-
-
 def _rebuild(
-    graph: ArchGraph,
-    name: str,
-    keep: list[str],
-    edges: list[tuple[str, str]],
-    kinds: dict[str, LayerKind],
+    graph: ArchGraph, name: str, keep: list[str], edges: list[tuple[str, str]], kinds: dict[str, LayerKind]
 ) -> ArchGraph:
     """The graph of nodes `keep`, declared in that order, with `kinds` and `edges`."""
     nodes = tuple(LayerNode(nid, kinds[nid], idx) for idx, nid in enumerate(keep))
@@ -158,11 +150,11 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
     """
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    before = _snapshot(graph)
-    if before[0].border_min is None:
-        return graph, TransformDelta("truncate", *before, *before, (), ())
+    _, border, cost = analyze(graph)
+    if border.border_min is None:
+        return graph, TransformDelta("truncate", border, cost, border, cost, (), ())
 
-    removed = set(unproductive_closure(graph, before[0]))
+    removed = set(unproductive_closure(graph, border))
     removed.update(_old_head_chain(graph))
 
     keep = [n.id for n in graph.nodes if n.id not in removed]
@@ -215,7 +207,8 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
     edges += [(tail_end, gap_id), (gap_id, fc_id), (fc_id, softmax_id)]
 
     after = _rebuild(graph, f"{graph.name}-truncated", keep + [gap_id, fc_id, softmax_id], edges, kinds)
-    return after, TransformDelta("truncate", *before, *_snapshot(after), tuple(sorted(removed)), ())
+    _, after_border, after_cost = analyze(after)
+    return after, TransformDelta("truncate", border, cost, after_border, after_cost, tuple(sorted(removed)), ())
 
 
 def downsampling_layers(graph: ArchGraph) -> list[str]:
@@ -269,7 +262,7 @@ def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, T
         )
     chosen = targets[:count]
     _refuse_split_merge(graph, chosen, targets[count:])
-    before = _snapshot(graph)
+    _, border, cost = analyze(graph)
 
     modified: list[str] = []
     removed: list[str] = []
@@ -286,8 +279,9 @@ def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, T
     keep = [n.id for n in graph.nodes if n.id not in removed_set]
     edges = [(_upstream(a, removed_set, graph.predecessors), b) for a, b in graph.edges if b not in removed_set]
     after = _rebuild(graph, f"{graph.name}-nostem", keep, edges, kinds)
+    _, after_border, after_cost = analyze(after)
     return after, TransformDelta(
-        f"remove-stem-downsampling:{count}", *before, *_snapshot(after), tuple(removed), tuple(modified)
+        f"remove-stem-downsampling:{count}", border, cost, after_border, after_cost, tuple(removed), tuple(modified)
     )
 
 
@@ -299,8 +293,8 @@ def compare(graph_a: ArchGraph, graph_b: ArchGraph) -> ComparisonReport:
         raise ValueError(
             f"input specs differ: {graph_a.input} vs {graph_b.input}; comparison would be meaningless"
         )
-    border_a, cost_a = _snapshot(graph_a)
-    border_b, cost_b = _snapshot(graph_b)
+    _, border_a, cost_a = analyze(graph_a)
+    _, border_b, cost_b = analyze(graph_b)
     return ComparisonReport(
         name_a=graph_a.name,
         name_b=graph_b.name,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -251,12 +252,17 @@ def fold_along(graph: ArchGraph, path: list[str]) -> list[RFState]:
     return states
 
 
+def r_value(state: RFState) -> int | float:
+    """A state's receptive-field size, infinite once the state is global."""
+    return math.inf if state.global_rf else state.r
+
+
 def path_enumeration_oracle(graph: ArchGraph, node_id: str, at: str = "out") -> tuple[float, float]:
     """Exact (r_min, r_max) over every input-to-node path, entering the node (at="in") or leaving it."""
     values = []
     for path in enumerate_paths(graph, node_id):
         states = [RFState(1, 1)] + fold_along(graph, path)
-        values.append((states[-2] if at == "in" else states[-1]).r_value)
+        values.append(r_value(states[-2] if at == "in" else states[-1]))
     return min(values), max(values)
 
 

@@ -61,8 +61,8 @@ PUBLIC_NAMES = """
     __version__ ArchGraph InputSpec LayerKind LayerNode Violation Conv2d Pool GlobalAvgPool Dense Add
     Concat BatchNorm Activation Attention Input Softmax GraphValidationError validate topological_order
     make_graph chain_graph RFState RFAnnotation effective_kernel propagate_dag FrontierLimitError
-    BorderReport ConvClassification classify unproductive_closure PRODUCTIVE UNPRODUCTIVE ShapeInfo
-    LayerCost CostReport ShapeError propagate_shapes cost_report TransformDelta ComparisonReport
+    BorderReport ConvClassification classify unproductive_closure PRODUCTIVE UNPRODUCTIVE Analysis analyze
+    ShapeInfo LayerCost CostReport ShapeError propagate_shapes cost_report TransformDelta ComparisonReport
     TransformError truncate_at_border remove_stem_downsampling compare ZooSpec FAMILIES build build_named
     parse_zoo_name parse parse_document serialize serialize_document DocumentError DocumentSemanticError
 """.split()

@@ -2,17 +2,20 @@ import math
 
 import pytest
 
-from dagtools import SWEEP_SIZES, ZOO_VARIANTS
+from dagtools import SWEEP_SIZES, ZOO_VARIANTS, random_graph
 from rfscope import (
     PRODUCTIVE,
     UNPRODUCTIVE,
     Activation,
+    Analysis,
     Conv2d,
     InputSpec,
     Pool,
+    analyze,
     build_named,
     chain_graph,
     classify,
+    cost_report,
     propagate_dag,
     unproductive_closure,
     validate,
@@ -24,9 +27,9 @@ def conv(k, s=1, f=8):
     return Conv2d(kernel=k, stride=s, filters=f, bias=False)
 
 
-def unproductive_tail(graph, report=None):
+def unproductive_tail(graph):
     """The removal set for tail truncation: the closure minus head-exempt kinds."""
-    closure = unproductive_closure(graph, report)
+    closure = unproductive_closure(graph, classify(graph))
     return frozenset(nid for nid in closure if not isinstance(graph.node_map[nid].kind, HEAD_KINDS))
 
 
@@ -150,7 +153,7 @@ class TestUnproductiveTail:
 
     def test_closure_includes_head_tail_excludes_it(self):
         g = build_named("vgg16")
-        closure = unproductive_closure(g)
+        closure = unproductive_closure(g, classify(g))
         tail = unproductive_tail(g)
         assert {"gap", "fc", "softmax"} <= closure
         assert not {"gap", "fc", "softmax"} & tail
@@ -194,3 +197,29 @@ class TestZooBorders:
         report36 = classify(build_named("mpnet36"))
         assert report36.border_min == 15
         assert report36.border_max == 6
+
+
+def outcome(run, graph):
+    """`run(graph)`, or the type and text of the error it raises."""
+    try:
+        return run(graph)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestAnalyze:
+    @pytest.mark.parametrize("name", ZOO_VARIANTS)
+    def test_is_the_three_walks_on_the_zoo(self, name):
+        for size in SWEEP_SIZES:
+            g = build_named(name, InputSpec(size, size, 3))
+            result = analyze(g)
+            assert type(result) is Analysis
+            assert result == (propagate_dag(g), classify(g), cost_report(g)), size
+
+    @pytest.mark.parametrize("shape_safe", [False, True])
+    def test_is_the_three_walks_on_random_graphs(self, shape_safe):
+        for seed in range(300):
+            g = random_graph(seed, shape_safe=shape_safe)
+            walks = tuple(outcome(run, g) for run in (propagate_dag, classify, cost_report))
+            expected = next((w for w in walks if type(w) is tuple), walks)  # the first walk's error, if any
+            assert outcome(analyze, g) == expected, seed

@@ -315,7 +315,7 @@ class TestCachedOrder:
             classify,
             propagate_shapes,
             cost_report,
-            unproductive_closure,
+            lambda g: unproductive_closure(g, classify(g)),
             lambda g: truncate_at_border(g, 10),
             lambda g: remove_stem_downsampling(g, 1),
         ],

@@ -13,6 +13,7 @@ from dagtools import (
     layer_rf_transfer,
     path_enumeration_oracle,
     per_jump_extremes,
+    r_value,
     random_graph,
 )
 from rfscope import (
@@ -74,7 +75,7 @@ def test_sequential_fold_matches_reference(pairs):
 
 
 def r_range(states):
-    return min(s.r_value for s in states), max(s.r_value for s in states)
+    return min(map(r_value, states)), max(map(r_value, states))
 
 
 def assert_frontier_invariants(graph):

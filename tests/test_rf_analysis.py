@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from dagtools import enumerate_paths, path_enumeration_oracle
+from dagtools import enumerate_paths, path_enumeration_oracle, r_value
 from rfscope import (
     Activation,
     Add,
@@ -118,7 +118,7 @@ class TestLayerTransfer:
 
     def test_global_marks_and_absorbs(self):
         g = transfer(RFState(9, 2), GlobalAvgPool())
-        assert g.global_rf and g.r_value == math.inf
+        assert g.global_rf and r_value(g) == math.inf
         assert transfer(RFState(9, 2), GlobalAvgPool(), conv(3)) == GLOBAL_STATE
         assert transfer(RFState(9, 2), Dense(units=10)).global_rf
 
@@ -184,6 +184,14 @@ def three_way_merge():
     return make_graph("three-way", IN32, layers, edges)
 
 
+def one_jump_then_two_jumps():
+    """A branch at (5, 2) added ahead of the three-way merge, whose frontier starts at jump 1."""
+    graph = three_way_merge()
+    layers = [(n.id, n.kind) for n in graph.nodes] + [("d", conv(5, s=2)), ("add2", Add())]
+    edges = [*graph.edges, ("input", "d"), ("d", "add2"), ("add", "add2")]
+    return make_graph("one-jump-then-two-jumps", IN32, layers, edges)
+
+
 def global_and_finite_merge():
     """A global-pooling branch and a conv branch concatenated."""
     layers = [("input", Input()), ("a", conv(3, f=3)), ("gap", GlobalAvgPool()), ("cat", Concat())]
@@ -245,6 +253,12 @@ MERGE_TAILS = {
     "conv-after-two-jump-merge": (
         with_tail(three_way_merge(), conv(3, s=2)),
         (RFState(3, 1), RFState(7, 1), RFState(3, 2)), (RFState(5, 2), RFState(9, 2), RFState(7, 4)),
+    ),
+    # The first input holds jump 2 alone, the second jumps 1 and 2: no one-jump shortcut applies.
+    "conv-after-one-jump-then-two-jump-inputs": (
+        with_tail(one_jump_then_two_jumps(), conv(3)),
+        (RFState(3, 1), RFState(7, 1), RFState(3, 2), RFState(5, 2)),
+        (RFState(5, 1), RFState(9, 1), RFState(7, 2), RFState(9, 2)),
     ),
     "conv-after-global-and-finite-merge": (
         with_tail(global_and_finite_merge(), conv(3, f=3)),

@@ -1,3 +1,7 @@
+import cProfile
+import pstats
+from pathlib import Path
+
 import pytest
 
 from dagtools import SWEEP_SIZES, ZOO_VARIANTS, mutated_graph, random_graph, truncate_by_heap_drain
@@ -6,6 +10,7 @@ from rfscope import (
     Add,
     Conv2d,
     Dense,
+    FrontierLimitError,
     GlobalAvgPool,
     Input,
     InputSpec,
@@ -13,6 +18,7 @@ from rfscope import (
     ShapeError,
     Softmax,
     TransformError,
+    analyze,
     build_named,
     chain_graph,
     classify,
@@ -24,6 +30,8 @@ from rfscope import (
     truncate_at_border,
     validate,
 )
+from rfscope import rf_analysis
+from rfscope.cli import main
 
 IN32 = InputSpec(32, 32, 3)
 
@@ -288,3 +296,82 @@ class TestCompare:
         g64 = g32.with_input(InputSpec(64, 64, 3))
         with pytest.raises(ValueError):
             compare(g32, g64)
+
+
+# The walks an analysis is assembled from: the check, the RF pass, the border rule, the shape and cost walk.
+WALKS = ("validate", "propagate_dag", "classify", "_walk")
+
+
+def walk_counts(run):
+    """How often `run()` calls each of rfscope's `WALKS`, as cProfile counts them."""
+    profile = cProfile.Profile()
+    profile.runcall(run)
+    counts = dict.fromkeys(WALKS, 0)
+    for (filename, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items():
+        if name in counts and Path(filename).parent.name == "rfscope":
+            counts[name] += calls
+    return counts
+
+
+def diamond(name, pad7):
+    """Input into a 3x3 and a 7x7 conv that meet at an add: the add's frontier holds two states.
+
+    With `pad7` False the 7x7 conv shrinks its map, so the add also breaks shape propagation.
+    """
+    layers = [
+        ("input", Input()),
+        ("k3", Conv2d(kernel=3, filters=4, padding=1)),
+        ("k7", Conv2d(kernel=7, filters=4, padding=3 if pad7 else 0)),
+        ("add", Add()),
+    ]
+    edges = [("input", "k3"), ("input", "k7"), ("k3", "add"), ("k7", "add")]
+    return make_graph(name, IN32, layers, edges)
+
+
+class TestOneAnalysis:
+    @pytest.mark.parametrize("name", ZOO_VARIANTS)
+    def test_delta_reports_are_the_analyses_of_input_and_output(self, name):
+        passes = [lambda g: truncate_at_border(g, 10)]
+        passes += [lambda g, count=count: remove_stem_downsampling(g, count) for count in (1, 2)]
+        for size in SWEEP_SIZES:
+            g = build_named(name, input_spec=InputSpec(size, size, 3))
+            for run in passes:
+                try:
+                    after, delta = run(g)
+                except TransformError:
+                    continue
+                assert (delta.before_border, delta.before_cost) == analyze(g)[1:], size
+                assert (delta.after_border, delta.after_cost) == analyze(after)[1:], size
+
+    @pytest.mark.parametrize(
+        "run, walks",
+        [
+            (analyze, 1),
+            (lambda g: truncate_at_border(g, 10), 2),
+            (lambda g: remove_stem_downsampling(g, 2), 2),
+            (lambda g: compare(g, build_named("resnet34")), 2),
+            (lambda g: main(["analyze", "zoo:resnet34"]), 1),
+        ],
+        ids=["analyze", "truncate_at_border", "remove_stem_downsampling", "compare", "cli-analyze"],
+    )
+    def test_each_walk_runs_once_per_graph(self, run, walks, capsys):
+        g = build_named("resnet34")  # fresh, so its validation is counted too
+        assert walk_counts(lambda: run(g)) == dict.fromkeys(WALKS, walks)
+
+    def test_frontier_error_precedes_shape_error(self, monkeypatch):
+        both = diamond("both", pad7=False)
+        with pytest.raises(ShapeError, match="'add'"):
+            analyze(both)
+        monkeypatch.setattr(rf_analysis, "FRONTIER_CAP", 1)
+        for run in (analyze, lambda g: truncate_at_border(g, 10), lambda g: compare(g, g)):
+            with pytest.raises(FrontierLimitError, match="'add'"):
+                run(both)
+
+    def test_compare_raises_the_first_graphs_error(self, monkeypatch):
+        monkeypatch.setattr(rf_analysis, "FRONTIER_CAP", 1)
+        frontier_only = diamond("frontier", pad7=True)
+        shape_only = chain_graph("shape", IN32, [("big", Conv2d(kernel=40, filters=4, padding=0))])
+        with pytest.raises(FrontierLimitError):
+            compare(frontier_only, shape_only)
+        with pytest.raises(ShapeError, match="'big'"):
+            compare(shape_only, frontier_only)
