@@ -55,7 +55,13 @@ class LayerCost(NamedTuple):
     node_id: str
     params: int
     macs: int
-    out_shape: ShapeInfo
+    out_height: int
+    out_width: int
+    out_channels: int
+
+    @property
+    def out_shape(self) -> ShapeInfo:
+        return ShapeInfo(self.node_id, self.out_height, self.out_width, self.out_channels)
 
 
 class CostReport(NamedTuple):
@@ -80,24 +86,23 @@ def _window_out(extent: int, window: int, stride: int, padding: int, node_id: st
     return out
 
 
-def _walk(graph: ArchGraph) -> tuple[dict[str, ShapeInfo], CostReport]:
+def _walk(graph: ArchGraph) -> CostReport:
     """Every node's output shape, params and MACs, in one pass over the graph.
 
     Same padding means out = ceil(in / stride); valid and explicit padding
     follow the usual floor rule. Element-wise adds require identical input
     shapes; concatenation requires matching spatial dims and sums channels.
     """
-    shapes: dict[str, ShapeInfo] = {}
-    per_layer: list[LayerCost] = []
+    costs: dict[str, LayerCost] = {}  # a successor reads its input's (h, w, c) from positions 3-5
     total_params = total_macs = 0
     predecessors = graph.predecessors
-    source = (None, graph.input.height, graph.input.width, graph.input.channels)  # what the Input node reads
+    source = (None, 0, 0, graph.input.height, graph.input.width, graph.input.channels)  # what the Input node reads
     new = tuple.__new__  # builds a record from a tuple of its fields, skipping the keyword-argument shim
     for nid, node in zip(graph.order, graph.nodes):
         kind = node.kind
         preds = predecessors[nid]
         cls = type(kind)
-        _, h, w, c = shapes[preds[0]] if preds else source
+        _, _, _, h, w, c = costs[preds[0]] if preds else source
         out_h, out_w, out_c = h, w, c
         params = macs = 0
         if cls is Conv2d:
@@ -118,7 +123,7 @@ def _walk(graph: ArchGraph) -> tuple[dict[str, ShapeInfo], CostReport]:
             macs = h * w * c
         elif cls is Add:
             for p in preds[1:]:
-                other = shapes[p][1:]
+                other = costs[p][3:]
                 if other != (h, w, c):
                     raise ShapeError(nid, f"element-wise add over mismatched shapes {(h, w, c)} vs {other}")
             macs = h * w * c
@@ -128,9 +133,9 @@ def _walk(graph: ArchGraph) -> tuple[dict[str, ShapeInfo], CostReport]:
             macs = kind.kernel**2 * out_h * out_w * c
         elif cls is Concat:
             for p in preds[1:]:
-                if shapes[p].spatial != (h, w):
-                    raise ShapeError(nid, f"concat over mismatched spatial dims {(h, w)} vs {shapes[p].spatial}")
-            out_c = sum(shapes[p].out_channels for p in preds)
+                if costs[p][3:5] != (h, w):
+                    raise ShapeError(nid, f"concat over mismatched spatial dims {(h, w)} vs {costs[p][3:5]}")
+            out_c = sum(costs[p][5] for p in preds)
         elif cls is Attention:
             params, macs = _attention_cost(kind.variant, h * w, c)
         elif cls is GlobalAvgPool:
@@ -141,16 +146,15 @@ def _walk(graph: ArchGraph) -> tuple[dict[str, ShapeInfo], CostReport]:
             macs = h * w * c * out_c
             params = macs + out_c if kind.bias else macs
         # Input and Softmax keep their input's shape and carry no parameters and no counted work.
-        shapes[nid] = info = new(ShapeInfo, (nid, out_h, out_w, out_c))
-        per_layer.append(new(LayerCost, (nid, params, macs, info)))
+        costs[nid] = new(LayerCost, (nid, params, macs, out_h, out_w, out_c))
         total_params += params
         total_macs += macs
-    return shapes, CostReport(tuple(per_layer), total_params, total_macs)
+    return CostReport(tuple(costs.values()), total_params, total_macs)
 
 
 def propagate_shapes(graph: ArchGraph) -> dict[str, ShapeInfo]:
     """Output (height, width, channels) of every node, from the walk that :func:`cost_report` makes."""
-    return _walk(graph)[0]
+    return {c.node_id: c.out_shape for c in _walk(graph).per_layer}
 
 
 def _attention_cost(variant: str, area: int, channels: int) -> tuple[int, int]:
@@ -179,4 +183,4 @@ def cost_report(graph: ArchGraph, shapes: dict[str, ShapeInfo] | None = None) ->
     and not read: a graph's shapes are a function of the graph, so the walk
     derives them with the costs.
     """
-    return _walk(graph)[1]
+    return _walk(graph)

@@ -26,6 +26,10 @@ branches, both dropped because the DAG rules imply their results; and
 keeps the merge collapse that `truncate_at_border` once ran on edge tokens:
 each surviving edge under an increasing token, and each rewired edge under a
 fresh one, so it moves to the end of the edge list.
+
+`cost_by_shape_records` keeps the cost walk as it was before `LayerCost`
+held its own output dimensions: one `ShapeInfo` per node, kept in a dict for
+the node's successors to read, and a per-layer row that nests it.
 """
 from __future__ import annotations
 
@@ -59,10 +63,11 @@ from rfscope import (
     make_graph,
     unproductive_closure,
 )
-from rfscope import graph_ir
+from rfscope import ShapeError, ShapeInfo, graph_ir
 from rfscope.graph_ir import LAYER_KINDS, MERGE_KINDS, RF_NEUTRAL_KINDS
 from rfscope.border_analysis import PRODUCTIVE, UNPRODUCTIVE, BorderReport, ConvClassification
-from rfscope.rf_analysis import GLOBAL_STATE, RFAnnotation, propagate_dag
+from rfscope.rf_analysis import GLOBAL_STATE, RFAnnotation, effective_kernel, propagate_dag
+from rfscope.shape_cost_model import _attention_cost, _window_out
 from rfscope.transforms import _fresh_id, _old_head_chain
 
 # Every zoo variant, and the input sizes of a 16-step resolution sweep.
@@ -301,6 +306,71 @@ def classify_by_two_scans(graph: ArchGraph, annotations: dict[str, RFAnnotation]
         border_min_node=None if first_min is None else first_min.node_id,
         border_max_node=None if first_max is None else first_max.node_id,
     )
+
+
+def cost_by_shape_records(
+    graph: ArchGraph,
+) -> tuple[dict[str, ShapeInfo], list[tuple[str, int, int, ShapeInfo]], int, int]:
+    """Shapes, per-layer `(node_id, params, macs, out_shape)` rows and the parameter
+    and MAC totals of `graph`, from a walk that reads each predecessor's
+    dimensions from its `ShapeInfo`. Raises `ShapeError` as `cost_report` does."""
+    shapes: dict[str, ShapeInfo] = {}
+    per_layer = []
+    total_params = total_macs = 0
+    for nid, node in zip(graph.order, graph.nodes):
+        kind = node.kind
+        preds = graph.predecessors[nid]
+        if preds:
+            _, h, w, c = shapes[preds[0]]
+        else:
+            h, w, c = graph.input.height, graph.input.width, graph.input.channels
+        out_h, out_w, out_c = h, w, c
+        params = macs = 0
+        if isinstance(kind, Conv2d):
+            if kind.padding == "same":
+                out_h, out_w = -(-h // kind.stride), -(-w // kind.stride)
+            else:
+                k_eff = effective_kernel(kind.kernel, kind.dilation)
+                pad = 0 if kind.padding == "valid" else int(kind.padding)
+                out_h = _window_out(h, k_eff, kind.stride, pad, nid)
+                out_w = _window_out(w, k_eff, kind.stride, pad, nid)
+            out_c = kind.filters
+            weights = kind.kernel**2 * c * out_c
+            params = weights + out_c if kind.bias else weights
+            macs = weights * out_h * out_w
+        elif isinstance(kind, BatchNorm):
+            params, macs = 2 * c, h * w * c
+        elif isinstance(kind, Activation):
+            macs = h * w * c
+        elif isinstance(kind, Add):
+            for p in preds[1:]:
+                other = shapes[p][1:]
+                if other != (h, w, c):
+                    raise ShapeError(nid, f"element-wise add over mismatched shapes {(h, w, c)} vs {other}")
+            macs = h * w * c
+        elif isinstance(kind, Pool):
+            out_h = _window_out(h, kind.kernel, kind.stride, kind.padding, nid)
+            out_w = _window_out(w, kind.kernel, kind.stride, kind.padding, nid)
+            macs = kind.kernel**2 * out_h * out_w * c
+        elif isinstance(kind, Concat):
+            for p in preds[1:]:
+                if shapes[p].spatial != (h, w):
+                    raise ShapeError(nid, f"concat over mismatched spatial dims {(h, w)} vs {shapes[p].spatial}")
+            out_c = sum(shapes[p].out_channels for p in preds)
+        elif isinstance(kind, Attention):
+            params, macs = _attention_cost(kind.variant, h * w, c)
+        elif isinstance(kind, GlobalAvgPool):
+            out_h = out_w = 1
+            macs = h * w * c
+        elif isinstance(kind, Dense):
+            out_h, out_w, out_c = 1, 1, kind.units
+            macs = h * w * c * out_c
+            params = macs + out_c if kind.bias else macs
+        shapes[nid] = info = ShapeInfo(nid, out_h, out_w, out_c)
+        per_layer.append((nid, params, macs, info))
+        total_params += params
+        total_macs += macs
+    return shapes, per_layer, total_params, total_macs
 
 
 def run_fresh(

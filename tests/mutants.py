@@ -47,6 +47,9 @@ WALK_COUNTS = TRANSFORMS + "TestOneAnalysis::test_each_walk_runs_once_per_graph"
 MERGE_TAILS = "tests/test_rf_analysis.py::TestPropagateDag::test_exact_frontiers_after_a_merge"
 PROPERTIES = "tests/test_properties.py::"
 VALIDATE = "tests/test_graph_ir.py::TestValidate::"
+SHAPES = "tests/test_shape_cost_model.py::"
+NON_SQUARE = SHAPES + "TestNonSquareInput::"
+SHAPE_RECORDS = SHAPES + "TestMatchesShapeRecordWalk::"
 
 MUTANTS = (
     # The one analysis core.
@@ -180,6 +183,29 @@ MUTANTS = (
         "return violations + arity or widths",
         "return violations + arity + widths",
         (f"{VALIDATE}test_channel_rule_waits_for_a_later_arity_break", f"{VALIDATE}test_one_walk_matches_the_passes"),
+    ),
+    # The cost walk reads and stores height before width; MACs alone cannot tell them apart.
+    Mutant(
+        "walk-reads-width-as-height",
+        "rfscope/shape_cost_model.py",
+        "_, _, _, h, w, c = costs[preds[0]] if preds else source",
+        "_, _, _, w, h, c = costs[preds[0]] if preds else source",
+        (
+            f"{NON_SQUARE}test_every_node_keeps_height_before_width",
+            f"{SHAPE_RECORDS}test_zoo_at_square_and_non_square_sizes[resnet18]",
+            f"{SHAPE_RECORDS}test_random_graphs_with_their_errors[False]",
+        ),
+    ),
+    Mutant(
+        "walk-stores-width-as-height",
+        "rfscope/shape_cost_model.py",
+        "new(LayerCost, (nid, params, macs, out_h, out_w, out_c))",
+        "new(LayerCost, (nid, params, macs, out_w, out_h, out_c))",
+        (
+            f"{NON_SQUARE}test_every_node_keeps_height_before_width",
+            f"{NON_SQUARE}test_concat_mismatch_names_height_then_width",
+            f"{SHAPE_RECORDS}test_zoo_at_square_and_non_square_sizes[mpnet18]",
+        ),
     ),
     # An explicit empty output path is opened like any other, so it fails.
     Mutant(

@@ -8,9 +8,11 @@ or `validate` returns is a `typing.NamedTuple`.
 Each tuple record comes from a real analysis, rewrite or validation of a
 one-conv graph. The expected strings are the dataclass-style reprs the
 records have always printed, so a change of record type cannot change what a
-user sees. The fifteen class records and the five reports keep the rest of
-the frozen-dataclass contract: hashing, no assignment, strict constructors,
-and copy and pickle. Only the class records also keep equality within the
+user sees. `LayerCost` holds its output dimensions as its own fields, so it
+and the reports that hold it print `out_height`, `out_width` and
+`out_channels` where they once printed a nested `ShapeInfo`. The fifteen
+class records and the five reports keep the rest of the frozen-dataclass
+contract: hashing, no assignment, strict constructors, and copy and pickle. Only the class records also keep equality within the
 exact class and `_replace` through validation.
 """
 import copy
@@ -35,11 +37,8 @@ from rfscope import (
 STATE = "RFState(r=3, j=2, global_rf=False)"
 SHAPE = "ShapeInfo(node_id='c1', out_height=4, out_width=4, out_channels=4)"
 CONV = "ConvClassification(ordinal=1, node_id='c1', r_in_min=1, r_in_max=1, classification='productive')"
-INPUT_COST = (
-    "LayerCost(node_id='input', params=0, macs=0, "
-    "out_shape=ShapeInfo(node_id='input', out_height=8, out_width=8, out_channels=3))"
-)
-CONV_COST = f"LayerCost(node_id='c1', params=112, macs=1728, out_shape={SHAPE})"
+INPUT_COST = "LayerCost(node_id='input', params=0, macs=0, out_height=8, out_width=8, out_channels=3)"
+CONV_COST = "LayerCost(node_id='c1', params=112, macs=1728, out_height=4, out_width=4, out_channels=4)"
 BORDER = (
     f"BorderReport(resolution=8, per_conv=({CONV},), border_min=None, border_max=None, "
     "border_min_node=None, border_max_node=None)"
@@ -47,7 +46,7 @@ BORDER = (
 COST = f"CostReport(per_layer=({INPUT_COST}, {CONV_COST}), total_params=112, total_macs=1728)"
 NOSTEM_COST = (
     f"CostReport(per_layer=({INPUT_COST}, LayerCost(node_id='c1', params=112, macs=6912, "
-    "out_shape=ShapeInfo(node_id='c1', out_height=8, out_width=8, out_channels=4))), total_params=112, total_macs=6912)"
+    "out_height=8, out_width=8, out_channels=4)), total_params=112, total_macs=6912)"
 )
 
 RECORDS = {

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from dagtools import SWEEP_SIZES, ZOO_VARIANTS
+from dagtools import SWEEP_SIZES, ZOO_VARIANTS, cost_by_shape_records, random_graph
 
 from rfscope import (
     Activation,
@@ -180,6 +180,87 @@ class TestMacs:
         g = chain_graph("p", IN32, [("c", Conv2d(kernel=3, filters=8, bias=False)), ("x", Pool(mode="max", kernel=2, stride=2))])
         # 16x16x8 outputs, 4 window elements each.
         assert next(c.macs for c in cost_report(g).per_layer if c.node_id == "x") == 4 * 16 * 16 * 8
+
+
+# Height and width differ on the way through, so a layer that reads or writes them
+# swapped changes a shape. Hand-worked on a 32x48x3 input:
+#   a    3x3/2 valid conv, 8 filters:    (32 - 3) // 2 + 1 = 15, (48 - 3) // 2 + 1 = 23
+#   p    3x3/2 max pool, padding 1:      (15 + 2 - 3) // 2 + 1 = 8, (23 + 2 - 3) // 2 + 1 = 12
+#   b    1x1/2 same conv on a, 4 filters: ceil(15 / 2) = 8, ceil(23 / 2) = 12
+#   cat  concat of p and b:               8 + 4 = 12 channels
+#   gap  global average pool:             1 x 1
+TALL_WIDE = InputSpec(32, 48, 3)
+NON_SQUARE_LAYERS = [
+    ("input", Input()),
+    ("a", Conv2d(kernel=3, filters=8, stride=2, padding="valid")),
+    ("p", Pool(mode="max", kernel=3, stride=2, padding=1)),
+    ("b", Conv2d(kernel=1, filters=4, stride=2)),
+    ("cat", Concat()),
+    ("gap", GlobalAvgPool()),
+]
+NON_SQUARE_EDGES = [("input", "a"), ("a", "p"), ("a", "b"), ("p", "cat"), ("b", "cat"), ("cat", "gap")]
+
+
+class TestNonSquareInput:
+    def test_every_node_keeps_height_before_width(self):
+        report = cost_report(make_graph("tall-wide", TALL_WIDE, NON_SQUARE_LAYERS, NON_SQUARE_EDGES))
+        assert [(c.node_id, c.out_height, c.out_width, c.out_channels) for c in report.per_layer] == [
+            ("input", 32, 48, 3),
+            ("a", 15, 23, 8),
+            ("p", 8, 12, 8),
+            ("b", 8, 12, 4),
+            ("cat", 8, 12, 12),
+            ("gap", 1, 1, 12),
+        ]
+        # a: 9 * 3 * 8 = 216 weights + 8 biases, 216 * 15 * 23 MACs; p: 9 * 8 * 12 * 8;
+        # b: 1 * 8 * 4 = 32 weights + 4 biases, 32 * 8 * 12 MACs; gap: 8 * 12 * 12.
+        assert [(c.params, c.macs) for c in report.per_layer] == [
+            (0, 0), (224, 74_520), (0, 6_912), (36, 3_072), (0, 0), (0, 1_152)
+        ]
+        assert (report.total_params, report.total_macs) == (260, 85_656)
+
+    def test_concat_mismatch_names_height_then_width(self):
+        edges = [("input", "a"), ("a", "p"), ("a", "cat"), ("p", "cat"), ("cat", "gap")]
+        layers = [layer for layer in NON_SQUARE_LAYERS if layer[0] != "b"]
+        with pytest.raises(ShapeError) as err:
+            cost_report(make_graph("tall-wide-mismatch", TALL_WIDE, layers, edges))
+        assert str(err.value) == "node 'cat': concat over mismatched spatial dims (15, 23) vs (8, 12)"
+
+
+def walk_or_error(walk, graph):
+    try:
+        return walk(graph)
+    except ShapeError as err:
+        return str(err)
+
+
+def report_rows(graph):
+    """`cost_report` in the oracle's terms: shapes, per-layer rows and totals."""
+    report = cost_report(graph)
+    rows = [(c.node_id, c.params, c.macs, c.out_shape) for c in report.per_layer]
+    return propagate_shapes(graph), rows, report.total_params, report.total_macs
+
+
+class TestMatchesShapeRecordWalk:
+    """`cost_report` equals the walk that kept one `ShapeInfo` per node for its successors."""
+
+    @pytest.mark.parametrize("name", ZOO_VARIANTS)
+    def test_zoo_at_square_and_non_square_sizes(self, name):
+        for size in SWEEP_SIZES:
+            for spec in (InputSpec(size, size, 3), InputSpec(size, size + 16, 3), InputSpec(size + 16, size, 3)):
+                g = build_named(name, spec)
+                assert report_rows(g) == cost_by_shape_records(g), spec
+
+    @pytest.mark.parametrize("shape_safe", [False, True])
+    def test_random_graphs_with_their_errors(self, shape_safe):
+        errors = 0
+        for seed in range(500):
+            g = random_graph(seed, shape_safe=shape_safe)
+            for graph in (g, g.with_input(TALL_WIDE)):
+                expected = walk_or_error(cost_by_shape_records, graph)
+                assert walk_or_error(report_rows, graph) == expected, (seed, graph.input)
+                errors += isinstance(expected, str)
+        assert errors > 0 or shape_safe
 
 
 class TestReportTotals:
