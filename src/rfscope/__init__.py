@@ -32,7 +32,7 @@ _EXPORTS = {
         "unproductive_closure", "PRODUCTIVE", "UNPRODUCTIVE", "Analysis", "analyze",
     ),
     "shape_cost_model": (
-        "ShapeInfo", "LayerCost", "CostReport", "ShapeError",
+        "LayerCost", "CostReport", "ShapeError",
         "propagate_shapes", "cost_report",
     ),
     "transforms": (

@@ -67,6 +67,11 @@ _KIND_TAGS: dict[str, type] = {
     "softmax": Softmax,
 }
 _TAG_BY_TYPE = {cls: tag for tag, cls in _KIND_TAGS.items()}
+# Each kind's fields without a default, in field order; the defaulted fields come last.
+_REQUIRED = {
+    cls: tuple(fields)[: len(fields) - len(getattr(cls.__init__, "__defaults__", None) or ())]
+    for cls, fields in _KIND_FIELDS.items()
+}
 
 
 def _parse_layer(index: int, raw: Any) -> tuple[str, LayerKind]:
@@ -85,8 +90,8 @@ def _parse_layer(index: int, raw: Any) -> tuple[str, LayerKind]:
     for key in raw:
         if key not in fields and key not in ("id", "kind"):
             raise DocumentError(f"{where}.{key}", f"unknown key for kind {tag!r}")
-    for position, field_name in enumerate(fields):
-        if field_name not in raw and position < len(fields) - len(cls.__init__.__defaults__ or ()):  # no default
+    for field_name in _REQUIRED[cls]:
+        if field_name not in raw:
             raise DocumentError(f"{where}.{field_name}", f"missing required key for kind {tag!r}")
     # The values go in unchecked: `validate`, which `parse_document` runs on the graph, judges each one.
     return layer_id, cls(**{name: raw[name] for name in fields if name in raw})

@@ -183,12 +183,7 @@ def _analysis_payload(graph: ArchGraph) -> dict[str, Any]:
         "border_min_node": border.border_min_node,
         "border_max_node": border.border_max_node,
         "per_conv": rows,
-        "totals": {
-            "params": cost.total_params,
-            "macs": cost.total_macs,
-            "flops": cost.total_flops,
-            "gflops_mac1": cost.gflops_mac1,
-        },
+        "totals": _cost_payload(cost),
     }
 
 

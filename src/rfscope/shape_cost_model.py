@@ -40,17 +40,6 @@ class ShapeError(ValueError):
         super().__init__(f"node {node_id!r}: {message}")
 
 
-class ShapeInfo(NamedTuple):
-    node_id: str
-    out_height: int
-    out_width: int
-    out_channels: int
-
-    @property
-    def spatial(self) -> tuple[int, int]:
-        return (self.out_height, self.out_width)
-
-
 class LayerCost(NamedTuple):
     node_id: str
     params: int
@@ -58,10 +47,6 @@ class LayerCost(NamedTuple):
     out_height: int
     out_width: int
     out_channels: int
-
-    @property
-    def out_shape(self) -> ShapeInfo:
-        return ShapeInfo(self.node_id, self.out_height, self.out_width, self.out_channels)
 
 
 class CostReport(NamedTuple):
@@ -152,9 +137,9 @@ def _walk(graph: ArchGraph) -> CostReport:
     return CostReport(tuple(costs.values()), total_params, total_macs)
 
 
-def propagate_shapes(graph: ArchGraph) -> dict[str, ShapeInfo]:
-    """Output (height, width, channels) of every node, from the walk that :func:`cost_report` makes."""
-    return {c.node_id: c.out_shape for c in _walk(graph).per_layer}
+def propagate_shapes(graph: ArchGraph) -> dict[str, LayerCost]:
+    """Every node's :func:`cost_report` row by node id, which holds its output (height, width, channels)."""
+    return {c.node_id: c for c in cost_report(graph).per_layer}
 
 
 def _attention_cost(variant: str, area: int, channels: int) -> tuple[int, int]:
@@ -176,7 +161,7 @@ def _attention_cost(variant: str, area: int, channels: int) -> tuple[int, int]:
     return params, macs
 
 
-def cost_report(graph: ArchGraph, shapes: dict[str, ShapeInfo] | None = None) -> CostReport:
+def cost_report(graph: ArchGraph, shapes: dict[str, LayerCost] | None = None) -> CostReport:
     """Per-layer and total trainable parameters and multiply-accumulates.
 
     Shapes and costs come from one walk over the graph. `shapes` is accepted

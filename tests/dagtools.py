@@ -28,8 +28,9 @@ each surviving edge under an increasing token, and each rewired edge under a
 fresh one, so it moves to the end of the edge list.
 
 `cost_by_shape_records` keeps the cost walk as it was before `LayerCost`
-held its own output dimensions: one `ShapeInfo` per node, kept in a dict for
-the node's successors to read, and a per-layer row that nests it.
+held its own output dimensions: one shape record per node, kept in a dict for
+the node's successors to read, and a per-layer row that nests it. The record,
+`ShapeRecord`, is its own, so the oracle reads no shape type from rfscope.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from rfscope import (
     Activation,
@@ -63,7 +65,7 @@ from rfscope import (
     make_graph,
     unproductive_closure,
 )
-from rfscope import ShapeError, ShapeInfo, graph_ir
+from rfscope import ShapeError, graph_ir
 from rfscope.graph_ir import LAYER_KINDS, MERGE_KINDS, RF_NEUTRAL_KINDS
 from rfscope.border_analysis import PRODUCTIVE, UNPRODUCTIVE, BorderReport, ConvClassification
 from rfscope.rf_analysis import GLOBAL_STATE, RFAnnotation, effective_kernel, propagate_dag
@@ -308,13 +310,20 @@ def classify_by_two_scans(graph: ArchGraph, annotations: dict[str, RFAnnotation]
     )
 
 
+class ShapeRecord(NamedTuple):
+    node_id: str
+    out_height: int
+    out_width: int
+    out_channels: int
+
+
 def cost_by_shape_records(
     graph: ArchGraph,
-) -> tuple[dict[str, ShapeInfo], list[tuple[str, int, int, ShapeInfo]], int, int]:
-    """Shapes, per-layer `(node_id, params, macs, out_shape)` rows and the parameter
+) -> tuple[dict[str, ShapeRecord], list[tuple[str, int, int, ShapeRecord]], int, int]:
+    """Shapes, per-layer `(node_id, params, macs, shape)` rows and the parameter
     and MAC totals of `graph`, from a walk that reads each predecessor's
-    dimensions from its `ShapeInfo`. Raises `ShapeError` as `cost_report` does."""
-    shapes: dict[str, ShapeInfo] = {}
+    dimensions from its `ShapeRecord`. Raises `ShapeError` as `cost_report` does."""
+    shapes: dict[str, ShapeRecord] = {}
     per_layer = []
     total_params = total_macs = 0
     for nid, node in zip(graph.order, graph.nodes):
@@ -354,8 +363,9 @@ def cost_by_shape_records(
             macs = kind.kernel**2 * out_h * out_w * c
         elif isinstance(kind, Concat):
             for p in preds[1:]:
-                if shapes[p].spatial != (h, w):
-                    raise ShapeError(nid, f"concat over mismatched spatial dims {(h, w)} vs {shapes[p].spatial}")
+                spatial = (shapes[p].out_height, shapes[p].out_width)
+                if spatial != (h, w):
+                    raise ShapeError(nid, f"concat over mismatched spatial dims {(h, w)} vs {spatial}")
             out_c = sum(shapes[p].out_channels for p in preds)
         elif isinstance(kind, Attention):
             params, macs = _attention_cost(kind.variant, h * w, c)
@@ -366,7 +376,7 @@ def cost_by_shape_records(
             out_h, out_w, out_c = 1, 1, kind.units
             macs = h * w * c * out_c
             params = macs + out_c if kind.bias else macs
-        shapes[nid] = info = ShapeInfo(nid, out_h, out_w, out_c)
+        shapes[nid] = info = ShapeRecord(nid, out_h, out_w, out_c)
         per_layer.append((nid, params, macs, info))
         total_params += params
         total_macs += macs

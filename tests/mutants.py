@@ -50,6 +50,7 @@ VALIDATE = "tests/test_graph_ir.py::TestValidate::"
 SHAPES = "tests/test_shape_cost_model.py::"
 NON_SQUARE = SHAPES + "TestNonSquareInput::"
 SHAPE_RECORDS = SHAPES + "TestMatchesShapeRecordWalk::"
+ARCHJSON = "tests/test_archjson.py::"
 
 MUTANTS = (
     # The one analysis core.
@@ -206,6 +207,32 @@ MUTANTS = (
             f"{NON_SQUARE}test_concat_mismatch_names_height_then_width",
             f"{SHAPE_RECORDS}test_zoo_at_square_and_non_square_sizes[mpnet18]",
         ),
+    ),
+    # propagate_shapes returns the cost walk's own rows, every one of them.
+    Mutant(
+        "shapes-skip-the-input-row",
+        "rfscope/shape_cost_model.py",
+        "{c.node_id: c for c in cost_report(graph).per_layer}",
+        "{c.node_id: c for c in cost_report(graph).per_layer[1:]}",
+        (
+            f"{SHAPES}TestOneWalk::test_shapes_are_the_report_shapes[vgg11]",
+            f"{SHAPES}TestOneWalk::test_shapes_are_the_report_shapes[resnet18]",
+        ),
+    ),
+    # Parse requires exactly the fields without a default, in field order.
+    Mutant(
+        "required-keys-count-a-default",
+        "rfscope/archjson.py",
+        'len(fields) - len(getattr(cls.__init__, "__defaults__", None) or ())]',
+        'len(fields) - len(getattr(cls.__init__, "__defaults__", None) or ()) + 1]',
+        (f"{ARCHJSON}test_defaults_fill_optional_conv_fields", f"{ARCHJSON}test_defaults_fill_optional_fields[conv2d]"),
+    ),
+    Mutant(
+        "required-keys-drop-the-first",
+        "rfscope/archjson.py",
+        "tuple(fields)[: len(fields)",
+        "tuple(fields)[1 : len(fields)",
+        (f"{ARCHJSON}test_missing_required_key_names_the_layer",),
     ),
     # An explicit empty output path is opened like any other, so it fails.
     Mutant(

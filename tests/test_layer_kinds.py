@@ -88,7 +88,7 @@ def test_one_layer_graph(cls):
     info = propagate_shapes(graph)[node]
     assert (info.out_height, info.out_width, info.out_channels) == shape
     cost = next(c for c in cost_report(graph).per_layer if c.node_id == node)
-    assert (cost.params, cost.macs, cost.out_shape) == (params, macs, info)
+    assert (cost.params, cost.macs, cost) == (params, macs, info)
 
 
 @pytest.mark.parametrize(

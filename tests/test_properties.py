@@ -186,6 +186,7 @@ def assert_frontiers_match_paths(graph):
 @settings(max_examples=60)
 @given(st.integers(0, 10_000))
 @example(9)  # a Pareto frontier of merge8 drops both states at jump 2
+@example(24)  # a merge whose first input has one jump and whose last input has another
 def test_frontiers_are_per_jump_path_extremes(seed):
     assert_frontiers_match_paths(random_graph(seed))
 

@@ -10,7 +10,8 @@ one-conv graph. The expected strings are the dataclass-style reprs the
 records have always printed, so a change of record type cannot change what a
 user sees. `LayerCost` holds its output dimensions as its own fields, so it
 and the reports that hold it print `out_height`, `out_width` and
-`out_channels` where they once printed a nested `ShapeInfo`. The fifteen
+`out_channels` where they once printed a nested `ShapeInfo`, and
+`propagate_shapes` returns those same rows. The fifteen
 class records and the five reports keep the rest of the frozen-dataclass
 contract: hashing, no assignment, strict constructors, and copy and pickle. Only the class records also keep equality within the
 exact class and `_replace` through validation.
@@ -35,7 +36,6 @@ from rfscope import (
 )
 
 STATE = "RFState(r=3, j=2, global_rf=False)"
-SHAPE = "ShapeInfo(node_id='c1', out_height=4, out_width=4, out_channels=4)"
 CONV = "ConvClassification(ordinal=1, node_id='c1', r_in_min=1, r_in_max=1, classification='productive')"
 INPUT_COST = "LayerCost(node_id='input', params=0, macs=0, out_height=8, out_width=8, out_channels=3)"
 CONV_COST = "LayerCost(node_id='c1', params=112, macs=1728, out_height=4, out_width=4, out_channels=4)"
@@ -57,7 +57,6 @@ RECORDS = {
         f"out_frontier=({STATE},), r_in_min=1, r_in_max=1, r_out_min=3, r_out_max=3)",
     ),
     "ConvClassification": (lambda a: a["border"].per_conv[0], CONV),
-    "ShapeInfo": (lambda a: a["shapes"]["c1"], SHAPE),
     "LayerCost": (lambda a: a["cost"].per_layer[1], CONV_COST),
     "BorderReport": (lambda a: a["border"], BORDER),
     "CostReport": (lambda a: a["cost"], COST),
@@ -106,6 +105,10 @@ def test_record_is_immutable_with_a_stable_repr(analysis, name):
     for field in type(record)._fields:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+
+
+def test_propagate_shapes_returns_the_cost_rows(analysis):
+    assert repr(analysis["shapes"]["c1"]) == CONV_COST
 
 
 # The class records: the eleven layer kinds, the graph and its parts, and the zoo request.

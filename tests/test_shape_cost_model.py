@@ -33,43 +33,45 @@ def single(kind, input_spec=IN32, node="x"):
     return chain_graph("single", input_spec, [(node, kind)])
 
 
-def shape_of(kind, input_spec=IN32):
-    return propagate_shapes(single(kind, input_spec))["x"]
+def spatial_of(kind, input_spec=IN32):
+    row = propagate_shapes(single(kind, input_spec))["x"]
+    return (row.out_height, row.out_width)
 
 
 class TestPropagateShapes:
     def test_same_conv_keeps_size(self):
-        assert shape_of(Conv2d(kernel=3, filters=64)).spatial == (32, 32)
+        assert spatial_of(Conv2d(kernel=3, filters=64)) == (32, 32)
 
     def test_max_pool_halves(self):
-        assert shape_of(Pool(mode="max", kernel=2, stride=2)).spatial == (16, 16)
+        assert spatial_of(Pool(mode="max", kernel=2, stride=2)) == (16, 16)
 
     def test_same_padding_uses_ceil(self):
-        assert shape_of(Conv2d(kernel=3, filters=8, stride=2), InputSpec(33, 33, 3)).spatial == (17, 17)
+        assert spatial_of(Conv2d(kernel=3, filters=8, stride=2), InputSpec(33, 33, 3)) == (17, 17)
 
     def test_valid_padding(self):
-        assert shape_of(Conv2d(kernel=3, filters=8, padding="valid")).spatial == (30, 30)
+        assert spatial_of(Conv2d(kernel=3, filters=8, padding="valid")) == (30, 30)
 
     def test_explicit_padding(self):
-        assert shape_of(Conv2d(kernel=5, filters=8, padding=2)).spatial == (32, 32)
+        assert spatial_of(Conv2d(kernel=5, filters=8, padding=2)) == (32, 32)
 
     def test_dilation_enters_window_size(self):
         # k_eff = 7: valid output is 32 - 7 + 1 = 26.
-        assert shape_of(Conv2d(kernel=3, filters=8, dilation=3, padding="valid")).spatial == (26, 26)
+        assert spatial_of(Conv2d(kernel=3, filters=8, dilation=3, padding="valid")) == (26, 26)
 
     def test_resnet_style_pool(self):
-        assert shape_of(Pool(mode="max", kernel=3, stride=2, padding=1)).spatial == (16, 16)
+        assert spatial_of(Pool(mode="max", kernel=3, stride=2, padding=1)) == (16, 16)
 
     def test_window_larger_than_input_fails(self):
         with pytest.raises(ShapeError) as err:
-            shape_of(Conv2d(kernel=7, filters=8, padding="valid"), InputSpec(3, 3, 3))
+            spatial_of(Conv2d(kernel=7, filters=8, padding="valid"), InputSpec(3, 3, 3))
         assert "x" in str(err.value)
 
     def test_gap_and_dense_collapse_spatial(self):
         g = chain_graph("head", IN32, [("c", Conv2d(kernel=3, filters=24)), ("gap", GlobalAvgPool()), ("fc", Dense(units=10))])
         shapes = propagate_shapes(g)
-        assert (shapes["gap"].spatial, shapes["gap"].out_channels) == ((1, 1), 24)
-        assert (shapes["fc"].spatial, shapes["fc"].out_channels) == ((1, 1), 10)
+        gap, fc = shapes["gap"], shapes["fc"]
+        assert (gap.out_height, gap.out_width, gap.out_channels) == (1, 1, 24)
+        assert (fc.out_height, fc.out_width, fc.out_channels) == (1, 1, 10)
 
     def test_add_requires_equal_shapes(self):
         layers = [
@@ -93,8 +95,8 @@ class TestPropagateShapes:
         ]
         edges = [("input", "a"), ("input", "b"), ("a", "cat"), ("b", "cat")]
         shapes = propagate_shapes(make_graph("cat", IN32, layers, edges))
-        assert shapes["cat"].out_channels == 32
-        assert shapes["cat"].spatial == (32, 32)
+        cat = shapes["cat"]
+        assert (cat.out_height, cat.out_width, cat.out_channels) == (32, 32, 32)
 
     def test_chain_composition(self):
         # Analyzing a prefix then continuing equals analyzing the whole chain.
@@ -109,8 +111,7 @@ class TestPropagateShapes:
         mid = prefix["p1"]
         suffix_input = InputSpec(mid.out_height, mid.out_width, mid.out_channels)
         suffix = propagate_shapes(chain_graph("suffix", suffix_input, layers[2:]))
-        assert suffix["c2"].spatial == whole["c2"].spatial
-        assert suffix["c2"].out_channels == whole["c2"].out_channels
+        assert suffix["c2"] == whole["c2"]
 
 
 def params_of(kind, input_spec=IN32):
@@ -234,15 +235,20 @@ def walk_or_error(walk, graph):
         return str(err)
 
 
+def shape_record(row):
+    return (row.node_id, row.out_height, row.out_width, row.out_channels)
+
+
 def report_rows(graph):
     """`cost_report` in the oracle's terms: shapes, per-layer rows and totals."""
     report = cost_report(graph)
-    rows = [(c.node_id, c.params, c.macs, c.out_shape) for c in report.per_layer]
-    return propagate_shapes(graph), rows, report.total_params, report.total_macs
+    rows = [(c.node_id, c.params, c.macs, shape_record(c)) for c in report.per_layer]
+    shapes = {nid: shape_record(row) for nid, row in propagate_shapes(graph).items()}
+    return shapes, rows, report.total_params, report.total_macs
 
 
 class TestMatchesShapeRecordWalk:
-    """`cost_report` equals the walk that kept one `ShapeInfo` per node for its successors."""
+    """`cost_report` equals the walk that kept one shape record per node for its successors."""
 
     @pytest.mark.parametrize("name", ZOO_VARIANTS)
     def test_zoo_at_square_and_non_square_sizes(self, name):
@@ -315,5 +321,5 @@ class TestOneWalk:
             shapes = propagate_shapes(g)
             report = cost_report(g)
             assert list(shapes) == list(g.order) == [c.node_id for c in report.per_layer]
-            assert list(shapes.values()) == [c.out_shape for c in report.per_layer]
+            assert list(shapes.values()) == list(report.per_layer)
             assert cost_report(g, shapes=shapes) == report
