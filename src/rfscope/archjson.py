@@ -12,6 +12,7 @@ explicitly so that parse(serialize(g)) reproduces g exactly.
 from __future__ import annotations
 
 import json
+from collections.abc import Container
 from typing import Any
 
 from .graph_ir import (
@@ -31,7 +32,6 @@ from .graph_ir import (
     Pool,
     Softmax,
     Violation,
-    _KIND_FIELDS,
     make_graph,
 )
 
@@ -67,11 +67,23 @@ _KIND_TAGS: dict[str, type] = {
     "softmax": Softmax,
 }
 _TAG_BY_TYPE = {cls: tag for tag, cls in _KIND_TAGS.items()}
-# Each kind's fields without a default, in field order; the defaulted fields come last.
-_REQUIRED = {
-    cls: tuple(fields)[: len(fields) - len(getattr(cls.__init__, "__defaults__", None) or ())]
-    for cls, fields in _KIND_FIELDS.items()
+# Per tag: the kind, the keys a layer of it may hold, the fields without a default (the defaulted
+# fields come last) and the noun its key errors use.
+_LAYER_KEYS = {
+    tag: (cls, {"id", "kind", *cls._fields}, cls._fields[: len(cls._fields) - len(cls._defaults)], f"key for kind {tag!r}")
+    for tag, cls in _KIND_TAGS.items()
 }
+_TOP_LEVEL_KEYS = ("name", "input", "layers", "edges")
+
+
+def _check_keys(path: str, obj: dict[str, Any], known: Container[str], required: tuple[str, ...], noun: str) -> None:
+    """Reject the first key of `obj` not in `known`, then the first of `required` missing from it."""
+    for key in obj:
+        if key not in known:
+            raise DocumentError(f"{path}.{key}", f"unknown {noun}")
+    for key in required:
+        if key not in obj:
+            raise DocumentError(f"{path}.{key}", f"missing required {noun}")
 
 
 def _parse_layer(index: int, raw: Any) -> tuple[str, LayerKind]:
@@ -83,42 +95,26 @@ def _parse_layer(index: int, raw: Any) -> tuple[str, LayerKind]:
         raise DocumentError(f"{path}.id", "every layer needs a nonempty string id")
     where = f"{path} (id {layer_id!r})"
     tag = raw.get("kind")
-    if not isinstance(tag, str) or tag not in _KIND_TAGS:  # an array or object is unhashable
+    if not isinstance(tag, str) or tag not in _LAYER_KEYS:  # an array or object is unhashable
         raise DocumentError(f"{where}.kind", f"unknown kind {tag!r}; known: {', '.join(sorted(_KIND_TAGS))}")
-    cls = _KIND_TAGS[tag]
-    fields = _KIND_FIELDS[cls]
-    for key in raw:
-        if key not in fields and key not in ("id", "kind"):
-            raise DocumentError(f"{where}.{key}", f"unknown key for kind {tag!r}")
-    for field_name in _REQUIRED[cls]:
-        if field_name not in raw:
-            raise DocumentError(f"{where}.{field_name}", f"missing required key for kind {tag!r}")
+    cls, known, required, noun = _LAYER_KEYS[tag]
+    _check_keys(where, raw, known, required, noun)
     # The values go in unchecked: `validate`, which `parse_document` runs on the graph, judges each one.
-    return layer_id, cls(**{name: raw[name] for name in fields if name in raw})
+    return layer_id, cls(**{name: raw[name] for name in cls._fields if name in raw})
 
 
 def parse_document(doc: Any) -> ArchGraph:
     """Turn an already-decoded JSON object into a validated graph."""
     if not isinstance(doc, dict):
         raise DocumentError("$", f"expected a JSON object, got {type(doc).__name__}")
-    for key in doc:
-        if key not in ("name", "input", "layers", "edges"):
-            raise DocumentError(f"$.{key}", "unknown top-level key")
-    for key in ("name", "input", "layers", "edges"):
-        if key not in doc:
-            raise DocumentError(f"$.{key}", "missing required top-level key")
+    _check_keys("$", doc, _TOP_LEVEL_KEYS, _TOP_LEVEL_KEYS, "top-level key")
     if not isinstance(doc["name"], str):
         raise DocumentError("$.name", f"expected a string, got {doc['name']!r}")
 
     raw_input = doc["input"]
     if not isinstance(raw_input, dict):
         raise DocumentError("$.input", "expected an object with height, width, channels")
-    for key in raw_input:
-        if key not in ("height", "width", "channels"):
-            raise DocumentError(f"$.input.{key}", "unknown key")
-    for key in ("height", "width", "channels"):
-        if key not in raw_input:
-            raise DocumentError(f"$.input.{key}", "missing required key")
+    _check_keys("$.input", raw_input, InputSpec._fields, InputSpec._fields, "key")
     try:
         input_spec = InputSpec(**raw_input)
     except ValueError as exc:

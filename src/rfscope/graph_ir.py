@@ -37,12 +37,29 @@ class _Record:
     It gives every record a field-by-field repr, equality within the exact
     class, a hash over the field values, ``_asdict``, ``_replace`` (back
     through ``__init__``, so validation reruns) and ``copy``/``pickle`` support.
+
+    A record class that writes no ``__init__`` gets one compiled from its
+    fields, as ``collections.namedtuple`` compiles ``__new__``: it takes the
+    fields in order, and ``_defaults`` holds the defaults of the trailing ones.
+    A layer kind declares its fields as the keys of ``_checks``: each maps to
+    the one check :func:`validate` runs on the field's value and the message
+    it reports when that check fails. So a check must reject every wrong type,
+    without hashing the value.
     """
 
     __slots__ = ()
+    _checks: dict[str, tuple[Callable[[Any], bool], str]] = {}
+    _defaults: tuple[Any, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._fields = fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        if fields and "__init__" not in cls.__dict__:
+            namespace = {"_set": _set}
+            body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+            exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+            init = cls.__init__ = namespace["__init__"]
+            init.__defaults__ = cls._defaults
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple[Any, ...]:
         return tuple(getattr(self, name) for name in self._fields)
@@ -89,29 +106,36 @@ class InputSpec(_Record):
         return max(self.height, self.width)
 
 
-class Conv2d(_Record):
-    __slots__ = ("kernel", "filters", "stride", "dilation", "padding", "bias")
+_SQUARE = (_positive_int, "must be a positive square scalar")
+_COUNT = (_positive_int, "must be a positive integer")
+_BIAS = (lambda value: isinstance(value, bool), "must be a boolean")
 
-    def __init__(
-        self, kernel: int, filters: int, stride: int = 1, dilation: int = 1,
-        padding: Union[str, int] = PADDING_SAME, bias: bool = True,
-    ) -> None:
-        _set(self, "kernel", kernel)
-        _set(self, "filters", filters)
-        _set(self, "stride", stride)
-        _set(self, "dilation", dilation)
-        _set(self, "padding", padding)
-        _set(self, "bias", bias)
+
+class Conv2d(_Record):
+    _checks = {
+        "kernel": _SQUARE,
+        "filters": _COUNT,
+        "stride": _SQUARE,
+        "dilation": (_positive_int, "must be an integer >= 1"),
+        "padding": (
+            lambda value: value in (PADDING_SAME, PADDING_VALID) or _nonnegative_int(value),
+            "must be 'same', 'valid', or an integer >= 0",
+        ),
+        "bias": _BIAS,
+    }
+    __slots__ = tuple(_checks)
+    _defaults = (1, 1, PADDING_SAME, True)
 
 
 class Pool(_Record):
-    __slots__ = ("mode", "kernel", "stride", "padding")
-
-    def __init__(self, mode: str, kernel: int, stride: int, padding: int = 0) -> None:
-        _set(self, "mode", mode)
-        _set(self, "kernel", kernel)
-        _set(self, "stride", stride)
-        _set(self, "padding", padding)
+    _checks = {
+        "mode": (lambda value: value in POOL_MODES, f"must be one of {POOL_MODES}"),
+        "kernel": _SQUARE,
+        "stride": _SQUARE,
+        "padding": (_nonnegative_int, "must be an integer >= 0"),
+    }
+    __slots__ = tuple(_checks)
+    _defaults = (0,)
 
 
 class GlobalAvgPool(_Record):
@@ -119,11 +143,9 @@ class GlobalAvgPool(_Record):
 
 
 class Dense(_Record):
-    __slots__ = ("units", "bias")
-
-    def __init__(self, units: int, bias: bool = True) -> None:
-        _set(self, "units", units)
-        _set(self, "bias", bias)
+    _checks = {"units": _COUNT, "bias": _BIAS}
+    __slots__ = tuple(_checks)
+    _defaults = (True,)
 
 
 class Add(_Record):
@@ -139,17 +161,14 @@ class BatchNorm(_Record):
 
 
 class Activation(_Record):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str = "relu") -> None:
-        _set(self, "name", name)
+    _checks = {"name": (lambda value: isinstance(value, str), "must be a string")}
+    __slots__ = tuple(_checks)
+    _defaults = ("relu",)
 
 
 class Attention(_Record):
-    __slots__ = ("variant",)
-
-    def __init__(self, variant: str) -> None:
-        _set(self, "variant", variant)
+    _checks = {"variant": (lambda value: value in ATTENTION_VARIANTS, f"must be one of {ATTENTION_VARIANTS}")}
+    __slots__ = tuple(_checks)
 
 
 class Input(_Record):
@@ -159,37 +178,6 @@ class Input(_Record):
 class Softmax(_Record):
     __slots__ = ()
 
-
-_SQUARE = (_positive_int, "must be a positive square scalar")
-_COUNT = (_positive_int, "must be a positive integer")
-_BIAS = (lambda value: isinstance(value, bool), "must be a boolean")
-
-# Every field of every layer kind, declared once, in `_fields` order: name -> (check, message).
-# `archjson` reads the names; `validate` reports each value its check rejects, the one check a
-# field value gets, so a check must reject every wrong type without hashing the value.
-_KIND_FIELDS: dict[type, dict[str, tuple[Callable[[Any], bool], str]]] = {
-    Conv2d: {
-        "kernel": _SQUARE,
-        "filters": _COUNT,
-        "stride": _SQUARE,
-        "dilation": (_positive_int, "must be an integer >= 1"),
-        "padding": (
-            lambda value: value in (PADDING_SAME, PADDING_VALID) or _nonnegative_int(value),
-            "must be 'same', 'valid', or an integer >= 0",
-        ),
-        "bias": _BIAS,
-    },
-    Pool: {
-        "mode": (lambda value: value in POOL_MODES, f"must be one of {POOL_MODES}"),
-        "kernel": _SQUARE,
-        "stride": _SQUARE,
-        "padding": (_nonnegative_int, "must be an integer >= 0"),
-    },
-    Dense: {"units": _COUNT, "bias": _BIAS},
-    Activation: {"name": (lambda value: isinstance(value, str), "must be a string")},
-    Attention: {"variant": (lambda value: value in ATTENTION_VARIANTS, f"must be one of {ATTENTION_VARIANTS}")},
-    **{cls: {} for cls in (GlobalAvgPool, Add, Concat, BatchNorm, Input, Softmax)},
-}
 
 LayerKind = Union[
     Conv2d,
@@ -211,7 +199,7 @@ LAYER_KINDS = frozenset(get_args(LayerKind))
 # Kinds that never alter receptive-field state.
 RF_NEUTRAL_KINDS = (BatchNorm, Activation, Attention, Softmax, Add, Concat, Input)
 
-# Classifier-head kinds: exempt from productive/unproductive classification.
+# Classifier-head kinds: the trailing chain of them is what truncation replaces.
 HEAD_KINDS = (GlobalAvgPool, Dense, Softmax)
 
 MERGE_KINDS = (Add, Concat)
@@ -219,11 +207,6 @@ MERGE_KINDS = (Add, Concat)
 
 class LayerNode(_Record):
     __slots__ = ("id", "kind", "declaration_index")
-
-    def __init__(self, id: str, kind: LayerKind, declaration_index: int) -> None:
-        _set(self, "id", id)
-        _set(self, "kind", kind)
-        _set(self, "declaration_index", declaration_index)
 
 
 class Violation(NamedTuple):
@@ -253,14 +236,6 @@ class ArchGraph(_Record):
     """
 
     __slots__ = ("name", "input", "nodes", "edges", "__dict__")
-
-    def __init__(
-        self, name: str, input: InputSpec, nodes: tuple[LayerNode, ...], edges: tuple[tuple[str, str], ...]
-    ) -> None:
-        _set(self, "name", name)
-        _set(self, "input", input)
-        _set(self, "nodes", nodes)
-        _set(self, "edges", edges)
 
     @cached_property
     def node_map(self) -> dict[str, LayerNode]:
@@ -332,12 +307,11 @@ def chain_graph(name: str, input_spec: InputSpec, layers: Iterable[tuple[str, La
 
 def _kind_violations(node: LayerNode) -> list[Violation]:
     kind = node.kind
-    fields = _KIND_FIELDS.get(type(kind))
-    if fields is None:
+    if type(kind) not in LAYER_KINDS:
         known = ", ".join(sorted(cls.__name__ for cls in LAYER_KINDS))
         return [Violation("layer_kind", node.id, f"{type(kind).__name__} is not a layer kind; expected one of {known}")]
     out: list[Violation] = []
-    for name, (check, expect) in fields.items():
+    for name, (check, expect) in kind._checks.items():
         value = getattr(kind, name)
         if not check(value):
             out.append(Violation("layer_fields", node.id, f"{name} {expect}, got {value!r}"))

@@ -223,16 +223,28 @@ MUTANTS = (
     Mutant(
         "required-keys-count-a-default",
         "rfscope/archjson.py",
-        'len(fields) - len(getattr(cls.__init__, "__defaults__", None) or ())]',
-        'len(fields) - len(getattr(cls.__init__, "__defaults__", None) or ()) + 1]',
+        "len(cls._fields) - len(cls._defaults)]",
+        "len(cls._fields) - len(cls._defaults) + 1]",
         (f"{ARCHJSON}test_defaults_fill_optional_conv_fields", f"{ARCHJSON}test_defaults_fill_optional_fields[conv2d]"),
     ),
     Mutant(
         "required-keys-drop-the-first",
         "rfscope/archjson.py",
-        "tuple(fields)[: len(fields)",
-        "tuple(fields)[1 : len(fields)",
+        "cls._fields[: len(cls._fields)",
+        "cls._fields[1 : len(cls._fields)",
         (f"{ARCHJSON}test_missing_required_key_names_the_layer",),
+    ),
+    # A compiled constructor takes its trailing fields' defaults from `_defaults`.
+    Mutant(
+        "compiled-init-drops-defaults",
+        "rfscope/graph_ir.py",
+        "            init.__defaults__ = cls._defaults\n",
+        "",
+        (
+            f"{ARCHJSON}test_defaults_fill_optional_conv_fields",
+            f"{ARCHJSON}test_round_trip_zoo[resnet18]",
+            "tests/test_zoo.py::test_builders_validate[resnet18]",
+        ),
     ),
     # An explicit empty output path is opened like any other, so it fails.
     Mutant(

@@ -29,7 +29,7 @@ from rfscope import (
     validate,
 )
 from rfscope.archjson import _KIND_TAGS, _parse_layer
-from rfscope.graph_ir import _KIND_FIELDS, LAYER_KINDS
+from rfscope.graph_ir import LAYER_KINDS
 
 ZOO_NAMES = (
     "vgg11",
@@ -133,6 +133,28 @@ def test_missing_required_key_names_the_layer():
     with pytest.raises(DocumentError) as err:
         parse(json.dumps(doc))
     assert "layers[1]" in str(err.value) and "c1" in str(err.value) and "kernel" in str(err.value)
+
+
+# Every unknown-key and missing-key error, at the top level, in the input and in a layer.
+@pytest.mark.parametrize(
+    "edit, path, message",
+    [
+        (lambda doc: doc.update(version=2), "$.version", "unknown top-level key"),
+        (lambda doc: doc.pop("edges"), "$.edges", "missing required top-level key"),
+        (lambda doc: doc["input"].update(depth=1), "$.input.depth", "unknown key"),
+        (lambda doc: doc["input"].pop("channels"), "$.input.channels", "missing required key"),
+        (lambda doc: doc["layers"][1].update(stride_h=2), "layers[1] (id 'c1').stride_h", "unknown key for kind 'conv2d'"),
+        (lambda doc: doc["layers"][1].pop("filters"), "layers[1] (id 'c1').filters", "missing required key for kind 'conv2d'"),
+    ],
+    ids=["top-unknown", "top-missing", "input-unknown", "input-missing", "layer-unknown", "layer-missing"],
+)
+def test_key_errors_name_the_path_and_the_key(edit, path, message):
+    doc = minimal_doc()
+    edit(doc)
+    with pytest.raises(DocumentError) as err:
+        parse_document(doc)
+    assert type(err.value) is DocumentError
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
 
 
 def test_unknown_key_rejected_with_path():
@@ -265,7 +287,7 @@ def test_serialize_document_lists_every_field(tag):
     assert list(layer) == ["id", "kind"] + list(kind._fields)
     assert layer == {"id": "x", "kind": tag, **{name: getattr(kind, name) for name in kind._fields}}
     assert _parse_layer(0, layer) == ("x", kind)
-    assert list(_KIND_FIELDS[type(kind)]) == list(kind._fields)
+    assert list(type(kind)._checks) == list(kind._fields)
     assert len(_KIND_TAGS) == len(LAYER_KINDS) and set(_KIND_TAGS.values()) == LAYER_KINDS
 
 

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import random
+from typing import get_args
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,7 +28,7 @@ from rfscope import (
     validate,
 )
 from rfscope.cli import EXIT_FILE, EXIT_INVALID, EXIT_NOOP, EXIT_OK, EXIT_USAGE, main
-from rfscope.graph_ir import _KIND_FIELDS
+from rfscope.graph_ir import LayerKind
 
 
 def run(capsys, *argv):
@@ -358,12 +359,12 @@ def test_kind_array_is_invalid_not_a_crash(tmp_path, capsys):
 FIELDED_KINDS = {type(kind): kind for kind in (Conv2d(3, 4), Pool("max", 2, 2), Dense(2), Activation(), Attention("se"))}
 
 
-@pytest.mark.parametrize("cls,field", [(cls, field) for cls, fields in _KIND_FIELDS.items() for field in fields])
+@pytest.mark.parametrize("cls,field", [(cls, field) for cls in get_args(LayerKind) for field in cls._checks])
 def test_wrongly_typed_field_is_a_layer_fields_violation(tmp_path, capsys, cls, field):
     graph = make_graph("x", InputSpec(8, 8, 3), [("input", Input()), ("x", FIELDED_KINDS[cls])], [("input", "x")])
     doc = serialize_document(graph)
     path = tmp_path / "bad.json"
-    _, message = _KIND_FIELDS[cls][field]
+    _, message = cls._checks[field]
     for value in ([3], {"kernel": 3}, 1.5, True, None):
         if field == "bias" and value is True:
             continue  # the one value here that a field accepts

@@ -17,6 +17,7 @@ contract: hashing, no assignment, strict constructors, and copy and pickle. Only
 exact class and `_replace` through validation.
 """
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -206,6 +207,42 @@ def test_every_class_record_is_covered():
 )
 def test_class_record_repr_is_the_dataclass_repr(index, expected):
     assert repr(CLASS_RECORDS[index]) == expected
+
+
+EMPTY = inspect.Parameter.empty
+
+# Every class record's constructor parameters in order, each positional-or-keyword, with its default.
+SIGNATURES = {
+    "Conv2d": [("kernel", EMPTY), ("filters", EMPTY), ("stride", 1), ("dilation", 1), ("padding", "same"), ("bias", True)],
+    "Pool": [("mode", EMPTY), ("kernel", EMPTY), ("stride", EMPTY), ("padding", 0)],
+    "GlobalAvgPool": [],
+    "Dense": [("units", EMPTY), ("bias", True)],
+    "Add": [],
+    "Concat": [],
+    "BatchNorm": [],
+    "Activation": [("name", "relu")],
+    "Attention": [("variant", EMPTY)],
+    "Input": [],
+    "Softmax": [],
+    "InputSpec": [("height", EMPTY), ("width", EMPTY), ("channels", EMPTY)],
+    "LayerNode": [("id", EMPTY), ("kind", EMPTY), ("declaration_index", EMPTY)],
+    "ArchGraph": [("name", EMPTY), ("input", EMPTY), ("nodes", EMPTY), ("edges", EMPTY)],
+    "ZooSpec": [
+        ("family", EMPTY),
+        ("input", InputSpec(32, 32, 3)),
+        ("num_classes", 10),
+        ("dilation", 1),
+        ("skips_enabled", True),
+        ("stem_downsampling", True),
+    ],
+}
+
+
+@pytest.mark.parametrize("record", CLASS_RECORDS, ids=CLASS_IDS)
+def test_constructor_signature_is_pinned(record):
+    parameters = inspect.signature(type(record)).parameters.values()
+    expected = [(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default) for name, default in SIGNATURES[type(record).__name__]]
+    assert [(p.name, p.kind, p.default) for p in parameters] == expected
 
 
 class WideConv(Conv2d):
