@@ -160,7 +160,7 @@ def _analysis_payload(graph: ArchGraph) -> dict[str, Any]:
     cost_by_id = {c.node_id: c for c in cost.per_layer}
     rows = []
     for conv in border.per_conv:
-        finite_j = [s.j for s in annotations[conv.node_id].in_frontier if not s.global_rf]
+        finite_j = [s.j for s in annotations[conv.node_id].in_frontier if s.j]
         rows.append(
             {
                 "ordinal": conv.ordinal,

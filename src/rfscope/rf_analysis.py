@@ -45,17 +45,17 @@ class FrontierLimitError(RuntimeError):
 class RFState(NamedTuple):
     """Receptive-field size r and jump j along one path.
 
-    `global_rf` marks states past a global-pooling or dense layer: the
-    receptive field is the whole input and no further arithmetic applies.
+    A path past a global-pooling or dense layer sees the whole input: it is in
+    `GLOBAL_STATE`, `RFState(math.inf, 0)`, a fixed point of the recurrence
+    (inf + (k - 1) * 0 = inf, 0 * s = 0) that sorts first by (j, r).
     """
 
-    r: int
+    r: int | float
     j: int
-    global_rf: bool = False
 
 
 INITIAL_STATE = RFState(1, 1)
-GLOBAL_STATE = RFState(1, 1, global_rf=True)
+GLOBAL_STATE = RFState(math.inf, 0)
 
 
 def effective_kernel(kernel: int, dilation: int) -> int:
@@ -66,29 +66,26 @@ def effective_kernel(kernel: int, dilation: int) -> int:
 
 
 def _merge(frontiers: list[tuple[RFState, ...]]) -> tuple[tuple[RFState, ...], int | float, int | float]:
-    """Per-jump min and max r over the union of `frontiers`, ordered (j, r), the global state last,
-    with the merged frontier's smallest and largest r, a global state's r taken as inf."""
+    """Per-jump min and max r over the union of `frontiers`, ordered (j, r), so the global state, if any,
+    first, with the merged frontier's smallest and largest r."""
     new = tuple.__new__
-    r_lo, j, _ = frontiers[0][0]
+    r_lo, j = frontiers[0][0]
     r_hi = r_lo
     for frontier in frontiers:
-        r_min, first_j, _ = frontier[0]
-        r_max, last_j, last_global = frontier[-1]
-        if first_j != j or last_j != j or last_global:
+        r_min, first_j = frontier[0]
+        r_max, last_j = frontier[-1]
+        if first_j != j or last_j != j:
             break
         r_lo = r_min if r_min < r_lo else r_lo
         r_hi = r_max if r_max > r_hi else r_hi
     else:  # one jump, as at every residual and multipath merge: the union's extremes are the parts'
-        low = new(RFState, (r_lo, j, False))
-        return ((low,) if r_lo == r_hi else (low, new(RFState, (r_hi, j, False)))), r_lo, r_hi
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-    has_global = False
+        low = new(RFState, (r_lo, j))
+        return ((low,) if r_lo == r_hi else (low, new(RFState, (r_hi, j)))), r_lo, r_hi
+    lo: dict[int, int | float] = {}
+    hi: dict[int, int | float] = {}
     for frontier in frontiers:
-        for r, j, global_rf in frontier:
-            if global_rf:
-                has_global = True
-            elif j not in lo:
+        for r, j in frontier:
+            if j not in lo:
                 lo[j] = hi[j] = r
             elif r < lo[j]:
                 lo[j] = r
@@ -96,12 +93,10 @@ def _merge(frontiers: list[tuple[RFState, ...]]) -> tuple[tuple[RFState, ...], i
                 hi[j] = r
     merged = []
     for j in sorted(lo):
-        merged.append(new(RFState, (lo[j], j, False)))
+        merged.append(new(RFState, (lo[j], j)))
         if hi[j] != lo[j]:
-            merged.append(new(RFState, (hi[j], j, False)))
-    if has_global:
-        merged.append(GLOBAL_STATE)
-    return tuple(merged), min(lo.values(), default=math.inf), math.inf if has_global else max(hi.values())
+            merged.append(new(RFState, (hi[j], j)))
+    return tuple(merged), min(lo.values()), max(hi.values())
 
 
 class RFAnnotation(NamedTuple):
@@ -109,9 +104,9 @@ class RFAnnotation(NamedTuple):
 
     Frontiers hold, for each distinct jump of the paths reaching the node's
     input and leaving its output, the state with the smallest r and, if it
-    differs, the state with the largest r. They are ordered by (j, r), with
-    the global state last when any path has crossed a global layer. The
-    derived extremes are exact over all paths. Extremes are `math.inf` when
+    differs, the state with the largest r. They are ordered by (j, r), so the
+    global state (inf, 0) comes first when any path has crossed a global layer.
+    The derived extremes are exact over all paths. Extremes are `math.inf` when
     every contributing path crosses a global-receptive-field layer.
     """
 
@@ -122,12 +117,6 @@ class RFAnnotation(NamedTuple):
     r_in_max: int | float
     r_out_min: int | float
     r_out_max: int | float
-
-
-def _extremes(frontier: tuple[RFState, ...]) -> tuple[int | float, int | float]:
-    """Smallest and largest r of a frontier (inf for a global state), whose global state, if any, is last."""
-    finite = [r for r, _, global_rf in frontier if not global_rf]
-    return min(finite, default=math.inf), math.inf if frontier[-1].global_rf else max(finite)
 
 
 def propagate_dag(graph: ArchGraph) -> dict[str, RFAnnotation]:
@@ -168,23 +157,21 @@ def propagate_dag(graph: ArchGraph) -> dict[str, RFAnnotation]:
             # k_eff - 1, with k_eff = dilation * (kernel - 1) + 1; validation checked both are >= 1.
             growth = (kind.kernel - 1) * (kind.dilation if cls is Conv2d else 1)
             stride = kind.stride
-            _, j, _ = in_frontier[0]
-            _, last_j, last_global = in_frontier[-1]
-            if j == last_j and not last_global:
+            _, j = in_frontier[0]
+            _, last_j = in_frontier[-1]
+            if j == last_j:
                 # One jump, as on every chain and residual stage: the frontier is
                 # its extremes, and the map shifts both by growth * j.
                 out_min, out_max = in_min + growth * j, in_max + growth * j
                 j *= stride
                 if out_min == out_max:
-                    out_frontier = (new(RFState, (out_min, j, False)),)
+                    out_frontier = (new(RFState, (out_min, j)),)
                 else:
-                    out_frontier = (new(RFState, (out_min, j, False)), new(RFState, (out_max, j, False)))
+                    out_frontier = (new(RFState, (out_min, j)), new(RFState, (out_max, j)))
             else:
                 # At a fixed j the map is increasing in r, and j -> j * stride is
                 # injective, so the image keeps the per-jump extremes and their order.
-                out_frontier = tuple(
-                    GLOBAL_STATE if g else new(RFState, (r + growth * j, j * stride, False)) for r, j, g in in_frontier
-                )
-                out_min, out_max = _extremes(out_frontier)
+                out_frontier = tuple([new(RFState, (r + growth * j, j * stride)) for r, j in in_frontier])
+                out_min, out_max = min(out_frontier)[0], max(out_frontier)[0]  # states compare by r first
         annotations[nid] = new(RFAnnotation, (nid, in_frontier, out_frontier, in_min, in_max, out_min, out_max))
     return annotations

@@ -68,7 +68,7 @@ from rfscope import (
 from rfscope import ShapeError, graph_ir
 from rfscope.graph_ir import LAYER_KINDS, MERGE_KINDS, RF_NEUTRAL_KINDS
 from rfscope.border_analysis import PRODUCTIVE, UNPRODUCTIVE, BorderReport, ConvClassification
-from rfscope.rf_analysis import GLOBAL_STATE, RFAnnotation, effective_kernel, propagate_dag
+from rfscope.rf_analysis import RFAnnotation, effective_kernel, propagate_dag
 from rfscope.shape_cost_model import _attention_cost, _window_out
 from rfscope.transforms import _fresh_id, _old_head_chain
 
@@ -213,13 +213,17 @@ def _window(kind: Conv2d | Pool) -> tuple[int, int]:
     return kind.dilation * (kind.kernel - 1), kind.stride
 
 
+# The state of a path past a global layer: the whole input, at jump 0, where the recurrence keeps it.
+GLOBAL = RFState(math.inf, 0)
+
+
 def layer_rf_transfer(state: RFState, kind: LayerKind) -> RFState:
     """One layer's receptive-field transfer of a path state; RF-neutral kinds act as k = s = 1."""
     cls = type(kind)
     if cls not in LAYER_KINDS:
         raise TypeError(f"{cls.__name__} is not a layer kind")
-    if state.global_rf or cls is GlobalAvgPool or cls is Dense:
-        return GLOBAL_STATE
+    if cls is GlobalAvgPool or cls is Dense:
+        return GLOBAL
     if cls in RF_NEUTRAL_KINDS:
         return state
     growth, stride = _window(kind)
@@ -259,31 +263,25 @@ def fold_along(graph: ArchGraph, path: list[str]) -> list[RFState]:
     return states
 
 
-def r_value(state: RFState) -> int | float:
-    """A state's receptive-field size, infinite once the state is global."""
-    return math.inf if state.global_rf else state.r
-
-
 def path_enumeration_oracle(graph: ArchGraph, node_id: str, at: str = "out") -> tuple[float, float]:
     """Exact (r_min, r_max) over every input-to-node path, entering the node (at="in") or leaving it."""
     values = []
     for path in enumerate_paths(graph, node_id):
         states = [RFState(1, 1)] + fold_along(graph, path)
-        values.append(r_value(states[-2] if at == "in" else states[-1]))
+        values.append((states[-2] if at == "in" else states[-1]).r)
     return min(values), max(values)
 
 
 def per_jump_extremes(states: list[RFState]) -> tuple[RFState, ...]:
     """The frontier that `states` should fold to: per jump, the smallest and
-    the largest r, ordered (j, r), then the global state if any state is global."""
-    by_jump: dict[int, set[int]] = {}
+    the largest r, ordered (j, r), so the global state, at j = 0, first."""
+    by_jump: dict[int, set[int | float]] = {}
     for s in states:
-        if not s.global_rf:
-            by_jump.setdefault(s.j, set()).add(s.r)
+        by_jump.setdefault(s.j, set()).add(s.r)
     frontier = []
     for j, rs in sorted(by_jump.items()):
         frontier += [RFState(r, j) for r in sorted({min(rs), max(rs)})]
-    return tuple(frontier) + ((GLOBAL_STATE,) if any(s.global_rf for s in states) else ())
+    return tuple(frontier)
 
 
 def classify_by_two_scans(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = None) -> BorderReport:

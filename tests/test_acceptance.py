@@ -224,8 +224,8 @@ def test_property_stem_removal_jump_and_rf():
         for nid in downstream_of_both:
             if nid not in after_ann:
                 continue
-            before_js = sorted(s.j for s in before_ann[nid].out_frontier if not s.global_rf)
-            after_js = sorted(s.j for s in after_ann[nid].out_frontier if not s.global_rf)
+            before_js = sorted(s.j for s in before_ann[nid].out_frontier if s.j)
+            after_js = sorted(s.j for s in after_ann[nid].out_frontier if s.j)
             if before_js != [j * 4 for j in after_js]:
                 violations += 1
         before_convs = {c.node_id: c for c in classify(graph).per_conv}

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dagtools import (
+    GLOBAL,
     ZOO_VARIANTS,
     classify_by_two_scans,
     enumerate_paths,
@@ -13,7 +14,6 @@ from dagtools import (
     layer_rf_transfer,
     path_enumeration_oracle,
     per_jump_extremes,
-    r_value,
     random_graph,
 )
 from rfscope import (
@@ -36,7 +36,6 @@ from rfscope import (
 )
 from rfscope.border_analysis import UNPRODUCTIVE
 from rfscope.graph_ir import MERGE_KINDS, RF_NEUTRAL_KINDS
-from rfscope.rf_analysis import GLOBAL_STATE
 
 ORACLE_SEEDS = range(25)
 PATH_SEEDS = range(30)
@@ -75,22 +74,23 @@ def test_sequential_fold_matches_reference(pairs):
 
 
 def r_range(states):
-    return min(map(r_value, states)), max(map(r_value, states))
+    return min(s.r for s in states), max(s.r for s in states)
 
 
 def assert_frontier_invariants(graph):
     """What propagate_dag relies on: at most two states per jump, ordered
-    (j, r), the global state last and only once, the extremes those of the
-    frontier; merges fold their inputs' out-frontiers as `per_jump_extremes`
-    does, RF-neutral layers pass the frontier through, and convs and pools map
-    it state by state, as the path oracle's transfer does. Returns how many
-    merges had inputs all at one jump with no global state, and how many not."""
+    (j, r), the global state (inf, 0) first and only once, the extremes those
+    of the frontier; merges fold their inputs' out-frontiers as
+    `per_jump_extremes` does, RF-neutral layers pass the frontier through, and
+    convs and pools map it state by state, as the path oracle's transfer does.
+    Returns how many merges had inputs all at one jump, the global state's
+    jump 0 included, and how many not."""
     annotations = propagate_dag(graph)
     one_jump = per_jump = 0
     for nid, ann in annotations.items():
         for frontier in (ann.in_frontier, ann.out_frontier):
-            finite = [s for s in frontier if not s.global_rf]
-            assert frontier[len(finite):] in ((), (GLOBAL_STATE,)), nid
+            finite = [s for s in frontier if s.j]
+            assert frontier[: len(frontier) - len(finite)] in ((), (GLOBAL,)), nid
             keys = [(s.j, s.r) for s in finite]
             assert keys == sorted(set(keys)), nid
             jumps = [s.j for s in finite]
@@ -101,7 +101,7 @@ def assert_frontier_invariants(graph):
         if isinstance(kind, MERGE_KINDS):
             states = [s for pred in graph.predecessors[nid] for s in annotations[pred].out_frontier]
             assert ann.in_frontier == per_jump_extremes(states), nid
-            if len({s.j for s in states}) == 1 and not any(s.global_rf for s in states):
+            if len({s.j for s in states}) == 1:
                 one_jump += 1
             else:
                 per_jump += 1

@@ -36,7 +36,7 @@ from rfscope import (
     validate,
 )
 
-STATE = "RFState(r=3, j=2, global_rf=False)"
+STATE = "RFState(r=3, j=2)"
 CONV = "ConvClassification(ordinal=1, node_id='c1', r_in_min=1, r_in_max=1, classification='productive')"
 INPUT_COST = "LayerCost(node_id='input', params=0, macs=0, out_height=8, out_width=8, out_channels=3)"
 CONV_COST = "LayerCost(node_id='c1', params=112, macs=1728, out_height=4, out_width=4, out_channels=4)"
@@ -54,7 +54,7 @@ RECORDS = {
     "RFState": (lambda a: a["annotations"]["c1"].out_frontier[0], STATE),
     "RFAnnotation": (
         lambda a: a["annotations"]["c1"],
-        "RFAnnotation(node_id='c1', in_frontier=(RFState(r=1, j=1, global_rf=False),), "
+        "RFAnnotation(node_id='c1', in_frontier=(RFState(r=1, j=1),), "
         f"out_frontier=({STATE},), r_in_min=1, r_in_max=1, r_out_min=3, r_out_max=3)",
     ),
     "ConvClassification": (lambda a: a["border"].per_conv[0], CONV),

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from dagtools import enumerate_paths, path_enumeration_oracle, r_value
+from dagtools import enumerate_paths, path_enumeration_oracle
 from rfscope import (
     Activation,
     Add,
@@ -118,9 +118,11 @@ class TestLayerTransfer:
 
     def test_global_marks_and_absorbs(self):
         g = transfer(RFState(9, 2), GlobalAvgPool())
-        assert g.global_rf and r_value(g) == math.inf
-        assert transfer(RFState(9, 2), GlobalAvgPool(), conv(3)) == GLOBAL_STATE
-        assert transfer(RFState(9, 2), Dense(units=10)).global_rf
+        assert g.j == 0 and g.r == math.inf
+        absorbed = transfer(RFState(9, 2), GlobalAvgPool(), conv(3))
+        assert absorbed.j == 0 and absorbed.r == math.inf
+        dense = transfer(RFState(9, 2), Dense(units=10))
+        assert dense.j == 0 and dense.r == math.inf
 
 
 class TestPropagateSequential:
@@ -262,7 +264,12 @@ MERGE_TAILS = {
     ),
     "conv-after-global-and-finite-merge": (
         with_tail(global_and_finite_merge(), conv(3, f=3)),
-        (RFState(3, 1), GLOBAL_STATE), (RFState(5, 1), GLOBAL_STATE),
+        (GLOBAL_STATE, RFState(3, 1)), (GLOBAL_STATE, RFState(5, 1)),
+    ),
+    # The global state is a fixed point: inf + 2 * 0 = inf, and 0 * 2 = 0.
+    "strided-conv-after-global-pool": (
+        chain_graph("x-after-gap", IN32, [("c1", conv(3)), ("gap", GlobalAvgPool()), ("x", conv(3, s=2))]),
+        (RFState(math.inf, 0),), (RFState(math.inf, 0),),
     ),
     # One jump: the smallest r of all inputs and the largest, wherever each sits.
     "conv-after-three-input-one-jump-add": (

@@ -189,8 +189,8 @@ class TestRemoveStemDownsampling:
         for nid in after.node_map:
             if nid == "stem_pool" or nid not in before_ann:
                 continue
-            before_js = sorted(s.j for s in before_ann[nid].out_frontier if not s.global_rf)
-            after_js = sorted(s.j for s in after_ann[nid].out_frontier if not s.global_rf)
+            before_js = sorted(s.j for s in before_ann[nid].out_frontier if s.j)
+            after_js = sorted(s.j for s in after_ann[nid].out_frontier if s.j)
             if nid in ("input", "stem_conv", "stem_bn", "stem_relu"):
                 continue  # between the two neutralized layers the factor is 2, not 4
             assert before_js == [j * 4 for j in after_js], nid
