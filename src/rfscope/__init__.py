@@ -21,10 +21,10 @@ _EXPORTS = {
         "Conv2d", "Pool", "GlobalAvgPool", "Dense", "Add", "Concat",
         "BatchNorm", "Activation", "Attention", "Input", "Softmax",
         "GraphValidationError", "validate",
-        "topological_order", "make_graph", "chain_graph",
+        "topological_order", "make_graph",
     ),
     "rf_analysis": (
-        "RFState", "RFAnnotation", "effective_kernel", "propagate_dag",
+        "RFState", "RFAnnotation", "propagate_dag",
         "FrontierLimitError",
     ),
     "border_analysis": (
@@ -39,7 +39,7 @@ _EXPORTS = {
         "TransformDelta", "ComparisonReport", "TransformError",
         "truncate_at_border", "remove_stem_downsampling", "compare",
     ),
-    "zoo": ("ZooSpec", "FAMILIES", "build", "build_named", "parse_zoo_name"),
+    "zoo": ("FAMILIES", "build_named"),
     "archjson": (
         "parse", "parse_document", "serialize", "serialize_document",
         "DocumentError", "DocumentSemanticError",

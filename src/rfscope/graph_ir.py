@@ -298,13 +298,6 @@ def make_graph(
     return ArchGraph(name=name, input=input_spec, nodes=nodes, edges=tuple((a, b) for a, b in edges))
 
 
-def chain_graph(name: str, input_spec: InputSpec, layers: Iterable[tuple[str, LayerKind]]) -> ArchGraph:
-    """Build a purely sequential graph: an Input node followed by `layers` in order."""
-    pairs = [("input", Input())] + list(layers)
-    edges = [(pairs[i][0], pairs[i + 1][0]) for i in range(len(pairs) - 1)]
-    return make_graph(name, input_spec, pairs, edges)
-
-
 def _kind_violations(node: LayerNode) -> list[Violation]:
     kind = node.kind
     if type(kind) not in LAYER_KINDS:

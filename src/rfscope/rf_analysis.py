@@ -58,13 +58,6 @@ INITIAL_STATE = RFState(1, 1)
 GLOBAL_STATE = RFState(math.inf, 0)
 
 
-def effective_kernel(kernel: int, dilation: int) -> int:
-    """Span of a dilated kernel: dilation * (kernel - 1) + 1."""
-    if kernel < 1 or dilation < 1:
-        raise ValueError(f"kernel and dilation must be >= 1, got {kernel}, {dilation}")
-    return dilation * (kernel - 1) + 1
-
-
 def _merge(frontiers: list[tuple[RFState, ...]]) -> tuple[tuple[RFState, ...], int | float, int | float]:
     """Per-jump min and max r over the union of `frontiers`, ordered (j, r), so the global state, if any,
     first, with the merged frontier's smallest and largest r."""

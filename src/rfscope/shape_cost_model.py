@@ -26,7 +26,6 @@ from .graph_ir import (
     Pool,
     Softmax,
 )
-from .rf_analysis import effective_kernel
 
 DEFAULT_SE_RATIO = 16
 SPATIAL_ATTENTION_KERNEL = 7
@@ -94,7 +93,7 @@ def _walk(graph: ArchGraph) -> CostReport:
             if kind.padding == PADDING_SAME:
                 out_h, out_w = -(-h // kind.stride), -(-w // kind.stride)
             else:
-                k_eff = effective_kernel(kind.kernel, kind.dilation)
+                k_eff = kind.dilation * (kind.kernel - 1) + 1
                 pad = 0 if kind.padding == PADDING_VALID else int(kind.padding)
                 out_h = _window_out(h, k_eff, kind.stride, pad, nid)
                 out_w = _window_out(w, k_eff, kind.stride, pad, nid)

@@ -212,21 +212,34 @@ def _refuse_split_merge(graph: ArchGraph, chosen: list[str], kept: list[str]) ->
 
     A residual block's strided conv and its strided projection shortcut, for
     example, must lose their strides together, or their add would join
-    feature maps of different sizes.
+    feature maps of different sizes. Each node keeps a bitmask of the chosen
+    layers upstream, and the fewest chosen layers upstream of a kept layer
+    upstream (all of them when there is none). A kept layer upstream lacks
+    one of the node's chosen layers exactly when that fewest is the lower.
     """
-    strided_up: dict[str, frozenset[str]] = {}  # the downsampling layers on some path into each node
+    bits = {d: 1 << i for i, d in enumerate(chosen)}
+    kept_set, chosen_up, fewest = set(kept), {}, {}
     for nid in graph.order:
-        up = frozenset().union(*(strided_up[p] for p in graph.predecessors[nid]))
-        strided_up[nid] = up | {nid} if nid in chosen or nid in kept else up
-        if isinstance(graph.node_map[nid].kind, MERGE_KINDS):
-            # Targets are in topological order, so a kept layer is never
-            # upstream of a chosen one: it is parallel unless downstream.
-            split = next(((d, p) for d in chosen if d in up for p in kept if p in up and d not in strided_up[p]), None)
-            if split:
-                raise TransformError(
-                    f"neutralizing {split[0]!r} but not the parallel strided layer {split[1]!r} would leave "
-                    f"merge {nid!r} joining feature maps of different sizes; choose a count that covers both"
-                )
+        preds = graph.predecessors[nid]
+        mask, least = bits.get(nid, 0), len(chosen)
+        for p in preds:
+            mask, least = mask | chosen_up[p], min(least, fewest[p])
+        count = mask.bit_count()
+        least = min(least, count) if nid in kept_set else least
+        if least < count:  # only a merge joins paths, and targets are in topological order
+            ancestors = set(preds)
+            for a in reversed(graph.order):
+                if a in ancestors:
+                    ancestors.update(graph.predecessors[a])
+            d, p = next(
+                (d, p) for i, d in enumerate(chosen) if mask >> i & 1
+                for p in kept if p in ancestors and not chosen_up[p] >> i & 1
+            )
+            raise TransformError(
+                f"neutralizing {d!r} but not the parallel strided layer {p!r} would leave "
+                f"merge {nid!r} joining feature maps of different sizes; choose a count that covers both"
+            )
+        chosen_up[nid], fewest[nid] = mask, least
 
 
 def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, TransformDelta]:

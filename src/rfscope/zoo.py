@@ -1,8 +1,9 @@
 """Deterministic builders for the stock architectures the analyses target.
 
-All builders are pure: equal specs produce structurally equal graphs, nodes
-are declared in a fixed order, and ids are stable, so conv ordinals (and
-therefore reported border layers) are reproducible across runs.
+`build_named` is the one entry point. It is pure: equal arguments produce
+structurally equal graphs, nodes are declared in a fixed order, and ids are
+stable, so conv ordinals (and therefore reported border layers) are
+reproducible across runs.
 
 Classifier heads are the 32x32-friendly variant throughout: global average
 pooling into a single dense layer into softmax.
@@ -24,8 +25,6 @@ from .graph_ir import (
     LayerKind,
     Pool,
     Softmax,
-    _Record,
-    _set,
     make_graph,
 )
 
@@ -49,46 +48,6 @@ _MPNET_FILTERS = (64, 128, 256, 512)
 _DEFAULT_INPUT = InputSpec(32, 32, 3)
 
 
-class ZooSpec(_Record):
-    """A zoo model request: family plus the options that family supports."""
-
-    __slots__ = ("family", "input", "num_classes", "dilation", "skips_enabled", "stem_downsampling")
-
-    def __init__(
-        self, family: str, input: InputSpec = _DEFAULT_INPUT, num_classes: int = 10, dilation: int = 1,
-        skips_enabled: bool = True, stem_downsampling: bool = True,
-    ) -> None:
-        _set(self, "family", family)
-        _set(self, "input", input)
-        _set(self, "num_classes", num_classes)
-        _set(self, "dilation", dilation)
-        _set(self, "skips_enabled", skips_enabled)
-        _set(self, "stem_downsampling", stem_downsampling)
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; known: {', '.join(FAMILIES)}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.dilation < 1:
-            raise ValueError(f"dilation must be >= 1, got {self.dilation}")
-        if self.dilation != 1 and not self.family.startswith("vgg"):
-            raise ValueError("dilation is a vgg-only option")
-        if not self.skips_enabled and not self.family.startswith("resnet"):
-            raise ValueError("skips_enabled=False is a resnet-only option")
-        if not self.stem_downsampling and not self.family.startswith("resnet"):
-            raise ValueError("stem_downsampling=False is a resnet-only option")
-
-    @property
-    def display_name(self) -> str:
-        name = self.family
-        if self.dilation != 1:
-            name += f"-dil{self.dilation}"
-        if not self.skips_enabled:
-            name += "-noskip"
-        if not self.stem_downsampling:
-            name += "-nostem"
-        return name
-
-
 class _GraphBuilder:
     def __init__(self) -> None:
         self.layers: list[tuple[str, LayerKind]] = []
@@ -100,71 +59,50 @@ class _GraphBuilder:
             self.edges.append((pred, node_id))
         return node_id
 
-    def chain(self, prev: str, node_id: str, kind: LayerKind) -> str:
-        return self.add(node_id, kind, prev)
 
-
-def _attach_head(b: _GraphBuilder, prev: str, num_classes: int) -> None:
-    prev = b.chain(prev, "gap", GlobalAvgPool())
-    prev = b.chain(prev, "fc", Dense(units=num_classes, bias=True))
-    b.chain(prev, "softmax", Softmax())
-
-
-def _build_vgg(spec: ZooSpec) -> ArchGraph:
-    b = _GraphBuilder()
-    prev = b.add("input", Input())
+def _vgg_body(b: _GraphBuilder, prev: str, plan: tuple[int, ...], dilation: int) -> str:
     conv_n = 0
-    for stage, (blocks, filters) in enumerate(zip(_VGG_PLANS[spec.family], _VGG_FILTERS), start=1):
+    for stage, (blocks, filters) in enumerate(zip(plan, _VGG_FILTERS), start=1):
         for _ in range(blocks):
             conv_n += 1
-            prev = b.chain(
-                prev,
-                f"conv{conv_n}",
-                Conv2d(kernel=3, filters=filters, stride=1, dilation=spec.dilation, padding="same", bias=True),
-            )
-            prev = b.chain(prev, f"relu{conv_n}", Activation("relu"))
-        prev = b.chain(prev, f"pool{stage}", Pool(mode="max", kernel=2, stride=2, padding=0))
-    _attach_head(b, prev, spec.num_classes)
-    return make_graph(spec.display_name, spec.input, b.layers, b.edges)
+            prev = b.add(f"conv{conv_n}", Conv2d(kernel=3, filters=filters, dilation=dilation, bias=True), prev)
+            prev = b.add(f"relu{conv_n}", Activation("relu"), prev)
+        prev = b.add(f"pool{stage}", Pool(mode="max", kernel=2, stride=2, padding=0), prev)
+    return prev
 
 
-def _conv_bn_relu(
-    b: _GraphBuilder, prev: str, base: str, kernel: int, filters: int, stride: int = 1
-) -> str:
-    prev = b.chain(prev, f"{base}_conv", Conv2d(kernel=kernel, filters=filters, stride=stride, padding="same", bias=False))
-    prev = b.chain(prev, f"{base}_bn", BatchNorm())
-    return b.chain(prev, f"{base}_relu", Activation("relu"))
+def _conv_bn_relu(b: _GraphBuilder, prev: str, base: str, kernel: int, filters: int, stride: int = 1) -> str:
+    prev = b.add(f"{base}_conv", Conv2d(kernel=kernel, filters=filters, stride=stride, bias=False), prev)
+    prev = b.add(f"{base}_bn", BatchNorm(), prev)
+    return b.add(f"{base}_relu", Activation("relu"), prev)
 
 
-def _build_resnet(spec: ZooSpec) -> ArchGraph:
-    b = _GraphBuilder()
-    prev = b.add("input", Input())
-    prev = _conv_bn_relu(b, prev, "stem", kernel=7, filters=64, stride=2 if spec.stem_downsampling else 1)
-    if spec.stem_downsampling:
-        prev = b.chain(prev, "stem_pool", Pool(mode="max", kernel=3, stride=2, padding=1))
+def _resnet_body(b: _GraphBuilder, prev: str, plan: tuple[int, ...], skips: bool, stem: bool) -> str:
+    prev = _conv_bn_relu(b, prev, "stem", kernel=7, filters=64, stride=2 if stem else 1)
+    if stem:
+        prev = b.add("stem_pool", Pool(mode="max", kernel=3, stride=2, padding=1), prev)
 
     in_channels = 64
-    for stage, (blocks, filters) in enumerate(zip(_RESNET_PLANS[spec.family], _RESNET_FILTERS), start=1):
+    for stage, (blocks, filters) in enumerate(zip(plan, _RESNET_FILTERS), start=1):
         for block in range(1, blocks + 1):
             base = f"s{stage}b{block}"
             stride = 2 if stage > 1 and block == 1 else 1
             block_in = prev
-            prev = b.chain(prev, f"{base}_conv1", Conv2d(kernel=3, filters=filters, stride=stride, padding="same", bias=False))
-            prev = b.chain(prev, f"{base}_bn1", BatchNorm())
-            prev = b.chain(prev, f"{base}_relu1", Activation("relu"))
-            prev = b.chain(prev, f"{base}_conv2", Conv2d(kernel=3, filters=filters, stride=1, padding="same", bias=False))
-            prev = b.chain(prev, f"{base}_bn2", BatchNorm())
-            if spec.skips_enabled:
+            prev = b.add(f"{base}_conv1", Conv2d(kernel=3, filters=filters, stride=stride, bias=False), prev)
+            prev = b.add(f"{base}_bn1", BatchNorm(), prev)
+            prev = b.add(f"{base}_relu1", Activation("relu"), prev)
+            prev = b.add(f"{base}_conv2", Conv2d(kernel=3, filters=filters, bias=False), prev)
+            prev = b.add(f"{base}_bn2", BatchNorm(), prev)
+            if skips:
                 if stride != 1 or in_channels != filters:
-                    skip = b.chain(block_in, f"{base}_proj", Conv2d(kernel=1, filters=filters, stride=stride, padding="same", bias=False))
-                    skip = b.chain(skip, f"{base}_proj_bn", BatchNorm())
+                    skip = b.add(f"{base}_proj", Conv2d(kernel=1, filters=filters, stride=stride, bias=False), block_in)
+                    skip = b.add(f"{base}_proj_bn", BatchNorm(), skip)
                 else:
                     skip = block_in
                 prev = b.add(f"{base}_add", Add(), prev, skip)
-            prev = b.chain(prev, f"{base}_relu2", Activation("relu"))
+            prev = b.add(f"{base}_relu2", Activation("relu"), prev)
             in_channels = filters
-    _attach_head(b, prev, spec.num_classes)
-    return make_graph(spec.display_name, spec.input, b.layers, b.edges)
+    return prev
 
 
 def _mpnet_module(b: _GraphBuilder, prev: str, base: str, filters: int, deep_wide_path: bool) -> str:
@@ -181,61 +119,59 @@ def _mpnet_module(b: _GraphBuilder, prev: str, base: str, filters: int, deep_wid
     return b.add(f"{base}_add", Add(), narrow, wide)
 
 
-def _build_mpnet(spec: ZooSpec) -> ArchGraph:
+def _mpnet_body(b: _GraphBuilder, prev: str, blocks: int, deep: bool) -> str:
     # Reconstruction of the multipath model organisms: four stages, each a
     # stride-2 max pool followed by the stage's blocks, filters doubling per
     # stage. mpnet18 uses two shallow blocks per stage; mpnet36 uses four
     # blocks whose wide path is two convolutions deep (a best-effort guess;
     # only mpnet18's borders are treated as ground truth).
-    b = _GraphBuilder()
-    prev = b.add("input", Input())
-    blocks = _MPNET_BLOCKS[spec.family]
-    deep = spec.family == "mpnet36"
     for stage, filters in enumerate(_MPNET_FILTERS, start=1):
-        prev = b.chain(prev, f"s{stage}_pool", Pool(mode="max", kernel=2, stride=2, padding=0))
+        prev = b.add(f"s{stage}_pool", Pool(mode="max", kernel=2, stride=2, padding=0), prev)
         for block in range(1, blocks + 1):
             prev = _mpnet_module(b, prev, f"s{stage}m{block}", filters, deep_wide_path=deep)
-    _attach_head(b, prev, spec.num_classes)
-    return make_graph(spec.display_name, spec.input, b.layers, b.edges)
-
-
-def build(spec: ZooSpec) -> ArchGraph:
-    """Construct the requested zoo architecture."""
-    if spec.family.startswith("vgg"):
-        return _build_vgg(spec)
-    if spec.family.startswith("resnet"):
-        return _build_resnet(spec)
-    return _build_mpnet(spec)
+    return prev
 
 
 _NAME_RE = re.compile(r"^(?P<family>[a-z0-9]+?)(?P<opts>(?:-(?:dil[0-9]+|noskip|nostem))*)$")
 
 
-def parse_zoo_name(name: str) -> dict[str, object]:
-    """Split a zoo shorthand like 'resnet18-noskip' or 'vgg19-dil3' into spec kwargs."""
+def build_named(name: str, input_spec: InputSpec | None = None, num_classes: int = 10) -> ArchGraph:
+    """Build a zoo model from its shorthand name, such as 'resnet18-noskip' or 'vgg19-dil3'.
+
+    Options come in any order, and the last `-dilN` wins. The graph is named by the canonical
+    shorthand: the family, then `-dilN` unless N is 1, `-noskip` and `-nostem`.
+    """
     match = _NAME_RE.match(name)
     if not match or match.group("family") not in FAMILIES:
         raise ValueError(
             f"unknown zoo model {name!r}; families: {', '.join(FAMILIES)} "
             f"(options: -dilN, -noskip, -nostem)"
         )
-    kwargs: dict[str, object] = {"family": match.group("family")}
-    for opt in match.group("opts").split("-"):
-        if not opt:
-            continue
-        if opt == "noskip":
-            kwargs["skips_enabled"] = False
-        elif opt == "nostem":
-            kwargs["stem_downsampling"] = False
-        else:
-            kwargs["dilation"] = int(opt[3:])
-    return kwargs
+    family, opts = match.group("family"), match.group("opts").split("-")[1:]
+    dilations = [int(opt[3:]) for opt in opts if opt.startswith("dil")]
+    dilation, skips, stem = dilations[-1] if dilations else 1, "noskip" not in opts, "nostem" not in opts
+    if num_classes < 2:
+        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    if dilation < 1:
+        raise ValueError(f"dilation must be >= 1, got {dilation}")
+    if dilation != 1 and not family.startswith("vgg"):
+        raise ValueError("dilation is a vgg-only option")
+    if not skips and not family.startswith("resnet"):
+        raise ValueError("skips_enabled=False is a resnet-only option")
+    if not stem and not family.startswith("resnet"):
+        raise ValueError("stem_downsampling=False is a resnet-only option")
 
-
-def build_named(name: str, input_spec: InputSpec | None = None, num_classes: int = 10) -> ArchGraph:
-    """Build a zoo model from its shorthand name."""
-    kwargs = parse_zoo_name(name)
-    if input_spec is not None:
-        kwargs["input"] = input_spec
-    kwargs["num_classes"] = num_classes
-    return build(ZooSpec(**kwargs))  # type: ignore[arg-type]
+    canonical = family + (f"-dil{dilation}" if dilation != 1 else "")
+    canonical += ("" if skips else "-noskip") + ("" if stem else "-nostem")
+    b = _GraphBuilder()
+    prev = b.add("input", Input())
+    if family.startswith("vgg"):
+        prev = _vgg_body(b, prev, _VGG_PLANS[family], dilation)
+    elif family.startswith("resnet"):
+        prev = _resnet_body(b, prev, _RESNET_PLANS[family], skips, stem)
+    else:
+        prev = _mpnet_body(b, prev, _MPNET_BLOCKS[family], deep=family == "mpnet36")
+    prev = b.add("gap", GlobalAvgPool(), prev)
+    prev = b.add("fc", Dense(units=num_classes, bias=True), prev)
+    b.add("softmax", Softmax(), prev)
+    return make_graph(canonical, _DEFAULT_INPUT if input_spec is None else input_spec, b.layers, b.edges)

@@ -1,6 +1,7 @@
-"""Seeded random architecture DAGs, seeded mutations of zoo graphs, the
-brute-force path oracle, a validation counter, the zoo variants and sweep
-sizes that tests iterate over, and a runner for fresh interpreters.
+"""Seeded random architecture DAGs, seeded mutations of zoo graphs, plain
+chains (`chain_graph`), the brute-force path oracle, a validation counter,
+the zoo variants and sweep sizes that tests iterate over, and a runner for
+fresh interpreters.
 
 Graphs are guaranteed valid by construction: convolutions preserve the
 channel count of their predecessor, so element-wise merges always see equal
@@ -10,9 +11,9 @@ graph has one input, one sink, and at most two merge nodes.
 Mutated zoo graphs are the opposite: edits of the edge list and layer list
 that may or may not leave the graph valid.
 
-The oracle folds its own receptive-field transfer, `layer_rf_transfer`, along
-every input-to-node path one at a time, independently of the per-jump
-frontiers of `propagate_dag`. `per_jump_extremes` folds a set of states into
+The oracle folds its own receptive-field transfer, `layer_rf_transfer`, with
+its own `effective_kernel`, along every input-to-node path one at a time,
+independently of the per-jump frontiers of `propagate_dag`. `per_jump_extremes` folds a set of states into
 the frontier they should make, per jump from sets and `min`/`max`, without
 `propagate_dag`'s merge; `classify_by_two_scans` finds both borders as
 `classify` once did, with two scans over finished rows.
@@ -26,6 +27,10 @@ branches, both dropped because the DAG rules imply their results; and
 keeps the merge collapse that `truncate_at_border` once ran on edge tokens:
 each surviving edge under an increasing token, and each rewired edge under a
 fresh one, so it moves to the end of the edge list.
+
+`split_merge_by_sets` keeps the split check of `remove_stem_downsampling` as
+it was before it kept bitmasks: a set of the strided layers upstream of each
+node, so its time and memory grow with nodes times strided layers.
 
 `cost_by_shape_records` keeps the cost walk as it was before `LayerCost`
 held its own output dimensions: one shape record per node, kept in a dict for
@@ -68,7 +73,7 @@ from rfscope import (
 from rfscope import ShapeError, graph_ir
 from rfscope.graph_ir import LAYER_KINDS, MERGE_KINDS, RF_NEUTRAL_KINDS
 from rfscope.border_analysis import PRODUCTIVE, UNPRODUCTIVE, BorderReport, ConvClassification
-from rfscope.rf_analysis import RFAnnotation, effective_kernel, propagate_dag
+from rfscope.rf_analysis import RFAnnotation, propagate_dag
 from rfscope.shape_cost_model import _attention_cost, _window_out
 from rfscope.transforms import _fresh_id, _old_head_chain
 
@@ -197,6 +202,13 @@ def count_validations(monkeypatch) -> list[str]:
     return calls
 
 
+def chain_graph(name: str, input_spec: InputSpec, layers: list[tuple[str, LayerKind]]) -> ArchGraph:
+    """A purely sequential graph: an Input node named `input`, then `layers` in order, each fed by the one before."""
+    pairs = [("input", Input())] + list(layers)
+    edges = [(pairs[i][0], pairs[i + 1][0]) for i in range(len(pairs) - 1)]
+    return make_graph(name, input_spec, pairs, edges)
+
+
 def successors(graph: ArchGraph) -> dict[str, tuple[str, ...]]:
     """Each node's successors, in edge order."""
     succs: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
@@ -206,11 +218,16 @@ def successors(graph: ArchGraph) -> dict[str, tuple[str, ...]]:
     return {k: tuple(v) for k, v in succs.items()}
 
 
+def effective_kernel(kernel: int, dilation: int) -> int:
+    """Span of a dilated kernel: its first and last taps and everything between."""
+    return dilation * (kernel - 1) + 1
+
+
 def _window(kind: Conv2d | Pool) -> tuple[int, int]:
     """A conv's or pool's (k_eff - 1, stride): its transfer maps (r, j) to (r + (k_eff - 1) * j, j * stride)."""
     if type(kind) is Pool:
         return kind.kernel - 1, kind.stride
-    return kind.dilation * (kind.kernel - 1), kind.stride
+    return effective_kernel(kind.kernel, kind.dilation) - 1, kind.stride
 
 
 # The state of a path past a global layer: the whole input, at jump 0, where the recurrence keeps it.
@@ -379,6 +396,24 @@ def cost_by_shape_records(
         total_params += params
         total_macs += macs
     return shapes, per_layer, total_params, total_macs
+
+
+def split_merge_by_sets(graph: ArchGraph, chosen: list[str], kept: list[str]) -> str | None:
+    """The refusal text of `remove_stem_downsampling` for neutralizing `chosen` and keeping `kept`,
+    or None, from the walk it once ran: a set of the strided layers upstream of each node, and at
+    each merge a search for a chosen layer upstream of it that is not upstream of a kept one."""
+    strided_up: dict[str, frozenset[str]] = {}
+    for nid in graph.order:
+        up = frozenset().union(*(strided_up[p] for p in graph.predecessors[nid]))
+        strided_up[nid] = up | {nid} if nid in chosen or nid in kept else up
+        if isinstance(graph.node_map[nid].kind, MERGE_KINDS):
+            split = next(((d, p) for d in chosen if d in up for p in kept if p in up and d not in strided_up[p]), None)
+            if split:
+                return (
+                    f"neutralizing {split[0]!r} but not the parallel strided layer {split[1]!r} would leave "
+                    f"merge {nid!r} joining feature maps of different sizes; choose a count that covers both"
+                )
+    return None
 
 
 def run_fresh(

@@ -51,6 +51,7 @@ SHAPES = "tests/test_shape_cost_model.py::"
 NON_SQUARE = SHAPES + "TestNonSquareInput::"
 SHAPE_RECORDS = SHAPES + "TestMatchesShapeRecordWalk::"
 ARCHJSON = "tests/test_archjson.py::"
+STEM = TRANSFORMS + "TestRemoveStemDownsampling::"
 
 MUTANTS = (
     # The one analysis core.
@@ -253,6 +254,37 @@ MUTANTS = (
             "tests/test_zoo.py::test_builders_validate[resnet18]",
             "tests/test_records.py::test_constructor_signature_is_pinned[Conv2d]",
         ),
+    ),
+    # The split check keeps per node a bitmask of the chosen layers upstream, not a set of every
+    # strided layer upstream: the set walk it replaced refuses alike but stores nodes x strided layers.
+    Mutant(
+        "split-check-keeps-strided-sets",
+        "rfscope/transforms.py",
+        "    for nid in graph.order:\n"
+        "        preds = graph.predecessors[nid]\n"
+        "        mask, least = bits.get(nid, 0), len(chosen)\n",
+        "    strided_up = {}\n"
+        "    for nid in graph.order:\n"
+        "        preds = graph.predecessors[nid]\n"
+        "        up = frozenset().union(*(strided_up[p] for p in preds))\n"
+        "        strided_up[nid] = up | {nid} if nid in chosen or nid in kept else up\n"
+        "        mask, least = bits.get(nid, 0), len(chosen)\n",
+        (f"{STEM}test_split_check_memory_is_linear",),
+    ),
+    Mutant(
+        "split-pair-ignores-kept-ancestry",
+        "rfscope/transforms.py",
+        "for p in kept if p in ancestors and not chosen_up[p] >> i & 1",
+        "for p in kept if p in ancestors",
+        (f"{STEM}test_split_check_matches_the_set_walk",),
+    ),
+    # A zoo graph is named by its canonical shorthand, options in one fixed order.
+    Mutant(
+        "canonical-name-drops-nostem",
+        "rfscope/zoo.py",
+        '("" if stem else "-nostem")',
+        '("" if stem else "")',
+        ("tests/test_zoo.py::test_build_named_canonical_names_and_error_order",),
     ),
     # An explicit empty output path is opened like any other, so it fails.
     Mutant(

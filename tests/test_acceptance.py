@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from dagtools import enumerate_paths, fold_along, path_enumeration_oracle, random_graph, successors
+from dagtools import effective_kernel, enumerate_paths, fold_along, path_enumeration_oracle, random_graph, successors
 from rfscope import (
     build_named,
     classify,
@@ -145,7 +145,7 @@ def test_oracle_equivalence_100_seeds():
 
 # ---------------------------------------------------------------- criterion 5
 def test_property_monotone_r_and_stride_product_j():
-    from rfscope import Conv2d, Pool, effective_kernel
+    from rfscope import Conv2d, Pool
 
     violations = 0
     for seed in range(40):

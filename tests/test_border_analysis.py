@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from dagtools import SWEEP_SIZES, ZOO_VARIANTS, random_graph
+from dagtools import SWEEP_SIZES, ZOO_VARIANTS, chain_graph, random_graph
 from rfscope import (
     PRODUCTIVE,
     UNPRODUCTIVE,
@@ -13,7 +13,6 @@ from rfscope import (
     Pool,
     analyze,
     build_named,
-    chain_graph,
     classify,
     cost_report,
     propagate_dag,

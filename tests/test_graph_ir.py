@@ -2,6 +2,7 @@ import pytest
 
 from dagtools import (
     ZOO_VARIANTS,
+    chain_graph,
     count_validations,
     mutated_graph,
     random_graph,
@@ -23,7 +24,6 @@ from rfscope import (
     Pool,
     Softmax,
     build_named,
-    chain_graph,
     classify,
     cost_report,
     make_graph,

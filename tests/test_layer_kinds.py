@@ -8,6 +8,7 @@ import typing
 
 import pytest
 
+from dagtools import chain_graph
 from rfscope import (
     Activation,
     Add,
@@ -24,7 +25,6 @@ from rfscope import (
     Pool,
     RFState,
     Softmax,
-    chain_graph,
     cost_report,
     make_graph,
     propagate_dag,

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from dagtools import (
     GLOBAL,
     ZOO_VARIANTS,
+    chain_graph,
     classify_by_two_scans,
+    effective_kernel,
     enumerate_paths,
     fold_along,
     layer_rf_transfer,
@@ -26,9 +28,7 @@ from rfscope import (
     Pool,
     RFState,
     build_named,
-    chain_graph,
     classify,
-    effective_kernel,
     make_graph,
     propagate_dag,
     propagate_shapes,

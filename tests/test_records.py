@@ -1,8 +1,8 @@
 """The records are immutable values with a stable, field-by-field repr.
 
 One rule picks the record type. A value a caller builds and the library
-checks is a class record (a `graph_ir._Record`): the eleven layer kinds, the
-graph and its parts, and the zoo request. Everything an analysis, a rewrite
+checks is a class record (a `graph_ir._Record`): the eleven layer kinds and
+the graph and its parts. Everything an analysis, a rewrite
 or `validate` returns is a `typing.NamedTuple`.
 
 Each tuple record comes from a real analysis, rewrite or validation of a
@@ -11,7 +11,7 @@ records have always printed, so a change of record type cannot change what a
 user sees. `LayerCost` holds its output dimensions as its own fields, so it
 and the reports that hold it print `out_height`, `out_width` and
 `out_channels` where they once printed a nested `ShapeInfo`, and
-`propagate_shapes` returns those same rows. The fifteen
+`propagate_shapes` returns those same rows. The fourteen
 class records and the five reports keep the rest of the frozen-dataclass
 contract: hashing, no assignment, strict constructors, and copy and pickle. Only the class records also keep equality within the
 exact class and `_replace` through validation.
@@ -22,11 +22,11 @@ import pickle
 
 import pytest
 
+from dagtools import chain_graph
 from rfscope import (
     ArchGraph,
     Conv2d,
     InputSpec,
-    chain_graph,
     classify,
     compare,
     cost_report,
@@ -112,7 +112,7 @@ def test_propagate_shapes_returns_the_cost_rows(analysis):
     assert repr(analysis["shapes"]["c1"]) == CONV_COST
 
 
-# The class records: the eleven layer kinds, the graph and its parts, and the zoo request.
+# The class records: the eleven layer kinds and the graph and its parts.
 def class_records():
     from rfscope import (
         Activation,
@@ -126,7 +126,6 @@ def class_records():
         LayerNode,
         Pool,
         Softmax,
-        ZooSpec,
     )
 
     return [
@@ -144,7 +143,6 @@ def class_records():
         InputSpec(8, 8, 3),
         LayerNode("c1", Conv2d(3, 4), 1),
         ArchGraph(ONE_CONV.name, ONE_CONV.input, ONE_CONV.nodes, ONE_CONV.edges),
-        ZooSpec("resnet18", skips_enabled=False),
     ]
 
 
@@ -174,7 +172,7 @@ CONTRACT_IDS = [type(record).__name__ for record in CONTRACT_RECORDS]
 def test_every_class_record_is_covered():
     from rfscope.graph_ir import _Record
 
-    assert len(CLASS_RECORDS) == 15
+    assert len(CLASS_RECORDS) == 14
     assert {type(record) for record in CLASS_RECORDS} == set(_Record.__subclasses__())
     assert all(isinstance(report, tuple) and not isinstance(report, _Record) for report in REPORTS)
 
@@ -189,11 +187,6 @@ def test_every_class_record_is_covered():
             "declaration_index=1)",
         ),
         (11, "InputSpec(height=8, width=8, channels=3)"),
-        (
-            14,
-            "ZooSpec(family='resnet18', input=InputSpec(height=32, width=32, channels=3), num_classes=10, "
-            "dilation=1, skips_enabled=False, stem_downsampling=True)",
-        ),
         (4, "Add()"),
         (
             13,
@@ -227,14 +220,6 @@ SIGNATURES = {
     "InputSpec": [("height", EMPTY), ("width", EMPTY), ("channels", EMPTY)],
     "LayerNode": [("id", EMPTY), ("kind", EMPTY), ("declaration_index", EMPTY)],
     "ArchGraph": [("name", EMPTY), ("input", EMPTY), ("nodes", EMPTY), ("edges", EMPTY)],
-    "ZooSpec": [
-        ("family", EMPTY),
-        ("input", InputSpec(32, 32, 3)),
-        ("num_classes", 10),
-        ("dilation", 1),
-        ("skips_enabled", True),
-        ("stem_downsampling", True),
-    ],
 }
 
 
@@ -305,15 +290,11 @@ def test_bad_constructor_arguments_raise_type_error(record):
 
 
 def test_replace_keeps_the_class_and_runs_validation_again():
-    from rfscope import ZooSpec
-
     assert Conv2d(3, 4)._replace(stride=2) == Conv2d(3, 4, stride=2)
     assert type(WideConv(3, 4)._replace(stride=2)) is WideConv
     assert InputSpec(8, 8, 3)._replace(width=16) == InputSpec(8, 16, 3)
     with pytest.raises(ValueError, match="height"):
         InputSpec(8, 8, 3)._replace(height=0)
-    with pytest.raises(ValueError, match="resnet-only"):
-        ZooSpec("vgg11")._replace(skips_enabled=False)
     with pytest.raises(TypeError):
         Conv2d(3, 4)._replace(not_a_field=1)
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from dagtools import enumerate_paths, path_enumeration_oracle
+from dagtools import chain_graph, enumerate_paths, path_enumeration_oracle
 from rfscope import (
     Activation,
     Add,
@@ -18,10 +18,10 @@ from rfscope import (
     Pool,
     RFState,
     build_named,
-    chain_graph,
-    effective_kernel,
+    cost_report,
     make_graph,
     propagate_dag,
+    validate,
 )
 from rfscope import rf_analysis
 from rfscope.rf_analysis import GLOBAL_STATE, INITIAL_STATE
@@ -64,21 +64,32 @@ def chain_states(kinds):
     return states
 
 
+def span(kernel, dilation):
+    """A conv's effective kernel, dilation * (kernel - 1) + 1, read twice: from its receptive-field
+    growth on a fresh path and from its output height when valid-padded on a 16x16 input."""
+    state = chain_states([conv(kernel, d=dilation)])[-1]
+    layer = Conv2d(kernel=kernel, filters=8, dilation=dilation, padding="valid")
+    out_height = cost_report(chain_graph("valid", InputSpec(16, 16, 3), [("c", layer)])).per_layer[-1].out_height
+    assert state.r == 16 - out_height + 1
+    return state.r
+
+
 class TestEffectiveKernel:
     def test_no_dilation(self):
-        assert effective_kernel(3, 1) == 3
+        assert span(3, 1) == 3
 
     def test_dilation_3_inflates_3x3_to_7x7(self):
-        assert effective_kernel(3, 3) == 7
+        assert span(3, 3) == 7
 
     def test_pointwise_is_dilation_invariant(self):
-        assert effective_kernel(1, 5) == 1
+        assert span(1, 5) == 1
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            effective_kernel(0, 1)
-        with pytest.raises(ValueError):
-            effective_kernel(3, 0)
+        # A kernel or dilation below 1 has no span: validation stops it before any pass reads one.
+        for field, layer in (("kernel", conv(0)), ("dilation", conv(3, d=0))):
+            (violation,) = validate(chain_graph("bad", IN32, [("c", layer)]))
+            assert (violation.rule, violation.subject) == ("layer_fields", "c")
+            assert violation.message.startswith(field + " ")
 
 
 def transfer(state, *kinds):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from dagtools import SWEEP_SIZES, ZOO_VARIANTS, cost_by_shape_records, random_graph
+from dagtools import SWEEP_SIZES, ZOO_VARIANTS, chain_graph, cost_by_shape_records, random_graph
 
 from rfscope import (
     Activation,
@@ -20,7 +20,6 @@ from rfscope import (
     ShapeError,
     Softmax,
     build_named,
-    chain_graph,
     cost_report,
     make_graph,
     propagate_shapes,

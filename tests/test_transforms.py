@@ -1,10 +1,19 @@
 import cProfile
 import pstats
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from dagtools import SWEEP_SIZES, ZOO_VARIANTS, mutated_graph, random_graph, truncate_by_heap_drain
+from dagtools import (
+    SWEEP_SIZES,
+    ZOO_VARIANTS,
+    chain_graph,
+    mutated_graph,
+    random_graph,
+    split_merge_by_sets,
+    truncate_by_heap_drain,
+)
 from rfscope import (
     Activation,
     Add,
@@ -20,7 +29,6 @@ from rfscope import (
     TransformError,
     analyze,
     build_named,
-    chain_graph,
     classify,
     compare,
     make_graph,
@@ -30,8 +38,9 @@ from rfscope import (
     truncate_at_border,
     validate,
 )
-from rfscope import rf_analysis
+from rfscope import rf_analysis, transforms
 from rfscope.cli import main
+from rfscope.transforms import downsampling_layers
 
 IN32 = InputSpec(32, 32, 3)
 
@@ -254,6 +263,40 @@ class TestRemoveStemDownsampling:
         after, delta = remove_stem_downsampling(g, 2)
         assert delta.modified_node_ids == ("s2b1_conv1", "s2b1_proj")
         assert after.node_map["s2b1_proj"].kind.stride == 1
+
+    def test_split_check_matches_the_set_walk(self):
+        refusals = 0
+        for seed in range(400):
+            g = random_graph(seed, max_layer_nodes=30)
+            targets = downsampling_layers(g)
+            for count in range(1, len(targets) + 1):
+                expected = split_merge_by_sets(g, targets[:count], targets[count:])
+                try:
+                    transforms._refuse_split_merge(g, targets[:count], targets[count:])
+                except TransformError as exc:
+                    assert str(exc) == expected, (seed, count)
+                    refusals += 1
+                else:
+                    assert expected is None, (seed, count)
+        assert refusals > 40  # the walk sees enough refusals to compare their texts
+
+    def test_split_check_memory_is_linear(self):
+        # Past a global pool every receptive field stays (inf, 0), so the analyses store no integer
+        # that grows with depth: the peak is the graphs' and the walks' own, and doubles with the
+        # chain. A per-node set of the strided layers upstream would grow with its square.
+        def peak(n):
+            layers = [("gap", GlobalAvgPool())] + [(f"c{i}", Conv2d(kernel=3, filters=4, stride=2)) for i in range(n)]
+            g = chain_graph("strided", IN32, layers)
+            g.order
+            tracemalloc.start()
+            try:
+                remove_stem_downsampling(g, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # the first call also pays for allocations made once per process
+        assert peak(2000) / peak(1000) < 2.5
 
     @pytest.mark.parametrize("name", ZOO_VARIANTS)
     def test_truncate_after_stem_removal_leaves_no_unproductive_conv(self, name):

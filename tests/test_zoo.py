@@ -9,11 +9,8 @@ from rfscope import (
     InputSpec,
     Pool,
     Softmax,
-    ZooSpec,
-    build,
     build_named,
     cost_report,
-    parse_zoo_name,
     validate,
 )
 
@@ -73,11 +70,11 @@ def test_builders_are_referentially_transparent():
 
 def test_distinct_specs_differ():
     assert build_named("resnet18") != build_named("resnet18-noskip")
-    assert build(ZooSpec("vgg16")) != build(ZooSpec("vgg16", num_classes=100))
+    assert build_named("vgg16") != build_named("vgg16", num_classes=100)
 
 
 def test_num_classes_sets_head_width():
-    g = build(ZooSpec("vgg11", num_classes=42))
+    g = build_named("vgg11", num_classes=42)
     assert g.node_map["fc"].kind == Dense(units=42, bias=True)
 
 
@@ -148,28 +145,59 @@ def test_mpnet36_wide_path_is_two_convs_deep():
 
 
 def test_zoo_name_parsing():
-    assert parse_zoo_name("vgg19-dil3") == {"family": "vgg19", "dilation": 3}
-    assert parse_zoo_name("resnet18-noskip-nostem") == {
-        "family": "resnet18",
-        "skips_enabled": False,
-        "stem_downsampling": False,
-    }
+    dilated = build_named("vgg19-dil3")  # vgg19, dilation 3, every other option at its default
+    assert dilated.name == "vgg19-dil3" and len(dilated.conv_ordinals) == 16
+    assert {n.kind.dilation for n in dilated.nodes if isinstance(n.kind, Conv2d)} == {3}
+    plain = build_named("resnet18-noskip-nostem")  # resnet18 without skips and without stem downsampling
+    assert plain.name == "resnet18-noskip-nostem" and len(plain.conv_ordinals) == 17
+    assert not any(isinstance(n.kind, Add) for n in plain.nodes)
+    assert plain.node_map["stem_conv"].kind.stride == 1 and "stem_pool" not in plain.node_map
     with pytest.raises(ValueError):
-        parse_zoo_name("alexnet")
+        build_named("alexnet")
     with pytest.raises(ValueError):
         build_named("vgg16-noskip")  # skip toggles are resnet-only
 
 
 def test_option_validation():
     with pytest.raises(ValueError):
-        ZooSpec("mpnet18", dilation=2)
+        build_named("mpnet18-dil2")
     with pytest.raises(ValueError):
-        ZooSpec("vgg16", skips_enabled=False)
+        build_named("vgg16-noskip")
     with pytest.raises(ValueError):
-        ZooSpec("vgg16", num_classes=1)
+        build_named("vgg16", num_classes=1)
+
+
+FAMILY_LIST = "vgg11, vgg13, vgg16, vgg19, resnet18, resnet34, mpnet18, mpnet36"
+
+
+def test_build_named_canonical_names_and_error_order():
+    # The graph takes the canonical name: family, -dilN unless N is 1, -noskip, -nostem.
+    for name, canonical in [
+        ("resnet18-nostem-noskip", "resnet18-noskip-nostem"),
+        ("vgg11-dil1", "vgg11"),
+        ("vgg11-dil2-dil3", "vgg11-dil3"),  # the last dilation wins
+    ]:
+        assert build_named(name).name == canonical
+        assert build_named(name) == build_named(canonical)
+    # Each case would trip every later check too, so each text also pins the order of the six.
+    for name, num_classes, message in [
+        (
+            "alexnet-dil0-noskip",
+            1,
+            f"unknown zoo model 'alexnet-dil0-noskip'; families: {FAMILY_LIST} (options: -dilN, -noskip, -nostem)",
+        ),
+        ("mpnet18-dil0-noskip-nostem", 1, "num_classes must be >= 2, got 1"),
+        ("mpnet18-dil0-noskip-nostem", 2, "dilation must be >= 1, got 0"),
+        ("mpnet18-dil2-noskip-nostem", 10, "dilation is a vgg-only option"),
+        ("vgg11-noskip-nostem", 10, "skips_enabled=False is a resnet-only option"),
+        ("vgg11-nostem", 10, "stem_downsampling=False is a resnet-only option"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            build_named(name, num_classes=num_classes)
+        assert str(caught.value) == message
 
 
 def test_custom_input_size():
-    g = build(ZooSpec("vgg16", input=InputSpec(64, 48, 3)))
+    g = build_named("vgg16", InputSpec(64, 48, 3))
     assert g.input == InputSpec(64, 48, 3)
     assert g.input.resolution == 64
