@@ -49,15 +49,23 @@ def classify(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = Non
     the border by construction, so classifying them would be noise. On a
     sequential graph min and max receptive fields coincide and the two
     border ordinals are equal.
+
+    Receptive fields do not depend on the input size, so the first call keeps
+    each conv's `(ordinal, node_id, r_in_min, r_in_max)` on `graph`, read from
+    `annotations` (which must be `propagate_dag(graph)`) or from one walk, and
+    later calls, on `graph` or on a :meth:`ArchGraph.with_input` sibling, reuse it.
     """
-    if annotations is None:
-        annotations = propagate_dag(graph)
+    table = graph.__dict__.get("_rf_table")
+    if table is None:
+        if annotations is None:
+            annotations = propagate_dag(graph)
+        table = tuple((ordinal, nid, *annotations[nid][3:5]) for nid, ordinal in graph.conv_ordinals.items())
+        graph.__dict__["_rf_table"] = table
     resolution = graph.input.resolution
     rows: list[ConvClassification] = []
     first_min = first_max = None  # the first unproductive row, and the first whose r_in_max crosses
     new = tuple.__new__  # builds a record from a tuple of its fields, skipping the keyword-argument shim
-    for node_id, ordinal in graph.conv_ordinals.items():
-        _, _, _, r_in_min, r_in_max, _, _ = annotations[node_id]
+    for ordinal, node_id, r_in_min, r_in_max in table:
         label = UNPRODUCTIVE if r_in_min > resolution else PRODUCTIVE
         row = new(ConvClassification, (ordinal, node_id, r_in_min, r_in_max, label))
         rows.append(row)

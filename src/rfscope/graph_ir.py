@@ -232,7 +232,8 @@ class GraphValidationError(ValueError):
 class ArchGraph(_Record):
     """Immutable layer DAG: nodes in declaration order plus an ordered edge list.
 
-    Its ``__dict__`` holds only the caches of the ``cached_property`` members.
+    Its ``__dict__`` holds only caches: those of the ``cached_property`` members
+    and the per-conv receptive-field table of :func:`~rfscope.border_analysis.classify`.
     """
 
     __slots__ = ("name", "input", "nodes", "edges", "__dict__")
@@ -264,10 +265,11 @@ class ArchGraph(_Record):
 
     def with_input(self, spec: InputSpec) -> ArchGraph:
         """This graph with another input. :func:`validate` reads the input only through its
-        channel count, so while that is kept, a check already made on this graph carries over."""
+        channel count, so while that is kept, a check already made on this graph carries over,
+        and so does the receptive-field table, which needs a valid graph but not its input."""
         graph = ArchGraph(self.name, spec, self.nodes, self.edges)
-        if "order" in self.__dict__ and spec.channels == self.input.channels:
-            graph.__dict__["order"] = self.order
+        if spec.channels == self.input.channels:
+            graph.__dict__.update((key, self.__dict__[key]) for key in ("order", "_rf_table") if key in self.__dict__)
         return graph
 
     @property

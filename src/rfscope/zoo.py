@@ -3,7 +3,8 @@
 `build_named` is the one entry point. It is pure: equal arguments produce
 structurally equal graphs, nodes are declared in a fixed order, and ids are
 stable, so conv ordinals (and therefore reported border layers) are
-reproducible across runs.
+reproducible across runs. Each structure is built once and its node and edge
+tuples are shared by every graph built from it, at any input size.
 
 Classifier heads are the 32x32-friendly variant throughout: global average
 pooling into a single dense layer into softmax.
@@ -11,6 +12,7 @@ pooling into a single dense layer into softmax.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .graph_ir import (
     Activation,
@@ -163,6 +165,13 @@ def build_named(name: str, input_spec: InputSpec | None = None, num_classes: int
 
     canonical = family + (f"-dil{dilation}" if dilation != 1 else "")
     canonical += ("" if skips else "-noskip") + ("" if stem else "-nostem")
+    shared = _structure(family, dilation, skips, stem, num_classes)
+    return ArchGraph(canonical, _DEFAULT_INPUT if input_spec is None else input_spec, shared.nodes, shared.edges)
+
+
+@lru_cache(maxsize=64, typed=True)  # typed: 2 and 2.0 build different heads
+def _structure(family: str, dilation: int, skips: bool, stem: bool, num_classes: int) -> ArchGraph:
+    """One zoo structure at a placeholder input; never analyzed, it only lends its node and edge tuples."""
     b = _GraphBuilder()
     prev = b.add("input", Input())
     if family.startswith("vgg"):
@@ -174,4 +183,4 @@ def build_named(name: str, input_spec: InputSpec | None = None, num_classes: int
     prev = b.add("gap", GlobalAvgPool(), prev)
     prev = b.add("fc", Dense(units=num_classes, bias=True), prev)
     b.add("softmax", Softmax(), prev)
-    return make_graph(canonical, _DEFAULT_INPUT if input_spec is None else input_spec, b.layers, b.edges)
+    return make_graph(family, _DEFAULT_INPUT, b.layers, b.edges)

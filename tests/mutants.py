@@ -52,6 +52,8 @@ NON_SQUARE = SHAPES + "TestNonSquareInput::"
 SHAPE_RECORDS = SHAPES + "TestMatchesShapeRecordWalk::"
 ARCHJSON = "tests/test_archjson.py::"
 STEM = TRANSFORMS + "TestRemoveStemDownsampling::"
+ONE_ANALYSIS = TRANSFORMS + "TestOneAnalysis::"
+ZOO = "tests/test_zoo.py::"
 
 MUTANTS = (
     # The one analysis core.
@@ -177,6 +179,40 @@ MUTANTS = (
             "tests/test_border_analysis.py::TestZooBorders::test_mpnet18_two_borders",
             "tests/test_acceptance.py::test_border_golden_mpnet18_both_sides",
         ),
+    ),
+    # classify keeps each graph's per-conv RF table, and with_input carries it while the check carries.
+    Mutant(
+        "classify-walks-every-time",
+        "rfscope/border_analysis.py",
+        'table = graph.__dict__.get("_rf_table")',
+        "table = None",
+        (
+            f"{ONE_ANALYSIS}test_a_graph_walks_its_receptive_fields_once",
+            f"{ONE_ANALYSIS}test_with_input_siblings_share_one_check_and_one_rf_walk",
+        ),
+    ),
+    Mutant(
+        "with-input-carries-rf-table-across-channels",
+        "rfscope/graph_ir.py",
+        "        if spec.channels == self.input.channels:\n            graph.__dict__.update(",
+        '        graph.__dict__.update((k, v) for k, v in self.__dict__.items() if k == "_rf_table")\n'
+        "        if spec.channels == self.input.channels:\n            graph.__dict__.update(",
+        ("tests/test_graph_ir.py::TestCachedOrder::test_with_input_keeps_the_check_only_while_the_channels_stay",),
+    ),
+    # build_named builds each (structure, num_classes) once and shares its tuples across sizes.
+    Mutant(
+        "zoo-memo-key-drops-num-classes",
+        "rfscope/zoo.py",
+        "shared = _structure(family, dilation, skips, stem, num_classes)",
+        "shared = _structure(family, dilation, skips, stem, 10)",
+        (f"{ZOO}test_num_classes_and_options_are_part_of_the_structure_key", f"{ZOO}test_num_classes_sets_head_width"),
+    ),
+    Mutant(
+        "zoo-memo-untyped",
+        "rfscope/zoo.py",
+        "@lru_cache(maxsize=64, typed=True)",
+        "@lru_cache(maxsize=64)",
+        (f"{ZOO}test_num_classes_and_options_are_part_of_the_structure_key",),
     ),
     # validate reports the channel rule only when no structural rule breaks.
     Mutant(

@@ -8,17 +8,21 @@ from rfscope import (
     UNPRODUCTIVE,
     Activation,
     Analysis,
+    ArchGraph,
     Conv2d,
+    FrontierLimitError,
     InputSpec,
     Pool,
     analyze,
     build_named,
     classify,
     cost_report,
+    make_graph,
     propagate_dag,
     unproductive_closure,
     validate,
 )
+from rfscope import rf_analysis
 from rfscope.graph_ir import HEAD_KINDS
 
 
@@ -222,3 +226,46 @@ class TestAnalyze:
             walks = tuple(outcome(run, g) for run in (propagate_dag, classify, cost_report))
             expected = next((w for w in walks if type(w) is tuple), walks)  # the first walk's error, if any
             assert outcome(analyze, g) == expected, seed
+
+
+def walked(graph):
+    """`classify` from a new RF walk, on a copy of `graph` that holds no cached RF table."""
+    copy = ArchGraph(graph.name, graph.input, graph.nodes, graph.edges)
+    return classify(copy, propagate_dag(copy))
+
+
+class TestRFTable:
+    @pytest.mark.parametrize("name", ZOO_VARIANTS)
+    def test_every_way_to_a_size_matches_a_walk(self, name):
+        base = build_named(name)
+        classify(base)
+        layers = [(n.id, n.kind) for n in base.nodes]
+        for size in SWEEP_SIZES:
+            spec = InputSpec(size, size, 3)
+            expected = walked(base.with_input(spec))
+            fresh = make_graph(name, spec, layers, base.edges)  # shares nothing with `base`
+            sibling = build_named(name, spec)  # shares the structure, not the table
+            resized = base.with_input(spec)  # carries the table
+            for graph in (fresh, sibling, resized):
+                assert classify(graph) == expected, (size, graph)
+                assert classify(graph) == expected, (size, graph)  # a repeat reads the kept table
+
+    def test_random_graphs_resized_match_a_walk(self):
+        for seed in range(300):
+            graph = random_graph(seed)
+            classify(graph)
+            for size in (1, 8, 3 * seed + 2):
+                resized = graph.with_input(InputSpec(size, size + 1, 3))
+                assert classify(resized) == walked(resized), (seed, size)
+
+    def test_a_frontier_error_is_never_kept(self, monkeypatch):
+        g = build_named("mpnet18")  # each block's add merges a 3x3 and a 7x7 path: two states
+        monkeypatch.setattr(rf_analysis, "FRONTIER_CAP", 1)
+        for _ in range(2):
+            with pytest.raises(FrontierLimitError, match="'s1m1_add'"):
+                classify(g)
+        monkeypatch.undo()
+        report = classify(g)
+        # The cap applies when a graph's receptive fields are first computed.
+        monkeypatch.setattr(rf_analysis, "FRONTIER_CAP", 1)
+        assert classify(g) == classify(g.with_input(g.input)) == report

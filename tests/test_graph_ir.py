@@ -370,6 +370,15 @@ class TestCachedOrder:
         unchecked = make_graph("skip", IN8, layers, [("input", "c")])
         assert unchecked.with_input(InputSpec(9, 9, 3)).input == InputSpec(9, 9, 3)
         assert calls == ["skip"]
+        # The receptive-field table goes by the same rule: it is kept only while the check is.
+        classify(g)
+        assert g.with_input(InputSpec(2, 2, 3)).__dict__.keys() == {"order", "_rf_table"}
+        assert classify(g.with_input(InputSpec(2, 2, 3))).per_conv == classify(g).per_conv
+        assert calls == ["skip"]
+        with pytest.raises(GraphValidationError, match="merge_channels"):
+            classify(g.with_input(InputSpec(2, 2, 4)))
+        assert g.with_input(InputSpec(8, 8, 4)).__dict__ == {}
+        assert calls == ["skip", "skip"]
 
     def test_order_reports_the_violations_of_validate(self):
         layers = [("input", Input()), ("a", Add()), ("b", Conv2d(kernel=3, filters=3)), ("c", Conv2d(kernel=3, filters=3))]

@@ -401,6 +401,20 @@ class TestOneAnalysis:
         g = build_named("resnet34")  # fresh, so its validation is counted too
         assert walk_counts(lambda: run(g)) == dict.fromkeys(WALKS, walks)
 
+    def test_a_graph_walks_its_receptive_fields_once(self):
+        g = build_named("resnet34")
+        counts = walk_counts(lambda: (classify(g), classify(g)))
+        assert counts == {"validate": 1, "propagate_dag": 1, "classify": 2, "_walk": 0}
+
+    def test_with_input_siblings_share_one_check_and_one_rf_walk(self):
+        def sweep(graph):
+            for size in SWEEP_SIZES:
+                graph = graph.with_input(InputSpec(size, size, 3))
+                classify(graph)
+
+        counts = walk_counts(lambda: sweep(build_named("mpnet36")))
+        assert counts == {"validate": 1, "propagate_dag": 1, "classify": len(SWEEP_SIZES), "_walk": 0}
+
     def test_frontier_error_precedes_shape_error(self, monkeypatch):
         both = diamond("both", pad7=False)
         with pytest.raises(ShapeError, match="'add'"):

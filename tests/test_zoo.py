@@ -1,5 +1,6 @@
 import pytest
 
+from rfscope import zoo
 from rfscope import (
     Add,
     BatchNorm,
@@ -10,6 +11,7 @@ from rfscope import (
     Pool,
     Softmax,
     build_named,
+    classify,
     cost_report,
     validate,
 )
@@ -201,3 +203,44 @@ def test_custom_input_size():
     g = build_named("vgg16", InputSpec(64, 48, 3))
     assert g.input == InputSpec(64, 48, 3)
     assert g.input.resolution == 64
+
+
+def test_sizes_and_spellings_of_one_structure_share_its_tuples():
+    base = build_named("resnet18-noskip-nostem")
+    for sibling in (
+        build_named("resnet18-noskip-nostem", InputSpec(224, 224, 3)),
+        build_named("resnet18-nostem-noskip", InputSpec(64, 48, 3)),
+    ):
+        assert sibling.nodes is base.nodes and sibling.edges is base.edges
+    assert build_named("vgg19-dil1").nodes is build_named("vgg19").nodes
+
+
+def test_num_classes_and_options_are_part_of_the_structure_key():
+    wide = build_named("vgg11", num_classes=100)  # built first, so a key without num_classes would keep its head
+    narrow = build_named("vgg11")
+    assert (wide.node_map["fc"].kind.units, narrow.node_map["fc"].kind.units) == (100, 10)
+    assert wide.nodes is not narrow.nodes
+    # 2 and 2.0 are equal keys to a plain memo, but only the int is a valid width.
+    assert type(build_named("vgg11", num_classes=2).node_map["fc"].kind.units) is int
+    assert type(build_named("vgg11", num_classes=2.0).node_map["fc"].kind.units) is float
+    for names in (("resnet18", "resnet18-noskip", "resnet18-nostem"), ("vgg19", "vgg19-dil2", "vgg19-dil3")):
+        graphs = [build_named(name) for name in names]
+        assert len({id(g.nodes) for g in graphs}) == 3, names
+
+
+def test_the_structure_memo_is_bounded():
+    maxsize = zoo._structure.cache_info().maxsize
+    assert maxsize is not None
+    for num_classes in range(2, maxsize + 12):
+        build_named("vgg11", num_classes=num_classes)
+    assert zoo._structure.cache_info().currsize == maxsize
+
+
+def test_each_call_returns_a_new_graph_with_empty_caches():
+    first = build_named("mpnet18")
+    classify(first)
+    cost_report(first)
+    assert first.__dict__
+    second = build_named("mpnet18")
+    assert second is not first and second == first
+    assert second.__dict__ == {}
