@@ -41,7 +41,7 @@ _EXPORTS = {
     ),
     "zoo": ("FAMILIES", "build_named"),
     "archjson": (
-        "parse", "parse_document", "serialize", "serialize_document",
+        "parse", "serialize",
         "DocumentError", "DocumentSemanticError",
     ),
 }

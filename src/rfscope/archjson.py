@@ -99,12 +99,25 @@ def _parse_layer(index: int, raw: Any) -> tuple[str, LayerKind]:
         raise DocumentError(f"{where}.kind", f"unknown kind {tag!r}; known: {', '.join(sorted(_KIND_TAGS))}")
     cls, known, required, noun = _LAYER_KEYS[tag]
     _check_keys(where, raw, known, required, noun)
-    # The values go in unchecked: `validate`, which `parse_document` runs on the graph, judges each one.
+    # The values go in unchecked: `validate`, which `parse` runs on the graph, judges each one.
     return layer_id, cls(**{name: raw[name] for name in cls._fields if name in raw})
 
 
-def parse_document(doc: Any) -> ArchGraph:
-    """Turn an already-decoded JSON object into a validated graph."""
+def parse(data: bytes | str) -> ArchGraph:
+    """Parse a UTF-8 JSON document into a validated graph."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DocumentError("$", f"document is not valid UTF-8: {exc}") from None
+    try:
+        doc = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise DocumentError("$", f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise DocumentError("$", "document nests arrays or objects too deeply to decode") from None
+    except ValueError as exc:  # an integer longer than the interpreter converts
+        raise DocumentError("$", f"number cannot be decoded: {exc}") from None
     if not isinstance(doc, dict):
         raise DocumentError("$", f"expected a JSON object, got {type(doc).__name__}")
     _check_keys("$", doc, _TOP_LEVEL_KEYS, _TOP_LEVEL_KEYS, "top-level key")
@@ -140,38 +153,12 @@ def parse_document(doc: Any) -> ArchGraph:
     return graph
 
 
-def parse(data: bytes | str) -> ArchGraph:
-    """Parse a UTF-8 JSON document into a validated graph."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DocumentError("$", f"document is not valid UTF-8: {exc}") from None
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise DocumentError("$", f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except RecursionError:
-        raise DocumentError("$", "document nests arrays or objects too deeply to decode") from None
-    except ValueError as exc:  # an integer longer than the interpreter converts
-        raise DocumentError("$", f"number cannot be decoded: {exc}") from None
-    return parse_document(doc)
-
-
-def _layer_to_dict(kind: LayerKind, layer_id: str) -> dict[str, Any]:
-    return {"id": layer_id, "kind": _TAG_BY_TYPE[type(kind)], **kind._asdict()}
-
-
-def serialize_document(graph: ArchGraph) -> dict[str, Any]:
-    """Graph as a plain JSON-ready dict; layers appear in node order, which is declaration order."""
-    return {
+def serialize(graph: ArchGraph) -> str:
+    """Graph as canonical JSON text (stable key order, two-space indent), every layer field explicit."""
+    doc = {
         "name": graph.name,
         "input": graph.input._asdict(),
-        "layers": [_layer_to_dict(n.kind, n.id) for n in graph.nodes],
+        "layers": [{"id": n.id, "kind": _TAG_BY_TYPE[type(n.kind)], **n.kind._asdict()} for n in graph.nodes],
         "edges": [[a, b] for a, b in graph.edges],
     }
-
-
-def serialize(graph: ArchGraph) -> str:
-    """Graph as canonical JSON text (stable key order, two-space indent)."""
-    return json.dumps(serialize_document(graph), indent=2) + "\n"
+    return json.dumps(doc, indent=2) + "\n"

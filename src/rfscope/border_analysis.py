@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph_ir import ArchGraph
+from .graph_ir import ArchGraph, Conv2d
 from .rf_analysis import RFAnnotation, propagate_dag
 from .shape_cost_model import CostReport, cost_report
 
@@ -48,7 +48,8 @@ def classify(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = Non
     Head layers (global pooling, dense, softmax) are exempt: they sit past
     the border by construction, so classifying them would be noise. On a
     sequential graph min and max receptive fields coincide and the two
-    border ordinals are equal.
+    border ordinals are equal. Ordinals number every Conv2d from 1 in
+    declaration order, 1x1 projections on skip branches included.
 
     Receptive fields do not depend on the input size, so the first call keeps
     each conv's `(ordinal, node_id, r_in_min, r_in_max)` on `graph`, read from
@@ -59,7 +60,8 @@ def classify(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = Non
     if table is None:
         if annotations is None:
             annotations = propagate_dag(graph)
-        table = tuple((ordinal, nid, *annotations[nid][3:5]) for nid, ordinal in graph.conv_ordinals.items())
+        convs = (nid for nid, node in zip(graph.order, graph.nodes) if type(node.kind) is Conv2d)  # `order` validates
+        table = tuple((ordinal, nid, *annotations[nid][3:5]) for ordinal, nid in enumerate(convs, start=1))
         graph.__dict__["_rf_table"] = table
     resolution = graph.input.resolution
     rows: list[ConvClassification] = []

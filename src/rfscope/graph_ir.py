@@ -234,6 +234,8 @@ class ArchGraph(_Record):
 
     Its ``__dict__`` holds only caches: those of the ``cached_property`` members
     and the per-conv receptive-field table of :func:`~rfscope.border_analysis.classify`.
+    Each cache is a function of the nodes, the edges and the input's channel
+    count, never of the input's size, and no cache is mutated once stored.
     """
 
     __slots__ = ("name", "input", "nodes", "edges", "__dict__")
@@ -264,29 +266,12 @@ class ArchGraph(_Record):
         return tuple(n.id for n in self.nodes)
 
     def with_input(self, spec: InputSpec) -> ArchGraph:
-        """This graph with another input. :func:`validate` reads the input only through its
-        channel count, so while that is kept, a check already made on this graph carries over,
-        and so does the receptive-field table, which needs a valid graph but not its input."""
+        """This graph with another input. While the channel count is kept, every cache carries over,
+        :func:`validate`'s check included, since none reads the input's size; otherwise none does."""
         graph = ArchGraph(self.name, spec, self.nodes, self.edges)
         if spec.channels == self.input.channels:
-            graph.__dict__.update((key, self.__dict__[key]) for key in ("order", "_rf_table") if key in self.__dict__)
+            graph.__dict__.update(self.__dict__)
         return graph
-
-    @property
-    def sink_id(self) -> str:
-        """The one sink, the last declared node: every node reaches it, and edges point forward."""
-        return self.order[-1]
-
-    @cached_property
-    def conv_ordinals(self) -> dict[str, int]:
-        """1-based ordinal of every Conv2d node, numbered in declaration order.
-
-        Border layers are reported as these ordinals, so they follow the order
-        in which the architecture lists its layers. Every Conv2d counts,
-        including 1x1 projection convolutions on skip branches.
-        """
-        convs = (nid for nid, node in zip(self.order, self.nodes) if type(node.kind) is Conv2d)
-        return {nid: i for i, nid in enumerate(convs, start=1)}
 
 
 def make_graph(

@@ -70,8 +70,12 @@ def _window_out(extent: int, window: int, stride: int, padding: int, node_id: st
     return out
 
 
-def _walk(graph: ArchGraph) -> CostReport:
-    """Every node's output shape, params and MACs, in one pass over the graph.
+def cost_report(graph: ArchGraph, shapes: dict[str, LayerCost] | None = None) -> CostReport:
+    """Per-layer and total trainable parameters and multiply-accumulates.
+
+    Every node's output shape, params and MACs come from one pass over the
+    graph. `shapes` is accepted and not read: a graph's shapes are a function
+    of the graph, so the walk derives them with the costs.
 
     Same padding means out = ceil(in / stride); valid and explicit padding
     follow the usual floor rule. Element-wise adds require identical input
@@ -159,12 +163,3 @@ def _attention_cost(variant: str, area: int, channels: int) -> tuple[int, int]:
         macs += (3 * channels + weights) * area
     return params, macs
 
-
-def cost_report(graph: ArchGraph, shapes: dict[str, LayerCost] | None = None) -> CostReport:
-    """Per-layer and total trainable parameters and multiply-accumulates.
-
-    Shapes and costs come from one walk over the graph. `shapes` is accepted
-    and not read: a graph's shapes are a function of the graph, so the walk
-    derives them with the costs.
-    """
-    return _walk(graph)

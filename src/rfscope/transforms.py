@@ -21,9 +21,9 @@ from .graph_ir import (
     GlobalAvgPool,
     GraphValidationError,
     LayerKind,
-    LayerNode,
     Pool,
     Softmax,
+    make_graph,
 )
 from .shape_cost_model import CostReport
 
@@ -87,8 +87,7 @@ def _rebuild(
     graph: ArchGraph, name: str, keep: list[str], edges: list[tuple[str, str]], kinds: dict[str, LayerKind]
 ) -> ArchGraph:
     """The graph of nodes `keep`, declared in that order, with `kinds` and `edges`."""
-    nodes = tuple(LayerNode(nid, kinds[nid], idx) for idx, nid in enumerate(keep))
-    rebuilt = ArchGraph(name=name, input=graph.input, nodes=nodes, edges=tuple(edges))
+    rebuilt = make_graph(name, graph.input, [(nid, kinds[nid]) for nid in keep], edges)
     try:
         rebuilt.order  # the rebuilt graph's one validation, cached for the analyses that follow
     except GraphValidationError as exc:
@@ -110,7 +109,7 @@ def _fresh_id(base: str, taken: set[str]) -> str:
 def _old_head_chain(graph: ArchGraph) -> list[str]:
     """Trailing classifier chain: walk back from the sink over head kinds."""
     chain: list[str] = []
-    nid = graph.sink_id
+    nid = graph.order[-1]  # the one sink, the last declared node
     while isinstance(graph.node_map[nid].kind, HEAD_KINDS):
         chain.append(nid)
         nid = graph.predecessors[nid][0]  # head kinds are unary
@@ -197,16 +196,6 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
     return after, TransformDelta("truncate", border, cost, after_border, after_cost, tuple(sorted(removed)), ())
 
 
-def downsampling_layers(graph: ArchGraph) -> list[str]:
-    """Stride-carrying layers (convs and pools with stride > 1) in topological order."""
-    out = []
-    for nid in graph.order:
-        kind = graph.node_map[nid].kind
-        if isinstance(kind, (Conv2d, Pool)) and kind.stride > 1:
-            out.append(nid)
-    return out
-
-
 def _refuse_split_merge(graph: ArchGraph, chosen: list[str], kept: list[str]) -> None:
     """Refuse to neutralize a strided layer while a parallel one into the same merge keeps its stride.
 
@@ -254,7 +243,10 @@ def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, T
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    targets = downsampling_layers(graph)
+    targets = [  # the stride-carrying layers in topological order; `order` validates first
+        nid for nid, node in zip(graph.order, graph.nodes)
+        if isinstance(node.kind, (Conv2d, Pool)) and node.kind.stride > 1
+    ]
     if len(targets) < count:
         raise TransformError(
             f"graph has only {len(targets)} downsampling layers, cannot neutralize {count}"

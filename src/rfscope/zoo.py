@@ -157,11 +157,11 @@ def build_named(name: str, input_spec: InputSpec | None = None, num_classes: int
     if dilation < 1:
         raise ValueError(f"dilation must be >= 1, got {dilation}")
     if dilation != 1 and not family.startswith("vgg"):
-        raise ValueError("dilation is a vgg-only option")
+        raise ValueError("-dilN is a vgg-only option")
     if not skips and not family.startswith("resnet"):
-        raise ValueError("skips_enabled=False is a resnet-only option")
+        raise ValueError("-noskip is a resnet-only option")
     if not stem and not family.startswith("resnet"):
-        raise ValueError("stem_downsampling=False is a resnet-only option")
+        raise ValueError("-nostem is a resnet-only option")
 
     canonical = family + (f"-dil{dilation}" if dilation != 1 else "")
     canonical += ("" if skips else "-noskip") + ("" if stem else "-nostem")

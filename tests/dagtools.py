@@ -309,7 +309,8 @@ def classify_by_two_scans(graph: ArchGraph, annotations: dict[str, RFAnnotation]
         annotations = propagate_dag(graph)
     resolution = graph.input.resolution
     rows = []
-    for node_id, ordinal in graph.conv_ordinals.items():
+    convs = [n.id for n in graph.nodes if type(n.kind) is Conv2d]  # numbered from 1 in declaration order
+    for ordinal, node_id in enumerate(convs, start=1):
         ann = annotations[node_id]
         label = UNPRODUCTIVE if ann.r_in_min > resolution else PRODUCTIVE
         rows.append(ConvClassification(ordinal, node_id, ann.r_in_min, ann.r_in_max, label))

@@ -314,6 +314,14 @@ MUTANTS = (
         "for p in kept if p in ancestors",
         (f"{STEM}test_split_check_matches_the_set_walk",),
     ),
+    # A new head layer's id steps past the ids of the kept nodes.
+    Mutant(
+        "fresh-id-ignores-taken",
+        "rfscope/transforms.py",
+        "    if base not in taken:\n        return base\n",
+        "    return base\n",
+        (f"{TRANSFORMS}TestTruncateAtBorder::test_head_ids_step_past_kept_ones",),
+    ),
     # A zoo graph is named by its canonical shorthand, options in one fixed order.
     Mutant(
         "canonical-name-drops-nostem",

@@ -150,7 +150,7 @@ def test_property_monotone_r_and_stride_product_j():
     violations = 0
     for seed in range(40):
         graph = random_graph(seed)
-        for path in enumerate_paths(graph, graph.sink_id):
+        for path in enumerate_paths(graph, graph.order[-1]):
             stride_product, prev_r = 1, 1
             for nid, state in zip(path, fold_along(graph, path)):
                 kind = graph.node_map[nid].kind

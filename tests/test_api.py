@@ -3,7 +3,9 @@
 Names load on first access, so each check runs in a fresh interpreter, where
 no earlier test has resolved them.
 """
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +62,8 @@ def test_all_lists_exactly_the_public_names():
 # `ShapeInfo` left when `propagate_shapes` began to return the cost walk's `LayerCost` rows.
 # `ZooSpec`, `build` and `parse_zoo_name` left for `build_named`, the one way to build a zoo
 # model; `chain_graph` and `effective_kernel` left for tests/dagtools.py, as only tests read them.
+# `parse_document` and `serialize_document` left for `parse(json.dumps(doc))` and
+# `json.loads(serialize(g))`, as only tests read them.
 PUBLIC_NAMES = """
     __version__ ArchGraph InputSpec LayerKind LayerNode Violation Conv2d Pool GlobalAvgPool Dense Add
     Concat BatchNorm Activation Attention Input Softmax GraphValidationError validate topological_order
@@ -67,13 +71,27 @@ PUBLIC_NAMES = """
     BorderReport ConvClassification classify unproductive_closure PRODUCTIVE UNPRODUCTIVE Analysis analyze
     LayerCost CostReport ShapeError propagate_shapes cost_report TransformDelta ComparisonReport
     TransformError truncate_at_border remove_stem_downsampling compare FAMILIES build_named
-    parse parse_document serialize serialize_document DocumentError DocumentSemanticError
+    parse serialize DocumentError DocumentSemanticError
 """.split()
-GONE = ("layer_rf_transfer", "ShapeInfo", "ZooSpec", "build", "parse_zoo_name", "chain_graph", "effective_kernel")
+GONE = (
+    "layer_rf_transfer", "ShapeInfo", "ZooSpec", "build", "parse_zoo_name", "chain_graph", "effective_kernel",
+    "parse_document", "serialize_document",
+)
 
 
 def test_all_is_the_pinned_list():
     assert rfscope.__all__ == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 50
     for name in GONE:
         assert not hasattr(rfscope, name), name
+
+
+def test_the_benchmark_imports_only_public_names():
+    """Each name `perfbench/` imports `from rfscope` is public, so deleting one it reads fails here."""
+    imported = {}
+    for path in sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "rfscope" and not node.level:
+                imported.update((alias.name, path.name) for alias in node.names)
+    assert "build_named" in imported  # the walk finds the benchmark's imports
+    assert {name: where for name, where in imported.items() if name not in rfscope.__all__} == {}

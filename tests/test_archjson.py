@@ -23,9 +23,7 @@ from rfscope import (
     build_named,
     make_graph,
     parse,
-    parse_document,
     serialize,
-    serialize_document,
     validate,
 )
 from rfscope.archjson import _KIND_TAGS, _parse_layer
@@ -100,6 +98,7 @@ def test_accepts_bytes_and_str():
 
 def test_defaults_fill_optional_conv_fields():
     g = parse(json.dumps(minimal_doc()))
+    assert g.name == "tiny"
     assert g.node_map["c1"].kind == Conv2d(kernel=3, filters=4, stride=1, dilation=1, padding="same", bias=True)
 
 
@@ -152,7 +151,7 @@ def test_key_errors_name_the_path_and_the_key(edit, path, message):
     doc = minimal_doc()
     edit(doc)
     with pytest.raises(DocumentError) as err:
-        parse_document(doc)
+        parse(json.dumps(doc))
     assert type(err.value) is DocumentError
     assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
 
@@ -233,7 +232,7 @@ def test_only_square_fields_mention_squareness(edit, message):
     doc = minimal_doc()
     edit(doc)
     with pytest.raises(DocumentError) as err:
-        parse_document(doc)
+        parse(json.dumps(doc))
     assert str(err.value) == message
 
 
@@ -283,7 +282,7 @@ def test_bad_input_spec():
 @pytest.mark.parametrize("tag", sorted(NON_DEFAULT_KINDS))
 def test_serialize_document_lists_every_field(tag):
     kind = NON_DEFAULT_KINDS[tag]
-    (layer,) = serialize_document(make_graph("one", InputSpec(8, 8, 3), [("x", kind)], []))["layers"]
+    (layer,) = json.loads(serialize(make_graph("one", InputSpec(8, 8, 3), [("x", kind)], [])))["layers"]
     assert list(layer) == ["id", "kind"] + list(kind._fields)
     assert layer == {"id": "x", "kind": tag, **{name: getattr(kind, name) for name in kind._fields}}
     assert _parse_layer(0, layer) == ("x", kind)
@@ -312,7 +311,3 @@ def test_validate_accepts_exactly_the_fields_parse_accepts(tag, field):
             disagreements.append(value)
         assert parsed is None or parsed == graph
     assert disagreements == []
-
-
-def test_parse_document_on_decoded_object():
-    assert parse_document(minimal_doc()).name == "tiny"

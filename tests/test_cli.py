@@ -24,7 +24,6 @@ from rfscope import (
     make_graph,
     parse,
     serialize,
-    serialize_document,
     validate,
 )
 from rfscope.cli import EXIT_FILE, EXIT_INVALID, EXIT_NOOP, EXIT_OK, EXIT_USAGE, main
@@ -311,6 +310,13 @@ def _vgg11_file(tmp_path):
     return str(path)
 
 
+# The exact usage text of each malformed `--pass`; the argv fuzz checks only exit codes.
+PASS_USAGE = {
+    "remove-stem-downsampling:0": "downsampling count must be >= 1, got 0",
+    "remove-stem-downsampling:x": "bad downsampling count 'x' in --pass 'remove-stem-downsampling:x'",
+}
+
+
 @pytest.mark.parametrize(
     "argv,expected",
     [
@@ -325,11 +331,13 @@ def _vgg11_file(tmp_path):
         (["zoo", "emit", "vgg11", "--out", ""], EXIT_FILE),
         (["analyze", "zoo:vgg11", "--classes", str(10**400)], EXIT_INVALID),
         (["compare", "FILE", "zoo:vgg11", "--input-size", str(10**200), str(10**200)], EXIT_INVALID),
+        (["optimize", "zoo:vgg11", "--pass", "remove-stem-downsampling:0"], EXIT_USAGE),
+        (["optimize", "zoo:vgg11", "--pass", "remove-stem-downsampling:x"], EXIT_USAGE),
     ],
     ids=[
         "input-size-zoo", "input-size-file", "zoo-emit-input-size", "classes-file", "emit-missing-dir",
         "emit-nul-path", "emit-empty-path", "zoo-emit-nul-path", "zoo-emit-empty-path", "classes-overflow",
-        "input-size-overflow",
+        "input-size-overflow", "pass-count-zero", "pass-count-not-a-number",
     ],
 )
 def test_bad_request_fails_cleanly_with_empty_stdout(tmp_path, capsys, argv, expected):
@@ -343,6 +351,8 @@ def test_bad_request_fails_cleanly_with_empty_stdout(tmp_path, capsys, argv, exp
     assert "Traceback" not in err
     assert err
     assert out == ""
+    if argv[-1] in PASS_USAGE:
+        assert err == f"rfscope: error: {PASS_USAGE[argv[-1]]}\n"
 
 
 def test_kind_array_is_invalid_not_a_crash(tmp_path, capsys):
@@ -362,7 +372,7 @@ FIELDED_KINDS = {type(kind): kind for kind in (Conv2d(3, 4), Pool("max", 2, 2), 
 @pytest.mark.parametrize("cls,field", [(cls, field) for cls in get_args(LayerKind) for field in cls._checks])
 def test_wrongly_typed_field_is_a_layer_fields_violation(tmp_path, capsys, cls, field):
     graph = make_graph("x", InputSpec(8, 8, 3), [("input", Input()), ("x", FIELDED_KINDS[cls])], [("input", "x")])
-    doc = serialize_document(graph)
+    doc = json.loads(serialize(graph))
     path = tmp_path / "bad.json"
     _, message = cls._checks[field]
     for value in ([3], {"kernel": 3}, 1.5, True, None):
@@ -497,7 +507,7 @@ def test_any_argv_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, he
 # Document fuzzing: zoo documents with values retyped, keys and elements
 # dropped, or keys repeated, at random paths, run through every command that
 # reads a file.
-_FUZZ_DOCS = {name: serialize_document(build_named(name)) for name in ("vgg11", "resnet18-nostem", "mpnet18")}
+_FUZZ_DOCS = {name: json.loads(serialize(build_named(name))) for name in ("vgg11", "resnet18-nostem", "mpnet18")}
 _DROP = object()
 _VALUES = [None, True, False, 0, -1, 1.5, float("nan"), 1e308, 2**63, 10**400, "", "x", "conv2d", "same", [], {}, _DROP]
 

@@ -256,7 +256,7 @@ class TestGraphEnds:
         succs = successors(g)
         sinks = [n.id for n in g.nodes if not succs[n.id]]
         assert [g.order[0]] == inputs
-        assert [g.sink_id] == sinks
+        assert [g.order[-1]] == sinks
 
     @pytest.mark.parametrize("name", ZOO_VARIANTS)
     def test_zoo(self, name):
@@ -269,23 +269,28 @@ class TestGraphEnds:
     def test_invalid_graph_has_no_sink(self):
         g = chain_graph("bad", IN8, [("c1", Conv2d(kernel=3, filters=4)), ("add", Add())])
         with pytest.raises(GraphValidationError):
-            g.sink_id
+            g.order[-1]
 
 
 class TestConvIndex:
+    """Border ordinals, read from the rows of `classify`."""
+
+    @staticmethod
+    def ordinals(g):
+        return {c.node_id: c.ordinal for c in classify(g).per_conv}
+
     def test_vgg16_has_13_convs_in_order(self):
-        ordinals = build_named("vgg16").conv_ordinals
+        ordinals = self.ordinals(build_named("vgg16"))
         assert len(ordinals) == 13
         assert ordinals["conv1"] == 1 and ordinals["conv13"] == 13
         assert sorted(ordinals.values()) == list(range(1, 14))
 
     def test_conv_free_graph_is_empty(self):
         g = chain_graph("headonly", IN8, [("gap", GlobalAvgPool()), ("fc", Dense(units=2)), ("sm", Softmax())])
-        assert g.conv_ordinals == {}
+        assert self.ordinals(g) == {}
 
     def test_mpnet18_interleaves_paths_per_module(self):
-        g = build_named("mpnet18")
-        ordinals = g.conv_ordinals
+        ordinals = self.ordinals(build_named("mpnet18"))
         assert len(ordinals) == 16
         for stage in range(1, 5):
             for module in range(1, 3):
@@ -295,7 +300,7 @@ class TestConvIndex:
 
     def test_dense_and_respects_topological_order(self):
         g = build_named("resnet34")
-        ordinals = g.conv_ordinals
+        ordinals = self.ordinals(g)
         order = {nid: i for i, nid in enumerate(topological_order(g))}
         ranked = sorted(ordinals, key=lambda nid: ordinals[nid])
         assert sorted(ordinals.values()) == list(range(1, len(ordinals) + 1))
@@ -370,9 +375,9 @@ class TestCachedOrder:
         unchecked = make_graph("skip", IN8, layers, [("input", "c")])
         assert unchecked.with_input(InputSpec(9, 9, 3)).input == InputSpec(9, 9, 3)
         assert calls == ["skip"]
-        # The receptive-field table goes by the same rule: it is kept only while the check is.
+        # Every cache goes by the same rule, the receptive-field table included: all are kept while the check is.
         classify(g)
-        assert g.with_input(InputSpec(2, 2, 3)).__dict__.keys() == {"order", "_rf_table"}
+        assert g.with_input(InputSpec(2, 2, 3)).__dict__ == g.__dict__
         assert classify(g.with_input(InputSpec(2, 2, 3))).per_conv == classify(g).per_conv
         assert calls == ["skip"]
         with pytest.raises(GraphValidationError, match="merge_channels"):

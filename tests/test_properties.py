@@ -135,7 +135,7 @@ def test_dag_matches_oracle(seed):
 @pytest.mark.parametrize("seed", PATH_SEEDS)
 def test_r_monotone_and_j_is_stride_product_along_paths(seed):
     graph = random_graph(seed)
-    sink = graph.sink_id
+    sink = graph.order[-1]
     for path in enumerate_paths(graph, sink):
         states = fold_along(graph, path)
         stride_product = 1

@@ -187,7 +187,7 @@ def residual_block_graph():
 def with_tail(graph, kind):
     """`graph` with `kind` appended after its sink as node "x"."""
     layers = [(n.id, n.kind) for n in graph.nodes] + [("x", kind)]
-    return make_graph(graph.name, graph.input, layers, [*graph.edges, (graph.sink_id, "x")])
+    return make_graph(graph.name, graph.input, layers, [*graph.edges, (graph.order[-1], "x")])
 
 
 def three_way_merge():

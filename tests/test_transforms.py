@@ -40,7 +40,6 @@ from rfscope import (
 )
 from rfscope import rf_analysis, transforms
 from rfscope.cli import main
-from rfscope.transforms import downsampling_layers
 
 IN32 = InputSpec(32, 32, 3)
 
@@ -92,7 +91,7 @@ class TestTruncateAtBorder:
         # Fresh head hangs off the last productive trunk node.
         assert isinstance(after.node_map["head_gap"].kind, GlobalAvgPool)
         assert after.node_map["head_fc"].kind == Dense(units=10, bias=True)
-        assert isinstance(after.node_map[after.sink_id].kind, Softmax)
+        assert isinstance(after.node_map[after.order[-1]].kind, Softmax)
         assert after.predecessors["head_gap"] == ("pool3",)
         # conv7 carries 256 filters, so the new dense layer sees 256 features.
         fc_cost = next(c for c in delta.after_cost.per_layer if c.node_id == "head_fc")
@@ -176,6 +175,16 @@ class TestTruncateAtBorder:
         after, delta = truncate_at_border(g, num_classes=2)
         assert set(delta.removed_node_ids) == {"c2"}
         assert after.predecessors["head_gap"] == ("c1",)
+
+    def test_head_ids_step_past_kept_ones(self):
+        # A kept node named like a head layer pushes the new head's id to the first free numbered one.
+        def truncated_ids(first, second):
+            convs = [(nid, Conv2d(kernel=3, filters=4)) for nid in (first, second, "c3")]
+            g = chain_graph("taken", InputSpec(4, 4, 3), convs + [("gap", GlobalAvgPool()), ("fc", Dense(units=10))])
+            return [n.id for n in truncate_at_border(g, num_classes=10)[0].nodes]
+
+        assert truncated_ids("head_gap", "c2") == ["input", "head_gap", "c2", "head_gap2", "head_fc", "head_softmax"]
+        assert truncated_ids("head_gap", "head_gap2")[3:] == ["head_gap3", "head_fc", "head_softmax"]
 
 
 class TestRemoveStemDownsampling:
@@ -268,7 +277,7 @@ class TestRemoveStemDownsampling:
         refusals = 0
         for seed in range(400):
             g = random_graph(seed, max_layer_nodes=30)
-            targets = downsampling_layers(g)
+            targets = [n.id for n in g.nodes if isinstance(n.kind, (Conv2d, Pool)) and n.kind.stride > 1]
             for count in range(1, len(targets) + 1):
                 expected = split_merge_by_sets(g, targets[:count], targets[count:])
                 try:
@@ -342,7 +351,7 @@ class TestCompare:
 
 
 # The walks an analysis is assembled from: the check, the RF pass, the border rule, the shape and cost walk.
-WALKS = ("validate", "propagate_dag", "classify", "_walk")
+WALKS = ("validate", "propagate_dag", "classify", "cost_report")
 
 
 def walk_counts(run):
@@ -404,7 +413,7 @@ class TestOneAnalysis:
     def test_a_graph_walks_its_receptive_fields_once(self):
         g = build_named("resnet34")
         counts = walk_counts(lambda: (classify(g), classify(g)))
-        assert counts == {"validate": 1, "propagate_dag": 1, "classify": 2, "_walk": 0}
+        assert counts == {"validate": 1, "propagate_dag": 1, "classify": 2, "cost_report": 0}
 
     def test_with_input_siblings_share_one_check_and_one_rf_walk(self):
         def sweep(graph):
@@ -413,7 +422,7 @@ class TestOneAnalysis:
                 classify(graph)
 
         counts = walk_counts(lambda: sweep(build_named("mpnet36")))
-        assert counts == {"validate": 1, "propagate_dag": 1, "classify": len(SWEEP_SIZES), "_walk": 0}
+        assert counts == {"validate": 1, "propagate_dag": 1, "classify": len(SWEEP_SIZES), "cost_report": 0}
 
     def test_frontier_error_precedes_shape_error(self, monkeypatch):
         both = diamond("both", pad7=False)

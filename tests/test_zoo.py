@@ -53,7 +53,7 @@ def test_builders_validate(name):
     ],
 )
 def test_conv_counts(name, n_convs):
-    assert len(build_named(name).conv_ordinals) == n_convs
+    assert sum(type(n.kind) is Conv2d for n in build_named(name).nodes) == n_convs
 
 
 def test_vgg16_has_five_pools_and_single_dense_head():
@@ -61,7 +61,7 @@ def test_vgg16_has_five_pools_and_single_dense_head():
     kinds = [type(n.kind) for n in g.nodes]
     assert kinds.count(Pool) == 5
     assert kinds.count(Dense) == 1
-    assert isinstance(g.node_map[g.sink_id].kind, Softmax)
+    assert isinstance(g.node_map[g.order[-1]].kind, Softmax)
     assert isinstance(g.node_map["gap"].kind, GlobalAvgPool)
 
 
@@ -148,10 +148,10 @@ def test_mpnet36_wide_path_is_two_convs_deep():
 
 def test_zoo_name_parsing():
     dilated = build_named("vgg19-dil3")  # vgg19, dilation 3, every other option at its default
-    assert dilated.name == "vgg19-dil3" and len(dilated.conv_ordinals) == 16
+    assert dilated.name == "vgg19-dil3" and len(classify(dilated).per_conv) == 16
     assert {n.kind.dilation for n in dilated.nodes if isinstance(n.kind, Conv2d)} == {3}
     plain = build_named("resnet18-noskip-nostem")  # resnet18 without skips and without stem downsampling
-    assert plain.name == "resnet18-noskip-nostem" and len(plain.conv_ordinals) == 17
+    assert plain.name == "resnet18-noskip-nostem" and len(classify(plain).per_conv) == 17
     assert not any(isinstance(n.kind, Add) for n in plain.nodes)
     assert plain.node_map["stem_conv"].kind.stride == 1 and "stem_pool" not in plain.node_map
     with pytest.raises(ValueError):
@@ -190,9 +190,9 @@ def test_build_named_canonical_names_and_error_order():
         ),
         ("mpnet18-dil0-noskip-nostem", 1, "num_classes must be >= 2, got 1"),
         ("mpnet18-dil0-noskip-nostem", 2, "dilation must be >= 1, got 0"),
-        ("mpnet18-dil2-noskip-nostem", 10, "dilation is a vgg-only option"),
-        ("vgg11-noskip-nostem", 10, "skips_enabled=False is a resnet-only option"),
-        ("vgg11-nostem", 10, "stem_downsampling=False is a resnet-only option"),
+        ("mpnet18-dil2-noskip-nostem", 10, "-dilN is a vgg-only option"),
+        ("vgg11-noskip-nostem", 10, "-noskip is a resnet-only option"),
+        ("vgg11-nostem", 10, "-nostem is a resnet-only option"),
     ]:
         with pytest.raises(ValueError) as caught:
             build_named(name, num_classes=num_classes)
