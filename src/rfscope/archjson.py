@@ -12,28 +12,11 @@ explicitly so that parse(serialize(g)) reproduces g exactly.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Container
 from typing import Any
 
-from .graph_ir import (
-    ArchGraph,
-    Activation,
-    Add,
-    Attention,
-    BatchNorm,
-    Concat,
-    Conv2d,
-    Dense,
-    GlobalAvgPool,
-    GraphValidationError,
-    Input,
-    InputSpec,
-    LayerKind,
-    Pool,
-    Softmax,
-    Violation,
-    make_graph,
-)
+from .graph_ir import LAYER_KINDS, ArchGraph, GraphValidationError, InputSpec, LayerKind, Violation, make_graph
 
 
 class DocumentError(ValueError):
@@ -53,19 +36,8 @@ class DocumentSemanticError(DocumentError):
         super().__init__("", f"graph validation failed: {detail}")
 
 
-_KIND_TAGS: dict[str, type] = {
-    "input": Input,
-    "conv2d": Conv2d,
-    "pool": Pool,
-    "global_avg_pool": GlobalAvgPool,
-    "dense": Dense,
-    "add": Add,
-    "concat": Concat,
-    "batch_norm": BatchNorm,
-    "activation": Activation,
-    "attention": Attention,
-    "softmax": Softmax,
-}
+# A kind's tag is its class name in snake case: Conv2d is "conv2d", GlobalAvgPool "global_avg_pool".
+_KIND_TAGS: dict[str, type] = {re.sub(r"(?<=[a-z0-9])(?=[A-Z])", "_", cls.__name__).lower(): cls for cls in LAYER_KINDS}
 _TAG_BY_TYPE = {cls: tag for tag, cls in _KIND_TAGS.items()}
 # Per tag: the kind, the keys a layer of it may hold, the fields without a default (the defaulted
 # fields come last) and the noun its key errors use.

@@ -50,16 +50,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rfscope {rfscope.__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_arch_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("arch", help="architecture JSON file or zoo:NAME shorthand")
+    def add_size_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input-size", nargs=2, type=int, metavar=("H", "W"), help="override input height and width")
         p.add_argument("--classes", type=int, default=10, help="class count for zoo heads (default 10)")
 
+    def add_arch_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument("arch", help="architecture JSON file or zoo:NAME shorthand")
+        add_size_args(p)
+
     p = sub.add_parser("analyze", help="receptive-field, border, and cost report")
+    p.set_defaults(run=_cmd_analyze)
     add_arch_args(p)
     p.add_argument("--format", choices=FORMATS, default="text")
 
     p = sub.add_parser("optimize", help="apply a rewrite pass and report the delta")
+    p.set_defaults(run=_cmd_optimize)
     add_arch_args(p)
     p.add_argument("--pass", dest="pass_spec", required=True, metavar="PASS",
                    help="truncate | remove-stem-downsampling[:N]")
@@ -67,23 +72,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("compare", help="side-by-side analysis of two architectures")
+    p.set_defaults(run=_cmd_compare)
     p.add_argument("arch_a")
     p.add_argument("arch_b")
-    p.add_argument("--input-size", nargs=2, type=int, metavar=("H", "W"))
-    p.add_argument("--classes", type=int, default=10)
+    add_size_args(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("validate", help="check a document; exit 0 if the graph is valid")
+    p.set_defaults(run=_cmd_validate)
     add_arch_args(p)
 
     p = sub.add_parser("zoo", help="built-in architectures")
     zoo_sub = p.add_subparsers(dest="zoo_command", required=True, parser_class=_Parser)
-    zoo_sub.add_parser("list", help="list builder names")
+    zoo_sub.add_parser("list", help="list builder names").set_defaults(run=_cmd_zoo_list)
     p = zoo_sub.add_parser("emit", help="write a zoo model as an architecture document")
+    p.set_defaults(run=_cmd_zoo_emit)
     p.add_argument("name")
     p.add_argument("--out", metavar="FILE", help="output path (stdout when omitted)")
-    p.add_argument("--input-size", nargs=2, type=int, metavar=("H", "W"))
-    p.add_argument("--classes", type=int, default=10)
+    add_size_args(p)
     return parser
 
 
@@ -92,16 +98,6 @@ def _input_spec(input_size: Sequence[int], channels: int) -> InputSpec:
         return InputSpec(input_size[0], input_size[1], channels)
     except ValueError as exc:
         raise UsageError(f"--input-size: {exc}") from None
-
-
-def _build_zoo(name: str, input_size: Sequence[int] | None, classes: int) -> ArchGraph:
-    from .zoo import build_named
-
-    spec = None if input_size is None else _input_spec(input_size, 3)
-    try:
-        return build_named(name, input_spec=spec, num_classes=classes)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _open(path: str, mode: str) -> IO[Any]:
@@ -113,7 +109,13 @@ def _open(path: str, mode: str) -> IO[Any]:
 
 def _load_graph(ref: str, input_size: Sequence[int] | None, classes: int) -> ArchGraph:
     if ref.startswith("zoo:"):
-        return _build_zoo(ref[len("zoo:"):], input_size, classes)
+        from .zoo import build_named
+
+        spec = None if input_size is None else _input_spec(input_size, 3)
+        try:
+            return build_named(ref[len("zoo:"):], input_spec=spec, num_classes=classes)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     from .archjson import parse
 
     with _open(ref, "rb") as handle:
@@ -147,6 +149,10 @@ def _write_report(payload: dict[str, Any], fmt: str, render: Callable[[dict[str,
         _write_stdout(json.dumps(payload, indent=2) + "\n")
     else:
         _write_stdout(render(payload))
+
+
+def _conv(ordinal: int | None) -> str:
+    return f"conv{ordinal}" if ordinal else "none"
 
 
 def _num(value: int | float) -> int | str:
@@ -207,27 +213,17 @@ def _render_analysis_text(payload: dict[str, Any]) -> str:
     out.write(
         f"input: {spec['height']}x{spec['width']}x{spec['channels']} (resolution {payload['resolution']})\n"
     )
-    bmin = payload["border_min"]
-    bmax = payload["border_max"]
-    out.write(f"border_min: {'conv%d' % bmin if bmin else 'none'}")
-    out.write(f"  border_max: {'conv%d' % bmax if bmax else 'none'}\n")
+    out.write(f"border_min: {_conv(payload['border_min'])}  border_max: {_conv(payload['border_max'])}\n")
     totals = payload["totals"]
     out.write(
         f"totals: params={totals['params']} macs={totals['macs']} "
         f"flops={totals['flops']} gflops_mac1={totals['gflops_mac1']:.6f}\n\n"
     )
     id_width = max([len("id")] + [len(r["id"]) for r in payload["per_conv"]])
-    header = (
-        f"{'conv':>6} {'id':<{id_width}} {'r_in_min':>9} {'r_in_max':>9} "
-        f"{'j_min':>9} {'j_max':>9} {'params':>12} {'macs':>14} class\n"
-    )
-    out.write(header)
+    line = "{:>6} {:<{w}} {:>9} {:>9} {:>9} {:>9} {:>12} {:>14} {}\n"  # one cell per _TABLE_COLUMNS
+    out.write(line.format("conv", "id", "r_in_min", "r_in_max", "j_min", "j_max", "params", "macs", "class", w=id_width))
     for r in payload["per_conv"]:
-        out.write(
-            f"{r['ordinal']:>6} {r['id']:<{id_width}} {str(r['r_in_min']):>9} {str(r['r_in_max']):>9} "
-            f"{str(r['j_min']):>9} {str(r['j_max']):>9} {r['params']:>12} {r['macs']:>14} "
-            f"{r['classification']}\n"
-        )
+        out.write(line.format(*[r[c] for c in _TABLE_COLUMNS], w=id_width))
     return out.getvalue()
 
 
@@ -235,10 +231,9 @@ def _render_analysis_csv(payload: dict[str, Any]) -> str:
     import csv
 
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_TABLE_COLUMNS)
-    for r in payload["per_conv"]:
-        writer.writerow([r[c] for c in _TABLE_COLUMNS])
+    writer = csv.DictWriter(out, _TABLE_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(payload["per_conv"])
     return out.getvalue()
 
 
@@ -278,9 +273,8 @@ def _render_delta_text(payload: dict[str, Any]) -> str:
     for side in ("before", "after"):
         b = payload[side]["border"]
         c = payload[side]["cost"]
-        bmin = b["border_min"]
         out.write(
-            f"{side:>6}: border_min={'conv%d' % bmin if bmin else 'none'} "
+            f"{side:>6}: border_min={_conv(b['border_min'])} "
             f"unproductive_convs={b['unproductive_convs']} params={c['params']} "
             f"macs={c['macs']} gflops_mac1={c['gflops_mac1']:.6f}\n"
         )
@@ -317,9 +311,8 @@ def _render_compare_text(payload: dict[str, Any]) -> str:
     out = io.StringIO()
     for side in ("a", "b"):
         s = payload[side]
-        bmin = s["border"]["border_min"]
         out.write(
-            f"{s['name']}: border_min={'conv%d' % bmin if bmin else 'none'} "
+            f"{s['name']}: border_min={_conv(s['border']['border_min'])} "
             f"params={s['cost']['params']} macs={s['cost']['macs']}\n"
         )
     d = payload["deltas"]
@@ -404,32 +397,25 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_zoo(args: argparse.Namespace) -> int:
-    if args.zoo_command == "list":
-        from .zoo import FAMILIES
+def _cmd_zoo_list(args: argparse.Namespace) -> int:
+    from .zoo import FAMILIES
 
-        for name in FAMILIES:
-            _write_stdout(name + "\n")
-        _write_stdout("# options: NAME-dilN (vgg), NAME-noskip, NAME-nostem (resnet)\n")
-        return EXIT_OK
+    for name in FAMILIES:
+        _write_stdout(name + "\n")
+    _write_stdout("# options: NAME-dilN (vgg), NAME-noskip, NAME-nostem (resnet)\n")
+    return EXIT_OK
+
+
+def _cmd_zoo_emit(args: argparse.Namespace) -> int:
     from .archjson import serialize
 
-    text = serialize(_build_zoo(args.name, args.input_size, args.classes))
+    text = serialize(_load_graph(f"zoo:{args.name}", args.input_size, args.classes))
     if args.out is not None:
         with _open(args.out, "w") as handle:
             handle.write(text)
     else:
         _write_stdout(text)
     return EXIT_OK
-
-
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "optimize": _cmd_optimize,
-    "compare": _cmd_compare,
-    "validate": _cmd_validate,
-    "zoo": _cmd_zoo,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -439,7 +425,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         _write_stderr(f"rfscope: error: {exc}\n")
         return EXIT_USAGE

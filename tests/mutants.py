@@ -278,6 +278,14 @@ MUTANTS = (
         "cls._fields[1 : len(cls._fields)",
         (f"{ARCHJSON}test_missing_required_key_names_the_layer",),
     ),
+    # A top-level value of the wrong type is a document error at its path.
+    Mutant(
+        "layers-object-accepted",
+        "rfscope/archjson.py",
+        'if not isinstance(doc["layers"], list):',
+        "if False:",
+        (f"{ARCHJSON}test_key_errors_name_the_path_and_the_key[layers-type]",),
+    ),
     # A compiled constructor takes its trailing fields' defaults from `_defaults`.
     Mutant(
         "compiled-init-drops-defaults",
@@ -313,6 +321,14 @@ MUTANTS = (
         "for p in kept if p in ancestors and not chosen_up[p] >> i & 1",
         "for p in kept if p in ancestors",
         (f"{STEM}test_split_check_matches_the_set_walk",),
+    ),
+    # A rewrite whose graph fails validation is refused as a TransformError.
+    Mutant(
+        "rebuild-lets-validation-errors-through",
+        "rfscope/transforms.py",
+        "    except GraphValidationError as exc:\n        raise TransformError(",
+        "    except TransformError as exc:\n        raise TransformError(",
+        (f"{STEM}test_rewrite_that_fails_validation_is_refused",),
     ),
     # A new head layer's id steps past the ids of the kept nodes.
     Mutant(

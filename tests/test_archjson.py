@@ -134,7 +134,8 @@ def test_missing_required_key_names_the_layer():
     assert "layers[1]" in str(err.value) and "c1" in str(err.value) and "kernel" in str(err.value)
 
 
-# Every unknown-key and missing-key error, at the top level, in the input and in a layer.
+# Every unknown-key and missing-key error, at the top level, in the input and in a layer, and
+# every error in the type of a top-level value. An edit that returns bytes replaces the document.
 @pytest.mark.parametrize(
     "edit, path, message",
     [
@@ -144,14 +145,26 @@ def test_missing_required_key_names_the_layer():
         (lambda doc: doc["input"].pop("channels"), "$.input.channels", "missing required key"),
         (lambda doc: doc["layers"][1].update(stride_h=2), "layers[1] (id 'c1').stride_h", "unknown key for kind 'conv2d'"),
         (lambda doc: doc["layers"][1].pop("filters"), "layers[1] (id 'c1').filters", "missing required key for kind 'conv2d'"),
+        (
+            lambda doc: b"\xff",
+            "$",
+            "document is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
+        (lambda doc: doc.update(name=1), "$.name", "expected a string, got 1"),
+        (lambda doc: doc.update(input=[]), "$.input", "expected an object with height, width, channels"),
+        (lambda doc: doc.update(layers={}), "$.layers", "expected an array of layer objects"),
+        (lambda doc: doc.update(edges={}), "$.edges", "expected an array of [source, target] pairs"),
     ],
-    ids=["top-unknown", "top-missing", "input-unknown", "input-missing", "layer-unknown", "layer-missing"],
+    ids=[
+        "top-unknown", "top-missing", "input-unknown", "input-missing", "layer-unknown", "layer-missing",
+        "not-utf8", "name-type", "input-type", "layers-type", "edges-type",
+    ],
 )
 def test_key_errors_name_the_path_and_the_key(edit, path, message):
     doc = minimal_doc()
-    edit(doc)
+    data = edit(doc)
     with pytest.raises(DocumentError) as err:
-        parse(json.dumps(doc))
+        parse(data if isinstance(data, bytes) else json.dumps(doc))
     assert type(err.value) is DocumentError
     assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
 

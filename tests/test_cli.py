@@ -298,6 +298,15 @@ def test_shape_failure_maps_to_validation_exit(capsys):
     assert "window" in err
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["optimize"], ["compare"], ["validate"], ["zoo", "emit"]], ids="-".join)
+def test_help_documents_input_size_and_classes(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal's width
+    code, out, err = run(capsys, *command, "--help")
+    assert (code, err) == (EXIT_OK, "")
+    assert "override input height and width" in out
+    assert "class count for zoo heads (default 10)" in out
+
+
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0

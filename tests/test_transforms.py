@@ -35,6 +35,7 @@ from rfscope import (
     propagate_dag,
     propagate_shapes,
     remove_stem_downsampling,
+    serialize,
     truncate_at_border,
     validate,
 )
@@ -256,6 +257,23 @@ class TestRemoveStemDownsampling:
             remove_stem_downsampling(g, 1)
         with pytest.raises(ValueError):
             remove_stem_downsampling(build_named("resnet18"), 0)
+
+    def test_rewrite_that_fails_validation_is_refused(self, tmp_path, capsys):
+        # Splicing out the pool p re-sources its edge into the add at a, which already feeds the add.
+        layers = [
+            ("input", Input()), ("a", Conv2d(kernel=1, filters=4)), ("p", Pool(mode="max", kernel=1, stride=2)),
+            ("add", Add()), ("gap", GlobalAvgPool()),
+        ]
+        edges = [("input", "a"), ("a", "p"), ("a", "add"), ("p", "add"), ("add", "gap")]
+        g = make_graph("duplicate-edge", InputSpec(1, 1, 3), layers, edges)
+        message = "rewritten graph failed validation: [edge_endpoints] a->add: duplicate edge"
+        with pytest.raises(TransformError) as err:
+            remove_stem_downsampling(g, 1)
+        assert str(err.value) == message
+        path = tmp_path / "duplicate-edge.json"
+        path.write_text(serialize(g))
+        code = main(["optimize", str(path), "--pass", "remove-stem-downsampling:1"])
+        assert (code, *capsys.readouterr()) == (2, "", f"rfscope: {message}\n")
 
     def test_first_count_in_topological_order(self):
         g = build_named("vgg16")
