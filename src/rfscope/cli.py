@@ -34,10 +34,16 @@ EXIT_USAGE = 64
 EXIT_FILE = 66
 
 FORMATS = ("text", "json", "csv")
+_DIGITS = getattr(sys, "get_int_max_str_digits", int)()  # `str` prints no longer int; 0, or Python < 3.10.7: no limit
+_PRINTABLE = 10**_DIGITS if _DIGITS else math.inf
 
 
 class UsageError(Exception):
     """Bad argument values discovered after argparse (unknown zoo name, bad pass spec)."""
+
+
+class _Unprintable(ValueError):
+    """A receptive field with more digits than `str` converts; no report is written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,13 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_spec(input_size: Sequence[int], channels: int) -> InputSpec:
-    try:
-        return InputSpec(input_size[0], input_size[1], channels)
-    except ValueError as exc:
-        raise UsageError(f"--input-size: {exc}") from None
-
-
 def _open(path: str, mode: str) -> IO[Any]:
     try:
         return open(path, mode, encoding=None if "b" in mode else "utf-8")
@@ -111,18 +110,19 @@ def _load_graph(ref: str, input_size: Sequence[int] | None, classes: int) -> Arc
     if ref.startswith("zoo:"):
         from .zoo import build_named
 
-        spec = None if input_size is None else _input_spec(input_size, 3)
         try:
-            return build_named(ref[len("zoo:"):], input_spec=spec, num_classes=classes)
+            graph = build_named(ref[len("zoo:"):], num_classes=classes)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    from .archjson import parse
+    else:
+        from .archjson import parse
 
-    with _open(ref, "rb") as handle:
-        graph = parse(handle.read())
-    if input_size is not None:
-        graph = graph.with_input(_input_spec(input_size, graph.input.channels))
-    return graph
+        with _open(ref, "rb") as handle:
+            graph = parse(handle.read())
+    try:
+        return graph if input_size is None else graph.with_input(InputSpec(*input_size, graph.input.channels))
+    except ValueError as exc:
+        raise UsageError(f"--input-size: {exc}") from None
 
 
 def _write_stdout(text: str) -> None:
@@ -156,7 +156,10 @@ def _conv(ordinal: int | None) -> str:
 
 
 def _num(value: int | float) -> int | str:
-    return "global" if isinstance(value, float) and math.isinf(value) else int(value)
+    """An RF cell: `global` for an infinite field, else the integer, refused past the digit limit."""
+    if value >= _PRINTABLE and value != math.inf:
+        raise _Unprintable(f"receptive field too large to print: more than {_DIGITS} digits, the interpreter's limit")
+    return "global" if value == math.inf else int(value)
 
 
 def _analysis_payload(graph: ArchGraph) -> dict[str, Any]:
@@ -166,15 +169,15 @@ def _analysis_payload(graph: ArchGraph) -> dict[str, Any]:
     cost_by_id = {c.node_id: c for c in cost.per_layer}
     rows = []
     for conv in border.per_conv:
-        finite_j = [s.j for s in annotations[conv.node_id].in_frontier if s.j]
+        finite_j = [s.j for s in annotations[conv.node_id].in_frontier if s.j] or [math.inf]
         rows.append(
             {
                 "ordinal": conv.ordinal,
                 "id": conv.node_id,
                 "r_in_min": _num(conv.r_in_min),
                 "r_in_max": _num(conv.r_in_max),
-                "j_min": min(finite_j) if finite_j else "global",
-                "j_max": max(finite_j) if finite_j else "global",
+                "j_min": _num(min(finite_j)),
+                "j_max": _num(max(finite_j)),
                 "params": cost_by_id[conv.node_id].params,
                 "macs": cost_by_id[conv.node_id].macs,
                 "classification": conv.classification,
@@ -237,12 +240,15 @@ def _render_analysis_csv(payload: dict[str, Any]) -> str:
     return out.getvalue()
 
 
-def _border_payload(report: BorderReport) -> dict[str, Any]:
+def _side_payload(border: BorderReport, cost: CostReport) -> dict[str, Any]:
     return {
-        "resolution": report.resolution,
-        "border_min": report.border_min,
-        "border_max": report.border_max,
-        "unproductive_convs": len(report.unproductive_conv_ids),
+        "border": {
+            "resolution": border.resolution,
+            "border_min": border.border_min,
+            "border_max": border.border_max,
+            "unproductive_convs": len(border.unproductive_conv_ids),
+        },
+        "cost": _cost_payload(cost),
     }
 
 
@@ -261,8 +267,8 @@ def _delta_payload(delta: TransformDelta) -> dict[str, Any]:
         "changed": delta.changed,
         "removed_node_ids": list(delta.removed_node_ids),
         "modified_node_ids": list(delta.modified_node_ids),
-        "before": {"border": _border_payload(delta.before_border), "cost": _cost_payload(delta.before_cost)},
-        "after": {"border": _border_payload(delta.after_border), "cost": _cost_payload(delta.after_cost)},
+        "before": _side_payload(delta.before_border, delta.before_cost),
+        "after": _side_payload(delta.after_border, delta.after_cost),
         "deltas": {"params": delta.params_delta, "macs": delta.macs_delta},
     }
 
@@ -288,16 +294,8 @@ def _render_delta_text(payload: dict[str, Any]) -> str:
 
 def _compare_payload(report: ComparisonReport) -> dict[str, Any]:
     return {
-        "a": {
-            "name": report.name_a,
-            "border": _border_payload(report.border_a),
-            "cost": _cost_payload(report.cost_a),
-        },
-        "b": {
-            "name": report.name_b,
-            "border": _border_payload(report.border_b),
-            "cost": _cost_payload(report.cost_b),
-        },
+        "a": {"name": report.name_a, **_side_payload(report.border_a, report.cost_a)},
+        "b": {"name": report.name_b, **_side_payload(report.border_b, report.cost_b)},
         "deltas": {
             "params": report.params_delta,
             "macs": report.macs_delta,
@@ -441,7 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for violation in exc.violations:
             _write_stderr(f"{violation}\n")
         return EXIT_INVALID
-    except (rfscope.TransformError, rfscope.ShapeError, rfscope.FrontierLimitError) as exc:
+    except (rfscope.TransformError, rfscope.ShapeError, rfscope.FrontierLimitError, _Unprintable) as exc:
         _write_stderr(f"rfscope: {exc}\n")
         return EXIT_INVALID
     except OverflowError as exc:  # a MAC count past the float range, from an absurd size or width

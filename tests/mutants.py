@@ -54,6 +54,7 @@ ARCHJSON = "tests/test_archjson.py::"
 STEM = TRANSFORMS + "TestRemoveStemDownsampling::"
 ONE_ANALYSIS = TRANSFORMS + "TestOneAnalysis::"
 ZOO = "tests/test_zoo.py::"
+CLI_PINS = "tests/test_cli.py::test_cli_output_matches_pinned_digest"
 
 MUTANTS = (
     # The one analysis core.
@@ -353,6 +354,38 @@ MUTANTS = (
         "if args.emit is not None:",
         "if args.emit:",
         ("tests/test_cli.py::test_bad_request_fails_cleanly_with_empty_stdout[emit-empty-path]",),
+    ),
+    # A zoo ref is resized as a file is, by `with_input`.
+    Mutant(
+        "load-graph-skips-the-resize",
+        "rfscope/cli.py",
+        "graph if input_size is None else graph.with_input(InputSpec(*input_size, graph.input.channels))",
+        "graph",
+        (
+            f"{CLI_PINS}[analyze zoo:vgg16 --input-size 48 64]",
+            f"{CLI_PINS}[analyze FILE --input-size 48 64 --format json]",
+            f"{CLI_PINS}[zoo emit vgg11 --input-size 40 24]",
+            "tests/test_cli.py::test_analyze_input_size_override",
+        ),
+    ),
+    # Both sides of a delta and of a comparison carry the unproductive conv count.
+    Mutant(
+        "side-payload-drops-unproductive-convs",
+        "rfscope/cli.py",
+        '            "unproductive_convs": len(border.unproductive_conv_ids),\n',
+        "",
+        (
+            f"{CLI_PINS}[optimize zoo:vgg16 --pass truncate --format json]",
+            f"{CLI_PINS}[compare zoo:vgg16 zoo:vgg11 --format json]",
+        ),
+    ),
+    # An RF value with more digits than `str` converts exits 2 before anything is written.
+    Mutant(
+        "rf-digit-rule-off",
+        "rfscope/cli.py",
+        "if value >= _PRINTABLE and value != math.inf:",
+        "if False:",
+        tuple(f"tests/test_cli.py::test_rf_value_past_the_digit_limit_exits_2_before_writing[{f}]" for f in ("text", "json", "csv")),
     ),
 )
 

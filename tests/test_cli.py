@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import io
 import json
 import random
@@ -319,10 +320,19 @@ def _vgg11_file(tmp_path):
     return str(path)
 
 
-# The exact usage text of each malformed `--pass`; the argv fuzz checks only exit codes.
-PASS_USAGE = {
-    "remove-stem-downsampling:0": "downsampling count must be >= 1, got 0",
-    "remove-stem-downsampling:x": "bad downsampling count 'x' in --pass 'remove-stem-downsampling:x'",
+UNKNOWN_NOPE = (
+    "unknown zoo model 'nope'; families: vgg11, vgg13, vgg16, vgg19, resnet18, resnet34, mpnet18, mpnet36 "
+    "(options: -dilN, -noskip, -nostem)"
+)
+# The exact usage text of some bad requests, keyed by argv; the argv fuzz checks only exit codes.
+# A zoo ref's name and class count are checked before `--input-size`, as a file is read first.
+USAGE_TEXT = {
+    "analyze zoo:vgg16 --input-size 0 32": "--input-size: input height must be a positive integer, got 0",
+    "analyze zoo:nope --input-size 0 32": UNKNOWN_NOPE,
+    "zoo emit nope --input-size 0 32": UNKNOWN_NOPE,
+    "analyze zoo:vgg11 --classes 1 --input-size 0 32": "num_classes must be >= 2, got 1",
+    "optimize zoo:vgg11 --pass remove-stem-downsampling:0": "downsampling count must be >= 1, got 0",
+    "optimize zoo:vgg11 --pass remove-stem-downsampling:x": "bad downsampling count 'x' in --pass 'remove-stem-downsampling:x'",
 }
 
 
@@ -342,11 +352,15 @@ PASS_USAGE = {
         (["compare", "FILE", "zoo:vgg11", "--input-size", str(10**200), str(10**200)], EXIT_INVALID),
         (["optimize", "zoo:vgg11", "--pass", "remove-stem-downsampling:0"], EXIT_USAGE),
         (["optimize", "zoo:vgg11", "--pass", "remove-stem-downsampling:x"], EXIT_USAGE),
+        (["analyze", "zoo:nope", "--input-size", "0", "32"], EXIT_USAGE),
+        (["zoo", "emit", "nope", "--input-size", "0", "32"], EXIT_USAGE),
+        (["analyze", "zoo:vgg11", "--classes", "1", "--input-size", "0", "32"], EXIT_USAGE),
     ],
     ids=[
         "input-size-zoo", "input-size-file", "zoo-emit-input-size", "classes-file", "emit-missing-dir",
         "emit-nul-path", "emit-empty-path", "zoo-emit-nul-path", "zoo-emit-empty-path", "classes-overflow",
-        "input-size-overflow", "pass-count-zero", "pass-count-not-a-number",
+        "input-size-overflow", "pass-count-zero", "pass-count-not-a-number", "unknown-zoo-name-before-input-size",
+        "zoo-emit-unknown-name-before-input-size", "classes-before-input-size",
     ],
 )
 def test_bad_request_fails_cleanly_with_empty_stdout(tmp_path, capsys, argv, expected):
@@ -360,8 +374,8 @@ def test_bad_request_fails_cleanly_with_empty_stdout(tmp_path, capsys, argv, exp
     assert "Traceback" not in err
     assert err
     assert out == ""
-    if argv[-1] in PASS_USAGE:
-        assert err == f"rfscope: error: {PASS_USAGE[argv[-1]]}\n"
+    if " ".join(argv) in USAGE_TEXT:
+        assert err == f"rfscope: error: {USAGE_TEXT[' '.join(argv)]}\n"
 
 
 def test_kind_array_is_invalid_not_a_crash(tmp_path, capsys):
@@ -418,6 +432,76 @@ def test_python_m_runs_the_cli(capsys, module):
     proc = run_fresh("-m", module, "zoo", "list")
     assert proc.returncode == EXIT_OK
     assert proc.stdout == expected
+
+
+def _digits_document(tmp_path, digits):
+    """A chain of three 1x1 convs on an 8x8 input whose last conv has a jump of 10 ** (digits - 1),
+    a `digits`-digit integer; each stride is under `json`'s digit limit."""
+    strides = (10 ** (digits // 2), 10 ** (digits - 1 - digits // 2), 1)
+    layers = [("input", Input())] + [(f"c{i}", Conv2d(kernel=1, filters=4, stride=s)) for i, s in enumerate(strides, 1)]
+    path = tmp_path / f"digits{digits}.json"
+    path.write_text(serialize(make_graph("digits", InputSpec(8, 8, 3), layers, [("input", "c1"), ("c1", "c2"), ("c2", "c3")])))
+    return str(path)
+
+
+# Exit code and stdout sha256 of commands no digest in perfbench/digests.json covers, recorded
+# with the code from before zoo refs and files shared one resize path. FILE is mpnet18 with a one-channel input;
+# J4300 and J4301 are `_digits_document`s whose last jump has 4,300 and 4,301 digits.
+PINNED = {
+    "analyze FILE --input-size 48 64": (0, "146a7b30c8888346fe7b0fc82d4083faad145dae826d8a5e54c4dc0ca82d326d"),
+    "analyze FILE --input-size 48 64 --format csv": (0, "463422e6b6a18d8c160231b20fe5776ff9ab5e49003b8ad72a6fc90a9e5a16f4"),
+    "analyze FILE --input-size 48 64 --format json": (0, "d86f8e1253693671ade631aec1bb42970fc434bc64331a88f75a22ea2947de73"),
+    "analyze J4300": (0, "c3b868b2bf553a253588962a86952742e4060e0fbffc7735bd3b772a6557ce5d"),
+    "analyze J4300 --format csv": (0, "8b512ef7033ad5f4da5816e75f5478e7bc4ed2ed9d2f6f701150da57531f21d0"),
+    "analyze J4300 --format json": (0, "9f9735d8caaeea94d35ecc0a14ebe00d940addad39149582bce8d5f112a10b64"),
+    "analyze zoo:vgg16 --input-size 48 64": (0, "51c6dd44d01e6e48ddd4f59197fbfd8cdad34510d2e6334fa142896116af2920"),
+    "analyze zoo:vgg16 --input-size 48 64 --format csv": (0, "2b205563c9ecb9a4d1e93d7893da63da6952d567b0b99843cda8bab57264ab2f"),
+    "analyze zoo:vgg16 --input-size 48 64 --format json": (0, "7c75194fc4a0d75595b924226e1112dc0a53834523c9a095d283499a4550cac8"),
+    "compare J4301 J4301": (0, "d4e33156113d16db21b30fbc9c7c2426730330eee59c8163652ecd3412d8d33b"),
+    "compare zoo:mpnet18 zoo:vgg16 --format json --input-size 40 56": (0, "d7b49878fac37cc1946313173ea6d8e13ead16ffe0c0edcda915b84dc396a6e6"),
+    "compare zoo:resnet18 zoo:resnet18-noskip --format json": (0, "d78a159c56efbf24f17e700291c650d295fd6d9a47425af4d01d5e5901266930"),
+    "compare zoo:vgg16 FILE --format json --input-size 40 56": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "compare zoo:vgg16 zoo:vgg11 --format json": (0, "d7b6426efa97e3e3f775ed54d22c7ea16b4264d2226ca924996109f0a04b2647"),
+    "optimize J4301 --pass remove-stem-downsampling:1": (0, "8cd70c9bd96c5e486b8eb7577fb04cbc374f09d4fe3fc391e29bf221aff13791"),
+    "optimize J4301 --pass truncate": (3, "ac5ce971a858af8c6f259633c9d770d0a8cf8eda7b148d842dd0da35f39ff916"),
+    "optimize zoo:mpnet18 --pass truncate --format json --input-size 64 48": (0, "be0110bb2f47dd408448e2b9be876a60babcba10be690b1677a697c445905978"),
+    "optimize zoo:resnet18 --pass remove-stem-downsampling --format json": (0, "274e665e3cff5f07e480f3dfa5d9366dfa8e9c89ac3a7af55b0ebb5a74b1f976"),
+    "optimize zoo:resnet18 --pass remove-stem-downsampling:1 --format json": (0, "d9fb271b89f2047abd772e46bbfc68700c4e313fe4e583b571f157d25272d905"),
+    "optimize zoo:resnet34 --pass remove-stem-downsampling --format json --input-size 48 48 --classes 7": (0, "c94cb8f3e7e03236c89e34c95686bf0ecfc014a55f59a140d718a52798edc125"),
+    "optimize zoo:vgg11 --pass truncate --format json": (0, "c0606de9a1b905b4c4a90865280d9549a4363edb4b37f3ba118cfd2b34c94927"),
+    "optimize zoo:vgg16 --pass truncate --format json": (0, "49d06a6e597c76371e5d97ef2653ad9495098f24e16d2e6234efd86c8d14998d"),
+    "validate FILE --input-size 40 40": (0, "9ee38c2e0a8d7a65760ccccc321c737deb756976816ce0cd2641a0130440e8de"),
+    "validate J4301": (0, "4219149cf17b7488440e674d2a3b2864f1f236144f48ca2acac60bdc20f0ea44"),
+    "validate zoo:mpnet18 --input-size 40 40": (0, "9ee38c2e0a8d7a65760ccccc321c737deb756976816ce0cd2641a0130440e8de"),
+    "zoo emit resnet18-nostem --input-size 64 64 --classes 7": (0, "b8d7c7e04645ce08cde9257723a32554ce8f6720dbb132f9574fff31fa0e67af"),
+    "zoo emit vgg11 --input-size 40 24": (0, "ac341ec39369555884e8f46a9feb4d8789daf232ee9c2f897ac7a5d4061e1c6a"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_cli_output_matches_pinned_digest(tmp_path, capsys, command):
+    path = tmp_path / "mpnet18-gray.json"
+    path.write_text(serialize(build_named("mpnet18", InputSpec(32, 32, 1))))
+    subs = {"FILE": str(path), "J4300": _digits_document(tmp_path, 4300), "J4301": _digits_document(tmp_path, 4301)}
+    code, out, err = run(capsys, *[subs.get(a, a) for a in command.split(" ")])
+    assert "Traceback" not in err
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == PINNED[command]
+
+
+RF_TOO_LARGE = "rfscope: receptive field too large to print: more than {} digits, the interpreter's limit\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_rf_value_past_the_digit_limit_exits_2_before_writing(tmp_path, capsys, fmt):
+    assert run(capsys, "analyze", _digits_document(tmp_path, 4301), "--format", fmt) == (EXIT_INVALID, "", RF_TOO_LARGE.format(4300))
+
+
+@pytest.mark.parametrize("limit, digits, code", [(640, 640, EXIT_OK), (640, 641, EXIT_INVALID), (5000, 4301, EXIT_OK)])
+def test_the_digit_rule_follows_the_interpreter_limit(tmp_path, limit, digits, code):
+    proc = run_fresh("-X", f"int_max_str_digits={limit}", "-m", "rfscope", "analyze", _digits_document(tmp_path, digits))
+    assert (proc.returncode, proc.stderr) == (code, "" if code == EXIT_OK else RF_TOO_LARGE.format(limit))
+    jump = "1" + "0" * (digits - 1)  # 10 ** (digits - 1), spelled without this process's digit limit
+    assert f" {jump} {jump} " in proc.stdout if code == EXIT_OK else proc.stdout == ""
 
 
 @pytest.mark.parametrize(
