@@ -42,7 +42,7 @@ _EXPORTS = {
     "zoo": ("FAMILIES", "build_named"),
     "archjson": (
         "parse", "serialize",
-        "DocumentError", "DocumentSemanticError",
+        "DocumentError",
     ),
 }
 

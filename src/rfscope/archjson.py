@@ -4,10 +4,12 @@ A document holds the graph name, the input spec, a `layers` array (whose
 order defines declaration order), and an `edges` array of [source, target]
 pairs. Each layer must come after its predecessors: every edge runs from an
 earlier layer to a later one. Parsing checks the document's shape: a shape
-error, such as an unknown or missing key, carries its JSON path. The graph
-must then pass full validation, which judges every field value and reports a
-bad one as a `layer_fields` violation. Serialization writes every field
-explicitly so that parse(serialize(g)) reproduces g exactly.
+error, such as an unknown or missing key, raises `DocumentError` with its JSON
+path. The graph must then pass full validation, which judges every field value
+and reports a bad one as a `layer_fields` violation: a graph that breaks a rule
+raises `GraphValidationError`. Both are `ValueError`s, so `except ValueError`
+catches either. Serialization writes every field explicitly so that
+parse(serialize(g)) reproduces g exactly.
 """
 from __future__ import annotations
 
@@ -16,24 +18,15 @@ import re
 from collections.abc import Container
 from typing import Any
 
-from .graph_ir import LAYER_KINDS, ArchGraph, GraphValidationError, InputSpec, LayerKind, Violation, make_graph
+from .graph_ir import LAYER_KINDS, ArchGraph, InputSpec, LayerKind, make_graph
 
 
 class DocumentError(ValueError):
-    """A document cannot be turned into a graph; `path` locates the problem."""
+    """The text is not a graph document; `path` locates the problem."""
 
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
-
-
-class DocumentSemanticError(DocumentError):
-    """The document parses but the graph it describes is invalid."""
-
-    def __init__(self, violations: list[Violation]):
-        self.violations = violations
-        detail = "; ".join(str(v) for v in violations)
-        super().__init__("", f"graph validation failed: {detail}")
 
 
 # A kind's tag is its class name in snake case: Conv2d is "conv2d", GlobalAvgPool "global_avg_pool".
@@ -118,10 +111,7 @@ def parse(data: bytes | str) -> ArchGraph:
         edges.append((raw[0], raw[1]))
 
     graph = make_graph(doc["name"], input_spec, layers, edges)
-    try:
-        graph.order  # the graph's one validation, cached for the analyses that follow
-    except GraphValidationError as exc:
-        raise DocumentSemanticError(exc.violations) from None
+    graph.order  # the graph's one validation, cached for the analyses that follow; raises GraphValidationError
     return graph
 
 

@@ -432,12 +432,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_FILE
     # The package loads each error class below on first access, so a clause
     # loads its module only when an exception reaches it.
-    except rfscope.DocumentError as exc:
+    except (rfscope.DocumentError, GraphValidationError) as exc:
         _write_stderr(f"rfscope: invalid architecture document: {exc}\n")
-        return EXIT_INVALID
-    except GraphValidationError as exc:
-        for violation in exc.violations:
-            _write_stderr(f"{violation}\n")
         return EXIT_INVALID
     except (rfscope.TransformError, rfscope.ShapeError, rfscope.FrontierLimitError, _Unprintable) as exc:
         _write_stderr(f"rfscope: {exc}\n")

@@ -209,6 +209,18 @@ class LayerNode(_Record):
     __slots__ = ("id", "kind", "declaration_index")
 
 
+def safe_repr(value: Any) -> str:
+    """`repr` of an int, or of a list or tuple of ints, where an int with more digits than `str`
+    converts reads as its bit length: a message about an absurd document must still print."""
+    if isinstance(value, (list, tuple)):
+        items = ", ".join(map(safe_repr, value))
+        return f"[{items}]" if isinstance(value, list) else f"({items})"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"
+
+
 class Violation(NamedTuple):
     """One broken graph invariant; validation reports these as data."""
 
@@ -221,12 +233,12 @@ class Violation(NamedTuple):
 
 
 class GraphValidationError(ValueError):
-    """Raised by operations that require a valid graph."""
+    """A graph breaks a rule: raised by `parse` and by every operation that requires a valid graph."""
 
     def __init__(self, violations: list[Violation]):
         self.violations = list(violations)
         lines = "; ".join(str(v) for v in self.violations)
-        super().__init__(f"invalid architecture graph: {lines}")
+        super().__init__(f"graph validation failed: {lines}")
 
 
 class ArchGraph(_Record):
@@ -375,7 +387,7 @@ def validate(graph: ArchGraph) -> list[Violation]:
             if cls is Add:
                 counts = sorted({channels[p] for p in node_preds})
                 if len(counts) > 1:
-                    message = f"element-wise add over unequal channel counts {counts}"
+                    message = f"element-wise add over unequal channel counts {safe_repr(counts)}"
                     widths.append(Violation("merge_channels", nid, message))
 
     if inputs != 1:

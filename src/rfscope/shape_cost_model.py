@@ -25,6 +25,7 @@ from .graph_ir import (
     GlobalAvgPool,
     Pool,
     Softmax,
+    safe_repr,
 )
 
 DEFAULT_SE_RATIO = 16
@@ -66,7 +67,8 @@ class CostReport(NamedTuple):
 def _window_out(extent: int, window: int, stride: int, padding: int, node_id: str) -> int:
     out = (extent + 2 * padding - window) // stride + 1
     if out < 1:
-        raise ShapeError(node_id, f"window {window} exceeds padded input extent {extent + 2 * padding}")
+        padded = safe_repr(extent + 2 * padding)
+        raise ShapeError(node_id, f"window {safe_repr(window)} exceeds padded input extent {padded}")
     return out
 
 
@@ -113,7 +115,8 @@ def cost_report(graph: ArchGraph, shapes: dict[str, LayerCost] | None = None) ->
             for p in preds[1:]:
                 other = costs[p][3:]
                 if other != (h, w, c):
-                    raise ShapeError(nid, f"element-wise add over mismatched shapes {(h, w, c)} vs {other}")
+                    detail = f"{safe_repr((h, w, c))} vs {safe_repr(other)}"
+                    raise ShapeError(nid, f"element-wise add over mismatched shapes {detail}")
             macs = h * w * c
         elif cls is Pool:
             out_h = _window_out(h, kind.kernel, kind.stride, kind.padding, nid)
@@ -122,7 +125,8 @@ def cost_report(graph: ArchGraph, shapes: dict[str, LayerCost] | None = None) ->
         elif cls is Concat:
             for p in preds[1:]:
                 if costs[p][3:5] != (h, w):
-                    raise ShapeError(nid, f"concat over mismatched spatial dims {(h, w)} vs {costs[p][3:5]}")
+                    detail = f"{safe_repr((h, w))} vs {safe_repr(costs[p][3:5])}"
+                    raise ShapeError(nid, f"concat over mismatched spatial dims {detail}")
             out_c = sum(costs[p][5] for p in preds)
         elif cls is Attention:
             params, macs = _attention_cost(kind.variant, h * w, c)

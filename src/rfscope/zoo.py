@@ -30,8 +30,6 @@ from .graph_ir import (
     make_graph,
 )
 
-FAMILIES = ("vgg11", "vgg13", "vgg16", "vgg19", "resnet18", "resnet34", "mpnet18", "mpnet36")
-
 _VGG_PLANS = {
     "vgg11": (1, 1, 2, 2, 2),
     "vgg13": (2, 2, 2, 2, 2),
@@ -45,6 +43,8 @@ _RESNET_FILTERS = (64, 128, 256, 512)
 
 _MPNET_BLOCKS = {"mpnet18": 2, "mpnet36": 4}
 _MPNET_FILTERS = (64, 128, 256, 512)
+
+FAMILIES = (*_VGG_PLANS, *_RESNET_PLANS, *_MPNET_BLOCKS)
 
 
 _DEFAULT_INPUT = InputSpec(32, 32, 3)
@@ -156,11 +156,11 @@ def build_named(name: str, input_spec: InputSpec | None = None, num_classes: int
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
     if dilation < 1:
         raise ValueError(f"dilation must be >= 1, got {dilation}")
-    if dilation != 1 and not family.startswith("vgg"):
+    if dilation != 1 and family not in _VGG_PLANS:
         raise ValueError("-dilN is a vgg-only option")
-    if not skips and not family.startswith("resnet"):
+    if not skips and family not in _RESNET_PLANS:
         raise ValueError("-noskip is a resnet-only option")
-    if not stem and not family.startswith("resnet"):
+    if not stem and family not in _RESNET_PLANS:
         raise ValueError("-nostem is a resnet-only option")
 
     canonical = family + (f"-dil{dilation}" if dilation != 1 else "")
@@ -174,9 +174,9 @@ def _structure(family: str, dilation: int, skips: bool, stem: bool, num_classes:
     """One zoo structure at a placeholder input; never analyzed, it only lends its node and edge tuples."""
     b = _GraphBuilder()
     prev = b.add("input", Input())
-    if family.startswith("vgg"):
+    if family in _VGG_PLANS:
         prev = _vgg_body(b, prev, _VGG_PLANS[family], dilation)
-    elif family.startswith("resnet"):
+    elif family in _RESNET_PLANS:
         prev = _resnet_body(b, prev, _RESNET_PLANS[family], skips, stem)
     else:
         prev = _mpnet_body(b, prev, _MPNET_BLOCKS[family], deep=family == "mpnet36")

@@ -331,6 +331,40 @@ MUTANTS = (
         "    except TransformError as exc:\n        raise TransformError(",
         (f"{STEM}test_rewrite_that_fails_validation_is_refused",),
     ),
+    # `parse` validates the graph it builds, and a broken rule raises `GraphValidationError`.
+    Mutant(
+        "parse-skips-its-validation",
+        "rfscope/archjson.py",
+        "    graph.order  # the graph's one validation, cached for the analyses that follow; raises GraphValidationError\n",
+        "",
+        (
+            f"{ARCHJSON}test_parse_raises_one_error_class_per_fault",
+            f"{ARCHJSON}test_cycle_is_semantic_error",
+            f"{ARCHJSON}test_validate_accepts_exactly_the_fields_parse_accepts[conv2d-kernel]",
+        ),
+    ),
+    # The CLI reports a graph that breaks a rule as it reports a malformed document, and exits 2.
+    Mutant(
+        "cli-misses-graph-validation-error",
+        "rfscope/cli.py",
+        "except (rfscope.DocumentError, GraphValidationError) as exc:",
+        "except rfscope.DocumentError as exc:",
+        (
+            "tests/test_cli.py::test_wrongly_typed_field_is_a_layer_fields_violation[Conv2d-kernel]",
+            "tests/test_cli.py::test_validate_exit_matches_graph_validation_on_mutated_documents[0]",
+        ),
+    ),
+    # A message that holds an integer past `str`'s digit limit shows its bit length and exits 2.
+    Mutant(
+        "safe-repr-lets-the-digit-limit-through",
+        "rfscope/graph_ir.py",
+        "    except ValueError:\n        return f\"<{value.bit_length()}-bit integer>\"",
+        "    except TypeError:\n        return f\"<{value.bit_length()}-bit integer>\"",
+        tuple(
+            f"tests/test_cli.py::test_an_integer_past_the_digit_limit_in_a_message_reads_as_its_bit_length[{case}]"
+            for case in ("window", "channels", "add-shapes", "concat-dims")
+        ),
+    ),
     # A new head layer's id steps past the ids of the kept nodes.
     Mutant(
         "fresh-id-ignores-taken",

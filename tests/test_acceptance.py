@@ -169,13 +169,12 @@ def test_property_monotone_r_and_stride_product_j():
 
 def test_property_neutral_insertion_invariance():
     from test_properties import insert_on_edge, neutral_kinds_for
-    from rfscope import propagate_shapes
 
     graphs = [build_named("vgg11")] + [random_graph(seed, shape_safe=True) for seed in (0, 3, 7)]
     violations = 0
     for graph in graphs:
         baseline = {c.node_id: (c.r_in_min, c.r_in_max) for c in classify(graph).per_conv}
-        channels = {nid: info.out_channels for nid, info in propagate_shapes(graph).items()}
+        channels = {c.node_id: c.out_channels for c in cost_report(graph).per_layer}
         for edge in graph.edges:
             for offset, kind in enumerate(neutral_kinds_for(channels[edge[0]])):
                 probe = insert_on_edge(graph, edge, f"probe{offset}", kind)

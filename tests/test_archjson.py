@@ -14,12 +14,13 @@ from rfscope import (
     Conv2d,
     Dense,
     DocumentError,
-    DocumentSemanticError,
     GlobalAvgPool,
+    GraphValidationError,
     Input,
     InputSpec,
     Pool,
     Softmax,
+    TransformError,
     build_named,
     make_graph,
     parse,
@@ -28,6 +29,7 @@ from rfscope import (
 )
 from rfscope.archjson import _KIND_TAGS, _parse_layer
 from rfscope.graph_ir import LAYER_KINDS
+from rfscope.transforms import _rebuild
 
 ZOO_NAMES = (
     "vgg11",
@@ -121,7 +123,7 @@ def test_declaration_index_is_array_position():
     assert [(n.id, n.declaration_index) for n in g.nodes] == [("input", 0), ("c1", 1), ("fc", 2)]
     # Array order must be topological: listing fc before c1 (same edges) is rejected.
     doc["layers"] = [doc["layers"][0], doc["layers"][2], doc["layers"][1]]
-    with pytest.raises(DocumentSemanticError) as err:
+    with pytest.raises(GraphValidationError) as err:
         parse(json.dumps(doc))
     assert [str(v) for v in err.value.violations] == ["[declaration_order] c1->fc: 'c1' is not declared before 'fc'"]
 
@@ -198,7 +200,7 @@ def test_kind_that_is_not_a_string_is_a_document_error(kind):
 def test_non_square_kernel_is_a_layer_fields_violation():
     doc = minimal_doc()
     doc["layers"][1]["kernel"] = [3, 5]
-    with pytest.raises(DocumentSemanticError) as err:
+    with pytest.raises(GraphValidationError) as err:
         parse(json.dumps(doc))
     assert [str(v) for v in err.value.violations] == ["[layer_fields] c1: kernel must be a positive square scalar, got [3, 5]"]
 
@@ -206,7 +208,7 @@ def test_non_square_kernel_is_a_layer_fields_violation():
 def test_every_bad_field_of_a_layer_is_reported():
     doc = minimal_doc()
     doc["layers"][1].update(kernel=None, bias="yes")
-    with pytest.raises(DocumentSemanticError) as err:
+    with pytest.raises(GraphValidationError) as err:
         parse(json.dumps(doc))
     assert [str(v) for v in err.value.violations] == [
         "[layer_fields] c1: kernel must be a positive square scalar, got None",
@@ -244,7 +246,7 @@ def _pool_layer(**fields):
 def test_only_square_fields_mention_squareness(edit, message):
     doc = minimal_doc()
     edit(doc)
-    with pytest.raises(DocumentError) as err:
+    with pytest.raises(ValueError) as err:
         parse(json.dumps(doc))
     assert str(err.value) == message
 
@@ -252,7 +254,7 @@ def test_only_square_fields_mention_squareness(edit, message):
 def test_unknown_edge_target_is_semantic_error():
     doc = minimal_doc()
     doc["edges"].append(["fc", "nowhere"])
-    with pytest.raises(DocumentSemanticError) as err:
+    with pytest.raises(GraphValidationError) as err:
         parse(json.dumps(doc))
     assert any("unknown" in v.message for v in err.value.violations)
 
@@ -260,9 +262,36 @@ def test_unknown_edge_target_is_semantic_error():
 def test_cycle_is_semantic_error():
     doc = minimal_doc()
     doc["edges"].append(["fc", "c1"])
-    with pytest.raises(DocumentSemanticError) as err:
+    with pytest.raises(GraphValidationError) as err:
         parse(json.dumps(doc))
     assert [str(v) for v in err.value.violations] == ["[declaration_order] fc->c1: 'fc' is not declared before 'c1'"]
+
+
+def test_parse_raises_one_error_class_per_fault():
+    """A graph that breaks a rule raises `GraphValidationError` itself, with `validate`'s violations;
+    text that is not a graph document raises `DocumentError` with its JSON path. A rewrite that breaks
+    a rule is still the rewrite's fault, a `TransformError`."""
+    layers = [("input", Input()), ("c1", Conv2d(kernel=0, filters=4)), ("fc", Dense(2))]
+    graph = make_graph("broken", InputSpec(8, 8, 3), layers, [("input", "c1"), ("c1", "fc"), ("fc", "c1")])
+    with pytest.raises(GraphValidationError) as err:
+        parse(serialize(graph))
+    assert type(err.value) is GraphValidationError
+    assert err.value.violations == validate(graph) and len(validate(graph)) == 2
+    assert str(err.value) == "graph validation failed: " + "; ".join(str(v) for v in validate(graph))
+    assert str(err.value).startswith("graph validation failed: [layer_fields] c1: kernel must be a positive square scalar")
+
+    doc = minimal_doc()
+    doc["layers"][1]["kernal"] = 3
+    with pytest.raises(DocumentError) as err:
+        parse(json.dumps(doc))
+    assert type(err.value) is DocumentError
+    path = "layers[1] (id 'c1').kernal"
+    assert (err.value.path, str(err.value)) == (path, f"{path}: unknown key for kind 'conv2d'")
+
+    edges = [("input", "a"), ("a", "b"), ("a", "b")]
+    with pytest.raises(TransformError) as err:
+        _rebuild(graph, "dup", ["input", "a", "b"], edges, {"input": Input(), "a": Add(), "b": Add()})
+    assert str(err.value) == "rewritten graph failed validation: [edge_endpoints] a->b: duplicate edge"
 
 
 def test_syntax_error_reports_position():
@@ -318,7 +347,7 @@ def test_validate_accepts_exactly_the_fields_parse_accepts(tag, field):
         graph = make_graph("one", InputSpec(8, 8, 3), [("input", Input()), ("x", kind)], [("input", "x")])
         try:
             parsed = parse(serialize(graph))
-        except DocumentError:
+        except ValueError:
             parsed = None
         if (validate(graph) == []) != (parsed is not None):
             disagreements.append(value)

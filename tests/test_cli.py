@@ -7,7 +7,7 @@ import random
 from typing import get_args
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from dagtools import count_validations, mutated_graph, run_fresh
@@ -15,6 +15,7 @@ from rfscope import (
     Activation,
     Add,
     Attention,
+    Concat,
     Conv2d,
     Dense,
     GlobalAvgPool,
@@ -434,13 +435,18 @@ def test_python_m_runs_the_cli(capsys, module):
     assert proc.stdout == expected
 
 
-def _digits_document(tmp_path, digits):
+def _digits_text(digits):
     """A chain of three 1x1 convs on an 8x8 input whose last conv has a jump of 10 ** (digits - 1),
     a `digits`-digit integer; each stride is under `json`'s digit limit."""
     strides = (10 ** (digits // 2), 10 ** (digits - 1 - digits // 2), 1)
     layers = [("input", Input())] + [(f"c{i}", Conv2d(kernel=1, filters=4, stride=s)) for i, s in enumerate(strides, 1)]
+    return serialize(make_graph("digits", InputSpec(8, 8, 3), layers, [("input", "c1"), ("c1", "c2"), ("c2", "c3")]))
+
+
+def _digits_document(tmp_path, digits):
+    """`_digits_text(digits)` written to a file in `tmp_path`; its path."""
     path = tmp_path / f"digits{digits}.json"
-    path.write_text(serialize(make_graph("digits", InputSpec(8, 8, 3), layers, [("input", "c1"), ("c1", "c2"), ("c2", "c3")])))
+    path.write_text(_digits_text(digits))
     return str(path)
 
 
@@ -696,3 +702,169 @@ def test_mutated_documents_keep_the_exit_code_contract_in_a_fresh_process(tmp_pa
     assert proc.returncode in {EXIT_OK, EXIT_INVALID, EXIT_NOOP, EXIT_USAGE, EXIT_FILE}, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.returncode == EXIT_OK or proc.stderr
+
+
+# Built-document fuzzing: documents built from scratch, reaching what the mutations of zoo
+# documents above cannot. Any numeric field, the input's size and channels included, may hold
+# an integer of up to 4,300 digits, the most `json` decodes. A body is long chains of strided
+# convs and pools, and stacked stages of parallel convs with strides 1-8 merged by a Concat or
+# an Add, at times with the stage's input as one more branch.
+_LIMIT = 4300
+_HUGE = st.tuples(st.integers(1, _LIMIT), st.integers(2, 10)).map(lambda t: t[1] * 10 ** (t[0] - 1) - 1)
+# Each numeric field draws from its usual values or from _HUGE.
+_KERNEL, _DILATION, _STRIDE, _WIDTH, _UNITS = (st.one_of(st.integers(1, n), _HUGE) for n in (3, 2, 8, 8, 10))
+_CONV_PADDING = st.one_of(st.sampled_from(["same", "valid", 0, 1]), _HUGE)
+_POOL_PADDING = st.one_of(st.integers(0, 1), _HUGE)
+_SIZE = st.one_of(st.sampled_from([1, 2, 7, 32, 224]), _HUGE)
+_STAGE_STRIDES = st.lists(st.integers(1, 8), min_size=2, max_size=8, unique=True)
+
+
+@st.composite
+def _built_document(draw):
+    layers, edges = [{"id": "input", "kind": "input"}], []
+
+    def add(layer, *preds):
+        layers.append({"id": f"n{len(layers)}", **layer})
+        edges.extend([p, layers[-1]["id"]] for p in preds)
+        return layers[-1]["id"]
+
+    def conv(prev, stride, filters):
+        fields = {"kernel": draw(_KERNEL), "filters": filters, "stride": stride, "dilation": draw(_DILATION)}
+        return add({"kind": "conv2d", "padding": draw(_CONV_PADDING), **fields}, prev)
+
+    prev = "input"
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):  # a chain of strided convs and pools
+            for _ in range(draw(st.integers(1, 40))):
+                if draw(st.booleans()):
+                    prev = conv(prev, draw(_STRIDE), draw(_WIDTH))
+                else:
+                    pool = {"mode": "max", "kernel": draw(_KERNEL), "stride": draw(_STRIDE), "padding": draw(_POOL_PADDING)}
+                    prev = add({"kind": "pool", **pool}, prev)
+        else:  # stacked stages of parallel convs
+            for _ in range(draw(st.integers(1, 5))):
+                filters = draw(_WIDTH)
+                branches = [conv(prev, stride, filters) for stride in draw(_STAGE_STRIDES)]
+                branches += [prev] if draw(st.booleans()) else []
+                prev = add({"kind": draw(st.sampled_from(["concat", "add"]))}, *branches)
+    if draw(st.booleans()):
+        prev = add({"kind": "global_avg_pool"}, prev)
+        prev = add({"kind": "dense", "units": draw(_UNITS)}, prev)
+        add({"kind": "softmax"}, prev)
+    spec = {field: draw(_SIZE) for field in ("height", "width", "channels")}
+    return json.dumps({"name": "built", "input": spec, "layers": layers, "edges": edges})
+
+
+def _concat_stages_text(stages):
+    """`stages` stacked stages of eight parallel 3x3 convs with strides 1-8, each merged by a Concat,
+    on a 1x1 input, where every stride gives the same 1x1 map."""
+    layers, edges, prev = [("input", Input())], [], "input"
+    for stage in range(1, stages + 1):
+        convs = [f"s{stage}c{stride}" for stride in range(1, 9)]
+        layers += [(nid, Conv2d(kernel=3, filters=4, stride=stride)) for stride, nid in enumerate(convs, 1)]
+        layers.append((f"s{stage}cat", Concat()))
+        edges += [(prev, nid) for nid in convs] + [(nid, f"s{stage}cat") for nid in convs]
+        prev = f"s{stage}cat"
+    return serialize(make_graph("concat-stages", InputSpec(1, 1, 3), layers, edges))
+
+
+# The largest integer `json` decodes, and documents whose error messages once raised a
+# ValueError converting a longer one: a conv's window, dilation * (kernel - 1) + 1, the channel
+# count a Concat sums, which an Add compares, and the map size of a conv with that much padding.
+_NINES = 10**_LIMIT - 1
+
+
+def _padded_merge(merge):
+    """A `merge` of a 1x1 conv with padding `_NINES` and one without, whose maps differ in size."""
+    layers = [("input", Input()), ("a", Conv2d(1, 4, padding=_NINES)), ("b", Conv2d(1, 4, padding=0)), ("m", merge)]
+    return serialize(make_graph("padded", InputSpec(8, 8, 3), layers, [("input", "a"), ("input", "b"), ("a", "m"), ("b", "m")]))
+
+
+_LONG_WINDOW = serialize(
+    make_graph(
+        "window",
+        InputSpec(8, 8, 3),
+        [("input", Input()), ("c", Conv2d(_NINES, 4, dilation=_NINES, padding="valid"))],
+        [("input", "c")],
+    )
+)
+_LONG_CHANNELS = serialize(
+    make_graph(
+        "channels",
+        InputSpec(8, 8, 3),
+        [("input", Input()), ("a", Conv2d(1, _NINES)), ("b", Conv2d(1, _NINES)), ("cat", Concat()), ("d", Conv2d(1, 3)), ("add", Add())],
+        [("input", "a"), ("input", "b"), ("a", "cat"), ("b", "cat"), ("input", "d"), ("cat", "add"), ("d", "add")],
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "text, command, message",
+    [
+        (_LONG_WINDOW, "analyze", "rfscope: node 'c': window <28569-bit integer> exceeds padded input extent 8\n"),
+        (
+            _LONG_CHANNELS,
+            "validate",
+            "rfscope: invalid architecture document: graph validation failed: "
+            "[merge_channels] add: element-wise add over unequal channel counts [3, <14286-bit integer>]\n",
+        ),
+        (
+            _padded_merge(Add()),
+            "analyze",
+            "rfscope: node 'm': element-wise add over mismatched shapes "
+            "(<14286-bit integer>, <14286-bit integer>, 4) vs (8, 8, 4)\n",
+        ),
+        (
+            _padded_merge(Concat()),
+            "analyze",
+            "rfscope: node 'm': concat over mismatched spatial dims (<14286-bit integer>, <14286-bit integer>) vs (8, 8)\n",
+        ),
+    ],
+    ids=["window", "channels", "add-shapes", "concat-dims"],
+)
+def test_an_integer_past_the_digit_limit_in_a_message_reads_as_its_bit_length(tmp_path, capsys, text, command, message):
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert run(capsys, command, str(path)) == (EXIT_INVALID, "", message)
+
+
+# Decimal integer arguments from small to just past the 4,300-digit limit that `int` parses.
+_NEAR_LIMIT = st.one_of(st.sampled_from(["1", "2", "32"]), st.integers(_LIMIT - 2, _LIMIT + 1).map(lambda d: "9" * d))
+_BUILT_COMMANDS = (
+    ("analyze", "FILE"),
+    ("analyze", "FILE", "--format", "json"),
+    ("analyze", "FILE", "--format", "csv"),
+    ("validate", "FILE"),
+    ("optimize", "FILE", "--pass", "truncate"),
+    ("optimize", "FILE", "--pass", "remove-stem-downsampling"),
+    ("compare", "FILE", "FILE"),
+    ("compare", "FILE", "zoo:vgg11"),
+)
+_BUILT_FLAGS = st.lists(
+    st.one_of(st.tuples(st.just("--input-size"), _NEAR_LIMIT, _NEAR_LIMIT), st.tuples(st.just("--classes"), _NEAR_LIMIT)),
+    max_size=2,
+)
+_BUILT_ARGV = st.tuples(
+    st.one_of(
+        st.sampled_from(_BUILT_COMMANDS),
+        _NEAR_LIMIT.map(lambda n: ("optimize", "FILE", "--pass", f"remove-stem-downsampling:{n}")),
+    ),
+    _BUILT_FLAGS,
+).map(lambda t: (*t[0], *(token for flag in t[1] for token in flag)))
+
+
+@settings(max_examples=60, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@seed(4300)
+@example(text=_digits_text(4301), argv=("analyze", "FILE"))
+@example(text=_concat_stages_text(5), argv=("analyze", "FILE"))
+@example(text=_LONG_WINDOW, argv=("analyze", "FILE"))
+@example(text=_LONG_CHANNELS, argv=("validate", "FILE"))
+@given(text=_built_document(), argv=_BUILT_ARGV)
+def test_any_built_document_keeps_the_exit_code_contract(tmp_path, capsys, text, argv):
+    path = tmp_path / "built.json"
+    path.write_text(text)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code in {EXIT_OK, EXIT_INVALID, EXIT_NOOP, EXIT_USAGE, EXIT_FILE}, (argv, err)
+    assert "Traceback" not in err
+    assert code == EXIT_OK or err, argv

@@ -90,7 +90,7 @@ def analysis():
         "annotations": annotations,
         "border": classify(g, annotations),
         "shapes": shapes,
-        "cost": cost_report(g, shapes=shapes),
+        "cost": cost_report(g),
         "delta": delta,
         "comparison": compare(g, nostem),
         "violations": validate(ArchGraph(g.name, g.input, g.nodes + g.nodes[1:], g.edges)),

@@ -28,12 +28,16 @@ from rfscope import (
 IN32 = InputSpec(32, 32, 3)
 
 
+def rows(graph):
+    return {c.node_id: c for c in cost_report(graph).per_layer}
+
+
 def single(kind, input_spec=IN32, node="x"):
     return chain_graph("single", input_spec, [(node, kind)])
 
 
 def spatial_of(kind, input_spec=IN32):
-    row = propagate_shapes(single(kind, input_spec))["x"]
+    row = rows(single(kind, input_spec))["x"]
     return (row.out_height, row.out_width)
 
 
@@ -67,7 +71,7 @@ class TestPropagateShapes:
 
     def test_gap_and_dense_collapse_spatial(self):
         g = chain_graph("head", IN32, [("c", Conv2d(kernel=3, filters=24)), ("gap", GlobalAvgPool()), ("fc", Dense(units=10))])
-        shapes = propagate_shapes(g)
+        shapes = rows(g)
         gap, fc = shapes["gap"], shapes["fc"]
         assert (gap.out_height, gap.out_width, gap.out_channels) == (1, 1, 24)
         assert (fc.out_height, fc.out_width, fc.out_channels) == (1, 1, 10)
@@ -82,7 +86,7 @@ class TestPropagateShapes:
         edges = [("input", "a"), ("input", "b"), ("a", "add"), ("b", "add")]
         g = make_graph("bad-add", IN32, layers, edges)
         with pytest.raises(ShapeError) as err:
-            propagate_shapes(g)
+            cost_report(g)
         assert "add" in str(err.value)
 
     def test_concat_sums_channels(self):
@@ -93,7 +97,7 @@ class TestPropagateShapes:
             ("cat", Concat()),
         ]
         edges = [("input", "a"), ("input", "b"), ("a", "cat"), ("b", "cat")]
-        shapes = propagate_shapes(make_graph("cat", IN32, layers, edges))
+        shapes = rows(make_graph("cat", IN32, layers, edges))
         cat = shapes["cat"]
         assert (cat.out_height, cat.out_width, cat.out_channels) == (32, 32, 32)
 
@@ -104,12 +108,12 @@ class TestPropagateShapes:
             ("p1", Pool(mode="max", kernel=2, stride=2)),
             ("c2", Conv2d(kernel=3, filters=32)),
         ]
-        whole = propagate_shapes(chain_graph("whole", IN32, layers))
-        prefix = propagate_shapes(chain_graph("prefix", IN32, layers[:2]))
+        whole = rows(chain_graph("whole", IN32, layers))
+        prefix = rows(chain_graph("prefix", IN32, layers[:2]))
         assert whole["c1"] == prefix["c1"] and whole["p1"] == prefix["p1"]
         mid = prefix["p1"]
         suffix_input = InputSpec(mid.out_height, mid.out_width, mid.out_channels)
-        suffix = propagate_shapes(chain_graph("suffix", suffix_input, layers[2:]))
+        suffix = rows(chain_graph("suffix", suffix_input, layers[2:]))
         assert suffix["c2"] == whole["c2"]
 
 
@@ -241,9 +245,9 @@ def shape_record(row):
 def report_rows(graph):
     """`cost_report` in the oracle's terms: shapes, per-layer rows and totals."""
     report = cost_report(graph)
-    rows = [(c.node_id, c.params, c.macs, shape_record(c)) for c in report.per_layer]
-    shapes = {nid: shape_record(row) for nid, row in propagate_shapes(graph).items()}
-    return shapes, rows, report.total_params, report.total_macs
+    per_layer = [(c.node_id, c.params, c.macs, shape_record(c)) for c in report.per_layer]
+    shapes = {c.node_id: shape_record(c) for c in report.per_layer}
+    return shapes, per_layer, report.total_params, report.total_macs
 
 
 class TestMatchesShapeRecordWalk:

@@ -31,9 +31,9 @@ from rfscope import (
     build_named,
     classify,
     compare,
+    cost_report,
     make_graph,
     propagate_dag,
-    propagate_shapes,
     remove_stem_downsampling,
     serialize,
     truncate_at_border,
@@ -49,7 +49,7 @@ def _shapes_propagate(graph):
     if validate(graph):
         return False
     try:
-        propagate_shapes(graph)
+        cost_report(graph)
     except ShapeError:
         return False
     return True
