@@ -244,8 +244,9 @@ class GraphValidationError(ValueError):
 class ArchGraph(_Record):
     """Immutable layer DAG: nodes in declaration order plus an ordered edge list.
 
-    Its ``__dict__`` holds only caches: those of the ``cached_property`` members
-    and the per-conv receptive-field table of :func:`~rfscope.border_analysis.classify`.
+    Its ``__dict__`` holds only caches: those of the ``cached_property`` members, the per-conv
+    receptive-field table of :func:`~rfscope.border_analysis.classify` and the cost plan of
+    :func:`~rfscope.shape_cost_model.cost_report`.
     Each cache is a function of the nodes, the edges and the input's channel
     count, never of the input's size, and no cache is mutated once stored.
     """

@@ -9,6 +9,8 @@ counted too; convolutions and dense layers dominate it.
 """
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, itemgetter, mul
 from typing import NamedTuple
 
 from .graph_ir import (
@@ -64,84 +66,103 @@ class CostReport(NamedTuple):
         return self.total_macs / 1e9
 
 
-def _window_out(extent: int, window: int, stride: int, padding: int, node_id: str) -> int:
-    out = (extent + 2 * padding - window) // stride + 1
-    if out < 1:
-        padded = safe_repr(extent + 2 * padding)
-        raise ShapeError(node_id, f"window {safe_repr(window)} exceeds padded input extent {padded}")
-    return out
+def _cost_plan(graph: ArchGraph) -> tuple:
+    """What :func:`cost_report` needs besides the input's size, from one walk in node order.
+
+    Sizes live in slots: slot 0 is (1, 1), slot 1 the input's, and each distinct
+    `(in slot, window, stride, 2 * padding)` rule of a conv or pool makes one more
+    (a strided same conv's rule is `(1, stride, 0)`: ceil(n / s) == (n - 1) // s + 1).
+    Steps, in node order, are those rules and the merges whose inputs sit in
+    different slots. Each node's row, `(out slot, area slot, out channels, p0, pf,
+    m0, mf)`, gives params `p0 + pf * area` and MACs `m0 + mf * area`; equal rows are kept once.
+    """
+    rules: dict[tuple[int, int, int, int], int] = {}  # a rule -> the slot it makes
+    rows: dict[tuple, int] = {}  # a row -> its index
+    out: dict[str, tuple[int, int]] = {}  # node id -> (out slot, out channels)
+    steps: list[tuple] = []  # (node id, *rule), or a merge's (node id, in slot, other slots, 0, shape tail)
+    keys: list[int] = []  # each node's row index
+    predecessors = graph.predecessors
+    for nid, node in zip(graph.order, graph.nodes):
+        kind = node.kind
+        cls = type(kind)
+        preds = predecessors[nid]
+        slot, c = out[preds[0]] if preds else (1, graph.input.channels)
+        rule, out_slot, out_c = None, slot, c
+        p0 = pf = m0 = mf = 0
+        if cls is Conv2d:
+            if kind.padding != PADDING_SAME:
+                pad = 0 if kind.padding == PADDING_VALID else int(kind.padding)
+                rule = (slot, kind.dilation * (kind.kernel - 1) + 1, kind.stride, 2 * pad)
+            elif kind.stride > 1:
+                rule = (slot, 1, kind.stride, 0)
+            out_c = kind.filters
+            mf = kind.kernel**2 * c * out_c
+            p0 = mf + out_c if kind.bias else mf
+        elif cls is BatchNorm:
+            p0, mf = 2 * c, c
+        elif cls is Activation:
+            mf = c
+        elif cls is Add or cls is Concat:
+            others = tuple(out[p][0] for p in preds[1:] if out[p][0] != slot)
+            if others:
+                steps.append((nid, slot, others, 0, (c,) if cls is Add else ()))
+            mf, out_c = (c, c) if cls is Add else (0, sum(out[p][1] for p in preds))
+        elif cls is Pool:
+            rule = (slot, kind.kernel, kind.stride, 2 * kind.padding)
+            mf = kind.kernel**2 * c
+        elif cls is Attention:
+            p0, m0, mf = _attention_cost(kind.variant, c)
+        elif cls is GlobalAvgPool:
+            out_slot, mf = 0, c
+        elif cls is Dense:
+            out_slot, out_c, p0 = 0, kind.units, kind.units if kind.bias else 0
+            pf = mf = c * out_c
+        area = slot
+        if rule is not None and (slot or (1 + rule[3] - rule[1]) // rule[2]):  # unless it keeps slot 0 at (1, 1)
+            if rule not in rules:
+                rules[rule] = len(rules) + 2
+                steps.append((nid, *rule))
+            out_slot = area = rules[rule]  # a window's MACs count its outputs
+        out[nid] = (out_slot, out_c)
+        keys.append(rows.setdefault((out_slot, area, out_c, p0, pf, m0, mf), len(rows)))
+    counts = [0] * len(rows)  # how many nodes have each row
+    for k in keys:
+        counts[k] += 1
+    plan = graph.__dict__["_cost_plan"] = (tuple(steps), tuple(rows), counts, tuple(keys))
+    return plan
 
 
 def cost_report(graph: ArchGraph, shapes: dict[str, LayerCost] | None = None) -> CostReport:
     """Per-layer and total trainable parameters and multiply-accumulates.
 
-    Every node's output shape, params and MACs come from one pass over the
-    graph. `shapes` is accepted and not read: a graph's shapes are a function
-    of the graph, so the walk derives them with the costs.
+    The first call on a graph keeps its :func:`_cost_plan` on it for every later call on the graph and
+    on its :meth:`ArchGraph.with_input` siblings of the same channel count. A call runs the plan's steps
+    over the input's size, then evaluates each distinct row once. `shapes` is accepted and not read.
 
     Same padding means out = ceil(in / stride); valid and explicit padding
     follow the usual floor rule. Element-wise adds require identical input
     shapes; concatenation requires matching spatial dims and sums channels.
     """
-    costs: dict[str, LayerCost] = {}  # a successor reads its input's (h, w, c) from positions 3-5
-    total_params = total_macs = 0
-    predecessors = graph.predecessors
-    source = (None, 0, 0, graph.input.height, graph.input.width, graph.input.channels)  # what the Input node reads
-    new = tuple.__new__  # builds a record from a tuple of its fields, skipping the keyword-argument shim
-    for nid, node in zip(graph.order, graph.nodes):
-        kind = node.kind
-        preds = predecessors[nid]
-        cls = type(kind)
-        _, _, _, h, w, c = costs[preds[0]] if preds else source
-        out_h, out_w, out_c = h, w, c
-        params = macs = 0
-        if cls is Conv2d:
-            if kind.padding == PADDING_SAME:
-                out_h, out_w = -(-h // kind.stride), -(-w // kind.stride)
-            else:
-                k_eff = kind.dilation * (kind.kernel - 1) + 1
-                pad = 0 if kind.padding == PADDING_VALID else int(kind.padding)
-                out_h = _window_out(h, k_eff, kind.stride, pad, nid)
-                out_w = _window_out(w, k_eff, kind.stride, pad, nid)
-            out_c = kind.filters
-            weights = kind.kernel**2 * c * out_c
-            params = weights + out_c if kind.bias else weights
-            macs = weights * out_h * out_w
-        elif cls is BatchNorm:
-            params, macs = 2 * c, h * w * c
-        elif cls is Activation:
-            macs = h * w * c
-        elif cls is Add:
-            for p in preds[1:]:
-                other = costs[p][3:]
-                if other != (h, w, c):
-                    detail = f"{safe_repr((h, w, c))} vs {safe_repr(other)}"
-                    raise ShapeError(nid, f"element-wise add over mismatched shapes {detail}")
-            macs = h * w * c
-        elif cls is Pool:
-            out_h = _window_out(h, kind.kernel, kind.stride, kind.padding, nid)
-            out_w = _window_out(w, kind.kernel, kind.stride, kind.padding, nid)
-            macs = kind.kernel**2 * out_h * out_w * c
-        elif cls is Concat:
-            for p in preds[1:]:
-                if costs[p][3:5] != (h, w):
-                    detail = f"{safe_repr((h, w))} vs {safe_repr(costs[p][3:5])}"
-                    raise ShapeError(nid, f"concat over mismatched spatial dims {detail}")
-            out_c = sum(costs[p][5] for p in preds)
-        elif cls is Attention:
-            params, macs = _attention_cost(kind.variant, h * w, c)
-        elif cls is GlobalAvgPool:
-            out_h = out_w = 1
-            macs = h * w * c
-        elif cls is Dense:
-            out_h, out_w, out_c = 1, 1, kind.units
-            macs = h * w * c * out_c
-            params = macs + out_c if kind.bias else macs
-        # Input and Softmax keep their input's shape and carry no parameters and no counted work.
-        costs[nid] = new(LayerCost, (nid, params, macs, out_h, out_w, out_c))
-        total_params += params
-        total_macs += macs
-    return CostReport(tuple(costs.values()), total_params, total_macs)
+    steps, rows, counts, keys = graph.__dict__.get("_cost_plan") or _cost_plan(graph)
+    hw = [(1, 1), (graph.input.height, graph.input.width)]  # each slot's (height, width)
+    for nid, slot, window, stride, pad2 in steps:
+        h, w = hw[slot]
+        if not stride:  # a merge: `window` holds its other inputs' slots, `pad2` the tail of its shapes
+            for other in window:
+                if hw[other] != (h, w):
+                    label = "element-wise add over mismatched shapes" if pad2 else "concat over mismatched spatial dims"
+                    raise ShapeError(nid, f"{label} {safe_repr((h, w) + pad2)} vs {safe_repr(hw[other] + pad2)}")
+            continue
+        out_h, out_w = (h + pad2 - window) // stride + 1, (w + pad2 - window) // stride + 1
+        if out_h < 1 or out_w < 1:
+            padded = safe_repr((h if out_h < 1 else w) + pad2)
+            raise ShapeError(nid, f"window {safe_repr(window)} exceeds padded input extent {padded}")
+        hw.append((out_h, out_w))
+    areas = [h * w for h, w in hw]
+    values = [(p0 + pf * areas[a], m0 + mf * areas[a], hw[s][0], hw[s][1], c) for s, a, c, p0, pf, m0, mf in rows]
+    # A node's record is its (id,) from `zip` plus its row's values, built without the keyword-argument shim.
+    per_layer = tuple(map(tuple.__new__, repeat(LayerCost), map(add, zip(graph.order), map(values.__getitem__, keys))))
+    return CostReport(per_layer, *(sum(map(mul, counts, map(itemgetter(i), values))) for i in (0, 1)))
 
 
 def propagate_shapes(graph: ArchGraph) -> dict[str, LayerCost]:
@@ -149,21 +170,19 @@ def propagate_shapes(graph: ArchGraph) -> dict[str, LayerCost]:
     return {c.node_id: c for c in cost_report(graph).per_layer}
 
 
-def _attention_cost(variant: str, area: int, channels: int) -> tuple[int, int]:
-    """(params, MACs) of an attention layer over `area` positions of `channels` channels.
+def _attention_cost(variant: str, channels: int) -> tuple[int, int, int]:
+    """(params, fixed MACs, MACs per position) of an attention layer over `channels` channels.
 
     Modeling defaults: a squeeze-excite bottleneck holds 2*C*(C/ratio)
     weights; spatial attention is one 7x7 conv over stacked avg/max maps;
     cbam combines both.
     """
-    params = macs = 0
+    params = fixed = per_position = 0
     if variant != "spatial":  # the squeeze-excite half
-        bottleneck = 2 * channels * max(1, channels // DEFAULT_SE_RATIO)
-        params += bottleneck
-        macs += 2 * channels * area + bottleneck
+        params = fixed = 2 * channels * max(1, channels // DEFAULT_SE_RATIO)
+        per_position = 2 * channels
     if variant != "se":  # the spatial half
         weights = SPATIAL_ATTENTION_KERNEL**2 * 2
         params += weights
-        macs += (3 * channels + weights) * area
-    return params, macs
-
+        per_position += 3 * channels + weights
+    return params, fixed, per_position

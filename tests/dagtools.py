@@ -35,14 +35,21 @@ node, so its time and memory grow with nodes times strided layers.
 `cost_by_shape_records` keeps the cost walk as it was before `LayerCost`
 held its own output dimensions: one shape record per node, kept in a dict for
 the node's successors to read, and a per-layer row that nests it. The record,
-`ShapeRecord`, is its own, so the oracle reads no shape type from rfscope.
+`ShapeRecord`, is its own, so the oracle reads no shape type from rfscope; its
+window rule and attention costs are its own too, so it reads no cost formula
+from rfscope either.
+
+`walk_counts` counts, by cProfile, how often a call runs each of rfscope's
+graph walks, `WALKS`, the cost plan's build among them.
 """
 from __future__ import annotations
 
+import cProfile
 import heapq
 import itertools
 import math
 import os
+import pstats
 import random
 import subprocess
 import sys
@@ -74,7 +81,6 @@ from rfscope import ShapeError, graph_ir
 from rfscope.graph_ir import LAYER_KINDS, MERGE_KINDS, RF_NEUTRAL_KINDS
 from rfscope.border_analysis import PRODUCTIVE, UNPRODUCTIVE, BorderReport, ConvClassification
 from rfscope.rf_analysis import RFAnnotation, propagate_dag
-from rfscope.shape_cost_model import _attention_cost, _window_out
 from rfscope.transforms import _fresh_id, _old_head_chain
 
 # Every zoo variant, and the input sizes of a 16-step resolution sweep.
@@ -324,6 +330,27 @@ def classify_by_two_scans(graph: ArchGraph, annotations: dict[str, RFAnnotation]
         border_min_node=None if first_min is None else first_min.node_id,
         border_max_node=None if first_max is None else first_max.node_id,
     )
+
+
+def _window_out(extent: int, window: int, stride: int, padding: int, node_id: str) -> int:
+    out = (extent + 2 * padding - window) // stride + 1
+    if out < 1:
+        raise ShapeError(node_id, f"window {window} exceeds padded input extent {extent + 2 * padding}")
+    return out
+
+
+def _attention_cost(variant: str, area: int, channels: int) -> tuple[int, int]:
+    """(params, MACs) of an attention layer over `area` positions: a squeeze-excite bottleneck of
+    2*C*(C/16) weights, a 7x7 conv over stacked avg/max maps, or (cbam) both."""
+    params = macs = 0
+    if variant != "spatial":
+        bottleneck = 2 * channels * max(1, channels // 16)
+        params += bottleneck
+        macs += 2 * channels * area + bottleneck
+    if variant != "se":
+        params += 7 * 7 * 2
+        macs += (3 * channels + 7 * 7 * 2) * area
+    return params, macs
 
 
 class ShapeRecord(NamedTuple):
@@ -631,3 +658,19 @@ def truncate_by_heap_drain(
     head = [_fresh_id(base, taken) for base in ("head_gap", "head_fc", "head_softmax")]
     edges += [(tail_end, head[0]), (head[0], head[1]), (head[1], head[2])]
     return keep + head, edges, tuple(sorted(removed))
+
+
+# The walks an analysis is assembled from: the check, the RF pass, the border rule, the cost report, and the
+# build of the cost plan that the report keeps.
+WALKS = ("validate", "propagate_dag", "classify", "cost_report", "_cost_plan")
+
+
+def walk_counts(run):
+    """How often `run()` calls each of rfscope's `WALKS`, as cProfile counts them."""
+    profile = cProfile.Profile()
+    profile.runcall(run)
+    counts = dict.fromkeys(WALKS, 0)
+    for (filename, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items():
+        if name in counts and Path(filename).parent.name == "rfscope":
+            counts[name] += calls
+    return counts

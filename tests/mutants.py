@@ -230,12 +230,12 @@ MUTANTS = (
         "return violations + arity + widths",
         (f"{VALIDATE}test_channel_rule_waits_for_a_later_arity_break", f"{VALIDATE}test_one_walk_matches_the_passes"),
     ),
-    # The cost walk reads and stores height before width; MACs alone cannot tell them apart.
+    # The cost plan's steps read and store height before width; MACs alone cannot tell them apart.
     Mutant(
         "walk-reads-width-as-height",
         "rfscope/shape_cost_model.py",
-        "_, _, _, h, w, c = costs[preds[0]] if preds else source",
-        "_, _, _, w, h, c = costs[preds[0]] if preds else source",
+        "h, w = hw[slot]",
+        "w, h = hw[slot]",
         (
             f"{NON_SQUARE}test_every_node_keeps_height_before_width",
             f"{SHAPE_RECORDS}test_zoo_at_square_and_non_square_sizes[resnet18]",
@@ -245,12 +245,67 @@ MUTANTS = (
     Mutant(
         "walk-stores-width-as-height",
         "rfscope/shape_cost_model.py",
-        "new(LayerCost, (nid, params, macs, out_h, out_w, out_c))",
-        "new(LayerCost, (nid, params, macs, out_w, out_h, out_c))",
+        "hw.append((out_h, out_w))",
+        "hw.append((out_w, out_h))",
         (
             f"{NON_SQUARE}test_every_node_keeps_height_before_width",
             f"{NON_SQUARE}test_concat_mismatch_names_height_then_width",
             f"{SHAPE_RECORDS}test_zoo_at_square_and_non_square_sizes[mpnet18]",
+        ),
+    ),
+    # Every size change of the plan is a step, and every step runs.
+    Mutant(
+        "strided-same-conv-keeps-its-slot",
+        "rfscope/shape_cost_model.py",
+        "rule = (slot, 1, kind.stride, 0)",
+        "rule = None",
+        (
+            f"{SHAPES}TestPropagateShapes::test_same_padding_uses_ceil",
+            f"{SHAPE_RECORDS}test_zoo_at_square_and_non_square_sizes[resnet18]",
+            f"{SHAPES}TestOneWalk::test_sweep_totals_match_the_recorded_values",
+        ),
+    ),
+    Mutant(
+        "add-across-slots-never-checked",
+        "rfscope/shape_cost_model.py",
+        "if others:",
+        "if others and cls is Concat:",
+        (
+            f"{SHAPES}TestPropagateShapes::test_add_requires_equal_shapes",
+            f"{SHAPES}TestErrorPrecedence::test_merge_before_window",
+            f"{SHAPE_RECORDS}test_random_graphs_with_their_errors[False]",
+        ),
+    ),
+    Mutant(
+        "attention-drops-its-fixed-macs",
+        "rfscope/shape_cost_model.py",
+        "params = fixed = 2 * channels",
+        "params = 2 * channels",
+        (
+            f"{SHAPES}TestMacs::test_attention_by_hand[se]",
+            f"{SHAPES}TestMacs::test_attention_by_hand[cbam]",
+            f"{SHAPE_RECORDS}test_random_graphs_with_their_errors[False]",
+        ),
+    ),
+    Mutant(
+        "heads-read-the-area-of-their-output",
+        "rfscope/shape_cost_model.py",
+        "        area = slot\n",
+        "        area = out_slot\n",
+        (
+            f"{SHAPES}TestMacs::test_dense_on_a_feature_map_reads_every_position",
+            f"{SHAPES}TestOneWalk::test_sweep_totals_match_the_recorded_values",
+        ),
+    ),
+    # Siblings share the plan, and it holds no size.
+    Mutant(
+        "plan-kept-per-graph-only",
+        "rfscope/shape_cost_model.py",
+        'graph.__dict__.get("_cost_plan") or _cost_plan(graph)',
+        "_cost_plan(graph)",
+        (
+            f"{SHAPES}TestOnePlanPerStructure::test_a_sweep_builds_the_plan_once",
+            f"{SHAPE_RECORDS}test_zoo_plan_built_at_one_size_serves_every_sibling[vgg11]",
         ),
     ),
     # propagate_shapes returns the cost walk's own rows, every one of them.

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from dagtools import SWEEP_SIZES, ZOO_VARIANTS, chain_graph, cost_by_shape_records, random_graph
+from dagtools import SWEEP_SIZES, ZOO_VARIANTS, chain_graph, cost_by_shape_records, random_graph, walk_counts
 
 from rfscope import (
     Activation,
@@ -180,6 +180,23 @@ class TestMacs:
         g = chain_graph("s", IN32, [("c", Conv2d(kernel=3, filters=8)), ("gap", GlobalAvgPool()), ("fc", Dense(units=10)), ("x", Softmax())])
         assert next(c.macs for c in cost_report(g).per_layer if c.node_id == "x") == 0
 
+    # 64 channels at 32x32 (1,024 positions): squeeze-excite holds 2 * 64 * (64 // 16) = 512 weights and
+    # costs 2 * 64 per position plus its 512; spatial holds 7 * 7 * 2 = 98 and costs 3 * 64 + 98 per position.
+    @pytest.mark.parametrize(
+        "variant, params, macs",
+        [("se", 512, 2 * 64 * 1024 + 512), ("spatial", 98, 290 * 1024), ("cbam", 610, 418 * 1024 + 512)],
+        ids=["se", "spatial", "cbam"],
+    )
+    def test_attention_by_hand(self, variant, params, macs):
+        g = chain_graph("attn", IN32, [("c", Conv2d(kernel=3, filters=64, bias=False)), ("x", Attention(variant))])
+        assert [(r.params, r.macs) for r in cost_report(g).per_layer if r.node_id == "x"] == [(params, macs)]
+
+    def test_dense_on_a_feature_map_reads_every_position(self):
+        # 32 * 48 * 4 inputs to each of 10 units, plus 10 biases.
+        g = chain_graph("flat", TALL_WIDE, [("c", Conv2d(kernel=3, filters=4, bias=False)), ("x", Dense(units=10))])
+        row = rows(g)["x"]
+        assert (row.params, row.macs, row.out_height, row.out_width, row.out_channels) == (61_450, 61_440, 1, 1, 10)
+
     def test_pool_counts_window_elements(self):
         g = chain_graph("p", IN32, [("c", Conv2d(kernel=3, filters=8, bias=False)), ("x", Pool(mode="max", kernel=2, stride=2))])
         # 16x16x8 outputs, 4 window elements each.
@@ -250,6 +267,9 @@ def report_rows(graph):
     return shapes, per_layer, report.total_params, report.total_macs
 
 
+PLAN_SIZES = (*SWEEP_SIZES, 1, 7, 16, 31)  # the sweep sizes, and sizes at which the vgg pools run out of input
+
+
 class TestMatchesShapeRecordWalk:
     """`cost_report` equals the walk that kept one shape record per node for its successors."""
 
@@ -270,6 +290,113 @@ class TestMatchesShapeRecordWalk:
                 assert walk_or_error(report_rows, graph) == expected, (seed, graph.input)
                 errors += isinstance(expected, str)
         assert errors > 0 or shape_safe
+
+    @pytest.mark.parametrize("name", ZOO_VARIANTS)
+    def test_zoo_plan_built_at_one_size_serves_every_sibling(self, name):
+        # A plan holds no size, so one built at 224x224 answers at every other size, failing ones included.
+        g = build_named(name, InputSpec(224, 224, 3))
+        cost_report(g)
+        plan = g.__dict__["_cost_plan"]
+        for size in PLAN_SIZES:
+            for spec in (InputSpec(size, size, 3), InputSpec(size, size + 16, 3), InputSpec(size + 16, size, 3)):
+                sibling = g.with_input(spec)
+                expected = walk_or_error(cost_by_shape_records, build_named(name, spec))
+                assert walk_or_error(report_rows, sibling) == expected, spec
+                assert sibling.__dict__["_cost_plan"] is plan
+
+    @pytest.mark.parametrize("shape_safe", [False, True])
+    def test_random_plans_with_their_errors(self, shape_safe):
+        specs = [InputSpec(s, s, 3) for s in (1, 2, 7, 33, 64)] + [InputSpec(9, 40, 3), InputSpec(40, 9, 3)]
+        errors = 0
+        for seed in range(300):
+            g = random_graph(seed, shape_safe=shape_safe)
+            walk_or_error(report_rows, g)  # keeps the plan even where the walk raises at 32x32
+            for spec in specs:
+                expected = walk_or_error(cost_by_shape_records, make_graph("fresh", spec, [(n.id, n.kind) for n in g.nodes], g.edges))
+                assert walk_or_error(report_rows, g.with_input(spec)) == expected, (seed, spec)
+                errors += isinstance(expected, str)
+        assert errors > 0 or shape_safe
+
+
+class TestOnePlanPerStructure:
+    """`cost_report` keeps a plan that reads no input size, so one plan serves every size."""
+
+    def test_windows_past_a_global_pool(self):
+        # On (1, 1), a 1x1/2 same conv and a 2x2/2 pool with padding 1 keep (1, 1), so they make no step;
+        # a 3x3 conv with padding 2 grows it to (3, 3), and a 5x5 valid conv then fails.
+        layers = [
+            ("gap", GlobalAvgPool()),
+            ("s", Conv2d(kernel=1, filters=4, stride=2)),
+            ("p", Pool(mode="max", kernel=2, stride=2, padding=1)),
+            ("grow", Conv2d(kernel=3, filters=4, padding=2)),
+            ("v", Conv2d(kernel=5, filters=4, padding="valid")),
+        ]
+        g = chain_graph("past-gap", IN32, layers[:-1])
+        assert report_rows(g) == cost_by_shape_records(g)
+        assert [shape_record(r) for r in cost_report(g).per_layer][-3:] == [("s", 1, 1, 4), ("p", 1, 1, 4), ("grow", 3, 3, 4)]
+        assert [step[0] for step in g.__dict__["_cost_plan"][0]] == ["grow"]
+        failing = chain_graph("past-gap-fails", IN32, layers)
+        assert walk_or_error(report_rows, failing) == "node 'v': window 5 exceeds padded input extent 3"
+
+    def test_a_sweep_builds_the_plan_once(self):
+        def sweep(graph):
+            for size in SWEEP_SIZES:
+                graph = graph.with_input(InputSpec(size, size, 3))
+                cost_report(graph)
+
+        counts = walk_counts(lambda: sweep(build_named("mpnet36")))
+        assert counts == {"validate": 1, "propagate_dag": 0, "classify": 0, "cost_report": 16, "_cost_plan": 1}
+
+    def test_a_channel_change_builds_a_new_plan(self):
+        g = build_named("resnet18", InputSpec(64, 64, 3))
+        cost_report(g)
+        gray = g.with_input(InputSpec(64, 64, 1))
+        counts = walk_counts(lambda: cost_report(gray))
+        assert counts == {"validate": 1, "propagate_dag": 0, "classify": 0, "cost_report": 1, "_cost_plan": 1}
+        assert gray.__dict__["_cost_plan"] is not g.__dict__["_cost_plan"]
+        assert report_rows(gray) == cost_by_shape_records(build_named("resnet18", InputSpec(64, 64, 1)))
+        stem = next(n.id for n in g.nodes if isinstance(n.kind, Conv2d))
+        assert rows(gray)[stem].params < rows(g)[stem].params
+
+
+def merge_then_window(window_first):
+    """A strided and a plain same conv meet at an add, which fails at any size; a 40x40 pool fails at
+    32x32. `window_first` puts the pool before the branches, else after the add."""
+    layers = [
+        ("input", Input()),
+        ("a", Conv2d(kernel=3, filters=8, stride=2)),
+        ("b", Conv2d(kernel=3, filters=8)),
+        ("add", Add()),
+        ("p", Pool(mode="max", kernel=40, stride=1)),
+    ]
+    edges = [("input", "a"), ("input", "b"), ("a", "add"), ("b", "add"), ("add", "p")]
+    if window_first:
+        layers = [layers[0], layers[4], *layers[1:4]]
+        edges = [("input", "p"), ("p", "a"), ("p", "b"), ("a", "add"), ("b", "add")]
+    return make_graph("precedence", InputSpec(96, 96, 3), layers, edges)
+
+
+class TestErrorPrecedence:
+    """The first failing node in node order raises, whether the plan was built at this size or another."""
+
+    def test_merge_before_window(self):
+        g = merge_then_window(window_first=False)
+        assert walk_or_error(report_rows, g) == "node 'add': element-wise add over mismatched shapes (48, 48, 8) vs (96, 96, 8)"
+        small = g.with_input(InputSpec(32, 32, 3))
+        assert walk_or_error(report_rows, small) == "node 'add': element-wise add over mismatched shapes (16, 16, 8) vs (32, 32, 8)"
+        assert walk_or_error(report_rows, small) == walk_or_error(cost_by_shape_records, small)
+
+    def test_window_before_merge(self):
+        g = merge_then_window(window_first=True)
+        assert walk_or_error(report_rows, g) == "node 'add': element-wise add over mismatched shapes (29, 29, 8) vs (57, 57, 8)"
+        small = g.with_input(InputSpec(32, 32, 3))
+        assert walk_or_error(report_rows, small) == "node 'p': window 40 exceeds padded input extent 32"
+        assert walk_or_error(report_rows, small) == walk_or_error(cost_by_shape_records, small)
+
+    def test_window_error_names_the_failing_extent(self):
+        g = chain_graph("wide", InputSpec(50, 30, 3), [("p", Pool(mode="avg", kernel=40, stride=1))])
+        assert walk_or_error(report_rows, g) == "node 'p': window 40 exceeds padded input extent 30"
+        assert walk_or_error(report_rows, g.with_input(InputSpec(30, 50, 3))) == "node 'p': window 40 exceeds padded input extent 30"
 
 
 class TestReportTotals:

@@ -1,18 +1,17 @@
-import cProfile
-import pstats
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
 from dagtools import (
     SWEEP_SIZES,
+    WALKS,
     ZOO_VARIANTS,
     chain_graph,
     mutated_graph,
     random_graph,
     split_merge_by_sets,
     truncate_by_heap_drain,
+    walk_counts,
 )
 from rfscope import (
     Activation,
@@ -368,21 +367,6 @@ class TestCompare:
             compare(g32, g64)
 
 
-# The walks an analysis is assembled from: the check, the RF pass, the border rule, the shape and cost walk.
-WALKS = ("validate", "propagate_dag", "classify", "cost_report")
-
-
-def walk_counts(run):
-    """How often `run()` calls each of rfscope's `WALKS`, as cProfile counts them."""
-    profile = cProfile.Profile()
-    profile.runcall(run)
-    counts = dict.fromkeys(WALKS, 0)
-    for (filename, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items():
-        if name in counts and Path(filename).parent.name == "rfscope":
-            counts[name] += calls
-    return counts
-
-
 def diamond(name, pad7):
     """Input into a 3x3 and a 7x7 conv that meet at an add: the add's frontier holds two states.
 
@@ -431,7 +415,7 @@ class TestOneAnalysis:
     def test_a_graph_walks_its_receptive_fields_once(self):
         g = build_named("resnet34")
         counts = walk_counts(lambda: (classify(g), classify(g)))
-        assert counts == {"validate": 1, "propagate_dag": 1, "classify": 2, "cost_report": 0}
+        assert counts == {"validate": 1, "propagate_dag": 1, "classify": 2, "cost_report": 0, "_cost_plan": 0}
 
     def test_with_input_siblings_share_one_check_and_one_rf_walk(self):
         def sweep(graph):
@@ -440,7 +424,7 @@ class TestOneAnalysis:
                 classify(graph)
 
         counts = walk_counts(lambda: sweep(build_named("mpnet36")))
-        assert counts == {"validate": 1, "propagate_dag": 1, "classify": len(SWEEP_SIZES), "cost_report": 0}
+        assert counts == {"validate": 1, "propagate_dag": 1, "classify": len(SWEEP_SIZES), "cost_report": 0, "_cost_plan": 0}
 
     def test_frontier_error_precedes_shape_error(self, monkeypatch):
         both = diamond("both", pad7=False)
