@@ -9,6 +9,7 @@ border with the graph's RF annotations and cost report.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .graph_ir import ArchGraph, Conv2d
@@ -51,38 +52,36 @@ def classify(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = Non
     border ordinals are equal. Ordinals number every Conv2d from 1 in
     declaration order, 1x1 projections on skip branches included.
 
-    Receptive fields do not depend on the input size, so the first call keeps
-    each conv's `(ordinal, node_id, r_in_min, r_in_max)` on `graph`, read from
-    `annotations` (which must be `propagate_dag(graph)`) or from one walk, and
-    later calls, on `graph` or on a :meth:`ArchGraph.with_input` sibling, reuse it.
+    Receptive fields do not depend on the input size, so the first call keeps a table on `graph`,
+    read from `annotations` (which must be `propagate_dag(graph)`) or from one walk, and later calls,
+    on `graph` or on a :meth:`ArchGraph.with_input` sibling, reuse it. It holds, in ordinal order,
+    each conv's `r_in_min`, both its rows (productive and unproductive) ready built, and the running
+    maxima of `r_in_min` and of `r_in_max`, the borders' step functions of the input size: a border
+    is the first position whose running maximum exceeds the resolution, found by `bisect_right`.
     """
     table = graph.__dict__.get("_rf_table")
     if table is None:
         if annotations is None:
             annotations = propagate_dag(graph)
         convs = (nid for nid, node in zip(graph.order, graph.nodes) if type(node.kind) is Conv2d)  # `order` validates
-        table = tuple((ordinal, nid, *annotations[nid][3:5]) for ordinal, nid in enumerate(convs, start=1))
-        graph.__dict__["_rf_table"] = table
+        new = tuple.__new__  # builds a record from a tuple of its fields, skipping the keyword-argument shim
+        productive = tuple([new(ConvClassification, (o, nid, *annotations[nid][3:5], PRODUCTIVE)) for o, nid in enumerate(convs, 1)])
+        r_in_mins = tuple([row[2] for row in productive])
+        top_min = top_max = 0  # the running maxima of r_in_min and of r_in_max
+        table = graph.__dict__["_rf_table"] = (
+            r_in_mins,
+            productive,
+            tuple([new(ConvClassification, (o, nid, r_min, r_max, UNPRODUCTIVE)) for o, nid, r_min, r_max, _ in productive]),
+            tuple([top_min := (r if r > top_min else top_min) for r in r_in_mins]),
+            tuple([top_max := (row[3] if row[3] > top_max else top_max) for row in productive]),
+        )
+    r_in_mins, productive, unproductive, min_maxima, max_maxima = table
     resolution = graph.input.resolution
-    rows: list[ConvClassification] = []
-    first_min = first_max = None  # the first unproductive row, and the first whose r_in_max crosses
-    new = tuple.__new__  # builds a record from a tuple of its fields, skipping the keyword-argument shim
-    for ordinal, node_id, r_in_min, r_in_max in table:
-        label = UNPRODUCTIVE if r_in_min > resolution else PRODUCTIVE
-        row = new(ConvClassification, (ordinal, node_id, r_in_min, r_in_max, label))
-        rows.append(row)
-        if first_min is None and r_in_min > resolution:
-            first_min = row
-        if first_max is None and r_in_max > resolution:
-            first_max = row
-    return BorderReport(
-        resolution=resolution,
-        per_conv=tuple(rows),
-        border_min=first_min and first_min.ordinal,
-        border_max=first_max and first_max.ordinal,
-        border_min_node=first_min and first_min.node_id,
-        border_max_node=first_max and first_max.node_id,
-    )
+    per_conv = tuple([u if r_in_min > resolution else p for r_in_min, p, u in zip(r_in_mins, productive, unproductive)])
+    at_min, at_max = bisect_right(min_maxima, resolution), bisect_right(max_maxima, resolution)
+    first_min = per_conv[at_min][:2] if at_min < len(per_conv) else (None, None)  # the first unproductive conv's ordinal and id
+    first_max = per_conv[at_max][:2] if at_max < len(per_conv) else (None, None)  # those of the first whose r_in_max crosses
+    return tuple.__new__(BorderReport, (resolution, per_conv, first_min[0], first_max[0], first_min[1], first_max[1]))
 
 
 def unproductive_closure(graph: ArchGraph, report: BorderReport) -> frozenset[str]:

@@ -10,7 +10,7 @@ counted too; convolutions and dense layers dominate it.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .graph_ir import (
@@ -75,12 +75,16 @@ def _cost_plan(graph: ArchGraph) -> tuple:
     Steps, in node order, are those rules and the merges whose inputs sit in
     different slots. Each node's row, `(out slot, area slot, out channels, p0, pf,
     m0, mf)`, gives params `p0 + pf * area` and MACs `m0 + mf * area`; equal rows are kept once.
+    The totals are the sums of every node's `p0` and `m0` plus, per area slot, the sums of its
+    nodes' `pf` and `mf`, each times the slot's area.
     """
     rules: dict[tuple[int, int, int, int], int] = {}  # a rule -> the slot it makes
     rows: dict[tuple, int] = {}  # a row -> its index
     out: dict[str, tuple[int, int]] = {}  # node id -> (out slot, out channels)
     steps: list[tuple] = []  # (node id, *rule), or a merge's (node id, in slot, other slots, 0, shape tail)
     keys: list[int] = []  # each node's row index
+    p0_sum = m0_sum = 0
+    pf_sums, mf_sums = [0, 0], [0, 0]  # per slot, the sums of `pf` and `mf` of the nodes whose area it is
     predecessors = graph.predecessors
     for nid, node in zip(graph.order, graph.nodes):
         kind = node.kind
@@ -122,13 +126,15 @@ def _cost_plan(graph: ArchGraph) -> tuple:
             if rule not in rules:
                 rules[rule] = len(rules) + 2
                 steps.append((nid, *rule))
+                pf_sums.append(0)
+                mf_sums.append(0)
             out_slot = area = rules[rule]  # a window's MACs count its outputs
         out[nid] = (out_slot, out_c)
         keys.append(rows.setdefault((out_slot, area, out_c, p0, pf, m0, mf), len(rows)))
-    counts = [0] * len(rows)  # how many nodes have each row
-    for k in keys:
-        counts[k] += 1
-    plan = graph.__dict__["_cost_plan"] = (tuple(steps), tuple(rows), counts, tuple(keys))
+        p0_sum, m0_sum = p0_sum + p0, m0_sum + m0
+        pf_sums[area] += pf
+        mf_sums[area] += mf
+    plan = graph.__dict__["_cost_plan"] = (tuple(steps), tuple(rows), tuple(keys), p0_sum, m0_sum, tuple(pf_sums), tuple(mf_sums))
     return plan
 
 
@@ -137,13 +143,14 @@ def cost_report(graph: ArchGraph, shapes: dict[str, LayerCost] | None = None) ->
 
     The first call on a graph keeps its :func:`_cost_plan` on it for every later call on the graph and
     on its :meth:`ArchGraph.with_input` siblings of the same channel count. A call runs the plan's steps
-    over the input's size, then evaluates each distinct row once. `shapes` is accepted and not read.
+    over the input's size, evaluates each distinct row once, and sums the totals in one pass over the
+    slots' areas, as exact integers. `shapes` is accepted and not read.
 
     Same padding means out = ceil(in / stride); valid and explicit padding
     follow the usual floor rule. Element-wise adds require identical input
     shapes; concatenation requires matching spatial dims and sums channels.
     """
-    steps, rows, counts, keys = graph.__dict__.get("_cost_plan") or _cost_plan(graph)
+    steps, rows, keys, p0_sum, m0_sum, pf_sums, mf_sums = graph.__dict__.get("_cost_plan") or _cost_plan(graph)
     hw = [(1, 1), (graph.input.height, graph.input.width)]  # each slot's (height, width)
     for nid, slot, window, stride, pad2 in steps:
         h, w = hw[slot]
@@ -162,7 +169,7 @@ def cost_report(graph: ArchGraph, shapes: dict[str, LayerCost] | None = None) ->
     values = [(p0 + pf * areas[a], m0 + mf * areas[a], hw[s][0], hw[s][1], c) for s, a, c, p0, pf, m0, mf in rows]
     # A node's record is its (id,) from `zip` plus its row's values, built without the keyword-argument shim.
     per_layer = tuple(map(tuple.__new__, repeat(LayerCost), map(add, zip(graph.order), map(values.__getitem__, keys))))
-    return CostReport(per_layer, *(sum(map(mul, counts, map(itemgetter(i), values))) for i in (0, 1)))
+    return tuple.__new__(CostReport, (per_layer, p0_sum + sum(map(mul, pf_sums, areas)), m0_sum + sum(map(mul, mf_sums, areas))))
 
 
 def propagate_shapes(graph: ArchGraph) -> dict[str, LayerCost]:

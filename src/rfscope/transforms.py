@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Container, Mapping, Sequence
 from typing import NamedTuple
 
-from .border_analysis import BorderReport, analyze, unproductive_closure
+from .border_analysis import BorderReport, classify, unproductive_closure
 from .graph_ir import (
     HEAD_KINDS,
     MERGE_KINDS,
@@ -25,7 +25,7 @@ from .graph_ir import (
     Softmax,
     make_graph,
 )
-from .shape_cost_model import CostReport
+from .shape_cost_model import CostReport, cost_report
 
 
 class TransformError(RuntimeError):
@@ -135,7 +135,7 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
     """
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    _, border, cost = analyze(graph)
+    border, cost = classify(graph), cost_report(graph)
     if border.border_min is None:
         return graph, TransformDelta("truncate", border, cost, border, cost, (), ())
 
@@ -192,7 +192,7 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
     edges += [(tail_end, gap_id), (gap_id, fc_id), (fc_id, softmax_id)]
 
     after = _rebuild(graph, f"{graph.name}-truncated", keep + [gap_id, fc_id, softmax_id], edges, kinds)
-    _, after_border, after_cost = analyze(after)
+    after_border, after_cost = classify(after), cost_report(after)
     return after, TransformDelta("truncate", border, cost, after_border, after_cost, tuple(sorted(removed)), ())
 
 
@@ -253,7 +253,7 @@ def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, T
         )
     chosen = targets[:count]
     _refuse_split_merge(graph, chosen, targets[count:])
-    _, border, cost = analyze(graph)
+    border, cost = classify(graph), cost_report(graph)
 
     modified: list[str] = []
     removed: list[str] = []
@@ -270,7 +270,7 @@ def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, T
     keep = [n.id for n in graph.nodes if n.id not in dropped]
     edges = [(_upstream(a, dropped, graph.predecessors), b) for a, b in graph.edges if b not in dropped]
     after = _rebuild(graph, f"{graph.name}-nostem", keep, edges, kinds)
-    _, after_border, after_cost = analyze(after)
+    after_border, after_cost = classify(after), cost_report(after)
     return after, TransformDelta(
         f"remove-stem-downsampling:{count}", border, cost, after_border, after_cost, tuple(removed), tuple(modified)
     )
@@ -284,8 +284,8 @@ def compare(graph_a: ArchGraph, graph_b: ArchGraph) -> ComparisonReport:
         raise ValueError(
             f"input specs differ: {graph_a.input} vs {graph_b.input}; comparison would be meaningless"
         )
-    _, border_a, cost_a = analyze(graph_a)
-    _, border_b, cost_b = analyze(graph_b)
+    border_a, cost_a = classify(graph_a), cost_report(graph_a)
+    border_b, cost_b = classify(graph_b), cost_report(graph_b)
     return ComparisonReport(
         name_a=graph_a.name,
         name_b=graph_b.name,

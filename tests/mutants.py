@@ -46,6 +46,7 @@ TRANSFORMS = "tests/test_transforms.py::"
 WALK_COUNTS = TRANSFORMS + "TestOneAnalysis::test_each_walk_runs_once_per_graph"
 MERGE_TAILS = "tests/test_rf_analysis.py::TestPropagateDag::test_exact_frontiers_after_a_merge"
 PROPERTIES = "tests/test_properties.py::"
+BREAKPOINTS = PROPERTIES + "test_zoo_borders_step_at_every_breakpoint"
 VALIDATE = "tests/test_graph_ir.py::TestValidate::"
 SHAPES = "tests/test_shape_cost_model.py::"
 NON_SQUARE = SHAPES + "TestNonSquareInput::"
@@ -63,13 +64,13 @@ MUTANTS = (
         "rfscope/border_analysis.py",
         "classify(graph, annotations), cost_report(graph)",
         "classify(graph), cost_report(graph)",
-        (f"{WALK_COUNTS}[analyze]", f"{WALK_COUNTS}[truncate_at_border]", f"{WALK_COUNTS}[cli-analyze]"),
+        (f"{WALK_COUNTS}[analyze]", f"{WALK_COUNTS}[cli-analyze]"),
     ),
     Mutant(
         "compare-analyzes-a-twice",
         "rfscope/transforms.py",
-        "_, border_b, cost_b = analyze(graph_b)",
-        "_, border_b, cost_b = analyze(graph_a)",
+        "border_b, cost_b = classify(graph_b), cost_report(graph_b)",
+        "border_b, cost_b = classify(graph_a), cost_report(graph_a)",
         (
             f"{TRANSFORMS}TestCompare::test_truncation_comparison",
             f"{TRANSFORMS}TestCompare::test_stem_removal_comparison",
@@ -79,8 +80,8 @@ MUTANTS = (
     Mutant(
         "truncate-after-is-the-input",
         "rfscope/transforms.py",
-        'analyze(after)\n    return after, TransformDelta("truncate"',
-        'analyze(graph)\n    return after, TransformDelta("truncate"',
+        'classify(after), cost_report(after)\n    return after, TransformDelta("truncate"',
+        'classify(graph), cost_report(graph)\n    return after, TransformDelta("truncate"',
         (
             f"{TRANSFORMS}TestOneAnalysis::test_delta_reports_are_the_analyses_of_input_and_output[vgg16]",
             f"{TRANSFORMS}TestTruncateAtBorder::test_vgg16_tail_replaced_by_classifier",
@@ -169,17 +170,33 @@ MUTANTS = (
         "return (low, new(RFState, (r_hi, j))), r_lo, r_hi",
         (f"{MERGE_TAILS}[conv-after-one-jump-add-of-equal-extremes]", "tests/test_layer_kinds.py::test_one_layer_graph[Add]"),
     ),
-    # classify finds both borders in the pass that builds the rows.
+    # classify bisects the running maxima of r_in_min and of r_in_max, each for the first one past the resolution.
     Mutant(
         "first-max-read-from-r-in-min",
         "rfscope/border_analysis.py",
-        "if first_max is None and r_in_max > resolution:",
-        "if first_max is None and r_in_min > resolution:",
+        "(row[3] if row[3] > top_max else top_max)",
+        "(row[2] if row[2] > top_max else top_max)",
         (
             f"{PROPERTIES}test_classify_borders_match_two_scans",
             "tests/test_border_analysis.py::TestZooBorders::test_mpnet18_two_borders",
             "tests/test_acceptance.py::test_border_golden_mpnet18_both_sides",
+            f"{BREAKPOINTS}[mpnet18]",
         ),
+    ),
+    Mutant(
+        "border-bisects-left",
+        "rfscope/border_analysis.py",
+        "from bisect import bisect_right\n",
+        "from bisect import bisect_left as bisect_right\n",
+        (f"{BREAKPOINTS}[vgg11]", f"{BREAKPOINTS}[resnet18]", f"{PROPERTIES}test_breakpoints_cover_each_way_a_border_falls"),
+    ),
+    # A resnet's projection conv sees a smaller field than the conv before it, so raw values are not sorted.
+    Mutant(
+        "border-bisects-raw-r-in-min",
+        "rfscope/border_analysis.py",
+        "tuple([top_min := (r if r > top_min else top_min) for r in r_in_mins])",
+        "r_in_mins",
+        (f"{BREAKPOINTS}[resnet18]", f"{BREAKPOINTS}[resnet34]"),
     ),
     # classify keeps each graph's per-conv RF table, and with_input carries it while the check carries.
     Mutant(
@@ -295,6 +312,17 @@ MUTANTS = (
         (
             f"{SHAPES}TestMacs::test_dense_on_a_feature_map_reads_every_position",
             f"{SHAPES}TestOneWalk::test_sweep_totals_match_the_recorded_values",
+        ),
+    ),
+    # A node's area factors are summed at the slot whose area it reads: a global pool reads its input's.
+    Mutant(
+        "slot-factor-at-the-out-slot",
+        "rfscope/shape_cost_model.py",
+        "mf_sums[area] += mf",
+        "mf_sums[out_slot] += mf",
+        (
+            f"{SHAPES}TestOneWalk::test_sweep_totals_match_the_recorded_values",
+            f"{SHAPE_RECORDS}test_zoo_at_square_and_non_square_sizes[vgg11]",
         ),
     ),
     # Siblings share the plan, and it holds no size.

@@ -269,3 +269,60 @@ def test_classify_borders_match_two_scans():
             if report.per_conv and all(c.classification == UNPRODUCTIVE for c in report.per_conv):
                 cases["every conv unproductive"] += 1
     assert all(cases.values()), cases
+
+
+def assert_borders_step_at_every_breakpoint(graph):
+    """A classified graph's `with_input` siblings at each distinct finite r_in_min and r_in_max
+    value b, and at b + 1, classify as a graph of the same structure walked afresh at that size.
+    The borders step only at those values, so these sizes cover every step; size 1 is added
+    so a graph without a conv is checked too. Returns the reports for the caller's case count."""
+    warm = classify(graph)
+    values = {r for c in warm.per_conv for r in (c.r_in_min, c.r_in_max) if r != math.inf}
+    layers = [(n.id, n.kind) for n in graph.nodes]
+    reports = []
+    for size in sorted({1} | values | {b + 1 for b in values}):
+        spec = InputSpec(size, size, graph.input.channels)
+        fresh = make_graph(graph.name, spec, layers, graph.edges)
+        report = classify(graph.with_input(spec))
+        assert report == classify_by_two_scans(fresh) == classify(fresh), (graph.name, size)
+        reports.append(report)
+    return reports
+
+
+def border_cases(reports):
+    """Which of the ways a border can fall the reports show."""
+    return {
+        "no conv": any(not r.per_conv for r in reports),
+        "no conv crosses": any(r.per_conv and r.border_min is None and r.border_max is None for r in reports),
+        "every conv crosses": any(r.per_conv and all(c.classification == UNPRODUCTIVE for c in r.per_conv) for r in reports),
+        "infinite fields": any(c.r_in_max == math.inf for r in reports for c in r.per_conv),
+        "border_max first": any(r.border_max is not None and (r.border_min is None or r.border_max < r.border_min) for r in reports),
+    }
+
+
+@pytest.mark.parametrize("name", ZOO_VARIANTS)
+def test_zoo_borders_step_at_every_breakpoint(name):
+    assert_borders_step_at_every_breakpoint(build_named(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_random_borders_step_at_every_breakpoint(seed):
+    assert_borders_step_at_every_breakpoint(random_graph(seed))
+
+
+def test_breakpoints_cover_each_way_a_border_falls():
+    """Hand-built chains and 40 random DAGs between them show every case of `border_cases`."""
+    spec = InputSpec(32, 32, 3)
+    graphs = [
+        chain_graph("no-conv", spec, [("pool", Pool(mode="max", kernel=3, stride=2)), ("bn", BatchNorm())]),
+        # Past a pool no conv sees a field of 1, so at size 1 every conv crosses.
+        chain_graph("after-pool", spec, [("pool", Pool(mode="max", kernel=3, stride=2, padding=1))]
+                    + [(f"c{i}", Conv2d(kernel=3, filters=4, padding=1)) for i in range(3)]),
+        # A conv past a global pool has an infinite field and crosses at every size.
+        chain_graph("past-gap", spec, [("a", Conv2d(kernel=3, filters=4)), ("b", Conv2d(kernel=5, filters=4)),
+                                       ("gap", GlobalAvgPool()), ("c", Conv2d(kernel=1, filters=4))]),
+    ]
+    graphs += [random_graph(seed) for seed in range(40)]
+    cases = border_cases([r for g in graphs for r in assert_borders_step_at_every_breakpoint(g)])
+    assert all(cases.values()), cases
