@@ -166,7 +166,7 @@ def _analysis_payload(graph: ArchGraph) -> dict[str, Any]:
     from .border_analysis import analyze
 
     annotations, border, cost = analyze(graph)
-    cost_by_id = {c.node_id: c for c in cost.per_layer}
+    cost_by_id = dict(zip(graph.order, cost.per_layer))
     rows = []
     for conv in border.per_conv:
         finite_j = [s.j for s in annotations[conv.node_id].in_frontier if s.j] or [math.inf]

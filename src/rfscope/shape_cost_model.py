@@ -9,8 +9,7 @@ counted too; convolutions and dense layers dominate it.
 """
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .graph_ir import (
@@ -43,7 +42,6 @@ class ShapeError(ValueError):
 
 
 class LayerCost(NamedTuple):
-    node_id: str
     params: int
     macs: int
     out_height: int
@@ -74,7 +72,8 @@ def _cost_plan(graph: ArchGraph) -> tuple:
     (a strided same conv's rule is `(1, stride, 0)`: ceil(n / s) == (n - 1) // s + 1).
     Steps, in node order, are those rules and the merges whose inputs sit in
     different slots. Each node's row, `(out slot, area slot, out channels, p0, pf,
-    m0, mf)`, gives params `p0 + pf * area` and MACs `m0 + mf * area`; equal rows are kept once.
+    m0, mf)`, gives params `p0 + pf * area` and MACs `m0 + mf * area`; equal rows are kept once, and
+    `pick` takes every node's record, in node order, from the list of the rows' records.
     The totals are the sums of every node's `p0` and `m0` plus, per area slot, the sums of its
     nodes' `pf` and `mf`, each times the slot's area.
     """
@@ -134,23 +133,25 @@ def _cost_plan(graph: ArchGraph) -> tuple:
         p0_sum, m0_sum = p0_sum + p0, m0_sum + m0
         pf_sums[area] += pf
         mf_sums[area] += mf
-    plan = graph.__dict__["_cost_plan"] = (tuple(steps), tuple(rows), tuple(keys), p0_sum, m0_sum, tuple(pf_sums), tuple(mf_sums))
+    pick = itemgetter(*keys) if len(keys) > 1 else tuple  # one key would give the bare record, not a 1-tuple
+    plan = graph.__dict__["_cost_plan"] = (tuple(steps), tuple(rows), pick, p0_sum, m0_sum, tuple(pf_sums), tuple(mf_sums))
     return plan
 
 
 def cost_report(graph: ArchGraph, shapes: dict[str, LayerCost] | None = None) -> CostReport:
     """Per-layer and total trainable parameters and multiply-accumulates.
 
-    The first call on a graph keeps its :func:`_cost_plan` on it for every later call on the graph and
-    on its :meth:`ArchGraph.with_input` siblings of the same channel count. A call runs the plan's steps
-    over the input's size, evaluates each distinct row once, and sums the totals in one pass over the
-    slots' areas, as exact integers. `shapes` is accepted and not read.
+    `per_layer[i]` is the cost of `graph.nodes[i]`, whose id is `graph.order[i]`, and nodes with equal rows
+    share one record. The first call on a graph keeps its :func:`_cost_plan` on it for every later call on
+    the graph and on its :meth:`ArchGraph.with_input` siblings of the same channel count. A call runs the
+    plan's steps over the input's size, builds each distinct row's record once, picks every node's, and
+    sums the totals in one pass over the slots' areas, as exact integers. `shapes` is accepted and not read.
 
     Same padding means out = ceil(in / stride); valid and explicit padding
     follow the usual floor rule. Element-wise adds require identical input
     shapes; concatenation requires matching spatial dims and sums channels.
     """
-    steps, rows, keys, p0_sum, m0_sum, pf_sums, mf_sums = graph.__dict__.get("_cost_plan") or _cost_plan(graph)
+    steps, rows, pick, p0_sum, m0_sum, pf_sums, mf_sums = graph.__dict__.get("_cost_plan") or _cost_plan(graph)
     hw = [(1, 1), (graph.input.height, graph.input.width)]  # each slot's (height, width)
     for nid, slot, window, stride, pad2 in steps:
         h, w = hw[slot]
@@ -166,15 +167,14 @@ def cost_report(graph: ArchGraph, shapes: dict[str, LayerCost] | None = None) ->
             raise ShapeError(nid, f"window {safe_repr(window)} exceeds padded input extent {padded}")
         hw.append((out_h, out_w))
     areas = [h * w for h, w in hw]
-    values = [(p0 + pf * areas[a], m0 + mf * areas[a], hw[s][0], hw[s][1], c) for s, a, c, p0, pf, m0, mf in rows]
-    # A node's record is its (id,) from `zip` plus its row's values, built without the keyword-argument shim.
-    per_layer = tuple(map(tuple.__new__, repeat(LayerCost), map(add, zip(graph.order), map(values.__getitem__, keys))))
-    return tuple.__new__(CostReport, (per_layer, p0_sum + sum(map(mul, pf_sums, areas)), m0_sum + sum(map(mul, mf_sums, areas))))
+    new = tuple.__new__  # one record per distinct row, each built without the keyword-argument shim
+    records = [new(LayerCost, (p0 + pf * areas[a], m0 + mf * areas[a], hw[s][0], hw[s][1], c)) for s, a, c, p0, pf, m0, mf in rows]
+    return new(CostReport, (pick(records), p0_sum + sum(map(mul, pf_sums, areas)), m0_sum + sum(map(mul, mf_sums, areas))))
 
 
 def propagate_shapes(graph: ArchGraph) -> dict[str, LayerCost]:
-    """Every node's :func:`cost_report` row by node id, which holds its output (height, width, channels)."""
-    return {c.node_id: c for c in cost_report(graph).per_layer}
+    """Every node's :func:`cost_report` row by node id (`per_layer` zipped with `graph.order`), with its output shape."""
+    return dict(zip(graph.order, cost_report(graph).per_layer))
 
 
 def _attention_cost(variant: str, channels: int) -> tuple[int, int, int]:

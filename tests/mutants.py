@@ -340,12 +340,33 @@ MUTANTS = (
     Mutant(
         "shapes-skip-the-input-row",
         "rfscope/shape_cost_model.py",
-        "{c.node_id: c for c in cost_report(graph).per_layer}",
-        "{c.node_id: c for c in cost_report(graph).per_layer[1:]}",
+        "dict(zip(graph.order, cost_report(graph).per_layer))",
+        "dict(zip(graph.order[1:], cost_report(graph).per_layer[1:]))",
         (
             f"{SHAPES}TestOneWalk::test_shapes_are_the_report_shapes[vgg11]",
             f"{SHAPES}TestOneWalk::test_shapes_are_the_report_shapes[resnet18]",
+            f"{SHAPES}TestPerLayerByPosition::test_a_lone_input_gives_one_row",
         ),
+    ),
+    # per_layer lists every node's record in node order, not each distinct row once.
+    Mutant(
+        "per-layer-in-row-order",
+        "rfscope/shape_cost_model.py",
+        "new(CostReport, (pick(records),",
+        "new(CostReport, (tuple(records),",
+        (
+            f"{SHAPE_RECORDS}test_zoo_at_square_and_non_square_sizes[vgg11]",
+            f"{SHAPES}TestPerLayerByPosition::test_nodes_with_equal_rows_share_one_record[resnet34]",
+            f"{CLI_PINS}[analyze zoo:vgg16 --input-size 48 64 --format json]",
+        ),
+    ),
+    # A one-node graph's per_layer is a 1-tuple, not its bare record.
+    Mutant(
+        "one-node-pick-returns-the-bare-record",
+        "rfscope/shape_cost_model.py",
+        "pick = itemgetter(*keys) if len(keys) > 1 else tuple",
+        "pick = itemgetter(*keys)",
+        (f"{SHAPES}TestPerLayerByPosition::test_a_lone_input_gives_one_row",),
     ),
     # Parse requires exactly the fields without a default, in field order.
     Mutant(

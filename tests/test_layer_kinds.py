@@ -84,7 +84,7 @@ def test_one_layer_graph(cls):
     kind = graph.node_map[node].kind
     assert type(kind) is cls
     assert propagate_dag(graph)[node].out_frontier == (state,)
-    cost = {c.node_id: c for c in cost_report(graph).per_layer}[node]
+    cost = cost_report(graph).per_layer[graph.order.index(node)]
     assert (cost.out_height, cost.out_width, cost.out_channels, cost.params, cost.macs) == (*shape, params, macs)
 
 

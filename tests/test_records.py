@@ -38,15 +38,15 @@ from rfscope import (
 
 STATE = "RFState(r=3, j=2)"
 CONV = "ConvClassification(ordinal=1, node_id='c1', r_in_min=1, r_in_max=1, classification='productive')"
-INPUT_COST = "LayerCost(node_id='input', params=0, macs=0, out_height=8, out_width=8, out_channels=3)"
-CONV_COST = "LayerCost(node_id='c1', params=112, macs=1728, out_height=4, out_width=4, out_channels=4)"
+INPUT_COST = "LayerCost(params=0, macs=0, out_height=8, out_width=8, out_channels=3)"
+CONV_COST = "LayerCost(params=112, macs=1728, out_height=4, out_width=4, out_channels=4)"
 BORDER = (
     f"BorderReport(resolution=8, per_conv=({CONV},), border_min=None, border_max=None, "
     "border_min_node=None, border_max_node=None)"
 )
 COST = f"CostReport(per_layer=({INPUT_COST}, {CONV_COST}), total_params=112, total_macs=1728)"
 NOSTEM_COST = (
-    f"CostReport(per_layer=({INPUT_COST}, LayerCost(node_id='c1', params=112, macs=6912, "
+    f"CostReport(per_layer=({INPUT_COST}, LayerCost(params=112, macs=6912, "
     "out_height=8, out_width=8, out_channels=4)), total_params=112, total_macs=6912)"
 )
 

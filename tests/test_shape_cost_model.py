@@ -16,6 +16,7 @@ from rfscope import (
     GlobalAvgPool,
     Input,
     InputSpec,
+    LayerCost,
     Pool,
     ShapeError,
     Softmax,
@@ -29,7 +30,7 @@ IN32 = InputSpec(32, 32, 3)
 
 
 def rows(graph):
-    return {c.node_id: c for c in cost_report(graph).per_layer}
+    return dict(zip(graph.order, cost_report(graph).per_layer))
 
 
 def single(kind, input_spec=IN32, node="x"):
@@ -118,30 +119,21 @@ class TestPropagateShapes:
 
 
 def params_of(kind, input_spec=IN32):
-    report = cost_report(single(kind, input_spec))
-    return next(c.params for c in report.per_layer if c.node_id == "x")
-
-
-def macs_of(kind, input_spec=IN32, **kwargs):
-    report = cost_report(single(kind, input_spec), **kwargs)
-    return next(c.macs for c in report.per_layer if c.node_id == "x")
+    return rows(single(kind, input_spec))["x"].params
 
 
 class TestParams:
     def test_conv_3x3_64_to_64_with_bias(self):
         g = chain_graph("two", IN32, [("c0", Conv2d(kernel=3, filters=64, bias=False)), ("x", Conv2d(kernel=3, filters=64))])
-        report = cost_report(g)
-        assert next(c.params for c in report.per_layer if c.node_id == "x") == 36_928
+        assert rows(g)["x"].params == 36_928
 
     def test_dense_512_to_10(self):
         g = chain_graph("d", IN32, [("c", Conv2d(kernel=3, filters=512)), ("gap", GlobalAvgPool()), ("x", Dense(units=10))])
-        report = cost_report(g)
-        assert next(c.params for c in report.per_layer if c.node_id == "x") == 5_130
+        assert rows(g)["x"].params == 5_130
 
     def test_batch_norm_two_per_channel(self):
         g = chain_graph("bn", IN32, [("c", Conv2d(kernel=3, filters=128, bias=False)), ("x", BatchNorm())])
-        report = cost_report(g)
-        assert next(c.params for c in report.per_layer if c.node_id == "x") == 256
+        assert rows(g)["x"].params == 256
 
     def test_dilation_adds_no_params(self):
         assert params_of(Conv2d(kernel=3, filters=8, dilation=3)) == params_of(Conv2d(kernel=3, filters=8))
@@ -151,34 +143,30 @@ class TestParams:
         g = chain_graph("free", IN32, [("c", Conv2d(kernel=3, filters=8)), ("x", kind), ("c2", Conv2d(kernel=3, filters=8))])
         if isinstance(kind, Add):
             return  # arity constraint; covered by zoo totals
-        report = cost_report(g)
-        assert next(c.params for c in report.per_layer if c.node_id == "x") == 0
+        assert rows(g)["x"].params == 0
 
     def test_se_attention_bottleneck(self):
         g = chain_graph("se", IN32, [("c", Conv2d(kernel=3, filters=64, bias=False)), ("x", Attention("se"))])
-        report = cost_report(g)
-        assert next(c.params for c in report.per_layer if c.node_id == "x") == 2 * 64 * 4
+        assert rows(g)["x"].params == 2 * 64 * 4
 
 
 class TestMacs:
     def test_conv_3x3_64_to_64_at_32(self):
         g = chain_graph("two", IN32, [("c0", Conv2d(kernel=3, filters=64, bias=False)), ("x", Conv2d(kernel=3, filters=64))])
-        report = cost_report(g)
-        assert next(c.macs for c in report.per_layer if c.node_id == "x") == 37_748_736
+        assert rows(g)["x"].macs == 37_748_736
 
     def test_dense_512_to_10(self):
         g = chain_graph("d", IN32, [("c", Conv2d(kernel=3, filters=512)), ("gap", GlobalAvgPool()), ("x", Dense(units=10))])
-        report = cost_report(g)
-        assert next(c.macs for c in report.per_layer if c.node_id == "x") == 5_120
+        assert rows(g)["x"].macs == 5_120
 
     def test_elementwise_counted(self):
         for kind in (BatchNorm(), Activation(), Pool(mode="avg", kernel=2, stride=2), GlobalAvgPool()):
             g = chain_graph("e", IN32, [("c", Conv2d(kernel=3, filters=8, bias=False)), ("x", kind)])
-            assert next(c.macs for c in cost_report(g).per_layer if c.node_id == "x") > 0
+            assert rows(g)["x"].macs > 0
 
     def test_softmax_never_counted(self):
         g = chain_graph("s", IN32, [("c", Conv2d(kernel=3, filters=8)), ("gap", GlobalAvgPool()), ("fc", Dense(units=10)), ("x", Softmax())])
-        assert next(c.macs for c in cost_report(g).per_layer if c.node_id == "x") == 0
+        assert rows(g)["x"].macs == 0
 
     # 64 channels at 32x32 (1,024 positions): squeeze-excite holds 2 * 64 * (64 // 16) = 512 weights and
     # costs 2 * 64 per position plus its 512; spatial holds 7 * 7 * 2 = 98 and costs 3 * 64 + 98 per position.
@@ -189,7 +177,8 @@ class TestMacs:
     )
     def test_attention_by_hand(self, variant, params, macs):
         g = chain_graph("attn", IN32, [("c", Conv2d(kernel=3, filters=64, bias=False)), ("x", Attention(variant))])
-        assert [(r.params, r.macs) for r in cost_report(g).per_layer if r.node_id == "x"] == [(params, macs)]
+        row = rows(g)["x"]
+        assert (row.params, row.macs) == (params, macs)
 
     def test_dense_on_a_feature_map_reads_every_position(self):
         # 32 * 48 * 4 inputs to each of 10 units, plus 10 biases.
@@ -200,7 +189,7 @@ class TestMacs:
     def test_pool_counts_window_elements(self):
         g = chain_graph("p", IN32, [("c", Conv2d(kernel=3, filters=8, bias=False)), ("x", Pool(mode="max", kernel=2, stride=2))])
         # 16x16x8 outputs, 4 window elements each.
-        assert next(c.macs for c in cost_report(g).per_layer if c.node_id == "x") == 4 * 16 * 16 * 8
+        assert rows(g)["x"].macs == 4 * 16 * 16 * 8
 
 
 # Height and width differ on the way through, so a layer that reads or writes them
@@ -224,8 +213,9 @@ NON_SQUARE_EDGES = [("input", "a"), ("a", "p"), ("a", "b"), ("p", "cat"), ("b", 
 
 class TestNonSquareInput:
     def test_every_node_keeps_height_before_width(self):
-        report = cost_report(make_graph("tall-wide", TALL_WIDE, NON_SQUARE_LAYERS, NON_SQUARE_EDGES))
-        assert [(c.node_id, c.out_height, c.out_width, c.out_channels) for c in report.per_layer] == [
+        g = make_graph("tall-wide", TALL_WIDE, NON_SQUARE_LAYERS, NON_SQUARE_EDGES)
+        report = cost_report(g)
+        assert [shape_record(nid, c) for nid, c in zip(g.order, report.per_layer)] == [
             ("input", 32, 48, 3),
             ("a", 15, 23, 8),
             ("p", 8, 12, 8),
@@ -255,15 +245,15 @@ def walk_or_error(walk, graph):
         return str(err)
 
 
-def shape_record(row):
-    return (row.node_id, row.out_height, row.out_width, row.out_channels)
+def shape_record(nid, row):
+    return (nid, row.out_height, row.out_width, row.out_channels)
 
 
 def report_rows(graph):
-    """`cost_report` in the oracle's terms: shapes, per-layer rows and totals."""
+    """`cost_report` in the oracle's terms: shapes, per-layer rows (by node id, from `graph.order`) and totals."""
     report = cost_report(graph)
-    per_layer = [(c.node_id, c.params, c.macs, shape_record(c)) for c in report.per_layer]
-    shapes = {c.node_id: shape_record(c) for c in report.per_layer}
+    per_layer = [(nid, c.params, c.macs, shape_record(nid, c)) for nid, c in zip(graph.order, report.per_layer)]
+    shapes = {row[0]: row[3] for row in per_layer}
     return shapes, per_layer, report.total_params, report.total_macs
 
 
@@ -333,7 +323,7 @@ class TestOnePlanPerStructure:
         ]
         g = chain_graph("past-gap", IN32, layers[:-1])
         assert report_rows(g) == cost_by_shape_records(g)
-        assert [shape_record(r) for r in cost_report(g).per_layer][-3:] == [("s", 1, 1, 4), ("p", 1, 1, 4), ("grow", 3, 3, 4)]
+        assert [shape_record(nid, r) for nid, r in rows(g).items()][-3:] == [("s", 1, 1, 4), ("p", 1, 1, 4), ("grow", 3, 3, 4)]
         assert [step[0] for step in g.__dict__["_cost_plan"][0]] == ["grow"]
         failing = chain_graph("past-gap-fails", IN32, layers)
         assert walk_or_error(report_rows, failing) == "node 'v': window 5 exceeds padded input extent 3"
@@ -450,6 +440,25 @@ class TestOneWalk:
             g = build_named(name, InputSpec(size, size, 3))
             shapes = propagate_shapes(g)
             report = cost_report(g)
-            assert list(shapes) == list(g.order) == [c.node_id for c in report.per_layer]
+            assert list(shapes) == list(g.order)
             assert list(shapes.values()) == list(report.per_layer)
             assert cost_report(g, shapes=shapes) == report
+
+
+class TestPerLayerByPosition:
+    """`per_layer[i]` is the cost of `graph.nodes[i]`, and nodes with equal rows share one record."""
+
+    def test_a_lone_input_gives_one_row(self):
+        # `operator.itemgetter` of one key returns the bare item, not a 1-tuple, so this plan picks with `tuple`.
+        g = make_graph("lone", IN32, [("input", Input())], [])
+        row = LayerCost(params=0, macs=0, out_height=32, out_width=32, out_channels=3)
+        assert cost_report(g) == ((row,), 0, 0)
+        assert propagate_shapes(g) == {"input": row}
+        assert cost_report(g.with_input(InputSpec(5, 7, 1))).per_layer == (LayerCost(0, 0, 5, 7, 1),)
+
+    @pytest.mark.parametrize("name", ["vgg11", "resnet34"])
+    def test_nodes_with_equal_rows_share_one_record(self, name):
+        g = build_named(name)
+        report = cost_report(g)
+        assert len({id(c) for c in report.per_layer}) == len(g.__dict__["_cost_plan"][1]) < len(g.nodes)
+        assert report_rows(g) == cost_by_shape_records(g)

@@ -117,9 +117,9 @@ def test_skip_and_noskip_conv_params_differ_only_by_projections():
     def conv_params(graph):
         report = cost_report(graph)
         return {
-            c.node_id: c.params
-            for c in report.per_layer
-            if isinstance(graph.node_map[c.node_id].kind, Conv2d)
+            node.id: c.params
+            for node, c in zip(graph.nodes, report.per_layer)
+            if isinstance(node.kind, Conv2d)
         }
 
     with_skips = conv_params(build_named("resnet18"))
