@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "border_analysis": (
         "BorderReport", "ConvClassification", "classify",
-        "unproductive_closure", "PRODUCTIVE", "UNPRODUCTIVE", "Analysis", "analyze",
+        "unproductive_closure", "PRODUCTIVE", "UNPRODUCTIVE",
     ),
     "shape_cost_model": (
         "LayerCost", "CostReport", "ShapeError",

@@ -4,27 +4,32 @@ A convolution whose input receptive field already exceeds the input
 resolution i = max(height, width) cannot integrate novel information into a
 single feature-map position. The first conv ordinal where the minimum input
 receptive field crosses i is the operative border; the analogous ordinal for
-the maximum receptive field is reported for diagnostics. `analyze` returns the
-border with the graph's RF annotations and cost report.
+the maximum receptive field is reported for diagnostics. Each conv's row also
+carries the range of its finite jumps, which, like its receptive fields, does
+not depend on the input size.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import NamedTuple
 
 from .graph_ir import ArchGraph, Conv2d
 from .rf_analysis import RFAnnotation, propagate_dag
-from .shape_cost_model import CostReport, cost_report
 
 PRODUCTIVE = "productive"
 UNPRODUCTIVE = "unproductive"
 
 
 class ConvClassification(NamedTuple):
+    """One conv's input receptive-field range, its finite jumps' range (`math.inf` if none) and its class."""
+
     ordinal: int
     node_id: str
     r_in_min: int | float
     r_in_max: int | float
+    j_min: int | float
+    j_max: int | float
     classification: str
 
 
@@ -55,23 +60,31 @@ def classify(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = Non
     Receptive fields do not depend on the input size, so the first call keeps a table on `graph`,
     read from `annotations` (which must be `propagate_dag(graph)`) or from one walk, and later calls,
     on `graph` or on a :meth:`ArchGraph.with_input` sibling, reuse it. It holds, in ordinal order,
-    each conv's `r_in_min`, both its rows (productive and unproductive) ready built, and the running
-    maxima of `r_in_min` and of `r_in_max`, the borders' step functions of the input size: a border
-    is the first position whose running maximum exceeds the resolution, found by `bisect_right`.
+    each conv's `r_in_min`, both its rows (productive and unproductive, each with the conv's jump
+    range) ready built, and the running maxima of `r_in_min` and of `r_in_max`, the borders' step
+    functions of the input size: a border is the first position whose running maximum exceeds the
+    resolution, found by `bisect_right`.
     """
     table = graph.__dict__.get("_rf_table")
     if table is None:
         if annotations is None:
             annotations = propagate_dag(graph)
-        convs = (nid for nid, node in zip(graph.order, graph.nodes) if type(node.kind) is Conv2d)  # `order` validates
+        convs = (annotations[nid] for nid, node in zip(graph.order, graph.nodes) if type(node.kind) is Conv2d)  # `order` validates
         new = tuple.__new__  # builds a record from a tuple of its fields, skipping the keyword-argument shim
-        productive = tuple([new(ConvClassification, (o, nid, *annotations[nid][3:5], PRODUCTIVE)) for o, nid in enumerate(convs, 1)])
+        inf = math.inf
+        # A conv's in-frontier `f` is ordered (j, r), so the global state (inf, 0), the one state of jump 0,
+        # comes first if present: the finite jumps run from the state after it to the last state.
+        productive = tuple([
+            new(ConvClassification, (o, nid, r_min, r_max, f[0][1] or (f[1][1] if len(f) > 1 else inf), f[-1][1] or inf, PRODUCTIVE))
+            for o, (nid, f, _, r_min, r_max, _, _) in enumerate(convs, 1)
+        ])
         r_in_mins = tuple([row[2] for row in productive])
         top_min = top_max = 0  # the running maxima of r_in_min and of r_in_max
         table = graph.__dict__["_rf_table"] = (
             r_in_mins,
             productive,
-            tuple([new(ConvClassification, (o, nid, r_min, r_max, UNPRODUCTIVE)) for o, nid, r_min, r_max, _ in productive]),
+            tuple([new(ConvClassification, (o, nid, r_min, r_max, j_min, j_max, UNPRODUCTIVE))
+                   for o, nid, r_min, r_max, j_min, j_max, _ in productive]),
             tuple([top_min := (r if r > top_min else top_min) for r in r_in_mins]),
             tuple([top_max := (row[3] if row[3] > top_max else top_max) for row in productive]),
         )
@@ -105,16 +118,3 @@ def unproductive_closure(graph: ArchGraph, report: BorderReport) -> frozenset[st
             blocked.add(nid)
     return frozenset(blocked)
 
-
-class Analysis(NamedTuple):
-    """One graph's receptive-field annotations, border report and cost report."""
-
-    annotations: dict[str, RFAnnotation]
-    border: BorderReport
-    cost: CostReport
-
-
-def analyze(graph: ArchGraph) -> Analysis:
-    """Annotate, classify and cost `graph` in that order, one walk each: an RF error precedes a ShapeError."""
-    annotations = propagate_dag(graph)
-    return Analysis(annotations, classify(graph, annotations), cost_report(graph))

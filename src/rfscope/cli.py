@@ -163,26 +163,25 @@ def _num(value: int | float) -> int | str:
 
 
 def _analysis_payload(graph: ArchGraph) -> dict[str, Any]:
-    from .border_analysis import analyze
+    from .border_analysis import classify
+    from .shape_cost_model import cost_report
 
-    annotations, border, cost = analyze(graph)
+    border, cost = classify(graph), cost_report(graph)  # in this order, so an RF error precedes a ShapeError
     cost_by_id = dict(zip(graph.order, cost.per_layer))
-    rows = []
-    for conv in border.per_conv:
-        finite_j = [s.j for s in annotations[conv.node_id].in_frontier if s.j] or [math.inf]
-        rows.append(
-            {
-                "ordinal": conv.ordinal,
-                "id": conv.node_id,
-                "r_in_min": _num(conv.r_in_min),
-                "r_in_max": _num(conv.r_in_max),
-                "j_min": _num(min(finite_j)),
-                "j_max": _num(max(finite_j)),
-                "params": cost_by_id[conv.node_id].params,
-                "macs": cost_by_id[conv.node_id].macs,
-                "classification": conv.classification,
-            }
-        )
+    rows = [
+        {
+            "ordinal": conv.ordinal,
+            "id": conv.node_id,
+            "r_in_min": _num(conv.r_in_min),
+            "r_in_max": _num(conv.r_in_max),
+            "j_min": _num(conv.j_min),
+            "j_max": _num(conv.j_max),
+            "params": cost_by_id[conv.node_id].params,
+            "macs": cost_by_id[conv.node_id].macs,
+            "classification": conv.classification,
+        }
+        for conv in border.per_conv
+    ]
     return {
         "name": graph.name,
         "input": graph.input._asdict(),

@@ -16,7 +16,8 @@ its own `effective_kernel`, along every input-to-node path one at a time,
 independently of the per-jump frontiers of `propagate_dag`. `per_jump_extremes` folds a set of states into
 the frontier they should make, per jump from sets and `min`/`max`, without
 `propagate_dag`'s merge; `classify_by_two_scans` finds both borders as
-`classify` once did, with two scans over finished rows.
+`classify` once did, with two scans over finished rows, and each conv's jump
+range from a scan of its in-frontier, as the CLI once did.
 
 Three more oracles keep graph walks that rfscope dropped: the reachability
 checks `validate` once ran after its cycle check, and the dead-end heap with
@@ -319,7 +320,8 @@ def classify_by_two_scans(graph: ArchGraph, annotations: dict[str, RFAnnotation]
     for ordinal, node_id in enumerate(convs, start=1):
         ann = annotations[node_id]
         label = UNPRODUCTIVE if ann.r_in_min > resolution else PRODUCTIVE
-        rows.append(ConvClassification(ordinal, node_id, ann.r_in_min, ann.r_in_max, label))
+        finite_j = [s.j for s in ann.in_frontier if s.j] or [math.inf]
+        rows.append(ConvClassification(ordinal, node_id, ann.r_in_min, ann.r_in_max, min(finite_j), max(finite_j), label))
     first_min = next((c for c in rows if c.classification == UNPRODUCTIVE), None)
     first_max = next((c for c in rows if c.r_in_max > resolution), None)
     return BorderReport(

@@ -58,13 +58,13 @@ ZOO = "tests/test_zoo.py::"
 CLI_PINS = "tests/test_cli.py::test_cli_output_matches_pinned_digest"
 
 MUTANTS = (
-    # The one analysis core.
+    # The one analysis core: the report classifies before it costs, so an RF error comes first.
     Mutant(
-        "analyze-reclassifies",
-        "rfscope/border_analysis.py",
-        "classify(graph, annotations), cost_report(graph)",
-        "classify(graph), cost_report(graph)",
-        (f"{WALK_COUNTS}[analyze]", f"{WALK_COUNTS}[cli-analyze]"),
+        "cli-costs-before-classify",
+        "rfscope/cli.py",
+        "border, cost = classify(graph), cost_report(graph)  # in this order",
+        "cost, border = cost_report(graph), classify(graph)  # in this order",
+        (f"{ONE_ANALYSIS}test_frontier_error_precedes_shape_error",),
     ),
     Mutant(
         "compare-analyzes-a-twice",
@@ -169,6 +169,17 @@ MUTANTS = (
         "return ((low,) if r_lo == r_hi else (low, new(RFState, (r_hi, j)))), r_lo, r_hi",
         "return (low, new(RFState, (r_hi, j))), r_lo, r_hi",
         (f"{MERGE_TAILS}[conv-after-one-jump-add-of-equal-extremes]", "tests/test_layer_kinds.py::test_one_layer_graph[Add]"),
+    ),
+    # A conv's in-frontier is ordered (j, r): its largest finite jump is the last state's.
+    Mutant(
+        "jump-range-from-the-wrong-end",
+        "rfscope/border_analysis.py",
+        "f[-1][1] or inf, PRODUCTIVE",
+        "f[0][1] or (f[1][1] if len(f) > 1 else inf), PRODUCTIVE",
+        (
+            "tests/test_cli.py::test_analyze_jump_range_spans_finite_paths_past_a_global_branch",
+            f"{PROPERTIES}test_classify_borders_match_two_scans",
+        ),
     ),
     # classify bisects the running maxima of r_in_min and of r_in_max, each for the first one past the resolution.
     Mutant(

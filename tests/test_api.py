@@ -64,25 +64,26 @@ def test_all_lists_exactly_the_public_names():
 # model; `chain_graph` and `effective_kernel` left for tests/dagtools.py, as only tests read them.
 # `parse_document` and `serialize_document` left for `parse(json.dumps(doc))` and
 # `json.loads(serialize(g))`, as only tests read them. `DocumentSemanticError` left for
-# `GraphValidationError`, which `parse` raises itself for a graph that breaks a rule.
+# `GraphValidationError`, which `parse` raises itself for a graph that breaks a rule. `Analysis`
+# and `analyze` left for `classify(g), cost_report(g)`, as each conv's row now holds its jump range.
 PUBLIC_NAMES = """
     __version__ ArchGraph InputSpec LayerKind LayerNode Violation Conv2d Pool GlobalAvgPool Dense Add
     Concat BatchNorm Activation Attention Input Softmax GraphValidationError validate topological_order
     make_graph RFState RFAnnotation propagate_dag FrontierLimitError
-    BorderReport ConvClassification classify unproductive_closure PRODUCTIVE UNPRODUCTIVE Analysis analyze
+    BorderReport ConvClassification classify unproductive_closure PRODUCTIVE UNPRODUCTIVE
     LayerCost CostReport ShapeError propagate_shapes cost_report TransformDelta ComparisonReport
     TransformError truncate_at_border remove_stem_downsampling compare FAMILIES build_named
     parse serialize DocumentError
 """.split()
 GONE = (
     "layer_rf_transfer", "ShapeInfo", "ZooSpec", "build", "parse_zoo_name", "chain_graph", "effective_kernel",
-    "parse_document", "serialize_document", "DocumentSemanticError",
+    "parse_document", "serialize_document", "DocumentSemanticError", "Analysis", "analyze",
 )
 
 
 def test_all_is_the_pinned_list():
     assert rfscope.__all__ == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 49
+    assert len(PUBLIC_NAMES) == 47
     for name in GONE:
         assert not hasattr(rfscope, name), name
 

@@ -1,28 +1,29 @@
+import json
 import math
 
 import pytest
 
-from dagtools import SWEEP_SIZES, ZOO_VARIANTS, chain_graph, random_graph
+from dagtools import SWEEP_SIZES, ZOO_VARIANTS, chain_graph, classify_by_two_scans, random_graph
 from rfscope import (
     PRODUCTIVE,
     UNPRODUCTIVE,
     Activation,
-    Analysis,
     ArchGraph,
     Conv2d,
     FrontierLimitError,
     InputSpec,
     Pool,
-    analyze,
     build_named,
     classify,
     cost_report,
     make_graph,
     propagate_dag,
+    serialize,
     unproductive_closure,
     validate,
 )
 from rfscope import rf_analysis
+from rfscope.cli import EXIT_INVALID, EXIT_OK, main
 from rfscope.graph_ir import HEAD_KINDS
 
 
@@ -210,22 +211,45 @@ def outcome(run, graph):
         return type(exc), str(exc)
 
 
+def cell(value):
+    """A receptive-field or jump cell as the CLI prints it."""
+    return "global" if value == math.inf else value
+
+
 class TestAnalyze:
+    """The `analyze` command reports the RF walk, `classify` and `cost_report`, in that order."""
+
     @pytest.mark.parametrize("name", ZOO_VARIANTS)
-    def test_is_the_three_walks_on_the_zoo(self, name):
+    def test_is_the_three_walks_on_the_zoo(self, name, capsys):
         for size in SWEEP_SIZES:
             g = build_named(name, InputSpec(size, size, 3))
-            result = analyze(g)
-            assert type(result) is Analysis
-            assert result == (propagate_dag(g), classify(g), cost_report(g)), size
+            border, cost = classify_by_two_scans(g), cost_report(g)  # jump ranges from the frontiers
+            costs = dict(zip(g.order, cost.per_layer))
+            rows = [
+                {
+                    "ordinal": c.ordinal, "id": c.node_id, "r_in_min": cell(c.r_in_min), "r_in_max": cell(c.r_in_max),
+                    "j_min": cell(c.j_min), "j_max": cell(c.j_max), "params": costs[c.node_id].params,
+                    "macs": costs[c.node_id].macs, "classification": c.classification,
+                }
+                for c in border.per_conv
+            ]
+            assert main(["analyze", f"zoo:{name}", "--input-size", str(size), str(size), "--format", "json"]) == EXIT_OK
+            payload = json.loads(capsys.readouterr().out)
+            got = (payload["border_min"], payload["border_max"], payload["per_conv"], payload["totals"]["params"], payload["totals"]["macs"])
+            assert got == (border.border_min, border.border_max, rows, cost.total_params, cost.total_macs), size
 
     @pytest.mark.parametrize("shape_safe", [False, True])
-    def test_is_the_three_walks_on_random_graphs(self, shape_safe):
+    def test_is_the_three_walks_on_random_graphs(self, shape_safe, tmp_path, capsys):
+        path = tmp_path / "random.json"
         for seed in range(300):
             g = random_graph(seed, shape_safe=shape_safe)
             walks = tuple(outcome(run, g) for run in (propagate_dag, classify, cost_report))
-            expected = next((w for w in walks if type(w) is tuple), walks)  # the first walk's error, if any
-            assert outcome(analyze, g) == expected, seed
+            error = next((w for w in walks if type(w) is tuple), None)  # the first walk's error, if any
+            path.write_text(serialize(g))
+            code = main(["analyze", str(path)])
+            captured = capsys.readouterr()
+            expected = (EXIT_OK, "", True) if error is None else (EXIT_INVALID, f"rfscope: {error[1]}\n", False)
+            assert (code, captured.err, bool(captured.out)) == expected, seed
 
 
 def walked(graph):

@@ -27,7 +27,6 @@ from rfscope import (
     ShapeError,
     Softmax,
     TransformError,
-    analyze,
     build_named,
     classify,
     compare,
@@ -40,7 +39,7 @@ from rfscope import (
     validate,
 )
 from rfscope import rf_analysis, transforms
-from rfscope.cli import main
+from rfscope.cli import EXIT_INVALID, main
 
 IN32 = InputSpec(32, 32, 3)
 
@@ -400,19 +399,18 @@ class TestOneAnalysis:
                     after, delta = run(g)
                 except TransformError:
                     continue
-                assert (delta.before_border, delta.before_cost) == analyze(g)[1:], size
-                assert (delta.after_border, delta.after_cost) == analyze(after)[1:], size
+                assert (delta.before_border, delta.before_cost) == (classify(g), cost_report(g)), size
+                assert (delta.after_border, delta.after_cost) == (classify(after), cost_report(after)), size
 
     @pytest.mark.parametrize(
         "run, walks",
         [
-            (analyze, 1),
             (lambda g: truncate_at_border(g, 10), 2),
             (lambda g: remove_stem_downsampling(g, 2), 2),
             (lambda g: compare(g, build_named("resnet34")), 2),
             (lambda g: main(["analyze", "zoo:resnet34"]), 1),
         ],
-        ids=["analyze", "truncate_at_border", "remove_stem_downsampling", "compare", "cli-analyze"],
+        ids=["truncate_at_border", "remove_stem_downsampling", "compare", "cli-analyze"],
     )
     def test_each_walk_runs_once_per_graph(self, run, walks, capsys):
         g = build_named("resnet34")  # fresh, so its validation is counted too
@@ -437,12 +435,20 @@ class TestOneAnalysis:
         counts = walk_counts(lambda: sweep(build_named("mpnet36")))
         assert counts == {"validate": 1, "propagate_dag": 1, "classify": len(SWEEP_SIZES), "cost_report": 0, "_cost_plan": 0}
 
-    def test_frontier_error_precedes_shape_error(self, monkeypatch):
-        with pytest.raises(ShapeError, match="'add'"):
-            analyze(diamond("both", pad7=False))
+    def test_frontier_error_precedes_shape_error(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "both.json"
+        path.write_text(serialize(diamond("both", pad7=False)))
+        with pytest.raises(ShapeError, match="'add'") as shape_error:
+            cost_report(diamond("both", pad7=False))
+        assert main(["analyze", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", f"rfscope: {shape_error.value}\n")
         monkeypatch.setattr(rf_analysis, "FRONTIER_CAP", 1)
+        with pytest.raises(FrontierLimitError, match="'add'") as frontier_error:
+            propagate_dag(diamond("both", pad7=False))
+        assert main(["analyze", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", f"rfscope: {frontier_error.value}\n")
         # A fresh graph per run: one that an earlier call classified keeps its RF table and is not walked again.
-        for run in (analyze, lambda g: truncate_at_border(g, 10), lambda g: compare(g, g)):
+        for run in (lambda g: truncate_at_border(g, 10), lambda g: compare(g, g)):
             with pytest.raises(FrontierLimitError, match="'add'"):
                 run(diamond("both", pad7=False))
 
