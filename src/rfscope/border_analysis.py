@@ -4,9 +4,9 @@ A convolution whose input receptive field already exceeds the input
 resolution i = max(height, width) cannot integrate novel information into a
 single feature-map position. The first conv ordinal where the minimum input
 receptive field crosses i is the operative border; the analogous ordinal for
-the maximum receptive field is reported for diagnostics. Each conv's row also
-carries the range of its finite jumps, which, like its receptive fields, does
-not depend on the input size.
+the maximum receptive field is reported for diagnostics. Each conv's row
+holds its receptive fields and the range of its finite jumps, none of which
+depends on the input size; the rule compares them with i only in the report.
 """
 from __future__ import annotations
 
@@ -22,7 +22,10 @@ UNPRODUCTIVE = "unproductive"
 
 
 class ConvClassification(NamedTuple):
-    """One conv's input receptive-field range, its finite jumps' range (`math.inf` if none) and its class."""
+    """One conv's input receptive-field range and its finite jumps' range (`math.inf` if none).
+
+    A row does not depend on the input size: the conv's class at a size is `BorderReport`'s to state.
+    """
 
     ordinal: int
     node_id: str
@@ -30,11 +33,10 @@ class ConvClassification(NamedTuple):
     r_in_max: int | float
     j_min: int | float
     j_max: int | float
-    classification: str
 
 
 class BorderReport(NamedTuple):
-    """Border location and per-conv classification for one graph at one resolution."""
+    """Border location for one graph at one resolution: a conv is unproductive when its `r_in_min` exceeds it."""
 
     resolution: int
     per_conv: tuple[ConvClassification, ...]
@@ -45,7 +47,7 @@ class BorderReport(NamedTuple):
 
     @property
     def unproductive_conv_ids(self) -> tuple[str, ...]:
-        return tuple(c.node_id for c in self.per_conv if c.classification == UNPRODUCTIVE)
+        return tuple(c.node_id for c in self.per_conv if c.r_in_min > self.resolution)
 
 
 def classify(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = None) -> BorderReport:
@@ -57,11 +59,10 @@ def classify(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = Non
     border ordinals are equal. Ordinals number every Conv2d from 1 in
     declaration order, 1x1 projections on skip branches included.
 
-    Receptive fields do not depend on the input size, so the first call keeps a table on `graph`,
-    read from `annotations` (which must be `propagate_dag(graph)`) or from one walk, and later calls,
-    on `graph` or on a :meth:`ArchGraph.with_input` sibling, reuse it. It holds, in ordinal order,
-    each conv's `r_in_min`, both its rows (productive and unproductive, each with the conv's jump
-    range) ready built, and the running maxima of `r_in_min` and of `r_in_max`, the borders' step
+    Rows do not depend on the input size, so the first call keeps a table on `graph`, read from
+    `annotations` (which must be `propagate_dag(graph)`) or from one walk, and later calls, on `graph`
+    or on a :meth:`ArchGraph.with_input` sibling, reuse it and return its rows as `per_conv`. It holds
+    the rows in ordinal order and the running maxima of `r_in_min` and of `r_in_max`, the borders' step
     functions of the input size: a border is the first position whose running maximum exceeds the
     resolution, found by `bisect_right`.
     """
@@ -74,23 +75,18 @@ def classify(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = Non
         inf = math.inf
         # A conv's in-frontier `f` is ordered (j, r), so the global state (inf, 0), the one state of jump 0,
         # comes first if present: the finite jumps run from the state after it to the last state.
-        productive = tuple([
-            new(ConvClassification, (o, nid, r_min, r_max, f[0][1] or (f[1][1] if len(f) > 1 else inf), f[-1][1] or inf, PRODUCTIVE))
+        rows = tuple([
+            new(ConvClassification, (o, nid, r_min, r_max, f[0][1] or (f[1][1] if len(f) > 1 else inf), f[-1][1] or inf))
             for o, (nid, f, _, r_min, r_max, _, _) in enumerate(convs, 1)
         ])
-        r_in_mins = tuple([row[2] for row in productive])
         top_min = top_max = 0  # the running maxima of r_in_min and of r_in_max
         table = graph.__dict__["_rf_table"] = (
-            r_in_mins,
-            productive,
-            tuple([new(ConvClassification, (o, nid, r_min, r_max, j_min, j_max, UNPRODUCTIVE))
-                   for o, nid, r_min, r_max, j_min, j_max, _ in productive]),
-            tuple([top_min := (r if r > top_min else top_min) for r in r_in_mins]),
-            tuple([top_max := (row[3] if row[3] > top_max else top_max) for row in productive]),
+            rows,
+            tuple([top_min := (row[2] if row[2] > top_min else top_min) for row in rows]),
+            tuple([top_max := (row[3] if row[3] > top_max else top_max) for row in rows]),
         )
-    r_in_mins, productive, unproductive, min_maxima, max_maxima = table
+    per_conv, min_maxima, max_maxima = table
     resolution = graph.input.resolution
-    per_conv = tuple([u if r_in_min > resolution else p for r_in_min, p, u in zip(r_in_mins, productive, unproductive)])
     at_min, at_max = bisect_right(min_maxima, resolution), bisect_right(max_maxima, resolution)
     first_min = per_conv[at_min][:2] if at_min < len(per_conv) else (None, None)  # the first unproductive conv's ordinal and id
     first_max = per_conv[at_max][:2] if at_max < len(per_conv) else (None, None)  # those of the first whose r_in_max crosses

@@ -163,11 +163,11 @@ def _num(value: int | float) -> int | str:
 
 
 def _analysis_payload(graph: ArchGraph) -> dict[str, Any]:
-    from .border_analysis import classify
+    from .border_analysis import PRODUCTIVE, UNPRODUCTIVE, classify
     from .shape_cost_model import cost_report
 
     border, cost = classify(graph), cost_report(graph)  # in this order, so an RF error precedes a ShapeError
-    cost_by_id = dict(zip(graph.order, cost.per_layer))
+    cost_by_id, unproductive = dict(zip(graph.order, cost.per_layer)), set(border.unproductive_conv_ids)
     rows = [
         {
             "ordinal": conv.ordinal,
@@ -178,7 +178,7 @@ def _analysis_payload(graph: ArchGraph) -> dict[str, Any]:
             "j_max": _num(conv.j_max),
             "params": cost_by_id[conv.node_id].params,
             "macs": cost_by_id[conv.node_id].macs,
-            "classification": conv.classification,
+            "classification": UNPRODUCTIVE if conv.node_id in unproductive else PRODUCTIVE,
         }
         for conv in border.per_conv
     ]

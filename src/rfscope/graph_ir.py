@@ -245,7 +245,7 @@ class ArchGraph(_Record):
     """Immutable layer DAG: nodes in declaration order plus an ordered edge list.
 
     Its ``__dict__`` holds only caches: those of the ``cached_property`` members, the per-conv
-    receptive-field table of :func:`~rfscope.border_analysis.classify` (both rows of each conv
+    receptive-field table of :func:`~rfscope.border_analysis.classify` (one row per conv
     and the running maxima it bisects) and the cost plan of :func:`~rfscope.shape_cost_model.cost_report`
     (its steps, rows, node-order pick and the size-free parts of its totals).
     Each cache is a function of the nodes, the edges and the input's channel

@@ -133,8 +133,8 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
     consumer are pruned as dead code. Without a border the pass is a no-op
     and returns the input graph unchanged.
     """
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    if isinstance(num_classes, bool) or not isinstance(num_classes, int) or num_classes < 2:
+        raise ValueError(f"num_classes must be an integer >= 2, got {num_classes!r}")
     border, cost = classify(graph), cost_report(graph)
     if border.border_min is None:
         return graph, TransformDelta("truncate", border, cost, border, cost, (), ())
@@ -241,8 +241,8 @@ def remove_stem_downsampling(graph: ArchGraph, count: int) -> tuple[ArchGraph, T
     maps (hence MACs) grow larger. Raises :class:`TransformError` when the
     first `count` would split parallel strided layers that feed one merge.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     targets = [  # the stride-carrying layers in topological order; `order` validates first
         nid for nid, node in zip(graph.order, graph.nodes)
         if isinstance(node.kind, (Conv2d, Pool)) and node.kind.stride > 1

@@ -16,8 +16,9 @@ its own `effective_kernel`, along every input-to-node path one at a time,
 independently of the per-jump frontiers of `propagate_dag`. `per_jump_extremes` folds a set of states into
 the frontier they should make, per jump from sets and `min`/`max`, without
 `propagate_dag`'s merge; `classify_by_two_scans` finds both borders as
-`classify` once did, with two scans over finished rows, and each conv's jump
-range from a scan of its in-frontier, as the CLI once did.
+`classify` once did, with two scans over finished rows, the unproductive convs
+with a scan of its own, and each conv's jump range from a scan of its
+in-frontier, as the CLI once did.
 
 Three more oracles keep graph walks that rfscope dropped: the reachability
 checks `validate` once ran after its cycle check, and the dead-end heap with
@@ -80,7 +81,7 @@ from rfscope import (
 )
 from rfscope import ShapeError, graph_ir
 from rfscope.graph_ir import LAYER_KINDS, MERGE_KINDS, RF_NEUTRAL_KINDS
-from rfscope.border_analysis import PRODUCTIVE, UNPRODUCTIVE, BorderReport, ConvClassification
+from rfscope.border_analysis import BorderReport, ConvClassification
 from rfscope.rf_analysis import RFAnnotation, propagate_dag
 from rfscope.transforms import _fresh_id, _old_head_chain
 
@@ -308,7 +309,17 @@ def per_jump_extremes(states: list[RFState]) -> tuple[RFState, ...]:
     return tuple(frontier)
 
 
-def classify_by_two_scans(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = None) -> BorderReport:
+class TwoScanReport(BorderReport):
+    """A `BorderReport` whose unproductive convs come from the reference's own scan of its rows."""
+
+    __slots__ = ()
+
+    @property
+    def unproductive_conv_ids(self) -> tuple[str, ...]:
+        return tuple([c.node_id for c in self.per_conv if c.r_in_min > self.resolution])
+
+
+def classify_by_two_scans(graph: ArchGraph, annotations: dict[str, RFAnnotation] | None = None) -> TwoScanReport:
     """`classify`'s report as the rule reads: build every conv's row, then scan the
     rows once for the first unproductive conv and once for the first whose
     r_in_max exceeds the resolution."""
@@ -319,12 +330,11 @@ def classify_by_two_scans(graph: ArchGraph, annotations: dict[str, RFAnnotation]
     convs = [n.id for n in graph.nodes if type(n.kind) is Conv2d]  # numbered from 1 in declaration order
     for ordinal, node_id in enumerate(convs, start=1):
         ann = annotations[node_id]
-        label = UNPRODUCTIVE if ann.r_in_min > resolution else PRODUCTIVE
         finite_j = [s.j for s in ann.in_frontier if s.j] or [math.inf]
-        rows.append(ConvClassification(ordinal, node_id, ann.r_in_min, ann.r_in_max, min(finite_j), max(finite_j), label))
-    first_min = next((c for c in rows if c.classification == UNPRODUCTIVE), None)
+        rows.append(ConvClassification(ordinal, node_id, ann.r_in_min, ann.r_in_max, min(finite_j), max(finite_j)))
+    first_min = next((c for c in rows if c.r_in_min > resolution), None)
     first_max = next((c for c in rows if c.r_in_max > resolution), None)
-    return BorderReport(
+    return TwoScanReport(
         resolution=resolution,
         per_conv=tuple(rows),
         border_min=None if first_min is None else first_min.ordinal,

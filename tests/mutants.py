@@ -56,6 +56,7 @@ STEM = TRANSFORMS + "TestRemoveStemDownsampling::"
 ONE_ANALYSIS = TRANSFORMS + "TestOneAnalysis::"
 ZOO = "tests/test_zoo.py::"
 CLI_PINS = "tests/test_cli.py::test_cli_output_matches_pinned_digest"
+CLI_DIGESTS = "tests/test_cli_digests.py::test_cli_output_matches_recorded_digest"
 
 MUTANTS = (
     # The one analysis core: the report classifies before it costs, so an RF error comes first.
@@ -174,8 +175,8 @@ MUTANTS = (
     Mutant(
         "jump-range-from-the-wrong-end",
         "rfscope/border_analysis.py",
-        "f[-1][1] or inf, PRODUCTIVE",
-        "f[0][1] or (f[1][1] if len(f) > 1 else inf), PRODUCTIVE",
+        "f[-1][1] or inf))",
+        "f[0][1] or (f[1][1] if len(f) > 1 else inf)))",
         (
             "tests/test_cli.py::test_analyze_jump_range_spans_finite_paths_past_a_global_branch",
             f"{PROPERTIES}test_classify_borders_match_two_scans",
@@ -205,9 +206,21 @@ MUTANTS = (
     Mutant(
         "border-bisects-raw-r-in-min",
         "rfscope/border_analysis.py",
-        "tuple([top_min := (r if r > top_min else top_min) for r in r_in_mins])",
-        "r_in_mins",
+        "tuple([top_min := (row[2] if row[2] > top_min else top_min) for row in rows])",
+        "tuple([row[2] for row in rows])",
         (f"{BREAKPOINTS}[resnet18]", f"{BREAKPOINTS}[resnet34]"),
+    ),
+    # The rule is strict: a conv whose r_in_min equals the resolution stays productive.
+    Mutant(
+        "unproductive-ids-not-strict",
+        "rfscope/border_analysis.py",
+        "if c.r_in_min > self.resolution)",
+        "if c.r_in_min >= self.resolution)",
+        (
+            "tests/test_border_analysis.py::TestClassify::test_rule_is_strict_inequality",
+            f"{BREAKPOINTS}[vgg11]",
+            f"{BREAKPOINTS}[resnet18]",
+        ),
     ),
     # classify keeps each graph's per-conv RF table, and with_input carries it while the check carries.
     Mutant(
@@ -516,6 +529,14 @@ MUTANTS = (
             f"{CLI_PINS}[zoo emit vgg11 --input-size 40 24]",
             "tests/test_cli.py::test_analyze_input_size_override",
         ),
+    ),
+    # The class column reads the report's unproductive ids.
+    Mutant(
+        "cli-class-column-swapped",
+        "rfscope/cli.py",
+        "UNPRODUCTIVE if conv.node_id in unproductive else PRODUCTIVE",
+        "PRODUCTIVE if conv.node_id in unproductive else UNPRODUCTIVE",
+        tuple(f"{CLI_DIGESTS}[analyze zoo:vgg16 --format {f}]" for f in ("text", "json", "csv")),
     ),
     # Both sides of a delta and of a comparison carry the unproductive conv count.
     Mutant(

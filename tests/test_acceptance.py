@@ -198,7 +198,7 @@ def test_property_truncation_idempotent_and_clean():
         clean = (
             validate(once) == []
             and delta.after_border.border_min is None
-            and not any(c.classification == "unproductive" for c in delta.after_border.per_conv)
+            and not delta.after_border.unproductive_conv_ids
             and twice == once
             and not delta2.changed
         )

@@ -48,19 +48,19 @@ class TestClassify:
         report = classify(deep_chain(8))
         assert report.border_min == report.border_max == 5
         assert report.border_min_node == "c5"
-        kinds = [c.classification for c in report.per_conv]
-        assert kinds == [PRODUCTIVE] * 4 + [UNPRODUCTIVE] * 4
+        assert report.unproductive_conv_ids == ("c5", "c6", "c7", "c8")
 
     def test_rule_is_strict_inequality(self):
         # r_in = 17 exactly at i = 17 stays productive.
         report = classify(deep_chain(8, InputSpec(17, 17, 3)))
-        assert all(c.classification == PRODUCTIVE for c in report.per_conv if c.r_in_min <= 17)
+        assert report.per_conv[4].r_in_min == 17
+        assert report.unproductive_conv_ids == ("c6", "c7", "c8")
         assert report.border_min == 6  # conv6 input is 21 > 17
 
     def test_huge_resolution_has_no_border(self):
         report = classify(deep_chain(8, InputSpec(10**9, 10**9, 3)))
         assert report.border_min is None and report.border_max is None
-        assert all(c.classification == PRODUCTIVE for c in report.per_conv)
+        assert report.unproductive_conv_ids == ()
 
     def test_resolution_is_max_of_sides(self):
         tall = classify(deep_chain(8, InputSpec(64, 16, 3)))
@@ -229,7 +229,8 @@ class TestAnalyze:
                 {
                     "ordinal": c.ordinal, "id": c.node_id, "r_in_min": cell(c.r_in_min), "r_in_max": cell(c.r_in_max),
                     "j_min": cell(c.j_min), "j_max": cell(c.j_max), "params": costs[c.node_id].params,
-                    "macs": costs[c.node_id].macs, "classification": c.classification,
+                    "macs": costs[c.node_id].macs,
+                    "classification": UNPRODUCTIVE if c.node_id in border.unproductive_conv_ids else PRODUCTIVE,
                 }
                 for c in border.per_conv
             ]

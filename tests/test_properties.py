@@ -34,7 +34,6 @@ from rfscope import (
     propagate_dag,
     validate,
 )
-from rfscope.border_analysis import UNPRODUCTIVE
 from rfscope.graph_ir import MERGE_KINDS, RF_NEUTRAL_KINDS
 
 ORACLE_SEEDS = range(25)
@@ -266,14 +265,15 @@ def test_classify_borders_match_two_scans():
                 cases["border_max first"] += 1
             if report.border_min is None and report.border_max is None:
                 cases["no border"] += 1
-            if report.per_conv and all(c.classification == UNPRODUCTIVE for c in report.per_conv):
+            if report.per_conv and len(report.unproductive_conv_ids) == len(report.per_conv):
                 cases["every conv unproductive"] += 1
     assert all(cases.values()), cases
 
 
 def assert_borders_step_at_every_breakpoint(graph):
     """A classified graph's `with_input` siblings at each distinct finite r_in_min and r_in_max
-    value b, and at b + 1, classify as a graph of the same structure walked afresh at that size.
+    value b, and at b + 1, classify as a graph of the same structure walked afresh at that size,
+    name the unproductive convs that the two-scan reference finds, and share the graph's rows.
     The borders step only at those values, so these sizes cover every step; size 1 is added
     so a graph without a conv is checked too. Returns the reports for the caller's case count."""
     warm = classify(graph)
@@ -283,8 +283,10 @@ def assert_borders_step_at_every_breakpoint(graph):
     for size in sorted({1} | values | {b + 1 for b in values}):
         spec = InputSpec(size, size, graph.input.channels)
         fresh = make_graph(graph.name, spec, layers, graph.edges)
-        report = classify(graph.with_input(spec))
-        assert report == classify_by_two_scans(fresh) == classify(fresh), (graph.name, size)
+        report, reference = classify(graph.with_input(spec)), classify_by_two_scans(fresh)
+        assert report == reference == classify(fresh), (graph.name, size)
+        assert report.unproductive_conv_ids == reference.unproductive_conv_ids, (graph.name, size)
+        assert report.per_conv is warm.per_conv, (graph.name, size)
         reports.append(report)
     return reports
 
@@ -294,7 +296,7 @@ def border_cases(reports):
     return {
         "no conv": any(not r.per_conv for r in reports),
         "no conv crosses": any(r.per_conv and r.border_min is None and r.border_max is None for r in reports),
-        "every conv crosses": any(r.per_conv and all(c.classification == UNPRODUCTIVE for c in r.per_conv) for r in reports),
+        "every conv crosses": any(r.per_conv and len(r.unproductive_conv_ids) == len(r.per_conv) for r in reports),
         "infinite fields": any(c.r_in_max == math.inf for r in reports for c in r.per_conv),
         "border_max first": any(r.border_max is not None and (r.border_min is None or r.border_max < r.border_min) for r in reports),
     }

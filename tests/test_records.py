@@ -37,7 +37,7 @@ from rfscope import (
 )
 
 STATE = "RFState(r=3, j=2)"
-CONV = "ConvClassification(ordinal=1, node_id='c1', r_in_min=1, r_in_max=1, j_min=1, j_max=1, classification='productive')"
+CONV = "ConvClassification(ordinal=1, node_id='c1', r_in_min=1, r_in_max=1, j_min=1, j_max=1)"
 INPUT_COST = "LayerCost(params=0, macs=0, out_height=8, out_width=8, out_channels=3)"
 CONV_COST = "LayerCost(params=112, macs=1728, out_height=4, out_width=4, out_channels=4)"
 BORDER = (

@@ -113,7 +113,7 @@ class TestTruncateAtBorder:
         after, delta = truncate_at_border(g, num_classes=10)
         assert validate(after) == []
         assert delta.after_border.border_min is None
-        assert all(c.classification == "productive" for c in delta.after_border.per_conv)
+        assert delta.after_border.unproductive_conv_ids == ()
 
     def test_multipath_truncation_collapses_severed_merges(self):
         g = build_named("mpnet18")
@@ -137,8 +137,9 @@ class TestTruncateAtBorder:
             assert delta.macs_delta <= 0, name
 
     def test_rejects_bad_class_count(self):
-        with pytest.raises(ValueError):
-            truncate_at_border(build_named("vgg16"), num_classes=1)
+        for num_classes in (1, True, 2.5, 10.0, "10"):  # a bool or a float is no count, even an integral one
+            with pytest.raises(ValueError, match="num_classes must be an integer >= 2"):
+                truncate_at_border(build_named("vgg16"), num_classes=num_classes)
 
     @pytest.mark.parametrize("family", ["zoo", "random", "mutated", "interleaved"])
     def test_matches_the_heap_drain_oracle(self, family):
@@ -254,8 +255,9 @@ class TestRemoveStemDownsampling:
         g = chain_graph("flat", IN32, [("c1", Conv2d(kernel=3, filters=8, bias=False))])
         with pytest.raises(TransformError):
             remove_stem_downsampling(g, 1)
-        with pytest.raises(ValueError):
-            remove_stem_downsampling(build_named("resnet18"), 0)
+        for count in (0, True, 2.5, 1.0, "1"):  # a bool or a float is no count, even an integral one
+            with pytest.raises(ValueError, match="count must be an integer >= 1"):
+                remove_stem_downsampling(build_named("resnet18"), count)
 
     def test_rewrite_that_fails_validation_is_refused(self, tmp_path, capsys):
         # Splicing out the pool p re-sources its edge into the add at a, which already feeds the add.
