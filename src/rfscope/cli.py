@@ -164,10 +164,10 @@ def _num(value: int | float) -> int | str:
 
 def _analysis_payload(graph: ArchGraph) -> dict[str, Any]:
     from .border_analysis import PRODUCTIVE, UNPRODUCTIVE, classify
-    from .shape_cost_model import cost_report
+    from .shape_cost_model import cost_report, propagate_shapes
 
     border, cost = classify(graph), cost_report(graph)  # in this order, so an RF error precedes a ShapeError
-    cost_by_id, unproductive = dict(zip(graph.order, cost.per_layer)), set(border.unproductive_conv_ids)
+    cost_by_id, unproductive = propagate_shapes(graph), set(border.unproductive_conv_ids)
     rows = [
         {
             "ordinal": conv.ordinal,

@@ -1,4 +1,4 @@
-"""Feature-map shape propagation and parameter/MAC accounting.
+"""Parameter/MAC accounting: `cost_report` gives a graph's totals, `propagate_shapes` every node's cost and shape.
 
 Two reporting conventions are exposed side by side because the literature is
 inconsistent: `total_macs` (and `gflops_mac1`, which divides it by 1e9) treat
@@ -50,7 +50,8 @@ class LayerCost(NamedTuple):
 
 
 class CostReport(NamedTuple):
-    per_layer: tuple[LayerCost, ...]
+    """A graph's total trainable parameters and multiply-accumulates; :func:`propagate_shapes` has each node's."""
+
     total_params: int
     total_macs: int
 
@@ -65,7 +66,7 @@ class CostReport(NamedTuple):
 
 
 def _cost_plan(graph: ArchGraph) -> tuple:
-    """What :func:`cost_report` needs besides the input's size, from one walk in node order.
+    """What :func:`cost_report` and :func:`propagate_shapes` need besides the input's size, from one walk in node order.
 
     Sizes live in slots: slot 0 is (1, 1), slot 1 the input's, and each distinct
     `(in slot, window, stride, 2 * padding)` rule of a conv or pool makes one more
@@ -138,22 +139,11 @@ def _cost_plan(graph: ArchGraph) -> tuple:
     return plan
 
 
-def cost_report(graph: ArchGraph, shapes: dict[str, LayerCost] | None = None) -> CostReport:
-    """Per-layer and total trainable parameters and multiply-accumulates.
-
-    `per_layer[i]` is the cost of `graph.nodes[i]`, whose id is `graph.order[i]`, and nodes with equal rows
-    share one record. The first call on a graph keeps its :func:`_cost_plan` on it for every later call on
-    the graph and on its :meth:`ArchGraph.with_input` siblings of the same channel count. A call runs the
-    plan's steps over the input's size, builds each distinct row's record once, picks every node's, and
-    sums the totals in one pass over the slots' areas, as exact integers. `shapes` is accepted and not read.
-
-    Same padding means out = ceil(in / stride); valid and explicit padding
-    follow the usual floor rule. Element-wise adds require identical input
-    shapes; concatenation requires matching spatial dims and sums channels.
-    """
-    steps, rows, pick, p0_sum, m0_sum, pf_sums, mf_sums = graph.__dict__.get("_cost_plan") or _cost_plan(graph)
+def _sizes(graph: ArchGraph) -> tuple:
+    """The graph's :func:`_cost_plan`, and each slot's (height, width) and area at the input's size, or the first step's ShapeError."""
+    plan = graph.__dict__.get("_cost_plan") or _cost_plan(graph)
     hw = [(1, 1), (graph.input.height, graph.input.width)]  # each slot's (height, width)
-    for nid, slot, window, stride, pad2 in steps:
+    for nid, slot, window, stride, pad2 in plan[0]:
         h, w = hw[slot]
         if not stride:  # a merge: `window` holds its other inputs' slots, `pad2` the tail of its shapes
             for other in window:
@@ -166,15 +156,30 @@ def cost_report(graph: ArchGraph, shapes: dict[str, LayerCost] | None = None) ->
             padded = safe_repr((h if out_h < 1 else w) + pad2)
             raise ShapeError(nid, f"window {safe_repr(window)} exceeds padded input extent {padded}")
         hw.append((out_h, out_w))
-    areas = [h * w for h, w in hw]
-    new = tuple.__new__  # one record per distinct row, each built without the keyword-argument shim
-    records = [new(LayerCost, (p0 + pf * areas[a], m0 + mf * areas[a], hw[s][0], hw[s][1], c)) for s, a, c, p0, pf, m0, mf in rows]
-    return new(CostReport, (pick(records), p0_sum + sum(map(mul, pf_sums, areas)), m0_sum + sum(map(mul, mf_sums, areas))))
+    return plan, hw, [h * w for h, w in hw]
+
+
+def cost_report(graph: ArchGraph, shapes: dict[str, LayerCost] | None = None) -> CostReport:
+    """Total trainable parameters and multiply-accumulates, as exact integers.
+
+    The first call on a graph keeps its :func:`_cost_plan` on it for every later call on the graph and on its
+    :meth:`ArchGraph.with_input` siblings of the same channel count. A call is one pass over the plan's size steps
+    and one over its slots' areas; only :func:`propagate_shapes` builds per-layer records. `shapes` is not read.
+
+    Same padding means out = ceil(in / stride); valid and explicit padding
+    follow the usual floor rule. Element-wise adds require identical input
+    shapes; concatenation requires matching spatial dims and sums channels.
+    """
+    (_, _, _, p0_sum, m0_sum, pf_sums, mf_sums), _, areas = _sizes(graph)
+    return tuple.__new__(CostReport, (p0_sum + sum(map(mul, pf_sums, areas)), m0_sum + sum(map(mul, mf_sums, areas))))
 
 
 def propagate_shapes(graph: ArchGraph) -> dict[str, LayerCost]:
-    """Every node's :func:`cost_report` row by node id (`per_layer` zipped with `graph.order`), with its output shape."""
-    return dict(zip(graph.order, cost_report(graph).per_layer))
+    """Every node's record by node id, in node order, from :func:`cost_report`'s size walk; equal rows share one record."""
+    (_, rows, pick, *_), hw, areas = _sizes(graph)
+    new = tuple.__new__  # each record built without the keyword-argument shim
+    records = [new(LayerCost, (p0 + pf * areas[a], m0 + mf * areas[a], hw[s][0], hw[s][1], c)) for s, a, c, p0, pf, m0, mf in rows]
+    return dict(zip(graph.order, pick(records)))
 
 
 def _attention_cost(variant: str, channels: int) -> tuple[int, int, int]:

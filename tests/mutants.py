@@ -360,37 +360,49 @@ MUTANTS = (
             f"{SHAPE_RECORDS}test_zoo_plan_built_at_one_size_serves_every_sibling[vgg11]",
         ),
     ),
-    # propagate_shapes returns the cost walk's own rows, every one of them.
+    # propagate_shapes returns every node's record, the input's included.
     Mutant(
         "shapes-skip-the-input-row",
         "rfscope/shape_cost_model.py",
-        "dict(zip(graph.order, cost_report(graph).per_layer))",
-        "dict(zip(graph.order[1:], cost_report(graph).per_layer[1:]))",
+        "return dict(zip(graph.order, pick(records)))",
+        "return dict(zip(graph.order[1:], pick(records)[1:]))",
         (
             f"{SHAPES}TestOneWalk::test_shapes_are_the_report_shapes[vgg11]",
             f"{SHAPES}TestOneWalk::test_shapes_are_the_report_shapes[resnet18]",
             f"{SHAPES}TestPerLayerByPosition::test_a_lone_input_gives_one_row",
         ),
     ),
-    # per_layer lists every node's record in node order, not each distinct row once.
+    # propagate_shapes maps every node to its own record in node order, not each distinct row once.
     Mutant(
         "per-layer-in-row-order",
         "rfscope/shape_cost_model.py",
-        "new(CostReport, (pick(records),",
-        "new(CostReport, (tuple(records),",
+        ", pick(records)))",
+        ", tuple(records)))",
         (
             f"{SHAPE_RECORDS}test_zoo_at_square_and_non_square_sizes[vgg11]",
             f"{SHAPES}TestPerLayerByPosition::test_nodes_with_equal_rows_share_one_record[resnet34]",
             f"{CLI_PINS}[analyze zoo:vgg16 --input-size 48 64 --format json]",
         ),
     ),
-    # A one-node graph's per_layer is a 1-tuple, not its bare record.
+    # A one-node graph's pick gives a 1-tuple of records, not its bare record.
     Mutant(
         "one-node-pick-returns-the-bare-record",
         "rfscope/shape_cost_model.py",
         "pick = itemgetter(*keys) if len(keys) > 1 else tuple",
         "pick = itemgetter(*keys)",
         (f"{SHAPES}TestPerLayerByPosition::test_a_lone_input_gives_one_row",),
+    ),
+    # The size walk that cost_report and propagate_shapes share starts from the input's height, then width.
+    Mutant(
+        "sizes-height-and-width-swapped",
+        "rfscope/shape_cost_model.py",
+        "hw = [(1, 1), (graph.input.height, graph.input.width)]",
+        "hw = [(1, 1), (graph.input.width, graph.input.height)]",
+        (
+            f"{SHAPES}TestPerLayerByPosition::test_a_lone_input_gives_one_row",
+            f"{NON_SQUARE}test_every_node_keeps_height_before_width",
+            f"{NON_SQUARE}test_concat_mismatch_names_height_then_width",
+        ),
     ),
     # Parse requires exactly the fields without a default, in field order.
     Mutant(

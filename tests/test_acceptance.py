@@ -18,6 +18,7 @@ from rfscope import (
     cost_report,
     parse,
     propagate_dag,
+    propagate_shapes,
     remove_stem_downsampling,
     serialize,
     truncate_at_border,
@@ -174,7 +175,7 @@ def test_property_neutral_insertion_invariance():
     violations = 0
     for graph in graphs:
         baseline = {c.node_id: (c.r_in_min, c.r_in_max) for c in classify(graph).per_conv}
-        channels = {nid: c.out_channels for nid, c in zip(graph.order, cost_report(graph).per_layer)}
+        channels = {nid: c.out_channels for nid, c in propagate_shapes(graph).items()}
         for edge in graph.edges:
             for offset, kind in enumerate(neutral_kinds_for(channels[edge[0]])):
                 probe = insert_on_edge(graph, edge, f"probe{offset}", kind)

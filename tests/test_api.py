@@ -84,6 +84,7 @@ GONE = (
 def test_all_is_the_pinned_list():
     assert rfscope.__all__ == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 47
+    assert set(PUBLIC_NAMES) <= set(dir(rfscope))
     for name in GONE:
         assert not hasattr(rfscope, name), name
 

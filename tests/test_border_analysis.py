@@ -18,6 +18,7 @@ from rfscope import (
     cost_report,
     make_graph,
     propagate_dag,
+    propagate_shapes,
     serialize,
     unproductive_closure,
     validate,
@@ -217,14 +218,14 @@ def cell(value):
 
 
 class TestAnalyze:
-    """The `analyze` command reports the RF walk, `classify` and `cost_report`, in that order."""
+    """The `analyze` command reports the RF walk, `classify`, `cost_report` and `propagate_shapes`, in that order."""
 
     @pytest.mark.parametrize("name", ZOO_VARIANTS)
     def test_is_the_three_walks_on_the_zoo(self, name, capsys):
         for size in SWEEP_SIZES:
             g = build_named(name, InputSpec(size, size, 3))
             border, cost = classify_by_two_scans(g), cost_report(g)  # jump ranges from the frontiers
-            costs = dict(zip(g.order, cost.per_layer))
+            costs = propagate_shapes(g)
             rows = [
                 {
                     "ordinal": c.ordinal, "id": c.node_id, "r_in_min": cell(c.r_in_min), "r_in_max": cell(c.r_in_max),
@@ -244,7 +245,7 @@ class TestAnalyze:
         path = tmp_path / "random.json"
         for seed in range(300):
             g = random_graph(seed, shape_safe=shape_safe)
-            walks = tuple(outcome(run, g) for run in (propagate_dag, classify, cost_report))
+            walks = tuple(outcome(run, g) for run in (propagate_dag, classify, cost_report, propagate_shapes))
             error = next((w for w in walks if type(w) is tuple), None)  # the first walk's error, if any
             path.write_text(serialize(g))
             code = main(["analyze", str(path)])

@@ -25,9 +25,9 @@ from rfscope import (
     Pool,
     RFState,
     Softmax,
-    cost_report,
     make_graph,
     propagate_dag,
+    propagate_shapes,
 )
 from rfscope.rf_analysis import GLOBAL_STATE, INITIAL_STATE
 
@@ -84,7 +84,7 @@ def test_one_layer_graph(cls):
     kind = graph.node_map[node].kind
     assert type(kind) is cls
     assert propagate_dag(graph)[node].out_frontier == (state,)
-    cost = cost_report(graph).per_layer[graph.order.index(node)]
+    cost = propagate_shapes(graph)[node]
     assert (cost.out_height, cost.out_width, cost.out_channels, cost.params, cost.macs) == (*shape, params, macs)
 
 

@@ -29,9 +29,9 @@ from rfscope import (
     RFState,
     build_named,
     classify,
-    cost_report,
     make_graph,
     propagate_dag,
+    propagate_shapes,
     validate,
 )
 from rfscope.graph_ir import MERGE_KINDS, RF_NEUTRAL_KINDS
@@ -213,7 +213,7 @@ def test_neutral_insertion_leaves_conv_rf_unchanged(graph_name):
     else:
         graph = random_graph(int(graph_name[4:]), shape_safe=True)
     baseline = {c.node_id: (c.r_in_min, c.r_in_max) for c in classify(graph).per_conv}
-    channels = {nid: c.out_channels for nid, c in zip(graph.order, cost_report(graph).per_layer)}
+    channels = {nid: c.out_channels for nid, c in propagate_shapes(graph).items()}
     for edge in graph.edges:
         for offset, kind in enumerate(neutral_kinds_for(channels[edge[0]])):
             probe = insert_on_edge(graph, edge, f"probe{offset}", kind)

@@ -9,9 +9,9 @@ Each tuple record comes from a real analysis, rewrite or validation of a
 one-conv graph. The expected strings are the dataclass-style reprs the
 records have always printed, so a change of record type cannot change what a
 user sees. `LayerCost` holds its output dimensions as its own fields, so it
-and the reports that hold it print `out_height`, `out_width` and
-`out_channels` where they once printed a nested `ShapeInfo`, and
-`propagate_shapes` returns those same rows. The fourteen
+prints `out_height`, `out_width` and `out_channels` where it once printed a
+nested `ShapeInfo`; `propagate_shapes` returns these records, and
+`CostReport` holds only the totals. The fourteen
 class records and the five reports keep the rest of the frozen-dataclass
 contract: hashing, no assignment, strict constructors, and copy and pickle. Only the class records also keep equality within the
 exact class and `_replace` through validation.
@@ -44,11 +44,8 @@ BORDER = (
     f"BorderReport(resolution=8, per_conv=({CONV},), border_min=None, border_max=None, "
     "border_min_node=None, border_max_node=None)"
 )
-COST = f"CostReport(per_layer=({INPUT_COST}, {CONV_COST}), total_params=112, total_macs=1728)"
-NOSTEM_COST = (
-    f"CostReport(per_layer=({INPUT_COST}, LayerCost(params=112, macs=6912, "
-    "out_height=8, out_width=8, out_channels=4)), total_params=112, total_macs=6912)"
-)
+COST = "CostReport(total_params=112, total_macs=1728)"
+NOSTEM_COST = "CostReport(total_params=112, total_macs=6912)"
 
 RECORDS = {
     "RFState": (lambda a: a["annotations"]["c1"].out_frontier[0], STATE),
@@ -58,7 +55,7 @@ RECORDS = {
         f"out_frontier=({STATE},), r_in_min=1, r_in_max=1, r_out_min=3, r_out_max=3)",
     ),
     "ConvClassification": (lambda a: a["border"].per_conv[0], CONV),
-    "LayerCost": (lambda a: a["cost"].per_layer[1], CONV_COST),
+    "LayerCost": (lambda a: a["shapes"]["c1"], CONV_COST),
     "BorderReport": (lambda a: a["border"], BORDER),
     "CostReport": (lambda a: a["cost"], COST),
     "TransformDelta": (
@@ -109,7 +106,7 @@ def test_record_is_immutable_with_a_stable_repr(analysis, name):
 
 
 def test_propagate_shapes_returns_the_cost_rows(analysis):
-    assert repr(analysis["shapes"]["c1"]) == CONV_COST
+    assert {nid: repr(c) for nid, c in analysis["shapes"].items()} == {"input": INPUT_COST, "c1": CONV_COST}
 
 
 # The class records: the eleven layer kinds and the graph and its parts.

@@ -18,9 +18,9 @@ from rfscope import (
     Pool,
     RFState,
     build_named,
-    cost_report,
     make_graph,
     propagate_dag,
+    propagate_shapes,
     validate,
 )
 from rfscope import rf_analysis
@@ -69,7 +69,7 @@ def span(kernel, dilation):
     growth on a fresh path and from its output height when valid-padded on a 16x16 input."""
     state = chain_states([conv(kernel, d=dilation)])[-1]
     layer = Conv2d(kernel=kernel, filters=8, dilation=dilation, padding="valid")
-    out_height = cost_report(chain_graph("valid", InputSpec(16, 16, 3), [("c", layer)])).per_layer[-1].out_height
+    out_height = propagate_shapes(chain_graph("valid", InputSpec(16, 16, 3), [("c", layer)]))["c"].out_height
     assert state.r == 16 - out_height + 1
     return state.r
 

@@ -29,16 +29,12 @@ from rfscope import (
 IN32 = InputSpec(32, 32, 3)
 
 
-def rows(graph):
-    return dict(zip(graph.order, cost_report(graph).per_layer))
-
-
 def single(kind, input_spec=IN32, node="x"):
     return chain_graph("single", input_spec, [(node, kind)])
 
 
 def spatial_of(kind, input_spec=IN32):
-    row = rows(single(kind, input_spec))["x"]
+    row = propagate_shapes(single(kind, input_spec))["x"]
     return (row.out_height, row.out_width)
 
 
@@ -72,7 +68,7 @@ class TestPropagateShapes:
 
     def test_gap_and_dense_collapse_spatial(self):
         g = chain_graph("head", IN32, [("c", Conv2d(kernel=3, filters=24)), ("gap", GlobalAvgPool()), ("fc", Dense(units=10))])
-        shapes = rows(g)
+        shapes = propagate_shapes(g)
         gap, fc = shapes["gap"], shapes["fc"]
         assert (gap.out_height, gap.out_width, gap.out_channels) == (1, 1, 24)
         assert (fc.out_height, fc.out_width, fc.out_channels) == (1, 1, 10)
@@ -98,7 +94,7 @@ class TestPropagateShapes:
             ("cat", Concat()),
         ]
         edges = [("input", "a"), ("input", "b"), ("a", "cat"), ("b", "cat")]
-        shapes = rows(make_graph("cat", IN32, layers, edges))
+        shapes = propagate_shapes(make_graph("cat", IN32, layers, edges))
         cat = shapes["cat"]
         assert (cat.out_height, cat.out_width, cat.out_channels) == (32, 32, 32)
 
@@ -109,31 +105,31 @@ class TestPropagateShapes:
             ("p1", Pool(mode="max", kernel=2, stride=2)),
             ("c2", Conv2d(kernel=3, filters=32)),
         ]
-        whole = rows(chain_graph("whole", IN32, layers))
-        prefix = rows(chain_graph("prefix", IN32, layers[:2]))
+        whole = propagate_shapes(chain_graph("whole", IN32, layers))
+        prefix = propagate_shapes(chain_graph("prefix", IN32, layers[:2]))
         assert whole["c1"] == prefix["c1"] and whole["p1"] == prefix["p1"]
         mid = prefix["p1"]
         suffix_input = InputSpec(mid.out_height, mid.out_width, mid.out_channels)
-        suffix = rows(chain_graph("suffix", suffix_input, layers[2:]))
+        suffix = propagate_shapes(chain_graph("suffix", suffix_input, layers[2:]))
         assert suffix["c2"] == whole["c2"]
 
 
 def params_of(kind, input_spec=IN32):
-    return rows(single(kind, input_spec))["x"].params
+    return propagate_shapes(single(kind, input_spec))["x"].params
 
 
 class TestParams:
     def test_conv_3x3_64_to_64_with_bias(self):
         g = chain_graph("two", IN32, [("c0", Conv2d(kernel=3, filters=64, bias=False)), ("x", Conv2d(kernel=3, filters=64))])
-        assert rows(g)["x"].params == 36_928
+        assert propagate_shapes(g)["x"].params == 36_928
 
     def test_dense_512_to_10(self):
         g = chain_graph("d", IN32, [("c", Conv2d(kernel=3, filters=512)), ("gap", GlobalAvgPool()), ("x", Dense(units=10))])
-        assert rows(g)["x"].params == 5_130
+        assert propagate_shapes(g)["x"].params == 5_130
 
     def test_batch_norm_two_per_channel(self):
         g = chain_graph("bn", IN32, [("c", Conv2d(kernel=3, filters=128, bias=False)), ("x", BatchNorm())])
-        assert rows(g)["x"].params == 256
+        assert propagate_shapes(g)["x"].params == 256
 
     def test_dilation_adds_no_params(self):
         assert params_of(Conv2d(kernel=3, filters=8, dilation=3)) == params_of(Conv2d(kernel=3, filters=8))
@@ -143,30 +139,30 @@ class TestParams:
         g = chain_graph("free", IN32, [("c", Conv2d(kernel=3, filters=8)), ("x", kind), ("c2", Conv2d(kernel=3, filters=8))])
         if isinstance(kind, Add):
             return  # arity constraint; covered by zoo totals
-        assert rows(g)["x"].params == 0
+        assert propagate_shapes(g)["x"].params == 0
 
     def test_se_attention_bottleneck(self):
         g = chain_graph("se", IN32, [("c", Conv2d(kernel=3, filters=64, bias=False)), ("x", Attention("se"))])
-        assert rows(g)["x"].params == 2 * 64 * 4
+        assert propagate_shapes(g)["x"].params == 2 * 64 * 4
 
 
 class TestMacs:
     def test_conv_3x3_64_to_64_at_32(self):
         g = chain_graph("two", IN32, [("c0", Conv2d(kernel=3, filters=64, bias=False)), ("x", Conv2d(kernel=3, filters=64))])
-        assert rows(g)["x"].macs == 37_748_736
+        assert propagate_shapes(g)["x"].macs == 37_748_736
 
     def test_dense_512_to_10(self):
         g = chain_graph("d", IN32, [("c", Conv2d(kernel=3, filters=512)), ("gap", GlobalAvgPool()), ("x", Dense(units=10))])
-        assert rows(g)["x"].macs == 5_120
+        assert propagate_shapes(g)["x"].macs == 5_120
 
     def test_elementwise_counted(self):
         for kind in (BatchNorm(), Activation(), Pool(mode="avg", kernel=2, stride=2), GlobalAvgPool()):
             g = chain_graph("e", IN32, [("c", Conv2d(kernel=3, filters=8, bias=False)), ("x", kind)])
-            assert rows(g)["x"].macs > 0
+            assert propagate_shapes(g)["x"].macs > 0
 
     def test_softmax_never_counted(self):
         g = chain_graph("s", IN32, [("c", Conv2d(kernel=3, filters=8)), ("gap", GlobalAvgPool()), ("fc", Dense(units=10)), ("x", Softmax())])
-        assert rows(g)["x"].macs == 0
+        assert propagate_shapes(g)["x"].macs == 0
 
     # 64 channels at 32x32 (1,024 positions): squeeze-excite holds 2 * 64 * (64 // 16) = 512 weights and
     # costs 2 * 64 per position plus its 512; spatial holds 7 * 7 * 2 = 98 and costs 3 * 64 + 98 per position.
@@ -177,19 +173,19 @@ class TestMacs:
     )
     def test_attention_by_hand(self, variant, params, macs):
         g = chain_graph("attn", IN32, [("c", Conv2d(kernel=3, filters=64, bias=False)), ("x", Attention(variant))])
-        row = rows(g)["x"]
+        row = propagate_shapes(g)["x"]
         assert (row.params, row.macs) == (params, macs)
 
     def test_dense_on_a_feature_map_reads_every_position(self):
         # 32 * 48 * 4 inputs to each of 10 units, plus 10 biases.
         g = chain_graph("flat", TALL_WIDE, [("c", Conv2d(kernel=3, filters=4, bias=False)), ("x", Dense(units=10))])
-        row = rows(g)["x"]
+        row = propagate_shapes(g)["x"]
         assert (row.params, row.macs, row.out_height, row.out_width, row.out_channels) == (61_450, 61_440, 1, 1, 10)
 
     def test_pool_counts_window_elements(self):
         g = chain_graph("p", IN32, [("c", Conv2d(kernel=3, filters=8, bias=False)), ("x", Pool(mode="max", kernel=2, stride=2))])
         # 16x16x8 outputs, 4 window elements each.
-        assert rows(g)["x"].macs == 4 * 16 * 16 * 8
+        assert propagate_shapes(g)["x"].macs == 4 * 16 * 16 * 8
 
 
 # Height and width differ on the way through, so a layer that reads or writes them
@@ -214,8 +210,8 @@ NON_SQUARE_EDGES = [("input", "a"), ("a", "p"), ("a", "b"), ("p", "cat"), ("b", 
 class TestNonSquareInput:
     def test_every_node_keeps_height_before_width(self):
         g = make_graph("tall-wide", TALL_WIDE, NON_SQUARE_LAYERS, NON_SQUARE_EDGES)
-        report = cost_report(g)
-        assert [shape_record(nid, c) for nid, c in zip(g.order, report.per_layer)] == [
+        report, shapes = cost_report(g), propagate_shapes(g)
+        assert [shape_record(nid, c) for nid, c in shapes.items()] == [
             ("input", 32, 48, 3),
             ("a", 15, 23, 8),
             ("p", 8, 12, 8),
@@ -225,7 +221,7 @@ class TestNonSquareInput:
         ]
         # a: 9 * 3 * 8 = 216 weights + 8 biases, 216 * 15 * 23 MACs; p: 9 * 8 * 12 * 8;
         # b: 1 * 8 * 4 = 32 weights + 4 biases, 32 * 8 * 12 MACs; gap: 8 * 12 * 12.
-        assert [(c.params, c.macs) for c in report.per_layer] == [
+        assert [(c.params, c.macs) for c in shapes.values()] == [
             (0, 0), (224, 74_520), (0, 6_912), (36, 3_072), (0, 0), (0, 1_152)
         ]
         assert (report.total_params, report.total_macs) == (260, 85_656)
@@ -250,9 +246,9 @@ def shape_record(nid, row):
 
 
 def report_rows(graph):
-    """`cost_report` in the oracle's terms: shapes, per-layer rows (by node id, from `graph.order`) and totals."""
+    """`propagate_shapes` and `cost_report` in the oracle's terms: shapes, per-layer rows (by node id) and totals."""
     report = cost_report(graph)
-    per_layer = [(nid, c.params, c.macs, shape_record(nid, c)) for nid, c in zip(graph.order, report.per_layer)]
+    per_layer = [(nid, c.params, c.macs, shape_record(nid, c)) for nid, c in propagate_shapes(graph).items()]
     shapes = {row[0]: row[3] for row in per_layer}
     return shapes, per_layer, report.total_params, report.total_macs
 
@@ -323,7 +319,7 @@ class TestOnePlanPerStructure:
         ]
         g = chain_graph("past-gap", IN32, layers[:-1])
         assert report_rows(g) == cost_by_shape_records(g)
-        assert [shape_record(nid, r) for nid, r in rows(g).items()][-3:] == [("s", 1, 1, 4), ("p", 1, 1, 4), ("grow", 3, 3, 4)]
+        assert [shape_record(nid, r) for nid, r in propagate_shapes(g).items()][-3:] == [("s", 1, 1, 4), ("p", 1, 1, 4), ("grow", 3, 3, 4)]
         assert [step[0] for step in g.__dict__["_cost_plan"][0]] == ["grow"]
         failing = chain_graph("past-gap-fails", IN32, layers)
         assert walk_or_error(report_rows, failing) == "node 'v': window 5 exceeds padded input extent 3"
@@ -346,7 +342,7 @@ class TestOnePlanPerStructure:
         assert gray.__dict__["_cost_plan"] is not g.__dict__["_cost_plan"]
         assert report_rows(gray) == cost_by_shape_records(build_named("resnet18", InputSpec(64, 64, 1)))
         stem = next(n.id for n in g.nodes if isinstance(n.kind, Conv2d))
-        assert rows(gray)[stem].params < rows(g)[stem].params
+        assert propagate_shapes(gray)[stem].params < propagate_shapes(g)[stem].params
 
 
 def merge_then_window(window_first):
@@ -391,9 +387,22 @@ class TestErrorPrecedence:
 
 class TestReportTotals:
     def test_totals_are_sums_and_flops_double(self):
+        # `propagate_shapes` builds the records and `cost_report` sums per slot, over one size walk: the totals
+        # are the records' sums, and where the walk fails, both raise the same error.
+        def sums(graph):
+            records = propagate_shapes(graph).values()
+            return sum(c.params for c in records), sum(c.macs for c in records)
+
+        graphs = [build_named(name, InputSpec(size, size, 3)) for name in ZOO_VARIANTS for size in SWEEP_SIZES]
+        graphs += [random_graph(seed, shape_safe=safe) for safe in (False, True) for seed in range(200)]
+        errors = 0
+        for g in graphs:
+            for graph in (g, g.with_input(TALL_WIDE)):
+                expected = walk_or_error(sums, graph)
+                assert walk_or_error(cost_report, graph) == expected, (graph.name, graph.input)
+                errors += isinstance(expected, str)
+        assert errors > 0
         report = cost_report(build_named("vgg11"))
-        assert report.total_params == sum(c.params for c in report.per_layer)
-        assert report.total_macs == sum(c.macs for c in report.per_layer)
         assert report.total_flops == 2 * report.total_macs
         assert report.gflops_mac1 == report.total_macs / 1e9
 
@@ -441,24 +450,23 @@ class TestOneWalk:
             shapes = propagate_shapes(g)
             report = cost_report(g)
             assert list(shapes) == list(g.order)
-            assert list(shapes.values()) == list(report.per_layer)
             assert cost_report(g, shapes=shapes) == report
 
 
 class TestPerLayerByPosition:
-    """`per_layer[i]` is the cost of `graph.nodes[i]`, and nodes with equal rows share one record."""
+    """`propagate_shapes` gives `graph.nodes[i]`'s record i-th, and nodes with equal rows share one record."""
 
     def test_a_lone_input_gives_one_row(self):
         # `operator.itemgetter` of one key returns the bare item, not a 1-tuple, so this plan picks with `tuple`.
         g = make_graph("lone", IN32, [("input", Input())], [])
         row = LayerCost(params=0, macs=0, out_height=32, out_width=32, out_channels=3)
-        assert cost_report(g) == ((row,), 0, 0)
+        assert cost_report(g) == (0, 0)
         assert propagate_shapes(g) == {"input": row}
-        assert cost_report(g.with_input(InputSpec(5, 7, 1))).per_layer == (LayerCost(0, 0, 5, 7, 1),)
+        assert propagate_shapes(g.with_input(InputSpec(5, 7, 1))) == {"input": LayerCost(0, 0, 5, 7, 1)}
 
     @pytest.mark.parametrize("name", ["vgg11", "resnet34"])
     def test_nodes_with_equal_rows_share_one_record(self, name):
         g = build_named(name)
-        report = cost_report(g)
-        assert len({id(c) for c in report.per_layer}) == len(g.__dict__["_cost_plan"][1]) < len(g.nodes)
+        records = tuple(propagate_shapes(g).values())
+        assert len({id(c) for c in records}) == len(g.__dict__["_cost_plan"][1]) < len(g.nodes)
         assert report_rows(g) == cost_by_shape_records(g)

@@ -33,6 +33,7 @@ from rfscope import (
     cost_report,
     make_graph,
     propagate_dag,
+    propagate_shapes,
     remove_stem_downsampling,
     serialize,
     truncate_at_border,
@@ -94,7 +95,7 @@ class TestTruncateAtBorder:
         assert isinstance(after.node_map[after.order[-1]].kind, Softmax)
         assert after.predecessors["head_gap"] == ("pool3",)
         # conv7 carries 256 filters, so the new dense layer sees 256 features.
-        fc_cost = delta.after_cost.per_layer[after.order.index("head_fc")]
+        fc_cost = propagate_shapes(after)["head_fc"]
         assert fc_cost.params == 256 * 10 + 10
         assert delta.after_border.border_min is None
         assert delta.params_delta < -10_000_000

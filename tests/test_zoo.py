@@ -13,6 +13,7 @@ from rfscope import (
     build_named,
     classify,
     cost_report,
+    propagate_shapes,
     validate,
 )
 
@@ -115,10 +116,9 @@ def test_noskip_removes_adds_and_projections():
 
 def test_skip_and_noskip_conv_params_differ_only_by_projections():
     def conv_params(graph):
-        report = cost_report(graph)
         return {
             node.id: c.params
-            for node, c in zip(graph.nodes, report.per_layer)
+            for node, c in zip(graph.nodes, propagate_shapes(graph).values())
             if isinstance(node.kind, Conv2d)
         }
 
