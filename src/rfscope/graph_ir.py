@@ -247,7 +247,7 @@ class ArchGraph(_Record):
     Its ``__dict__`` holds only caches: those of the ``cached_property`` members, the per-conv
     receptive-field table of :func:`~rfscope.border_analysis.classify` (one row per conv
     and the running maxima it bisects) and the cost plan that :func:`~rfscope.shape_cost_model.cost_report` and
-    :func:`~rfscope.shape_cost_model.propagate_shapes` share (its size steps, rows, node-order pick and size-free totals).
+    :func:`~rfscope.shape_cost_model.propagate_shapes` share (its size steps, one row per node and size-free totals).
     Each cache is a function of the nodes, the edges and the input's channel
     count, never of the input's size, and no cache is mutated once stored.
     """

@@ -9,7 +9,7 @@ counted too; convolutions and dense layers dominate it.
 """
 from __future__ import annotations
 
-from operator import itemgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 from .graph_ir import (
@@ -72,17 +72,14 @@ def _cost_plan(graph: ArchGraph) -> tuple:
     `(in slot, window, stride, 2 * padding)` rule of a conv or pool makes one more
     (a strided same conv's rule is `(1, stride, 0)`: ceil(n / s) == (n - 1) // s + 1).
     Steps, in node order, are those rules and the merges whose inputs sit in
-    different slots. Each node's row, `(out slot, area slot, out channels, p0, pf,
-    m0, mf)`, gives params `p0 + pf * area` and MACs `m0 + mf * area`; equal rows are kept once, and
-    `pick` takes every node's record, in node order, from the list of the rows' records.
+    different slots. Each node has one row, in node order: `(out slot, out channels, area slot, p0, pf,
+    m0, mf)` gives its params `p0 + pf * area` and MACs `m0 + mf * area`.
     The totals are the sums of every node's `p0` and `m0` plus, per area slot, the sums of its
     nodes' `pf` and `mf`, each times the slot's area.
     """
     rules: dict[tuple[int, int, int, int], int] = {}  # a rule -> the slot it makes
-    rows: dict[tuple, int] = {}  # a row -> its index
-    out: dict[str, tuple[int, int]] = {}  # node id -> (out slot, out channels)
+    rows: dict[str, tuple] = {}  # node id -> its row; a successor reads the first two fields
     steps: list[tuple] = []  # (node id, *rule), or a merge's (node id, in slot, other slots, 0, shape tail)
-    keys: list[int] = []  # each node's row index
     p0_sum = m0_sum = 0
     pf_sums, mf_sums = [0, 0], [0, 0]  # per slot, the sums of `pf` and `mf` of the nodes whose area it is
     predecessors = graph.predecessors
@@ -90,7 +87,7 @@ def _cost_plan(graph: ArchGraph) -> tuple:
         kind = node.kind
         cls = type(kind)
         preds = predecessors[nid]
-        slot, c = out[preds[0]] if preds else (1, graph.input.channels)
+        slot, c = rows[preds[0]][:2] if preds else (1, graph.input.channels)
         rule, out_slot, out_c = None, slot, c
         p0 = pf = m0 = mf = 0
         if cls is Conv2d:
@@ -107,10 +104,10 @@ def _cost_plan(graph: ArchGraph) -> tuple:
         elif cls is Activation:
             mf = c
         elif cls is Add or cls is Concat:
-            others = tuple(out[p][0] for p in preds[1:] if out[p][0] != slot)
+            others = tuple(rows[p][0] for p in preds[1:] if rows[p][0] != slot)
             if others:
                 steps.append((nid, slot, others, 0, (c,) if cls is Add else ()))
-            mf, out_c = (c, c) if cls is Add else (0, sum(out[p][1] for p in preds))
+            mf, out_c = (c, c) if cls is Add else (0, sum(rows[p][1] for p in preds))
         elif cls is Pool:
             rule = (slot, kind.kernel, kind.stride, 2 * kind.padding)
             mf = kind.kernel**2 * c
@@ -129,13 +126,11 @@ def _cost_plan(graph: ArchGraph) -> tuple:
                 pf_sums.append(0)
                 mf_sums.append(0)
             out_slot = area = rules[rule]  # a window's MACs count its outputs
-        out[nid] = (out_slot, out_c)
-        keys.append(rows.setdefault((out_slot, area, out_c, p0, pf, m0, mf), len(rows)))
+        rows[nid] = (out_slot, out_c, area, p0, pf, m0, mf)
         p0_sum, m0_sum = p0_sum + p0, m0_sum + m0
         pf_sums[area] += pf
         mf_sums[area] += mf
-    pick = itemgetter(*keys) if len(keys) > 1 else tuple  # one key would give the bare record, not a 1-tuple
-    plan = graph.__dict__["_cost_plan"] = (tuple(steps), tuple(rows), pick, p0_sum, m0_sum, tuple(pf_sums), tuple(mf_sums))
+    plan = graph.__dict__["_cost_plan"] = (tuple(steps), tuple(rows.values()), p0_sum, m0_sum, tuple(pf_sums), tuple(mf_sums))
     return plan
 
 
@@ -170,16 +165,16 @@ def cost_report(graph: ArchGraph, shapes: dict[str, LayerCost] | None = None) ->
     follow the usual floor rule. Element-wise adds require identical input
     shapes; concatenation requires matching spatial dims and sums channels.
     """
-    (_, _, _, p0_sum, m0_sum, pf_sums, mf_sums), _, areas = _sizes(graph)
+    (_, _, p0_sum, m0_sum, pf_sums, mf_sums), _, areas = _sizes(graph)
     return tuple.__new__(CostReport, (p0_sum + sum(map(mul, pf_sums, areas)), m0_sum + sum(map(mul, mf_sums, areas))))
 
 
 def propagate_shapes(graph: ArchGraph) -> dict[str, LayerCost]:
-    """Every node's record by node id, in node order, from :func:`cost_report`'s size walk; equal rows share one record."""
-    (_, rows, pick, *_), hw, areas = _sizes(graph)
+    """Every node's record by node id, in node order, from its row of the cost plan and :func:`cost_report`'s size walk."""
+    (_, rows, *_), hw, areas = _sizes(graph)
     new = tuple.__new__  # each record built without the keyword-argument shim
-    records = [new(LayerCost, (p0 + pf * areas[a], m0 + mf * areas[a], hw[s][0], hw[s][1], c)) for s, a, c, p0, pf, m0, mf in rows]
-    return dict(zip(graph.order, pick(records)))
+    return {nid: new(LayerCost, (p0 + pf * areas[a], m0 + mf * areas[a], *hw[s], c))
+            for nid, (s, c, a, p0, pf, m0, mf) in zip(graph.order, rows)}
 
 
 def _attention_cost(variant: str, channels: int) -> tuple[int, int, int]:

@@ -141,7 +141,8 @@ def build_named(name: str, input_spec: InputSpec | None = None, num_classes: int
     """Build a zoo model from its shorthand name, such as 'resnet18-noskip' or 'vgg19-dil3'.
 
     Options come in any order, and the last `-dilN` wins. The graph is named by the canonical
-    shorthand: the family, then `-dilN` unless N is 1, `-noskip` and `-nostem`.
+    shorthand: the family, then `-dilN` unless N is 1, `-noskip` and `-nostem`. `num_classes` must be
+    an `int` (not a bool) of at least 2.
     """
     match = _NAME_RE.match(name)
     if not match or match.group("family") not in FAMILIES:
@@ -152,6 +153,8 @@ def build_named(name: str, input_spec: InputSpec | None = None, num_classes: int
     family, opts = match.group("family"), match.group("opts").split("-")[1:]
     dilations = [int(opt[3:]) for opt in opts if opt.startswith("dil")]
     dilation, skips, stem = dilations[-1] if dilations else 1, "noskip" not in opts, "nostem" not in opts
+    if isinstance(num_classes, bool) or not isinstance(num_classes, int):
+        raise ValueError(f"num_classes must be an integer >= 2, got {num_classes!r}")
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
     if dilation < 1:
@@ -169,7 +172,7 @@ def build_named(name: str, input_spec: InputSpec | None = None, num_classes: int
     return ArchGraph(canonical, _DEFAULT_INPUT if input_spec is None else input_spec, shared.nodes, shared.edges)
 
 
-@lru_cache(maxsize=64, typed=True)  # typed: 2 and 2.0 build different heads
+@lru_cache(maxsize=64)
 def _structure(family: str, dilation: int, skips: bool, stem: bool, num_classes: int) -> ArchGraph:
     """One zoo structure at a placeholder input; never analyzed, it only lends its node and edge tuples."""
     b = _GraphBuilder()

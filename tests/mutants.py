@@ -249,11 +249,12 @@ MUTANTS = (
         "shared = _structure(family, dilation, skips, stem, 10)",
         (f"{ZOO}test_num_classes_and_options_are_part_of_the_structure_key", f"{ZOO}test_num_classes_sets_head_width"),
     ),
+    # Only an int reaches the memo, where 2 and 2.0 would be one key.
     Mutant(
-        "zoo-memo-untyped",
+        "zoo-accepts-a-float-num-classes",
         "rfscope/zoo.py",
-        "@lru_cache(maxsize=64, typed=True)",
-        "@lru_cache(maxsize=64)",
+        "if isinstance(num_classes, bool) or not isinstance(num_classes, int):",
+        "if isinstance(num_classes, bool):",
         (f"{ZOO}test_num_classes_and_options_are_part_of_the_structure_key",),
     ),
     # validate reports the channel rule only when no structural rule breaks.
@@ -364,33 +365,38 @@ MUTANTS = (
     Mutant(
         "shapes-skip-the-input-row",
         "rfscope/shape_cost_model.py",
-        "return dict(zip(graph.order, pick(records)))",
-        "return dict(zip(graph.order[1:], pick(records)[1:]))",
+        "in zip(graph.order, rows)}",
+        "in zip(graph.order[1:], rows[1:])}",
         (
             f"{SHAPES}TestOneWalk::test_shapes_are_the_report_shapes[vgg11]",
             f"{SHAPES}TestOneWalk::test_shapes_are_the_report_shapes[resnet18]",
             f"{SHAPES}TestPerLayerByPosition::test_a_lone_input_gives_one_row",
         ),
     ),
-    # propagate_shapes maps every node to its own record in node order, not each distinct row once.
+    # A node reads its input's slot and channels from the first two fields of its predecessor's row,
+    # `(out slot, out channels, area slot, ...)`; this mutant reads the out and area slots instead.
     Mutant(
-        "per-layer-in-row-order",
+        "plan-reads-a-predecessor-row-out-of-order",
         "rfscope/shape_cost_model.py",
-        ", pick(records)))",
-        ", tuple(records)))",
+        "rows[preds[0]][:2]",
+        "rows[preds[0]][0:3:2]",
         (
-            f"{SHAPE_RECORDS}test_zoo_at_square_and_non_square_sizes[vgg11]",
-            f"{SHAPES}TestPerLayerByPosition::test_nodes_with_equal_rows_share_one_record[resnet34]",
-            f"{CLI_PINS}[analyze zoo:vgg16 --input-size 48 64 --format json]",
+            f"{SHAPES}TestParams::test_conv_3x3_64_to_64_with_bias",
+            f"{SHAPES}TestPropagateShapes::test_chain_composition",
+            f"{SHAPE_RECORDS}test_zoo_at_square_and_non_square_sizes[resnet18]",
         ),
     ),
-    # A one-node graph's pick gives a 1-tuple of records, not its bare record.
+    # A concat's channels are the sum of its inputs' channel fields, not of their slot fields.
     Mutant(
-        "one-node-pick-returns-the-bare-record",
+        "concat-sums-the-slot-field",
         "rfscope/shape_cost_model.py",
-        "pick = itemgetter(*keys) if len(keys) > 1 else tuple",
-        "pick = itemgetter(*keys)",
-        (f"{SHAPES}TestPerLayerByPosition::test_a_lone_input_gives_one_row",),
+        "sum(rows[p][1] for p in preds)",
+        "sum(rows[p][0] for p in preds)",
+        (
+            f"{SHAPES}TestPropagateShapes::test_concat_sums_channels",
+            f"{NON_SQUARE}test_every_node_keeps_height_before_width",
+            f"{SHAPE_RECORDS}test_random_graphs_with_their_errors[True]",
+        ),
     ),
     # The size walk that cost_report and propagate_shapes share starts from the input's height, then width.
     Mutant(
@@ -528,6 +534,17 @@ MUTANTS = (
         "if args.emit is not None:",
         "if args.emit:",
         ("tests/test_cli.py::test_bad_request_fails_cleanly_with_empty_stdout[emit-empty-path]",),
+    ),
+    # A diagnostic is dropped, and the exit code kept, when stderr is None or its writes raise OSError.
+    Mutant(
+        "stderr-fallback-misses-oserror",
+        "rfscope/cli.py",
+        "    except (AttributeError, OSError):\n        pass",
+        "    except AttributeError:\n        pass",
+        tuple(
+            f"tests/test_cli.py::test_closed_stderr_keeps_the_exit_code[{case}-write-raises]"
+            for case in ("missing-file", "stdout-closed-too", "unknown-zoo-name", "shape-error")
+        ),
     ),
     # A zoo ref is resized as a file is, by `with_input`.
     Mutant(

@@ -28,7 +28,7 @@ from rfscope import (
     serialize,
     validate,
 )
-from rfscope.cli import EXIT_FILE, EXIT_INVALID, EXIT_NOOP, EXIT_OK, EXIT_USAGE, main
+from rfscope.cli import EXIT_FILE, EXIT_INVALID, EXIT_NOOP, EXIT_OK, EXIT_USAGE, entrypoint, main
 from rfscope.graph_ir import LayerKind
 
 
@@ -283,6 +283,41 @@ def test_closed_stdout_is_a_file_error_in_a_fresh_process(tmp_path):
 def test_closed_stderr_keeps_the_exit_code_in_a_fresh_process(argv, stdout_closed, code):
     proc = run_fresh("-m", "rfscope", *argv, stdout_closed=stdout_closed, stderr_closed=True)
     assert (proc.returncode, proc.stderr) == (code, "")
+
+
+class _FailingStream(io.StringIO):
+    def write(self, text):
+        raise OSError("stream is gone")
+
+
+@pytest.mark.parametrize("stderr", [None, _FailingStream()], ids=["none", "write-raises"])
+@pytest.mark.parametrize(
+    "argv, stdout_closed, code",
+    [
+        (["analyze", "/no/such.json"], False, EXIT_FILE),
+        (["analyze", "zoo:vgg11"], True, EXIT_FILE),
+        (["analyze", "zoo:nosuch"], False, EXIT_USAGE),
+        (["analyze", "zoo:vgg16", "--input-size", "8", "8"], False, EXIT_INVALID),
+    ],
+    ids=["missing-file", "stdout-closed-too", "unknown-zoo-name", "shape-error"],
+)
+def test_closed_stderr_keeps_the_exit_code(monkeypatch, argv, stdout_closed, code, stderr):
+    # `2>&-` leaves `sys.stderr` None; a stream whose reader is gone raises on write instead.
+    monkeypatch.setattr("sys.stderr", stderr)
+    if stdout_closed:
+        monkeypatch.setattr("sys.stdout", None)
+    assert main(argv) == code
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["zoo", "list"], EXIT_OK), (["analyze", "zoo:nosuch"], EXIT_USAGE)], ids=["ok", "unknown-zoo-name"]
+)
+def test_entrypoint_exits_with_the_code_of_main(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr("sys.argv", ["rfscope", *argv])
+    with pytest.raises(SystemExit) as caught:
+        entrypoint()
+    assert caught.value.code == code
+    assert bool(capsys.readouterr().err) == (code != EXIT_OK)
 
 
 def test_malformed_document_is_validation_failure(tmp_path, capsys):

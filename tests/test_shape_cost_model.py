@@ -454,19 +454,19 @@ class TestOneWalk:
 
 
 class TestPerLayerByPosition:
-    """`propagate_shapes` gives `graph.nodes[i]`'s record i-th, and nodes with equal rows share one record."""
+    """`propagate_shapes` gives `graph.nodes[i]`'s record i-th, from the plan's row for that node."""
 
     def test_a_lone_input_gives_one_row(self):
-        # `operator.itemgetter` of one key returns the bare item, not a 1-tuple, so this plan picks with `tuple`.
         g = make_graph("lone", IN32, [("input", Input())], [])
         row = LayerCost(params=0, macs=0, out_height=32, out_width=32, out_channels=3)
         assert cost_report(g) == (0, 0)
         assert propagate_shapes(g) == {"input": row}
         assert propagate_shapes(g.with_input(InputSpec(5, 7, 1))) == {"input": LayerCost(0, 0, 5, 7, 1)}
 
-    @pytest.mark.parametrize("name", ["vgg11", "resnet34"])
-    def test_nodes_with_equal_rows_share_one_record(self, name):
+    @pytest.mark.parametrize("name", ZOO_VARIANTS)
+    def test_one_record_per_node_in_node_order(self, name):
         g = build_named(name)
-        records = tuple(propagate_shapes(g).values())
-        assert len({id(c) for c in records}) == len(g.__dict__["_cost_plan"][1]) < len(g.nodes)
+        shapes = propagate_shapes(g)
+        assert list(shapes) == [node.id for node in g.nodes]
+        assert len(g.__dict__["_cost_plan"][1]) == len(g.nodes)
         assert report_rows(g) == cost_by_shape_records(g)

@@ -220,9 +220,11 @@ def test_num_classes_and_options_are_part_of_the_structure_key():
     narrow = build_named("vgg11")
     assert (wide.node_map["fc"].kind.units, narrow.node_map["fc"].kind.units) == (100, 10)
     assert wide.nodes is not narrow.nodes
-    # 2 and 2.0 are equal keys to a plain memo, but only the int is a valid width.
+    # 2 and 2.0 are equal keys to the memo, so only an int reaches it: a float or bool width is refused at the call.
     assert type(build_named("vgg11", num_classes=2).node_map["fc"].kind.units) is int
-    assert type(build_named("vgg11", num_classes=2.0).node_map["fc"].kind.units) is float
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match=rf"^num_classes must be an integer >= 2, got {bad!r}$"):
+            build_named("vgg11", num_classes=bad)
     for names in (("resnet18", "resnet18-noskip", "resnet18-nostem"), ("vgg19", "vgg19-dil2", "vgg19-dil3")):
         graphs = [build_named(name) for name in names]
         assert len({id(g.nodes) for g in graphs}) == 3, names
