@@ -26,8 +26,6 @@ _EXPORTS = {
     "rf_analysis": (
         "RFState", "RFAnnotation", "propagate_dag",
         "FrontierLimitError",
-    ),
-    "border_analysis": (
         "BorderReport", "ConvClassification", "classify",
         "unproductive_closure", "PRODUCTIVE", "UNPRODUCTIVE",
     ),

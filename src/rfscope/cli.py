@@ -22,8 +22,8 @@ from .graph_ir import GraphValidationError, InputSpec
 if TYPE_CHECKING:
     from typing import IO, Any, Callable, Sequence
 
-    from .border_analysis import BorderReport
     from .graph_ir import ArchGraph
+    from .rf_analysis import BorderReport
     from .shape_cost_model import CostReport
     from .transforms import ComparisonReport, TransformDelta
 
@@ -163,7 +163,7 @@ def _num(value: int | float) -> int | str:
 
 
 def _analysis_payload(graph: ArchGraph) -> dict[str, Any]:
-    from .border_analysis import PRODUCTIVE, UNPRODUCTIVE, classify
+    from .rf_analysis import PRODUCTIVE, UNPRODUCTIVE, classify
     from .shape_cost_model import cost_report, propagate_shapes
 
     border, cost = classify(graph), cost_report(graph)  # in this order, so an RF error precedes a ShapeError
@@ -329,6 +329,8 @@ def _parse_pass_spec(spec: str) -> tuple[str, int]:
         raw = spec.split(":", 1)[1]
         try:
             count = int(raw)
+            if str(count) != raw:  # only the spelling the report echoes: no sign, space, zero pad, `_` or other digits
+                raise ValueError(raw)
         except ValueError:
             raise UsageError(f"bad downsampling count {raw!r} in --pass {spec!r}") from None
         if count < 1:

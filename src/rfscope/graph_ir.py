@@ -245,8 +245,8 @@ class ArchGraph(_Record):
     """Immutable layer DAG: nodes in declaration order plus an ordered edge list.
 
     Its ``__dict__`` holds only caches: those of the ``cached_property`` members, the per-conv
-    receptive-field table of :func:`~rfscope.border_analysis.classify` (one row per conv
-    and the running maxima it bisects) and the cost plan that :func:`~rfscope.shape_cost_model.cost_report` and
+    receptive-field table that :func:`~rfscope.rf_analysis.classify` builds from its own walk (one row
+    per conv and the running maxima it bisects) and the cost plan that :func:`~rfscope.shape_cost_model.cost_report` and
     :func:`~rfscope.shape_cost_model.propagate_shapes` share (its size steps, one row per node and size-free totals).
     Each cache is a function of the nodes, the edges and the input's channel
     count, never of the input's size, and no cache is mutated once stored.

@@ -119,7 +119,7 @@ def _cost_plan(graph: ArchGraph) -> tuple:
             out_slot, out_c, p0 = 0, kind.units, kind.units if kind.bias else 0
             pf = mf = c * out_c
         area = slot
-        if rule is not None and (slot or (1 + rule[3] - rule[1]) // rule[2]):  # unless it keeps slot 0 at (1, 1)
+        if rule is not None:
             if rule not in rules:
                 rules[rule] = len(rules) + 2
                 steps.append((nid, *rule))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Container, Mapping, Sequence
 from typing import NamedTuple
 
-from .border_analysis import BorderReport, classify, unproductive_closure
 from .graph_ir import (
     HEAD_KINDS,
     MERGE_KINDS,
@@ -25,6 +24,7 @@ from .graph_ir import (
     Softmax,
     make_graph,
 )
+from .rf_analysis import BorderReport, classify, unproductive_closure
 from .shape_cost_model import CostReport, cost_report
 
 

@@ -81,8 +81,7 @@ from rfscope import (
 )
 from rfscope import ShapeError, graph_ir
 from rfscope.graph_ir import LAYER_KINDS, MERGE_KINDS, RF_NEUTRAL_KINDS
-from rfscope.border_analysis import BorderReport, ConvClassification
-from rfscope.rf_analysis import RFAnnotation, propagate_dag
+from rfscope.rf_analysis import BorderReport, ConvClassification, RFAnnotation, propagate_dag
 from rfscope.transforms import _fresh_id, _old_head_chain
 
 # Every zoo variant, and the input sizes of a 16-step resolution sweep.

@@ -174,7 +174,7 @@ MUTANTS = (
     # A conv's in-frontier is ordered (j, r): its largest finite jump is the last state's.
     Mutant(
         "jump-range-from-the-wrong-end",
-        "rfscope/border_analysis.py",
+        "rfscope/rf_analysis.py",
         "f[-1][1] or inf))",
         "f[0][1] or (f[1][1] if len(f) > 1 else inf)))",
         (
@@ -185,7 +185,7 @@ MUTANTS = (
     # classify bisects the running maxima of r_in_min and of r_in_max, each for the first one past the resolution.
     Mutant(
         "first-max-read-from-r-in-min",
-        "rfscope/border_analysis.py",
+        "rfscope/rf_analysis.py",
         "(row[3] if row[3] > top_max else top_max)",
         "(row[2] if row[2] > top_max else top_max)",
         (
@@ -197,7 +197,7 @@ MUTANTS = (
     ),
     Mutant(
         "border-bisects-left",
-        "rfscope/border_analysis.py",
+        "rfscope/rf_analysis.py",
         "from bisect import bisect_right\n",
         "from bisect import bisect_left as bisect_right\n",
         (f"{BREAKPOINTS}[vgg11]", f"{BREAKPOINTS}[resnet18]", f"{PROPERTIES}test_breakpoints_cover_each_way_a_border_falls"),
@@ -205,7 +205,7 @@ MUTANTS = (
     # A resnet's projection conv sees a smaller field than the conv before it, so raw values are not sorted.
     Mutant(
         "border-bisects-raw-r-in-min",
-        "rfscope/border_analysis.py",
+        "rfscope/rf_analysis.py",
         "tuple([top_min := (row[2] if row[2] > top_min else top_min) for row in rows])",
         "tuple([row[2] for row in rows])",
         (f"{BREAKPOINTS}[resnet18]", f"{BREAKPOINTS}[resnet34]"),
@@ -213,7 +213,7 @@ MUTANTS = (
     # The rule is strict: a conv whose r_in_min equals the resolution stays productive.
     Mutant(
         "unproductive-ids-not-strict",
-        "rfscope/border_analysis.py",
+        "rfscope/rf_analysis.py",
         "if c.r_in_min > self.resolution)",
         "if c.r_in_min >= self.resolution)",
         (
@@ -225,13 +225,21 @@ MUTANTS = (
     # classify keeps each graph's per-conv RF table, and with_input carries it while the check carries.
     Mutant(
         "classify-walks-every-time",
-        "rfscope/border_analysis.py",
+        "rfscope/rf_analysis.py",
         'table = graph.__dict__.get("_rf_table")',
         "table = None",
         (
             f"{ONE_ANALYSIS}test_a_graph_walks_its_receptive_fields_once",
             f"{ONE_ANALYSIS}test_with_input_siblings_share_one_check_and_one_rf_walk",
         ),
+    ),
+    # classify builds its table from its own walk only; a caller's annotations are not read.
+    Mutant(
+        "classify-reads-caller-annotations",
+        "rfscope/rf_analysis.py",
+        "zip(propagate_dag(graph).values(), graph.nodes)",
+        "zip((annotations or propagate_dag(graph)).values(), graph.nodes)",
+        ("tests/test_border_analysis.py::TestRFTable::test_caller_annotations_are_not_read",),
     ),
     Mutant(
         "with-input-carries-rf-table-across-channels",
@@ -477,6 +485,17 @@ MUTANTS = (
         "    except TransformError as exc:\n        raise TransformError(",
         (f"{STEM}test_rewrite_that_fails_validation_is_refused",),
     ),
+    # Truncation can leave an add over unequal channel counts, so its rebuilt graph is validated too.
+    Mutant(
+        "rebuild-skips-its-validation",
+        "rfscope/transforms.py",
+        "        rebuilt.order  # the rebuilt graph's one validation, cached for the analyses that follow\n",
+        "        pass\n",
+        (
+            f"{TRANSFORMS}TestTruncateAtBorder::test_rewrite_that_fails_validation_is_refused",
+            f"{STEM}test_rewrite_that_fails_validation_is_refused",
+        ),
+    ),
     # `parse` validates the graph it builds, and a broken rule raises `GraphValidationError`.
     Mutant(
         "parse-skips-its-validation",
@@ -526,6 +545,17 @@ MUTANTS = (
         '("" if stem else "-nostem")',
         '("" if stem else "")',
         ("tests/test_zoo.py::test_build_named_canonical_names_and_error_order",),
+    ),
+    # A pass count is accepted only as the report echoes it back.
+    Mutant(
+        "pass-count-any-int-spelling",
+        "rfscope/cli.py",
+        "if str(count) != raw:",
+        "if False:",
+        tuple(
+            f"tests/test_cli.py::test_bad_request_fails_cleanly_with_empty_stdout[pass-count-{case}]"
+            for case in ("space", "plus", "zero-pad", "underscore", "arabic-indic-digit")
+        ),
     ),
     # An explicit empty output path is opened like any other, so it fails.
     Mutant(

@@ -284,6 +284,14 @@ class TestRFTable:
                 resized = graph.with_input(InputSpec(size, size + 1, 3))
                 assert classify(resized) == walked(resized), (seed, size)
 
+    def test_caller_annotations_are_not_read(self):
+        # Another graph's walk, passed as `annotations`, neither enters the report nor the kept table.
+        noskip = build_named("resnet18-noskip")
+        report = classify(noskip, propagate_dag(build_named("resnet18")))
+        assert report == classify(build_named("resnet18-noskip"))
+        assert (report.border_min, report.border_max) == (5, 5)
+        assert classify(noskip.with_input(InputSpec(64, 64, 3))).border_min == 8
+
     def test_a_frontier_error_is_never_kept(self, monkeypatch):
         g = build_named("mpnet18")  # each block's add merges a 3x3 and a 7x7 path: two states
         monkeypatch.setattr(rf_analysis, "FRONTIER_CAP", 1)

@@ -368,7 +368,13 @@ USAGE_TEXT = {
     "zoo emit nope --input-size 0 32": UNKNOWN_NOPE,
     "analyze zoo:vgg11 --classes 1 --input-size 0 32": "num_classes must be >= 2, got 1",
     "optimize zoo:vgg11 --pass remove-stem-downsampling:0": "downsampling count must be >= 1, got 0",
+    "optimize zoo:vgg11 --pass remove-stem-downsampling:-1": "downsampling count must be >= 1, got -1",
     "optimize zoo:vgg11 --pass remove-stem-downsampling:x": "bad downsampling count 'x' in --pass 'remove-stem-downsampling:x'",
+    "optimize zoo:vgg11 --pass remove-stem-downsampling: 1": "bad downsampling count ' 1' in --pass 'remove-stem-downsampling: 1'",
+    "optimize zoo:vgg11 --pass remove-stem-downsampling:+1": "bad downsampling count '+1' in --pass 'remove-stem-downsampling:+1'",
+    "optimize zoo:vgg11 --pass remove-stem-downsampling:01": "bad downsampling count '01' in --pass 'remove-stem-downsampling:01'",
+    "optimize zoo:vgg11 --pass remove-stem-downsampling:1_0": "bad downsampling count '1_0' in --pass 'remove-stem-downsampling:1_0'",
+    "optimize zoo:vgg11 --pass remove-stem-downsampling:١": "bad downsampling count '١' in --pass 'remove-stem-downsampling:١'",
 }
 
 
@@ -387,7 +393,13 @@ USAGE_TEXT = {
         (["analyze", "zoo:vgg11", "--classes", str(10**400)], EXIT_INVALID),
         (["compare", "FILE", "zoo:vgg11", "--input-size", str(10**200), str(10**200)], EXIT_INVALID),
         (["optimize", "zoo:vgg11", "--pass", "remove-stem-downsampling:0"], EXIT_USAGE),
+        (["optimize", "zoo:vgg11", "--pass", "remove-stem-downsampling:-1"], EXIT_USAGE),
         (["optimize", "zoo:vgg11", "--pass", "remove-stem-downsampling:x"], EXIT_USAGE),
+        (["optimize", "zoo:vgg11", "--pass", "remove-stem-downsampling: 1"], EXIT_USAGE),
+        (["optimize", "zoo:vgg11", "--pass", "remove-stem-downsampling:+1"], EXIT_USAGE),
+        (["optimize", "zoo:vgg11", "--pass", "remove-stem-downsampling:01"], EXIT_USAGE),
+        (["optimize", "zoo:vgg11", "--pass", "remove-stem-downsampling:1_0"], EXIT_USAGE),
+        (["optimize", "zoo:vgg11", "--pass", "remove-stem-downsampling:١"], EXIT_USAGE),
         (["analyze", "zoo:nope", "--input-size", "0", "32"], EXIT_USAGE),
         (["zoo", "emit", "nope", "--input-size", "0", "32"], EXIT_USAGE),
         (["analyze", "zoo:vgg11", "--classes", "1", "--input-size", "0", "32"], EXIT_USAGE),
@@ -395,8 +407,9 @@ USAGE_TEXT = {
     ids=[
         "input-size-zoo", "input-size-file", "zoo-emit-input-size", "classes-file", "emit-missing-dir",
         "emit-nul-path", "emit-empty-path", "zoo-emit-nul-path", "zoo-emit-empty-path", "classes-overflow",
-        "input-size-overflow", "pass-count-zero", "pass-count-not-a-number", "unknown-zoo-name-before-input-size",
-        "zoo-emit-unknown-name-before-input-size", "classes-before-input-size",
+        "input-size-overflow", "pass-count-zero", "pass-count-negative", "pass-count-not-a-number", "pass-count-space",
+        "pass-count-plus", "pass-count-zero-pad", "pass-count-underscore", "pass-count-arabic-indic-digit",
+        "unknown-zoo-name-before-input-size", "zoo-emit-unknown-name-before-input-size", "classes-before-input-size",
     ],
 )
 def test_bad_request_fails_cleanly_with_empty_stdout(tmp_path, capsys, argv, expected):

@@ -308,8 +308,8 @@ class TestOnePlanPerStructure:
     """`cost_report` keeps a plan that reads no input size, so one plan serves every size."""
 
     def test_windows_past_a_global_pool(self):
-        # On (1, 1), a 1x1/2 same conv and a 2x2/2 pool with padding 1 keep (1, 1), so they make no step;
-        # a 3x3 conv with padding 2 grows it to (3, 3), and a 5x5 valid conv then fails.
+        # Past the global pool each window makes a step like any other: a 1x1/2 same conv and a 2x2/2 pool
+        # with padding 1 keep (1, 1), a 3x3 conv with padding 2 grows it to (3, 3), and a 5x5 valid conv then fails.
         layers = [
             ("gap", GlobalAvgPool()),
             ("s", Conv2d(kernel=1, filters=4, stride=2)),
@@ -320,7 +320,7 @@ class TestOnePlanPerStructure:
         g = chain_graph("past-gap", IN32, layers[:-1])
         assert report_rows(g) == cost_by_shape_records(g)
         assert [shape_record(nid, r) for nid, r in propagate_shapes(g).items()][-3:] == [("s", 1, 1, 4), ("p", 1, 1, 4), ("grow", 3, 3, 4)]
-        assert [step[0] for step in g.__dict__["_cost_plan"][0]] == ["grow"]
+        assert [step[0] for step in g.__dict__["_cost_plan"][0]] == ["s", "p", "grow"]
         failing = chain_graph("past-gap-fails", IN32, layers)
         assert walk_or_error(report_rows, failing) == "node 'v': window 5 exceeds padded input extent 3"
 

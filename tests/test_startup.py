@@ -67,7 +67,7 @@ def test_import_cli_loads_only_graph_ir(tmp_path, bare):
     assert UNNEEDED & loaded <= bare
 
 
-ANALYSIS = {"rfscope.rf_analysis", "rfscope.border_analysis", "rfscope.shape_cost_model"}
+ANALYSIS = {"rfscope.rf_analysis", "rfscope.shape_cost_model"}
 
 
 @pytest.mark.parametrize(

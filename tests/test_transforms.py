@@ -17,6 +17,7 @@ from dagtools import (
 from rfscope import (
     Activation,
     Add,
+    Concat,
     Conv2d,
     Dense,
     FrontierLimitError,
@@ -187,6 +188,31 @@ class TestTruncateAtBorder:
 
         assert truncated_ids("head_gap", "c2") == ["input", "head_gap", "c2", "head_gap2", "head_fc", "head_softmax"]
         assert truncated_ids("head_gap", "head_gap2")[3:] == ["head_gap3", "head_fc", "head_softmax"]
+
+
+    def test_rewrite_that_fails_validation_is_refused(self, tmp_path, capsys):
+        # At 32x32, c2b sees 43 pixels and is the only unproductive conv. Its removal leaves the concat
+        # with c1 alone, so the collapsed concat re-sources the add's input at c1: 4 channels against c3's 8.
+        layers = [
+            ("input", Input()), ("c1", Conv2d(kernel=3, filters=4)), ("c2", Conv2d(kernel=41, filters=4)),
+            ("c2b", Conv2d(kernel=3, filters=4)), ("cat", Concat()), ("c3", Conv2d(kernel=1, filters=8)),
+            ("add", Add()), ("c4", Conv2d(kernel=1, filters=8)), ("gap", GlobalAvgPool()),
+            ("fc", Dense(units=10)), ("softmax", Softmax()),
+        ]
+        edges = [
+            ("input", "c1"), ("input", "c2"), ("c2", "c2b"), ("c1", "cat"), ("c2b", "cat"), ("input", "c3"),
+            ("cat", "add"), ("c3", "add"), ("add", "c4"), ("c4", "gap"), ("gap", "fc"), ("fc", "softmax"),
+        ]
+        g = make_graph("channel-break", IN32, layers, edges)
+        assert classify(g).unproductive_conv_ids == ("c2b",)
+        message = "rewritten graph failed validation: [merge_channels] add: element-wise add over unequal channel counts [4, 8]"
+        with pytest.raises(TransformError) as err:
+            truncate_at_border(g, 10)
+        assert str(err.value) == message
+        path = tmp_path / "channel-break.json"
+        path.write_text(serialize(g))
+        code = main(["optimize", str(path), "--pass", "truncate"])
+        assert (code, *capsys.readouterr()) == (2, "", f"rfscope: {message}\n")
 
 
 class TestRemoveStemDownsampling:
