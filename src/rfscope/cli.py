@@ -6,13 +6,19 @@ Reports go to stdout, diagnostics to stderr; exit codes are part of the
 contract: 0 success, 2 validation failure, 3 no-op optimization, 64 usage
 error, 66 file error. Each command imports only the modules it runs, so a
 short command does not pay for the rest of the package.
+
+Each command's arguments are declared once, in `_COMMANDS`. `_match` reads a
+plain command line from it without importing argparse; every other form
+(help, version, abbreviations, `--opt=value` and every usage error) goes to
+the argparse parser that `_build_parser` makes from it, so its texts are
+argparse's.
 """
 from __future__ import annotations
 
-import argparse
 import io
 import math
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import rfscope
@@ -20,6 +26,7 @@ import rfscope
 from .graph_ir import GraphValidationError, InputSpec
 
 if TYPE_CHECKING:
+    import argparse
     from typing import IO, Any, Callable, Sequence
 
     from .graph_ir import ArchGraph
@@ -39,64 +46,11 @@ _PRINTABLE = 10**_DIGITS if _DIGITS else math.inf
 
 
 class UsageError(Exception):
-    """Bad argument values discovered after argparse (unknown zoo name, bad pass spec)."""
+    """Bad argument values discovered after the command line is read (unknown zoo name, bad pass spec)."""
 
 
 class _Unprintable(ValueError):
     """A receptive field with more digits than `str` converts; no report is written."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="rfscope", description="Receptive-field border analysis for CNN architecture graphs.")
-    parser.add_argument("--version", action="version", version=f"rfscope {rfscope.__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add_size_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input-size", nargs=2, type=int, metavar=("H", "W"), help="override input height and width")
-        p.add_argument("--classes", type=int, default=10, help="class count for zoo heads (default 10)")
-
-    def add_arch_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("arch", help="architecture JSON file or zoo:NAME shorthand")
-        add_size_args(p)
-
-    p = sub.add_parser("analyze", help="receptive-field, border, and cost report")
-    p.set_defaults(run=_cmd_analyze)
-    add_arch_args(p)
-    p.add_argument("--format", choices=FORMATS, default="text")
-
-    p = sub.add_parser("optimize", help="apply a rewrite pass and report the delta")
-    p.set_defaults(run=_cmd_optimize)
-    add_arch_args(p)
-    p.add_argument("--pass", dest="pass_spec", required=True, metavar="PASS",
-                   help="truncate | remove-stem-downsampling[:N]")
-    p.add_argument("--emit", metavar="OUT_JSON", help="write the rewritten architecture to this file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("compare", help="side-by-side analysis of two architectures")
-    p.set_defaults(run=_cmd_compare)
-    p.add_argument("arch_a")
-    p.add_argument("arch_b")
-    add_size_args(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("validate", help="check a document; exit 0 if the graph is valid")
-    p.set_defaults(run=_cmd_validate)
-    add_arch_args(p)
-
-    p = sub.add_parser("zoo", help="built-in architectures")
-    zoo_sub = p.add_subparsers(dest="zoo_command", required=True, parser_class=_Parser)
-    zoo_sub.add_parser("list", help="list builder names").set_defaults(run=_cmd_zoo_list)
-    p = zoo_sub.add_parser("emit", help="write a zoo model as an architecture document")
-    p.set_defaults(run=_cmd_zoo_emit)
-    p.add_argument("name")
-    p.add_argument("--out", metavar="FILE", help="output path (stdout when omitted)")
-    add_size_args(p)
-    return parser
 
 
 def _open(path: str, mode: str) -> IO[Any]:
@@ -417,12 +371,102 @@ def _cmd_zoo_emit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_SIZE_OPTIONS = {
+    "--input-size": {"nargs": 2, "type": int, "metavar": ("H", "W"), "help": "override input height and width"},
+    "--classes": {"type": int, "default": 10, "help": "class count for zoo heads (default 10)"},
+}
+_ARCH = {"arch": {"help": "architecture JSON file or zoo:NAME shorthand"}}
+_TEXT_OR_JSON = {"--format": {"choices": ("text", "json"), "default": "text"}}
+
+# Each command's words: its help, handler, positionals and options, each
+# argument as the keywords of argparse's `add_argument`. A command with no
+# handler groups the commands under it.
+_COMMANDS = {
+    ("analyze",): ("receptive-field, border, and cost report", _cmd_analyze, _ARCH, {
+        **_SIZE_OPTIONS, "--format": {"choices": FORMATS, "default": "text"},
+    }),
+    ("optimize",): ("apply a rewrite pass and report the delta", _cmd_optimize, _ARCH, {
+        **_SIZE_OPTIONS,
+        "--pass": {"dest": "pass_spec", "required": True, "metavar": "PASS", "help": "truncate | remove-stem-downsampling[:N]"},
+        "--emit": {"metavar": "OUT_JSON", "help": "write the rewritten architecture to this file"},
+        **_TEXT_OR_JSON,
+    }),
+    ("compare",): ("side-by-side analysis of two architectures", _cmd_compare, {"arch_a": {}, "arch_b": {}}, {
+        **_SIZE_OPTIONS, **_TEXT_OR_JSON,
+    }),
+    ("validate",): ("check a document; exit 0 if the graph is valid", _cmd_validate, _ARCH, _SIZE_OPTIONS),
+    ("zoo",): ("built-in architectures", None, {}, {}),
+    ("zoo", "list"): ("list builder names", _cmd_zoo_list, {}, {}),
+    ("zoo", "emit"): ("write a zoo model as an architecture document", _cmd_zoo_emit, {"name": {}}, {
+        "--out": {"metavar": "FILE", "help": "output path (stdout when omitted)"}, **_SIZE_OPTIONS,
+    }),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of `_COMMANDS`, for the command lines `_match` declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # type: ignore[override]
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    parser = _Parser(prog="rfscope", description="Receptive-field border analysis for CNN architecture graphs.")
+    parser.add_argument("--version", action="version", version=f"rfscope {rfscope.__version__}")
+    groups = {(): parser.add_subparsers(dest="command", required=True, parser_class=_Parser)}
+    for words, (help_text, run, positionals, options) in _COMMANDS.items():
+        p = groups[words[:-1]].add_parser(words[-1], help=help_text)
+        if run is None:
+            groups[words] = p.add_subparsers(dest=f"{words[-1]}_command", required=True, parser_class=_Parser)
+        else:
+            p.set_defaults(run=run)
+        for name, keywords in (*positionals.items(), *options.items()):
+            p.add_argument(name, **keywords)
+    return parser
+
+
+def _match(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse reads from `argv`, or None unless `argv` is plain: a command's words,
+    its positionals, then its options, each spelled in full, given at most once and followed by
+    exactly its count of values. No positional or value starts with `-`."""
+    words = tuple(argv[:2]) if tuple(argv[:2]) in _COMMANDS else tuple(argv[:1])
+    _, run, positionals, options = _COMMANDS.get(words, ("", None, {}, {}))
+    n = len(words) + len(positionals)
+    if run is None or len(argv) < n or any(token.startswith("-") for token in argv[len(words):n]):
+        return None
+    args = dict(zip(("command", f"{words[0]}_command"), words), run=run)
+    args.update(zip(positionals, argv[len(words):]))
+    found: dict[str, Any] = {}
+    while n < len(argv):
+        flag, spec = argv[n], options.get(argv[n])
+        if spec is None or flag in found:
+            return None
+        arity = spec.get("nargs", 1)
+        values, n = argv[n + 1:n + 1 + arity], n + 1 + arity
+        if len(values) < arity or any(value.startswith("-") for value in values):
+            return None
+        try:
+            values = [spec.get("type", str)(value) for value in values]
+        except ValueError:
+            return None
+        if "choices" in spec and values[0] not in spec["choices"]:
+            return None
+        found[flag] = values if "nargs" in spec else values[0]
+    for flag, spec in options.items():
+        if spec.get("required") and flag not in found:
+            return None
+        args[spec.get("dest", flag[2:].replace("-", "_"))] = found.get(flag, spec.get("default"))
+    return SimpleNamespace(**args)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _match(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.run(args)
     except UsageError as exc:

@@ -128,10 +128,11 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
 
     Nodes all of whose input paths cross unproductive territory are removed
     together with the old head; a fresh GlobalAvgPool -> Dense -> Softmax
-    head is attached to the last remaining node. Merges reduced to a single
-    input collapse to pass-throughs, and side branches left without a
-    consumer are pruned as dead code. Without a border the pass is a no-op
-    and returns the input graph unchanged.
+    head is attached to the last remaining node. A merge whose inputs come
+    from one node, once the merges before it collapse, collapses to a
+    pass-through, and side branches left without a consumer are pruned as
+    dead code. Without a border the pass is a no-op and returns the input
+    graph unchanged.
     """
     if isinstance(num_classes, bool) or not isinstance(num_classes, int) or num_classes < 2:
         raise ValueError(f"num_classes must be an integer >= 2, got {num_classes!r}")
@@ -149,13 +150,18 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
     for a, b in live:
         preds_of[b].append(a)
 
-    # Merges that lost all but one branch become identity pass-throughs. Each
-    # collapsed merge lists the targets of its surviving out-edges. Those edges
-    # are re-sourced at the merge's nearest upstream node that is not collapsed,
-    # and follow the other surviving edges, grouped by merge in declaration order.
-    collapsed: dict[str, list[str]] = {
-        nid: [] for nid in keep if isinstance(kinds[nid], MERGE_KINDS) and len(preds_of[nid]) == 1
-    }
+    # A merge whose inputs, read through the merges collapsed before it, come
+    # from one node, its source, becomes an identity pass-through. Each collapsed
+    # merge lists the targets of its surviving out-edges. Those edges are
+    # re-sourced at its source and follow the other surviving edges, grouped by
+    # merge in declaration order.
+    source: dict[str, str] = {}
+    for nid in keep:
+        if isinstance(kinds[nid], MERGE_KINDS):
+            inputs = {source.get(p, p) for p in preds_of[nid]}
+            if len(inputs) == 1:
+                source[nid] = inputs.pop()
+    collapsed: dict[str, list[str]] = {nid: [] for nid in source}
     edges: list[tuple[str, str]] = []
     for a, b in live:
         if b in collapsed:
@@ -165,8 +171,7 @@ def truncate_at_border(graph: ArchGraph, num_classes: int) -> tuple[ArchGraph, T
         else:
             edges.append((a, b))
     for nid, targets in collapsed.items():
-        source = _upstream(nid, collapsed, preds_of)
-        edges += [(source, b) for b in targets]
+        edges += [(source[nid], b) for b in targets]
     edges = list(dict.fromkeys(edges))
 
     # Attach the head to the last node that survives the collapse. The Input always

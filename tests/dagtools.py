@@ -609,8 +609,10 @@ def truncate_by_heap_drain(
     graph: ArchGraph, num_classes: int
 ) -> tuple[list[str], list[tuple[str, str]], tuple[str, ...]] | None:
     """Node ids, edges and removed ids of `truncate_at_border(graph, num_classes)`
-    as the pass once built them: dead ends popped from a heap in topological
-    order until one is left to take the new head. None when there is no border."""
+    as the pass once built them: in-edges re-sourced token by token through each
+    merge whose in-edges come from one node, then dead ends popped from a heap in
+    topological order until one is left to take the new head. None when there is
+    no border."""
     before_border = classify(graph)
     if before_border.border_min is None:
         return None
@@ -628,10 +630,12 @@ def truncate_by_heap_drain(
 
     token = len(live)
     for nid in keep:
-        if isinstance(kinds[nid], MERGE_KINDS) and len(incoming[nid]) == 1:
-            (in_token,) = incoming[nid]
-            src = live.pop(in_token)[0]
-            outgoing[src].remove(in_token)
+        sources = {live[t][0] for t in incoming[nid]}
+        if isinstance(kinds[nid], MERGE_KINDS) and len(sources) == 1:
+            (src,) = sources
+            for in_token in incoming[nid]:
+                live.pop(in_token)
+                outgoing[src].remove(in_token)
             for out_token in outgoing[nid]:
                 dst = live.pop(out_token)[1]
                 incoming[dst].remove(out_token)

@@ -57,6 +57,8 @@ ONE_ANALYSIS = TRANSFORMS + "TestOneAnalysis::"
 ZOO = "tests/test_zoo.py::"
 CLI_PINS = "tests/test_cli.py::test_cli_output_matches_pinned_digest"
 CLI_DIGESTS = "tests/test_cli_digests.py::test_cli_output_matches_recorded_digest"
+PLAIN_READER = "tests/test_cli.py::test_a_plain_command_line_reads_as_argparse_reads_it"
+PLAIN_DECLINES = "tests/test_cli.py::test_other_forms_go_to_argparse"
 
 MUTANTS = (
     # The one analysis core: the report classifies before it costs, so an RF error comes first.
@@ -92,13 +94,22 @@ MUTANTS = (
     Mutant(
         "truncate-resources-in-edge-order",
         "rfscope/transforms.py",
-        "    for nid, targets in collapsed.items():\n"
-        "        source = _upstream(nid, collapsed, preds_of)\n"
-        "        edges += [(source, b) for b in targets]\n",
-        "    edges += [(_upstream(a, collapsed, preds_of), b) for a, b in live if a in collapsed and b not in collapsed]\n",
+        "    for nid, targets in collapsed.items():\n        edges += [(source[nid], b) for b in targets]\n",
+        "    edges += [(source[a], b) for a, b in live if a in collapsed and b not in collapsed]\n",
         (
             f"{TRANSFORMS}TestTruncateAtBorder::test_matches_the_heap_drain_oracle[interleaved]",
             f"{TRANSFORMS}TestTruncateAtBorder::test_matches_the_heap_drain_oracle[mutated]",
+        ),
+    ),
+    # A merge collapses when its inputs, read through the merges collapsed before it, come from one node.
+    Mutant(
+        "truncate-collapses-before-rewiring",
+        "rfscope/transforms.py",
+        "inputs = {source.get(p, p) for p in preds_of[nid]}",
+        "inputs = set(preds_of[nid])",
+        (
+            f"{TRANSFORMS}TestTruncateAtBorder::test_merges_sharing_a_skip_source_collapse[Add-Add]",
+            f"{TRANSFORMS}TestTruncateAtBorder::test_matches_the_heap_drain_oracle[shared-skip]",
         ),
     ),
     # A conv or pool on one-jump paths shifts both extremes by (k_eff - 1) * j.
@@ -564,6 +575,29 @@ MUTANTS = (
         "if args.emit is not None:",
         "if args.emit:",
         ("tests/test_cli.py::test_bad_request_fails_cleanly_with_empty_stdout[emit-empty-path]",),
+    ),
+    # The plain reader returns argparse's namespace or declines: a value outside an option's choices,
+    # a repeated option and a value that starts with `-` all go to argparse.
+    Mutant(
+        "plain-reader-skips-choices",
+        "rfscope/cli.py",
+        'if "choices" in spec and values[0] not in spec["choices"]:',
+        "if False:",
+        (PLAIN_READER,),
+    ),
+    Mutant(
+        "plain-reader-takes-a-repeated-option",
+        "rfscope/cli.py",
+        "if spec is None or flag in found:",
+        "if spec is None:",
+        (f"{PLAIN_DECLINES}[repeated]",),
+    ),
+    Mutant(
+        "plain-reader-takes-a-value-with-a-dash",
+        "rfscope/cli.py",
+        "if len(values) < arity or any(value.startswith(\"-\") for value in values):",
+        "if len(values) < arity:",
+        (PLAIN_READER, f"{PLAIN_DECLINES}[value-with-dash]"),
     ),
     # A diagnostic is dropped, and the exit code kept, when stderr is None or its writes raise OSError.
     Mutant(

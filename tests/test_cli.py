@@ -28,7 +28,7 @@ from rfscope import (
     serialize,
     validate,
 )
-from rfscope.cli import EXIT_FILE, EXIT_INVALID, EXIT_NOOP, EXIT_OK, EXIT_USAGE, entrypoint, main
+from rfscope.cli import EXIT_FILE, EXIT_INVALID, EXIT_NOOP, EXIT_OK, EXIT_USAGE, _build_parser, _match, entrypoint, main
 from rfscope.graph_ir import LayerKind
 
 
@@ -649,6 +649,71 @@ def test_any_argv_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, he
     assert code in {EXIT_OK, EXIT_INVALID, EXIT_NOOP, EXIT_USAGE, EXIT_FILE}, (argv, err)
     assert "Traceback" not in err
     assert code == EXIT_OK or err, argv
+
+
+# Plain command lines: every command in the form `_match` reads, each option with a value it accepts.
+_CANONICAL = st.one_of(
+    st.tuples(st.sampled_from(["analyze", "validate"]), _ARCH),
+    st.tuples(st.just("optimize"), _ARCH, st.just("--pass"), st.sampled_from(["truncate", "remove-stem-downsampling:2"])),
+    st.tuples(st.just("compare"), _ARCH, _ARCH),
+    st.tuples(st.just("zoo"), st.just("emit"), st.sampled_from(["vgg11", "resnet18-nostem"])),
+    st.just(("zoo", "list")),
+)
+_NATURAL = st.integers(min_value=0, max_value=10**6).map(str)
+_PLAIN_FLAG = st.one_of(
+    st.tuples(st.just("--input-size"), _NATURAL, _NATURAL),
+    st.tuples(st.just("--classes"), _NATURAL),
+    st.tuples(st.just("--format"), st.sampled_from(["text", "json", "csv"])),
+    st.tuples(st.sampled_from(["--emit", "--out"]), st.sampled_from(["out.json", "."])),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(head=st.one_of(_HEAD, _CANONICAL), flags=st.lists(st.one_of(_FLAG, _PLAIN_FLAG), max_size=4))
+@example(head=("analyze", "zoo:vgg11"), flags=[("--format", "x")])
+@example(head=("analyze", "zoo:vgg11"), flags=[("--classes", "3"), ("--classes", "4")])
+@example(head=("zoo", "emit", "vgg11"), flags=[("--out", "--")])
+def test_a_plain_command_line_reads_as_argparse_reads_it(head, flags):
+    argv = [*head, *(token for flag in flags for token in flag)]
+    matched = _match(argv)
+    if matched is not None:
+        assert vars(matched) == vars(_build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "zoo:vgg11"],
+        ["analyze", "zoo:vgg11", "--format", "csv", "--classes", "5", "--input-size", "64", "48"],
+        ["optimize", "zoo:vgg11", "--pass", "truncate", "--emit", "out.json", "--format", "json"],
+        ["compare", "zoo:vgg11", "zoo:vgg13", "--input-size", "64", "64"],
+        ["validate", "zoo:vgg11", "--classes", "7"],
+        ["zoo", "list"],
+        ["zoo", "emit", "vgg11", "--out", "out.json", "--classes", "3"],
+    ],
+    ids=["analyze", "analyze-options", "optimize", "compare", "validate", "zoo-list", "zoo-emit"],
+)
+def test_every_command_has_a_plain_form(argv):
+    matched = _match(argv)
+    assert matched is not None
+    assert vars(matched) == vars(_build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "zoo:vgg11", "--format=json"],
+        ["analyze", "zoo:vgg11", "--form", "json"],
+        ["analyze", "zoo:vgg11", "--format", "text", "--format", "json"],
+        ["zoo", "emit", "vgg11", "--input-size", "-1", "5"],
+        ["analyze", "--", "zoo:vgg11"],
+        ["analyze", "zoo:vgg11", "-h"],
+        ["analyze", "zoo:vgg11", "--classes", "1" * 5000],
+    ],
+    ids=["equals-sign", "abbreviation", "repeated", "value-with-dash", "double-dash", "help", "past-the-digit-limit"],
+)
+def test_other_forms_go_to_argparse(argv):
+    assert _match(argv) is None
 
 
 # Document fuzzing: zoo documents with values retyped, keys and elements

@@ -40,8 +40,10 @@ def rfscope_modules(modules):
     return {m for m in modules if m.startswith("rfscope.")}
 
 
-# The records are plain slots classes, so no command pays for these standard modules at start-up.
-UNNEEDED = {"dataclasses", "inspect"}
+# The records are plain slots classes, and a plain command line is read without argparse,
+# so no command of the benchmark's mix pays for these standard modules at start-up.
+ARGPARSE = {"argparse", "gettext"}
+UNNEEDED = {"dataclasses", "inspect", *ARGPARSE}
 
 
 @pytest.fixture(scope="module")
@@ -78,11 +80,18 @@ ANALYSIS = {"rfscope.rf_analysis", "rfscope.shape_cost_model"}
         (["analyze", "zoo:vgg11"], {"rfscope.zoo", *ANALYSIS}),
         (["analyze", "FILE"], {"rfscope.archjson", *ANALYSIS}),
         (["optimize", "zoo:vgg11", "--pass", "truncate"], {"rfscope.zoo", "rfscope.transforms", *ANALYSIS}),
+        (
+            ["optimize", "FILE", "--pass", "remove-stem-downsampling:2", "--emit", "out.json"],
+            {"rfscope.archjson", "rfscope.transforms", *ANALYSIS},
+        ),
         (["compare", "FILE", "zoo:resnet18"], {"rfscope.zoo", "rfscope.archjson", "rfscope.transforms", *ANALYSIS}),
         (["zoo", "emit", "vgg11"], {"rfscope.zoo", "rfscope.archjson"}),
         (["zoo", "list"], {"rfscope.zoo"}),
     ],
-    ids=["validate-file", "validate-zoo", "analyze-zoo", "analyze-file", "optimize-zoo", "compare", "zoo-emit", "zoo-list"],
+    ids=[
+        "validate-file", "validate-zoo", "analyze-zoo", "analyze-file", "optimize-zoo", "optimize-file-emit", "compare",
+        "zoo-emit", "zoo-list",
+    ],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, bare, doc, argv, modules):
     code, _, err, loaded = probe(tmp_path, CLI, *[doc if a == "FILE" else a for a in argv])
@@ -95,6 +104,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, bare, doc, argv, 
 def test_only_the_chosen_output_format_is_loaded(tmp_path, bare, fmt):
     code, _, _, loaded = probe(tmp_path, CLI, "analyze", "zoo:vgg11", "--format", fmt)
     assert code == 0
+    assert UNNEEDED & loaded <= bare
     for module, wanted in (("csv", fmt == "csv"), ("json", fmt == "json")):
         if module not in bare:
             assert (module in loaded) == wanted
@@ -135,3 +145,39 @@ def test_errors_of_lazily_loaded_modules_exit_2_in_a_fresh_process(tmp_path, doc
         path.write_text(document)
     code, out, err, _ = probe(tmp_path, CLI, *[str(path) if a == "FILE" else a for a in argv])
     assert (code, out, err) == (2, "", stderr)
+
+
+ZOO_EMIT_HELP = """\
+usage: rfscope zoo emit [-h] [--out FILE] [--input-size H W]
+                        [--classes CLASSES]
+                        name
+
+positional arguments:
+  name
+
+options:
+  -h, --help         show this help message and exit
+  --out FILE         output path (stdout when omitted)
+  --input-size H W   override input height and width
+  --classes CLASSES  class count for zoo heads (default 10)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["zoo", "emit", "--help"], (0, ZOO_EMIT_HELP, "")),
+        (["--version"], (0, "rfscope 0.1.0\n", "")),
+        (
+            ["analyze", "zoo:vgg11", "--format", "x"],
+            (64, "", "rfscope analyze: error: argument --format: invalid choice: 'x' (choose from 'text', 'json', 'csv')\n"),
+        ),
+        (["zoo", "emit", "vgg11", "--cl", "x"], (64, "", "rfscope zoo emit: error: argument --classes: invalid int value: 'x'\n")),
+    ],
+    ids=["help", "version", "invalid-choice", "abbreviation-invalid-int"],
+)
+def test_help_version_and_usage_errors_go_through_argparse(tmp_path, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal's width
+    code, out, err, loaded = probe(tmp_path, CLI, *argv)
+    assert (code, out, err) == expected
+    assert ARGPARSE <= loaded

@@ -81,6 +81,23 @@ def _interleaved_collapse():
     return make_graph("interleaved-collapse", InputSpec(8, 8, 3), layers, edges)
 
 
+def _shared_skip(first, second):
+    """At 6x6, n3 sees 7 pixels and is the only unproductive conv; the merges n4 and n5 share the skip source n1.
+
+    Once n4 collapses onto n1, n5's two inputs both come from n1, so n5 collapses too.
+    """
+
+    def conv(stride=1):
+        return Conv2d(kernel=3, filters=4, stride=stride)
+
+    layers = [("input", Input()), ("n1", conv(2)), ("n2", conv()), ("n3", conv()), ("n4", first()), ("n5", second())]
+    edges = [("input", "n1"), ("n1", "n2"), ("n2", "n3"), ("n1", "n4"), ("n3", "n4"), ("n1", "n5"), ("n4", "n5")]
+    return make_graph(f"shared-skip-{first.__name__}-{second.__name__}".lower(), InputSpec(6, 6, 4), layers, edges)
+
+
+SHARED_SKIP_MERGES = [(Add, Add), (Add, Concat), (Concat, Concat)]  # Concat then Add would add 8 channels to 4
+
+
 class TestTruncateAtBorder:
     def test_vgg16_tail_replaced_by_classifier(self):
         g = build_named("vgg16")
@@ -143,7 +160,7 @@ class TestTruncateAtBorder:
             with pytest.raises(ValueError, match="num_classes must be an integer >= 2"):
                 truncate_at_border(build_named("vgg16"), num_classes=num_classes)
 
-    @pytest.mark.parametrize("family", ["zoo", "random", "mutated", "interleaved"])
+    @pytest.mark.parametrize("family", ["zoo", "random", "mutated", "interleaved", "shared-skip"])
     def test_matches_the_heap_drain_oracle(self, family):
         if family == "zoo":
             graphs = [build_named(name, input_spec=InputSpec(s, s, 3)) for name in ZOO_VARIANTS for s in SWEEP_SIZES]
@@ -154,8 +171,10 @@ class TestTruncateAtBorder:
             ]
         elif family == "mutated":
             graphs = [g for g in map(mutated_graph, range(2000)) if _shapes_propagate(g)]
-        else:
+        elif family == "interleaved":
             graphs = [_interleaved_collapse()]
+        else:
+            graphs = [_shared_skip(*merges) for merges in SHARED_SKIP_MERGES]
         truncated = 0
         for g in graphs:
             after, delta = truncate_at_border(g, num_classes=10)
@@ -167,6 +186,22 @@ class TestTruncateAtBorder:
             got = ([n.id for n in after.nodes], list(after.edges), delta.removed_node_ids)
             assert got == expected, (g.name, g.input)
         assert truncated
+
+    @pytest.mark.parametrize("merges", SHARED_SKIP_MERGES, ids=lambda m: "-".join(k.__name__ for k in m))
+    def test_merges_sharing_a_skip_source_collapse(self, tmp_path, capsys, merges):
+        g = _shared_skip(*merges)
+        assert validate(g) == [] and classify(g).unproductive_conv_ids == ("n3",)
+        after, delta = truncate_at_border(g, 10)
+        assert validate(after) == []
+        assert delta.removed_node_ids == ("n3", "n4", "n5")
+        assert after.predecessors["head_gap"] == ("n2",)
+        assert after.edges[:2] == (("input", "n1"), ("n1", "n2"))
+        path = tmp_path / "shared-skip.json"
+        path.write_text(serialize(g))
+        code = main(["optimize", str(path), "--pass", "truncate"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert "removed: n3, n4, n5\n" in out
 
     def test_border_at_last_conv_keeps_prefix(self):
         g = chain_graph(
